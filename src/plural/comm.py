@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .scaling import ChipSpec, ensemble_metrics
+from .scaling import ChipSpec, _check_core_count, ensemble_metrics
 
 __all__ = [
     "CommMetrics",
@@ -45,13 +45,6 @@ class CommMetrics:
 def _check_area(area: float) -> None:
     if not area > 0:
         raise DomainError(f"area must be positive, got {area!r}")
-
-
-def _check_core_count(m: int) -> None:
-    if not isinstance(m, int):
-        raise DomainError(f"core count m must be an integer, got {m!r}")
-    if m < 1:
-        raise DomainError(f"core count m must be >= 1, got {m}")
 
 
 def sched_msg_energy(area: float) -> float:

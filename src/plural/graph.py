@@ -243,23 +243,28 @@ def validate_dag(g: TaskGraph) -> list[str] | None:
     return None
 
 
-def _descendants(g: TaskGraph) -> dict[str, set[str]]:
-    # Transitive closure by accumulating over a reverse topological order.
+def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int]:
+    """Each task's descendants as an int bitset, bit ``index[tid]`` per task.
+
+    One pass over a topological order, so O(V + E) bitset unions; the graph
+    must be a DAG.
+    """
     succ = _successor_map(g)
     indegree = dict.fromkeys(g.tasks, 0)
     for _, s in g.edges:
         indegree[s] += 1
-    order: list[str] = [tid for tid in sorted(g.tasks) if indegree[tid] == 0]
+    order: list[str] = [tid for tid in g.tasks if indegree[tid] == 0]
     for tid in order:
         for s in succ[tid]:
             indegree[s] -= 1
             if indegree[s] == 0:
                 order.append(s)
-    desc: dict[str, set[str]] = {tid: set() for tid in g.tasks}
+    desc: dict[str, int] = {}
     for tid in reversed(order):
+        bits = 0
         for s in succ[tid]:
-            desc[tid].add(s)
-            desc[tid] |= desc[s]
+            bits |= desc[s] | 1 << index[s]
+        desc[tid] = bits
     return desc
 
 
@@ -273,12 +278,14 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
-    desc = _descendants(g)
     ids = sorted(g.tasks)
+    index = {tid: i for i, tid in enumerate(ids)}
+    desc = _descendant_bits(g, index)
     pairs: set[tuple[str, str]] = set()
     for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if b not in desc[a] and a not in desc[b]:
+        for j in range(i + 1, len(ids)):
+            b = ids[j]
+            if not (desc[a] >> j & 1 or desc[b] >> i & 1):
                 pairs.add((a, b))
     return pairs
 
@@ -286,26 +293,67 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
 def check_crew(g: TaskGraph) -> list[CrewViolation]:
     """Report every CREW violation among concurrent tasks.
 
-    The check runs on the duplicable-expanded graph (expansion is a no-op on
-    already-expanded input), so instances of a duplicable task that write a
-    shared variable without instance-disjoint naming conflict with each
-    other.  A variable written by both tasks of a pair is one write-write
-    violation; written by one and read by the other, a read-write violation.
-    Concurrent reads are legal and never reported.
+    Violations are reported between expanded task instances, as if the check
+    ran on ``expand_duplicables(g)`` (already-expanded input is taken as
+    is), so instances of a duplicable task that write a shared variable
+    without instance-disjoint naming conflict with each other.  A variable
+    written by both tasks of a pair is one write-write violation; written by
+    one and read by the other, a read-write violation.  Concurrent reads are
+    legal and never reported.  The list is sorted by task pair, with a
+    pair's write-write variables before its read-write ones, each ascending.
+
+    The expanded graph is never built.  Two instances of one duplicable are
+    always concurrent, and instances of different tasks are concurrent
+    exactly when their authored tasks are, so reachability is computed once
+    on the authored graph as int bitsets: O(V + E).  Each concrete variable
+    (after ``#`` substitution) is indexed to the instances that touch it,
+    at a cost of the summed instance footprints, and only pairs that share a
+    variable written by at least one of them are tested.
+
+    Raises ``GraphStructureError`` when an instance id collides with another
+    task's id and ``CycleError``, with a witness over expanded ids, when the
+    graph has a cycle.
     """
-    expanded = expand_duplicables(g)
+    instances = _instance_ids(g)
+    if validate_dag(g) is not None:
+        raise CycleError(validate_dag(expand_duplicables(g)))
+    index = {tid: i for i, tid in enumerate(g.tasks)}
+    desc = _descendant_bits(g, index)
+
+    # Concrete variable -> (instance id, authored id, writes it?) per toucher.
+    touchers: dict[str, list[tuple[str, str, bool]]] = {}
+    for tid, task in g.tasks.items():
+        if not (task.read_set or task.write_set):
+            continue
+        for k, iid in enumerate(instances[tid]):
+            reads, writes = task.read_set, task.write_set
+            if task.kind is TaskKind.DUPLICABLE:
+                reads, writes = _instance_vars(reads, k), _instance_vars(writes, k)
+            for var in reads | writes:
+                touchers.setdefault(var, []).append((iid, tid, var in writes))
+
+    # (instance a, instance b), a < b -> (write-write vars, read-write vars)
+    found: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+    for var, entries in touchers.items():
+        for w_id, w_task, w_writes in entries:
+            if not w_writes:
+                continue
+            for t_id, t_task, t_writes in entries:
+                # A writer pair is taken once, from its smaller id.
+                if t_id == w_id or (t_writes and t_id < w_id):
+                    continue
+                # Instances of one duplicable pass: a DAG task is not its own descendant.
+                if desc[w_task] >> index[t_task] & 1 or desc[t_task] >> index[w_task] & 1:
+                    continue
+                pair = (w_id, t_id) if w_id < t_id else (t_id, w_id)
+                both_write, read_write = found.setdefault(pair, ([], []))
+                (both_write if t_writes else read_write).append(var)
+
     violations: list[CrewViolation] = []
-    for a, b in sorted(concurrent_pairs(expanded)):
-        task_a = expanded.tasks[a]
-        task_b = expanded.tasks[b]
-        both_write = task_a.write_set & task_b.write_set
-        read_write = (
-            (task_a.write_set & task_b.read_set) | (task_a.read_set & task_b.write_set)
-        ) - both_write
-        for var in sorted(both_write):
-            violations.append(CrewViolation(a, b, var, WRITE_WRITE))
-        for var in sorted(read_write):
-            violations.append(CrewViolation(a, b, var, READ_WRITE))
+    for pair in sorted(found):
+        both_write, read_write = found[pair]
+        violations.extend(CrewViolation(*pair, var, WRITE_WRITE) for var in sorted(both_write))
+        violations.extend(CrewViolation(*pair, var, READ_WRITE) for var in sorted(read_write))
     return violations
 
 
@@ -316,6 +364,27 @@ def instance_id(task_id: str, number: int) -> str:
 
 def _instance_vars(names: frozenset[str], number: int) -> frozenset[str]:
     return frozenset(name.replace(INSTANCE_PLACEHOLDER, str(number)) for name in names)
+
+
+def _instance_ids(g: TaskGraph) -> dict[str, list[str]]:
+    """Each task's ids in the expanded graph, in ``expand_duplicables`` order.
+
+    Raises the ``GraphStructureError`` that building the expanded graph would
+    raise when an instance id collides with another task's id.
+    """
+    ids: dict[str, list[str]] = {}
+    seen: set[str] = set()
+    for tid in sorted(g.tasks):
+        task = g.tasks[tid]
+        if task.kind is TaskKind.DUPLICABLE:
+            ids[tid] = [instance_id(tid, k) for k in range(task.instances)]
+        else:
+            ids[tid] = [tid]
+        for iid in ids[tid]:
+            if iid in seen:
+                raise GraphStructureError(f"duplicate task id {iid!r}")
+            seen.add(iid)
+    return ids
 
 
 def expand_duplicables(g: TaskGraph) -> TaskGraph:

@@ -10,6 +10,7 @@ ES, ES2) compare the m-core ensemble against the single-processor baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -38,12 +39,12 @@ class ChipSpec:
     static_power_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if not self.area > 0:
-            raise ValidationError(f"area must be positive, got {self.area!r}")
-        if not self.work > 0:
-            raise ValidationError(f"work must be positive, got {self.work!r}")
-        if not self.cpi > 0:
-            raise ValidationError(f"cpi must be positive, got {self.cpi!r}")
+        for name in ("area", "work", "cpi"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValidationError(f"{name} must be positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.pollack_exponent < 1.0:
             raise ValidationError(
                 f"pollack_exponent must lie in (0, 1), got {self.pollack_exponent!r}"

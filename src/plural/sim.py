@@ -49,6 +49,7 @@ from .graph import (
     ControlKind,
     TaskGraph,
     TaskKind,
+    _successor_map,
     expand_duplicables,
     instance_id,
     validate_dag,
@@ -193,7 +194,7 @@ class _Simulation:
         self.pred_left = {tid: 0 for tid in g.tasks}
         for _, succ in g.edges:
             self.pred_left[succ] += 1
-        self.succs = {tid: g.successors(tid) for tid in g.tasks}
+        self.succs = _successor_map(g)
 
         self.cores = [_Core() for _ in range(cfg.m)]
         self.ready: list[tuple[int, str]] = []  # (ready slot, task id)

@@ -84,6 +84,14 @@ class TestSweep:
         assert code == 2
         assert "area" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "comm-sweep"])
+    @pytest.mark.parametrize("flag", ["--area", "--work", "--cpi"])
+    def test_non_finite_chip_parameter_is_input_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag, "inf", "--m", "1:4:x2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be finite, got inf\n"
+
     def test_plot_script(self, capsys, tmp_path):
         script = tmp_path / "plot.gp"
         code, _, _ = run_cli(capsys, "sweep", "--m", "1:4:x2", "--plot-script", str(script))

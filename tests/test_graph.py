@@ -1,7 +1,10 @@
 """Tests for task graphs, DAG validation, concurrency, and CREW checking."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import plural.graph as graph_module
 from plural import (
     ControlKind,
     CrewViolation,
@@ -36,6 +39,76 @@ def duplicable(tid, d, reads=(), writes=(), n=10):
 
 def control(tid, kind=ControlKind.MERGE):
     return Task(id=tid, kind=TaskKind.CONTROL, control_kind=kind)
+
+
+def pairwise_check_crew(g):
+    """Reference CREW check: footprint intersections over every concurrent pair
+    of the expanded graph."""
+    expanded = expand_duplicables(g)
+    violations = []
+    for a, b in sorted(concurrent_pairs(expanded)):
+        task_a = expanded.tasks[a]
+        task_b = expanded.tasks[b]
+        both_write = task_a.write_set & task_b.write_set
+        read_write = (
+            (task_a.write_set & task_b.read_set) | (task_a.read_set & task_b.write_set)
+        ) - both_write
+        for var in sorted(both_write):
+            violations.append(CrewViolation(a, b, var, WRITE_WRITE))
+        for var in sorted(read_write):
+            violations.append(CrewViolation(a, b, var, READ_WRITE))
+    return violations
+
+
+def reachable_pairs(g):
+    """(a, b) for every precedence path a -> ... -> b, by a search from each task."""
+    pairs = set()
+    for start in g.tasks:
+        stack = list(g.successors(start))
+        while stack:
+            tid = stack.pop()
+            if (start, tid) not in pairs:
+                pairs.add((start, tid))
+                stack.extend(g.successors(tid))
+    return pairs
+
+
+def crew_outcome(check, g):
+    try:
+        return check(g)
+    except (CycleError, GraphStructureError) as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
+
+
+# Ids with "#" collide with instance ids; "v[#]" and "w#" collide with the
+# literal names "v[0]", "v[1]" and "w0" after substitution.
+CREW_IDS = ["a", "b", "c", "a#0", "a#1", "b#0", "b#2", "a#0#0"]
+CREW_VARS = ["x", "y", "v[#]", "v[0]", "v[1]", "w#", "w0"]
+
+
+@st.composite
+def crew_graphs(draw):
+    ids = draw(st.lists(st.sampled_from(CREW_IDS), unique=True, max_size=7))
+    footprint = st.frozensets(st.sampled_from(CREW_VARS), max_size=3)
+    tasks = []
+    for tid in ids:
+        kind = draw(st.sampled_from(TaskKind))
+        if kind is TaskKind.CONTROL:
+            tasks.append(control(tid))
+        elif kind is TaskKind.DUPLICABLE:
+            tasks.append(duplicable(tid, draw(st.integers(1, 4)), draw(footprint), draw(footprint)))
+        else:
+            tasks.append(singular(tid, draw(footprint), draw(footprint)))
+    acyclic = draw(st.booleans())
+    index = st.integers(0, max(len(ids) - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * len(ids))) if ids else []
+    g = TaskGraph(tasks, {(ids[i], ids[j]) for i, j in pairs if i < j or not acyclic})
+    if draw(st.booleans()):
+        try:
+            return expand_duplicables(g)
+        except GraphStructureError:
+            pass
+    return g
 
 
 class TestTask:
@@ -152,6 +225,20 @@ class TestConcurrentPairs:
         with pytest.raises(CycleError):
             concurrent_pairs(g)
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(crew_graphs())
+    def test_pairs_are_the_tasks_with_no_path_between_them(self, g):
+        if validate_dag(g) is not None:
+            return
+        reach = reachable_pairs(g)
+        ids = sorted(g.tasks)
+        assert concurrent_pairs(g) == {
+            (a, b)
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+            if (a, b) not in reach and (b, a) not in reach
+        }
+
 
 class TestCheckCrew:
     def test_concurrent_write_read(self):
@@ -198,6 +285,57 @@ class TestCheckCrew:
             CrewViolation("a", "b", "w", WRITE_WRITE),
             CrewViolation("a", "b", "v", READ_WRITE),
         ]
+
+
+class TestCheckCrewMatchesPairwiseCheck:
+    """``check_crew`` works on the authored graph; the pairwise check on the
+    expanded graph is the reference it must reproduce, errors included."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(crew_graphs())
+    # "v[#]" of instance 0 collides with a literal "v[0]".
+    @example(TaskGraph([duplicable("a", 2, writes={"v[#]"}), singular("b", reads={"v[0]"})]))
+    # Tasks that read and write the same variable.
+    @example(TaskGraph([singular("a", {"x"}, {"x"}), duplicable("b", 2, {"x"}, {"x"})]))
+    # Already-expanded input.
+    @example(expand_duplicables(TaskGraph([duplicable("a", 3, {"y"}, {"w#", "y"})])))
+    # Control tasks order their neighbours but touch no variables.
+    @example(
+        TaskGraph(
+            [singular("a", writes={"x"}), control("b"), singular("c", reads={"x"}), singular("d", {"x"})],
+            [("a", "b"), ("b", "c")],
+        )
+    )
+    # A cycle through a duplicable: the witness names instance ids.
+    @example(
+        TaskGraph([duplicable("a", 2, writes={"x"}), singular("b")], [("a", "b"), ("b", "a")])
+    )
+    # An instance id collides with an authored id.
+    @example(TaskGraph([duplicable("a", 2), singular("a#1", writes={"x"})]))
+    def test_same_result_as_pairwise_check(self, g):
+        assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
+
+    def test_stays_on_the_authored_graph(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("check_crew built the expanded graph")
+
+        monkeypatch.setattr(graph_module, "concurrent_pairs", forbidden)
+        monkeypatch.setattr(graph_module, "expand_duplicables", forbidden)
+
+        def fork_join(d, writes):
+            return TaskGraph(
+                [
+                    singular("load", writes={"in"}),
+                    duplicable("work", d, reads={"in"}, writes=writes),
+                    singular("join", writes={"done"}),
+                ],
+                [("load", "work"), ("work", "join")],
+            )
+
+        assert check_crew(fork_join(4000, {"out[#]"})) == []
+        violations = check_crew(fork_join(8, {"acc"}))
+        assert len(violations) == 8 * 7 // 2
+        assert {(v.variable, v.kind) for v in violations} == {("acc", WRITE_WRITE)}
 
 
 class TestExpandDuplicables:

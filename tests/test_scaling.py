@@ -31,6 +31,9 @@ class TestChipSpec:
             ({"area": 1, "work": 1, "pollack_exponent": 0.0}, "pollack_exponent"),
             ({"area": 1, "work": 1, "pollack_exponent": 1.0}, "pollack_exponent"),
             ({"area": 1, "work": 1, "pollack_exponent": 1.5}, "pollack_exponent"),
+            ({"area": math.inf, "work": 1}, "area"),
+            ({"area": 1, "work": math.inf}, "work"),
+            ({"area": 1, "work": 1, "cpi": math.inf}, "cpi"),
         ],
     )
     def test_invalid_fields_name_the_field(self, kwargs, field):
