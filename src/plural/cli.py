@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import comm, et2, graphio, scaling, sim
 from .errors import PluralError
@@ -31,51 +31,13 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-SWEEP_COLUMNS = [
-    "m",
-    "core_area",
-    "core_freq",
-    "single_freq",
-    "core_perf",
-    "ensemble_perf",
-    "compute_time",
-    "single_time",
-    "power",
-    "single_power",
-    "energy",
-    "single_energy",
-    "speedup",
-    "energydown",
-    "powerdown",
-    "es",
-    "es2",
-    "perf_per_power",
-]
+SWEEP_COLUMNS = [f.name for f in fields(scaling.EnsembleMetrics)]
 
-COMM_COLUMNS = SWEEP_COLUMNS + [
-    "sched_msg_energy",
-    "sched_power",
-    "mem_access_energy",
-    "mem_power",
-    "compute_power",
-    "total_power",
-    "perf_per_total_power",
-]
+COMM_COLUMNS = SWEEP_COLUMNS + [f.name for f in fields(comm.CommMetrics) if f.name != "m"]
 
 REPORT_CSV_COLUMNS = [
-    "m",
-    "makespan",
-    "total_instructions",
-    "compute_energy",
-    "sched_msg_energy_total",
-    "mem_msg_energy_total",
-    "avg_power",
-    "sched_msg_count",
-    "mem_access_count",
-    "mem_conflict_stalls",
-    "empirical_speedup",
-    "mean_utilization",
-]
+    f.name for f in fields(sim.SimReport) if not str(f.type).startswith("tuple")
+] + ["mean_utilization"]
 
 PLOT_SCRIPT = """\
 # gnuplot stub: save the sweep CSV next to this script and adjust `datafile`.
@@ -195,12 +157,7 @@ def cmd_comm_sweep(args, out) -> int:
 
 
 def _state_dict(state: et2.Et2State) -> dict:
-    return {
-        "energy": state.energy,
-        "time": state.time,
-        "theta": state.theta,
-        "power": state.power,
-    }
+    return {**asdict(state), "power": state.power}
 
 
 def _apply_transform(state: et2.Et2State, spec: str):

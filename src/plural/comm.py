@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .scaling import ChipSpec, _check_core_count, ensemble_metrics
+from .scaling import ChipSpec, _check_core_count, _check_in_range, ensemble_metrics
 
 __all__ = [
     "CommMetrics",
@@ -83,7 +83,8 @@ def comm_metrics(spec: ChipSpec, m: int) -> CommMetrics:
 
     Compute power comes from the scaling model; scheduler and memory power
     from the message model above.  The communications-adjusted figure of
-    merit divides the ensemble performance by the summed power.
+    merit divides the ensemble performance by the summed power.  A row that
+    leaves float range raises ``DomainError``.
     """
     ensemble = ensemble_metrics(spec, m)
     sched_e = sched_msg_energy(spec.area)
@@ -91,7 +92,7 @@ def comm_metrics(spec: ChipSpec, m: int) -> CommMetrics:
     mem_e = mem_access_energy(spec.area, m)
     mem_p = mem_power(spec.area, m)
     total = ensemble.power + sched_p + mem_p
-    return CommMetrics(
+    row = CommMetrics(
         m=m,
         sched_msg_energy=sched_e,
         sched_power=sched_p,
@@ -101,3 +102,4 @@ def comm_metrics(spec: ChipSpec, m: int) -> CommMetrics:
         total_power=total,
         perf_per_total_power=ensemble.ensemble_perf / total,
     )
+    return _check_in_range(row, m)

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .scaling import _check_core_count
 
 __all__ = [
     "Et2State",
@@ -85,11 +87,30 @@ class Et2ParallelResult:
 
 def make_state(energy: float, time: float) -> Et2State:
     """Build a state from an (energy, time) point; theta is derived."""
-    if not energy > 0:
-        raise DomainError(f"energy must be positive, got {energy!r}")
-    if not time > 0:
-        raise DomainError(f"time must be positive, got {time!r}")
-    return Et2State(energy=energy, time=time, theta=energy * time**2)
+    try:
+        theta = energy * time**2
+    except OverflowError:
+        raise DomainError("energy * time**2 overflows a float") from None
+    return Et2State(energy=energy, time=time, theta=theta)
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0 < fraction <= 1:
+        raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
+
+
+@contextmanager
+def _blame(argument: str):
+    """Report a transform result outside float range as the fault of its argument.
+
+    The input state is valid and the argument has passed its own checks, so a
+    zero divisor, an overflowing power, or a result state that fails its
+    checks comes from the argument's magnitude.
+    """
+    try:
+        yield
+    except (ArithmeticError, DomainError):
+        raise DomainError(f"{argument} takes the state out of float range") from None
 
 
 def stretch_time(s: Et2State, factor: float) -> Et2State:
@@ -107,7 +128,8 @@ def stretch_time(s: Et2State, factor: float) -> Et2State:
             "trade-off curve is normally ridden toward longer time",
             stacklevel=2,
         )
-    return Et2State(energy=s.energy / factor**2, time=s.time * factor, theta=s.theta)
+    with _blame(f"stretch factor {factor!r}"):
+        return Et2State(energy=s.energy / factor**2, time=s.time * factor, theta=s.theta)
 
 
 def shrink_work(s: Et2State, fraction: float) -> Et2State:
@@ -116,35 +138,35 @@ def shrink_work(s: Et2State, fraction: float) -> Et2State:
     Time and energy shrink proportionally (so power is unchanged) and the
     computation lands on a new curve with theta scaled by fraction**3.
     """
-    if not 0 < fraction <= 1:
-        raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
-    return Et2State(
-        energy=fraction * s.energy,
-        time=fraction * s.time,
-        theta=fraction**3 * s.theta,
-    )
+    _check_fraction(fraction)
+    with _blame(f"work fraction {fraction!r}"):
+        return Et2State(
+            energy=fraction * s.energy,
+            time=fraction * s.time,
+            theta=fraction**3 * s.theta,
+        )
 
 
 def iso_time_energy(s: Et2State, fraction: float) -> Et2State:
     """Shrink the work but spend the original time; energy falls by fraction**3."""
-    if not 0 < fraction <= 1:
-        raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
-    return Et2State(
-        energy=fraction**3 * s.energy,
-        time=s.time,
-        theta=fraction**3 * s.theta,
-    )
+    _check_fraction(fraction)
+    with _blame(f"work fraction {fraction!r}"):
+        return Et2State(
+            energy=fraction**3 * s.energy,
+            time=s.time,
+            theta=fraction**3 * s.theta,
+        )
 
 
 def iso_energy_time(s: Et2State, fraction: float) -> Et2State:
     """Shrink the work but spend the original energy; time falls by fraction**1.5."""
-    if not 0 < fraction <= 1:
-        raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
-    return Et2State(
-        energy=s.energy,
-        time=fraction**1.5 * s.time,
-        theta=fraction**3 * s.theta,
-    )
+    _check_fraction(fraction)
+    with _blame(f"work fraction {fraction!r}"):
+        return Et2State(
+            energy=s.energy,
+            time=fraction**1.5 * s.time,
+            theta=fraction**3 * s.theta,
+        )
 
 
 def parallelize(s: Et2State, m: int) -> Et2ParallelResult:
@@ -155,16 +177,14 @@ def parallelize(s: Et2State, m: int) -> Et2ParallelResult:
     theta/m**3.  Summed over the ensemble the energy is E/m and the power
     (E/t)/sqrt(m), matching the scaling model's ensemble row.
     """
-    if not isinstance(m, int):
-        raise DomainError(f"core count m must be an integer, got {m!r}")
-    if m < 1:
-        raise DomainError(f"core count m must be >= 1, got {m}")
-    root_m = math.sqrt(m)
-    per_core = Et2State(
-        energy=s.energy / m**2,
-        time=s.time / root_m,
-        theta=s.theta / m**3,
-    )
+    _check_core_count(m)
+    with _blame(f"core count {m}"):
+        root_m = math.sqrt(m)
+        per_core = Et2State(
+            energy=s.energy / m**2,
+            time=s.time / root_m,
+            theta=s.theta / m**3,
+        )
     return Et2ParallelResult(
         per_core=per_core,
         ensemble_energy=s.energy / m,
@@ -195,9 +215,10 @@ def constrain(
     if not value > 0:
         raise DomainError(f"constraint value must be positive, got {value!r}")
     theta = s.theta
-    if energy is not None:
-        return Et2State(energy=energy, time=math.sqrt(theta / energy), theta=theta)
-    if time is not None:
-        return Et2State(energy=theta / time**2, time=time, theta=theta)
-    new_time = (theta / power) ** (1.0 / 3.0)
-    return Et2State(energy=power * new_time, time=new_time, theta=theta)
+    with _blame(f"constraint value {value!r}"):
+        if energy is not None:
+            return Et2State(energy=energy, time=math.sqrt(theta / energy), theta=theta)
+        if time is not None:
+            return Et2State(energy=theta / time**2, time=time, theta=theta)
+        new_time = (theta / power) ** (1.0 / 3.0)
+        return Et2State(energy=power * new_time, time=new_time, theta=theta)

@@ -86,15 +86,32 @@ def _check_core_count(m: int) -> None:
         raise DomainError(f"core count m must be >= 1, got {m}")
 
 
+def _check_in_range(row, m: int):
+    """Return ``row`` if it was computed (not None) and every value in it is
+    finite and positive; otherwise raise ``DomainError`` naming ``m``."""
+    if row is None or not all(0 < value < math.inf for value in vars(row).values()):
+        raise DomainError(f"model values at m={m} fall outside float range")
+    return row
+
+
 def ensemble_metrics(spec: ChipSpec, m: int) -> EnsembleMetrics:
     """Evaluate the scaling model for ``m`` cores sharing ``spec.area``.
 
     Per core: area a = A/m, frequency a**alpha, work W/m.  The ensemble keeps
     the full area powered, so power stays proportional to A times the (lower)
     core frequency while compute time shrinks with both the split work and
-    the frequency reduction.
+    the frequency reduction.  A row that leaves float range raises
+    ``DomainError``.
     """
     _check_core_count(m)
+    try:
+        row = _ensemble_row(spec, m)
+    except ArithmeticError:  # a zero divisor, or a power or an m too large for a float
+        row = None
+    return _check_in_range(row, m)
+
+
+def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
     area = spec.area
     alpha = spec.pollack_exponent
 

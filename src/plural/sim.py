@@ -24,8 +24,9 @@ Execution semantics:
   core-executed instance) costs sqrt(A) and each memory access costs
   sqrt(A) + log2(m).
 
-For m > 1 a single-core reference run of the same workload prices the
-measured speedup; ``compare_to_model`` turns a report into relative
+The measured speedup is priced against one core of the full area, whose
+makespan is total instructions * cpi / A**alpha: a single core never
+contends and never idles.  ``compare_to_model`` turns a report into relative
 deviations from the closed-form speedup, energydown, and powerdown.
 """
 
@@ -35,7 +36,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -420,9 +421,9 @@ def _resolve_outcomes(g: TaskGraph, cfg: SimConfig) -> dict[str, list[str]]:
 def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimReport:
     """Simulate a task graph and return its measurements.
 
-    The graph must be acyclic; duplicable tasks are expanded internally.  For
-    m > 1 the same workload is also run on a single core of the full chip
-    area to fill in ``empirical_speedup``.
+    The graph must be acyclic; duplicable tasks are expanded internally.
+    ``empirical_speedup`` compares the run with one core of the full chip
+    area, which executes every instruction back to back.
     """
     cycle = validate_dag(g)
     if cycle is not None:
@@ -436,11 +437,9 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
         raise DegenerateWorkloadError(
             "the executed path of the task graph contains no instructions"
         )
-    if cfg.m == 1:
-        return sim.report(empirical_speedup=1.0)
-    reference = _Simulation(expanded, replace(cfg, m=1), outcomes, False)
-    reference.execute()
-    return sim.report(empirical_speedup=reference.makespan / sim.makespan)
+    chip = cfg.chip
+    reference = sim.total_instructions * (chip.cpi / chip.area**chip.pollack_exponent)
+    return sim.report(empirical_speedup=reference / sim.makespan)
 
 
 def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
@@ -483,24 +482,12 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
 def report_as_dict(report: SimReport, *, include_events: bool = False) -> dict:
     """Plain-dict form of a report, for JSON output."""
-    out = {
-        "m": report.m,
-        "makespan": report.makespan,
-        "total_instructions": report.total_instructions,
-        "compute_energy": report.compute_energy,
-        "sched_msg_energy_total": report.sched_msg_energy_total,
-        "mem_msg_energy_total": report.mem_msg_energy_total,
-        "avg_power": report.avg_power,
-        "per_core_busy_time": list(report.per_core_busy_time),
-        "utilization": list(report.utilization),
-        "sched_msg_count": report.sched_msg_count,
-        "mem_access_count": report.mem_access_count,
-        "mem_conflict_stalls": report.mem_conflict_stalls,
-        "empirical_speedup": report.empirical_speedup,
-    }
-    if include_events:
-        out["events"] = [
-            {"time": e.time, "kind": e.kind, "task": e.task, "detail": e.detail}
-            for e in report.events
-        ]
+    out = {}
+    for f in fields(SimReport):
+        value = getattr(report, f.name)
+        if f.name == "events":
+            if include_events:
+                out["events"] = [event._asdict() for event in value]
+        else:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
     return out

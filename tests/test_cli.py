@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 import math
 
@@ -13,6 +14,35 @@ DEMO_GRAPH = {
          "reads": ["in[#]"], "writes": ["out[#]"]},
     ],
     "edges": [],
+}
+
+
+# The output contract, spelled out: the column lists in cli.py are derived
+# from dataclass fields, so comparing against them would compare a value
+# with itself.
+SWEEP_HEADER = [
+    "m", "core_area", "core_freq", "single_freq", "core_perf", "ensemble_perf",
+    "compute_time", "single_time", "power", "single_power", "energy",
+    "single_energy", "speedup", "energydown", "powerdown", "es", "es2",
+    "perf_per_power",
+]
+COMM_HEADER = SWEEP_HEADER + [
+    "sched_msg_energy", "sched_power", "mem_access_energy", "mem_power",
+    "compute_power", "total_power", "perf_per_total_power",
+]
+REPORT_KEYS = [
+    "m", "makespan", "total_instructions", "compute_energy",
+    "sched_msg_energy_total", "mem_msg_energy_total", "avg_power",
+    "per_core_busy_time", "utilization", "sched_msg_count", "mem_access_count",
+    "mem_conflict_stalls", "empirical_speedup",
+]
+REPORT_CSV_HEADER = [
+    key for key in REPORT_KEYS if key not in ("per_core_busy_time", "utilization")
+] + ["mean_utilization"]
+# sha256 of the default `plural sweep` and `plural comm-sweep` stdout.
+DEFAULT_SWEEP_DIGESTS = {
+    "sweep": "47d11295a269cf3a39adaa93f215e8a954982890c44238e46487360b2dd9d4a8",
+    "comm-sweep": "be3c3a2cd81970d9d5e9129ad0b71875c6fc7e20e656b9bbe5c02dc9861a2af4",
 }
 
 
@@ -39,8 +69,14 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep")
         header, rows = csv_rows(out)
         assert code == 0
-        assert header == cli.SWEEP_COLUMNS
+        assert header == SWEEP_HEADER
         assert [r["m"] for r in rows] == [str(2**k) for k in range(15)]
+
+    @pytest.mark.parametrize("command", ["sweep", "comm-sweep"])
+    def test_default_output_matches_pinned_digest(self, capsys, command):
+        code, out, _ = run_cli(capsys, command)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[command]
 
     def test_speedup_column(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "--area", "1e6", "--work", "1", "--m", "1:16:x2")
@@ -84,13 +120,47 @@ class TestSweep:
         assert code == 2
         assert "area" in err
 
-    @pytest.mark.parametrize("command", ["sweep", "comm-sweep"])
-    @pytest.mark.parametrize("flag", ["--area", "--work", "--cpi"])
-    def test_non_finite_chip_parameter_is_input_error(self, capsys, command, flag):
-        code, out, err = run_cli(capsys, command, flag, "inf", "--m", "1:4:x2")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(
+                (command, flag, "inf", "--m", "1:4:x2"),
+                f"{flag[2:]} must be finite, got inf",
+                id=f"{flag}-{command}",
+            )
+            for command in ("sweep", "comm-sweep")
+            for flag in ("--area", "--work", "--cpi")
+        ]
+        + [
+            # Finite parameters whose model values leave float range.
+            pytest.param(
+                ("sweep", "--area", "1e-310"),
+                "model values at m=1 fall outside float range",
+                id="tiny-area-sweep",
+            ),
+            pytest.param(
+                ("sweep", "--work", "1e308", "--area", "1e-300"),
+                "model values at m=1 fall outside float range",
+                id="huge-time-sweep",
+            ),
+            pytest.param(
+                ("comm-sweep", "--area", "1e300"),
+                "model values at m=1 fall outside float range",
+                id="huge-area-comm-sweep",
+            ),
+            # The compute row is in range; the summed traffic power is not.
+            pytest.param(
+                ("comm-sweep", "--area", "1e307", "--alpha", "0.001", "--m", "1:64:x2"),
+                "model values at m=32 fall outside float range",
+                id="huge-traffic-comm-sweep",
+            ),
+        ],
+    )
+    def test_non_finite_chip_parameter_is_input_error(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""
-        assert err == f"error: {flag[2:]} must be finite, got inf\n"
+        assert err == f"error: {message}\n"
 
     def test_plot_script(self, capsys, tmp_path):
         script = tmp_path / "plot.gp"
@@ -113,7 +183,7 @@ class TestCommSweep:
     def test_spot_values_at_1024(self, capsys):
         _, out, _ = run_cli(capsys, "comm-sweep", "--area", "1e6", "--m", "1024")
         header, rows = csv_rows(out)
-        assert header == cli.COMM_COLUMNS
+        assert header == COMM_HEADER
         assert float(rows[0]["sched_power"]) == 3.2e7
         assert float(rows[0]["mem_power"]) == 3.232e7
 
@@ -160,9 +230,36 @@ class TestEt2Command:
         assert code == 1
         assert "error" in err
 
-    def test_domain_violation_is_input_error(self, capsys):
-        code, _, _ = run_cli(capsys, "et2", "--e", "1", "--t", "1", "shrink:2")
+    @pytest.mark.parametrize(
+        "t, transform, message",
+        [
+            pytest.param("1", transform, message, id=transform)
+            for transform, message in [
+                ("shrink:2", "work fraction must lie in (0, 1], got 2.0"),
+                # Arguments that pass their own checks but take the state out
+                # of float range.
+                ("stretch:inf", "stretch factor inf takes the state out of float range"),
+                ("stretch:1e200", "stretch factor 1e+200 takes the state out of float range"),
+                ("shrink:1e-200", "work fraction 1e-200 takes the state out of float range"),
+                ("constrain:P0=inf", "constraint value inf takes the state out of float range"),
+                ("constrain:E0=inf", "constraint value inf takes the state out of float range"),
+                ("constrain:T0=1e-200", "constraint value 1e-200 takes the state out of float range"),
+            ]
+        ]
+        + [
+            pytest.param(
+                "1", "parallel:1" + "0" * 400,
+                f"core count 1{'0' * 400} takes the state out of float range",
+                id="parallel:1e400",
+            ),
+            pytest.param("1e200", "stretch:2", "energy * time**2 overflows a float", id="t=1e200"),
+        ],
+    )
+    def test_domain_violation_is_input_error(self, capsys, t, transform, message):
+        code, out, err = run_cli(capsys, "et2", "--e", "1", "--t", t, transform)
         assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSimulate:
@@ -261,7 +358,7 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--csv")
         header, rows = csv_rows(out)
         assert code == 0
-        assert header == cli.REPORT_CSV_COLUMNS
+        assert header == REPORT_CSV_HEADER
         assert len(rows) == 1
         assert rows[0]["m"] == "4"
 
@@ -271,6 +368,18 @@ class TestSimulate:
         doc = json.loads(out)
         assert code == 0
         assert doc["events"][0]["kind"] == "ready"
+        assert list(doc["events"][0]) == ["time", "kind", "task", "detail"]
+
+    @pytest.mark.parametrize(
+        "flags, extra_keys",
+        [((), []), (("--emit-events",), ["events"]), (("--check-model",), ["model_check"])],
+        ids=["plain", "emit-events", "check-model"],
+    )
+    def test_json_report_key_order(self, capsys, tmp_path, flags, extra_keys):
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", *flags)
+        assert code == 0
+        assert list(json.loads(out)) == REPORT_KEYS + extra_keys
 
     def test_comm_costs_flag(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)

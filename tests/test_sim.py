@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plural import (
     ChipSpec,
@@ -14,6 +16,7 @@ from plural import (
     CycleError,
     DegenerateWorkloadError,
     DomainError,
+    GraphStructureError,
     SimConfig,
     SimConfigError,
     Task,
@@ -324,6 +327,76 @@ class TestDeterminism:
             report = run(g, SimConfig(chip=CHIP, m=2, seed=seed))
             makespans.add(report.empirical_speedup * report.makespan)
         assert len(makespans) == 1
+
+
+# "a#0" and "b#1" collide with instance ids of the duplicables "a" and "b".
+SIM_IDS = ["a", "b", "c", "d", "a#0", "b#1"]
+SIM_VARS = ["x", "y", "v[#]", "v[0]"]
+
+
+@st.composite
+def sim_cases(draw):
+    """An acyclic task graph and a config that resolves its conditionals."""
+    ids = draw(st.lists(st.sampled_from(SIM_IDS), unique=True, min_size=1, max_size=6))
+    index = st.integers(0, len(ids) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * len(ids)))
+    edges = {(ids[i], ids[j]) for i, j in pairs if i < j}
+    footprint = st.frozensets(st.sampled_from(SIM_VARS), max_size=2)
+    tasks, outcomes = [], {}
+    for tid in ids:
+        kind = draw(st.sampled_from(TaskKind))
+        if kind is TaskKind.CONTROL:
+            successors = sorted(s for p, s in edges if p == tid)
+            control_kind = draw(st.sampled_from(ControlKind))
+            if control_kind is ControlKind.CONDITIONAL:
+                if successors:
+                    outcomes[tid] = draw(st.sampled_from(successors))
+                else:
+                    control_kind = ControlKind.MERGE
+            tasks.append(control(tid, control_kind))
+        elif kind is TaskKind.DUPLICABLE:
+            d, n = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+            tasks.append(duplicable(tid, d, n, draw(footprint), draw(footprint)))
+        else:
+            tasks.append(singular(tid, draw(st.integers(0, 30)), draw(footprint), draw(footprint)))
+    chip = ChipSpec(
+        area=draw(st.sampled_from([7.3, 1e6])),
+        work=1,
+        cpi=draw(st.sampled_from([1.0, 1.7])),
+        pollack_exponent=draw(st.sampled_from([0.3, 0.5])),
+    )
+    cfg = SimConfig(
+        chip=chip,
+        m=draw(st.sampled_from([1, 2, 3, 5, 8, 64])),
+        mem_access_stride=draw(st.integers(1, 5)),
+        prealloc_depth=draw(st.integers(0, 2)),
+        comm_costs_enabled=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        conditional_outcomes=outcomes,
+    )
+    return TaskGraph(tasks, edges), cfg
+
+
+class TestSingleCoreReference:
+    """``run`` prices the speedup by arithmetic; simulating the workload on one
+    core of the full area is the oracle it must reproduce bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(sim_cases())
+    def test_speedup_equals_single_core_simulation(self, case):
+        g, cfg = case
+        try:
+            report = run(g, cfg)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        single = run(g, replace(cfg, m=1))
+        assert report.empirical_speedup == single.makespan / report.makespan
+        # One core never contends and never idles: its last slot is the
+        # instruction count.
+        chip = cfg.chip
+        slot_dt = chip.cpi / chip.area**chip.pollack_exponent
+        assert single.makespan == single.total_instructions * slot_dt
+        assert single.empirical_speedup == 1.0
 
 
 class TestLedger:
