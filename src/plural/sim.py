@@ -17,8 +17,10 @@ Execution semantics:
 * Every Nth instruction of a task (N = mem_access_stride) is a shared-memory
   access, targeting the task's footprint round-robin (sorted reads, then
   sorted writes).  Accesses to one variable in the same slot are serialized:
-  a seeded generator picks the winner and every loser retries next slot,
-  stalling its core one slot per retry.
+  each slot, a seeded generator picks one winner among the variable's
+  contenders, and every loser waits in the variable's wait set and contends
+  again next slot, its core stalled meanwhile.  A granted access has stalled
+  its core for the grant slot minus the arrival slot.
 * Energy ledger: an executed instruction costs A/m.  With communication
   costs enabled, each scheduler message (one init and one completion per
   core-executed instance) costs sqrt(A) and each memory access costs
@@ -37,6 +39,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -144,14 +147,21 @@ class ModelDeviation:
     powerdown_deviation: float
 
 
+# Event kinds, in the order a slot processes them.  A retry event marks a
+# variable whose losers wait for the slot.
 _COMPLETE = 0
 _ACCESS = 1
+_RETRY = 2
+
+_TID = attrgetter("tid")
 
 
 class _Instance:
     """A core-executed task instance and its progress through its slots."""
 
-    __slots__ = ("tid", "n", "vars", "n_access", "core", "start", "stalls", "granted")
+    __slots__ = (
+        "tid", "n", "vars", "n_access", "core", "start", "stalls", "granted", "since"
+    )
 
     def __init__(self, tid: str, n: int, vars_: tuple[str, ...], stride: int):
         self.tid = tid
@@ -162,6 +172,7 @@ class _Instance:
         self.start = 0
         self.stalls = 0
         self.granted = 0
+        self.since = 0  # slot at which the pending access arrived
 
 
 class _Core:
@@ -197,12 +208,18 @@ class _Simulation:
             self.pred_left[succ] += 1
         self.succs = _successor_map(g)
 
-        self.cores = [_Core() for _ in range(cfg.m)]
+        # Cores are created on first use, lowest index first, so the cores
+        # never used are the indices from len(self.cores) up to m - 1.
+        self.cores: list[_Core] = []
+        self.idle: list[int] = []  # min-heap of used cores that are idle
         self.ready: list[tuple[int, str]] = []  # (ready slot, task id)
-        # Each started task id has one pending entry at a time and starts at
-        # most once, so (slot, kind, tid) is unique and heapq never compares
-        # the _Instance field.
-        self.heap: list[tuple[int, int, str, _Instance]] = []
+        # Entries are (slot, kind, task id, instance) for completions and
+        # accesses and (slot, _RETRY, variable, None) for retries.  Each
+        # started task id has one pending entry at a time and starts at most
+        # once, and each variable has at most one retry per slot, so
+        # (slot, kind, key) is unique and heapq never compares the last field.
+        self.heap: list[tuple[int, int, str, _Instance | None]] = []
+        self.waiting: dict[str, list[_Instance]] = {}  # losers, per variable
         self.started: set[str] = set()
 
         self.total_instructions = 0
@@ -278,21 +295,26 @@ class _Simulation:
             heapq.heappush(self.heap, (slot, _COMPLETE, inst.tid, inst))
 
     def _dispatch(self, slot: int) -> None:
-        """Feed idle cores, then fill pre-allocation queues, FIFO over ready tasks."""
+        """Feed idle cores, then fill pre-allocation queues, FIFO over ready
+        tasks; the lowest core index goes first."""
         while self.ready:
-            core_idx = next(
-                (i for i, c in enumerate(self.cores) if c.current is None), None
-            )
-            if core_idx is None:
+            if self.idle:
+                core_idx = heapq.heappop(self.idle)
+            elif len(self.cores) < self.cfg.m:
+                core_idx = len(self.cores)
+                self.cores.append(_Core())
+            else:
                 break
             _, tid = heapq.heappop(self.ready)
             self._start(core_idx, tid, slot, from_queue=False)
+        # Past the first loop either nothing is ready or all m cores exist and
+        # are busy.
         while self.ready:
             core_idx = next(
                 (
                     i
                     for i, c in enumerate(self.cores)
-                    if c.current is not None and len(c.queue) < self.cfg.prealloc_depth
+                    if len(c.queue) < self.cfg.prealloc_depth
                 ),
                 None,
             )
@@ -317,27 +339,53 @@ class _Simulation:
                 self._on_ready(s, slot)
         if core.queue:
             self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
+        else:
+            heapq.heappush(self.idle, inst.core)
         self._dispatch(slot)
 
-    def _arbitrate(self, accesses: list[_Instance], slot: int) -> None:
-        groups: dict[str, list[_Instance]] = {}
-        for inst in accesses:
+    def _arbitrate(self, arrivals: list[_Instance], retries: list[str], slot: int) -> None:
+        """Grant each variable contended in ``slot`` to one contender.
+
+        A variable's contenders are its waiting losers (``retries`` names the
+        variables that have some) and the slot's new ``arrivals``.  Sorted
+        by task id and shuffled, the first wins; the others stay in the
+        variable's wait set, and one retry event brings them back next slot.
+        A stall is charged once, at the grant: the slots since the arrival.
+        """
+        groups = {var: self.waiting.pop(var) for var in retries}
+        for inst in arrivals:
+            inst.since = slot
             var = inst.vars[inst.granted % len(inst.vars)]
-            groups.setdefault(var, []).append(inst)
+            group = groups.get(var)
+            if group is None:
+                groups[var] = [inst]
+            else:
+                group.append(inst)
         for var in sorted(groups):
-            group = sorted(groups[var], key=lambda i: i.tid)
-            if len(group) > 1:
-                self.rng.shuffle(group)
-            winner, losers = group[0], group[1:]
+            group = groups[var]
+            if len(group) == 1:
+                order = group
+            else:
+                # The wait set is kept sorted and arrivals pop in task id
+                # order, so this sort merges two sorted runs.
+                group.sort(key=_TID)
+                order = group.copy()
+                self.rng.shuffle(order)
+            winner = order[0]
+            stalls = slot - winner.since
+            winner.stalls += stalls
+            self.mem_conflict_stalls += stalls
             winner.granted += 1
             self.mem_access_count += 1
-            self._event(slot, "access", winner.tid, f"var={var}")
+            if self.trace is not None:
+                self._event(slot, "access", winner.tid, f"var={var}")
+                for inst in order[1:]:
+                    self._event(slot, "stall", inst.tid, f"var={var}")
             self._push_next(winner)
-            for inst in losers:
-                inst.stalls += 1
-                self.mem_conflict_stalls += 1
-                self._event(slot, "stall", inst.tid, f"var={var}")
-                heapq.heappush(self.heap, (slot + 1, _ACCESS, inst.tid, inst))
+            if len(group) > 1:
+                group.remove(winner)
+                self.waiting[var] = group
+                heapq.heappush(self.heap, (slot + 1, _RETRY, var, None))
 
     # -- main loop ----------------------------------------------------------
 
@@ -350,15 +398,18 @@ class _Simulation:
         self._dispatch(0)
         while self.heap:
             slot = self.heap[0][0]
-            accesses: list[_Instance] = []
+            arrivals: list[_Instance] = []
+            retries: list[str] = []
             while self.heap and self.heap[0][0] == slot:
-                _, etype, _, inst = heapq.heappop(self.heap)
-                if etype == _COMPLETE:
+                _, kind, key, inst = heapq.heappop(self.heap)
+                if kind == _COMPLETE:
                     self._complete(inst, slot)
+                elif kind == _ACCESS:
+                    arrivals.append(inst)
                 else:
-                    accesses.append(inst)
-            if accesses:
-                self._arbitrate(accesses, slot)
+                    retries.append(key)
+            if arrivals or retries:
+                self._arbitrate(arrivals, retries, slot)
 
     @property
     def makespan(self) -> float:
@@ -375,6 +426,7 @@ class _Simulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
+        busy += (0.0,) * (self.cfg.m - len(busy))
         return SimReport(
             m=self.cfg.m,
             makespan=makespan,
@@ -423,7 +475,8 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
 
     The graph must be acyclic; duplicable tasks are expanded internally.
     ``empirical_speedup`` compares the run with one core of the full chip
-    area, which executes every instruction back to back.
+    area, which executes every instruction back to back.  A report value
+    that leaves float range raises ``DomainError`` naming the value.
     """
     cycle = validate_dag(g)
     if cycle is not None:
@@ -437,9 +490,23 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
         raise DegenerateWorkloadError(
             "the executed path of the task graph contains no instructions"
         )
+    makespan = _check_finite("makespan", sim.makespan, positive=True)
     chip = cfg.chip
     reference = sim.total_instructions * (chip.cpi / chip.area**chip.pollack_exponent)
-    return sim.report(empirical_speedup=reference / sim.makespan)
+    report = sim.report(empirical_speedup=reference / makespan)
+    for name in ("compute_energy", "avg_power", "empirical_speedup"):
+        _check_finite(name, getattr(report, name), positive=True)
+    for name in ("sched_msg_energy_total", "mem_msg_energy_total"):
+        _check_finite(name, getattr(report, name))
+    return report
+
+
+def _check_finite(name: str, value: float, *, positive: bool = False) -> float:
+    """Return ``value`` if it is finite (and, with ``positive``, above zero);
+    otherwise raise ``DomainError`` naming it."""
+    if not (0 < value < math.inf if positive else math.isfinite(value)):
+        raise DomainError(f"{name} falls outside float range, got {value!r}")
+    return value
 
 
 def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
@@ -448,7 +515,8 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
     The single-core reference values are reconstructed from the report: the
     reference executes the same instances, messages, and accesses, with
-    instruction energy A and access energy sqrt(A).
+    instruction energy A and access energy sqrt(A).  A ratio that leaves
+    float range raises ``DomainError`` naming it.
     """
     if report.m != cfg.m or len(report.per_core_busy_time) != cfg.m:
         raise DomainError(
@@ -467,7 +535,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
     energydown = ref_compute / report.compute_energy
     powerdown = (ref_total / ref_makespan) / (report.total_energy / report.makespan)
-    return ModelDeviation(
+    deviation = ModelDeviation(
         speedup_measured=report.empirical_speedup,
         speedup_model=model.speedup,
         speedup_deviation=abs(report.empirical_speedup / model.speedup - 1.0),
@@ -478,6 +546,9 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
         powerdown_model=model.powerdown,
         powerdown_deviation=abs(powerdown / model.powerdown - 1.0),
     )
+    for f in fields(ModelDeviation):
+        _check_finite(f.name, getattr(deviation, f.name))
+    return deviation
 
 
 def report_as_dict(report: SimReport, *, include_events: bool = False) -> dict:

@@ -295,6 +295,43 @@ class TestSimulate:
         assert "write-write" in err
         assert json.loads(out)["total_instructions"] == 20
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(
+                ["--cpi", "1e300", "--area", "1e-300", "--m", "4"],
+                "makespan falls outside float range, got inf",
+                id="makespan-overflows",
+            ),
+            pytest.param(
+                ["--cpi", "1e-300", "--area", "1e300", "--m", "4"],
+                "makespan falls outside float range, got 0.0",
+                id="makespan-underflows",
+            ),
+            pytest.param(
+                ["--area", "1e306", "--m", "4"],
+                "compute_energy falls outside float range, got inf",
+                id="compute-energy",
+            ),
+            pytest.param(
+                ["--area", "1e-302", "--cpi", "1e153", "--m", "64", "--comm-costs"],
+                "empirical_speedup falls outside float range, got inf",
+                id="speedup",
+            ),
+            pytest.param(
+                ["--area", "1e7", "--cpi", "1e-298", "--m", "4", "--check-model"],
+                "powerdown_measured falls outside float range, got inf",
+                id="model-check",
+            ),
+        ],
+    )
+    def test_out_of_range_report_is_input_error(self, capsys, tmp_path, args, message):
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, out, err = run_cli(capsys, "simulate", path, *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.json"), "--m", "2")
         assert code == 2

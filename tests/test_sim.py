@@ -1,10 +1,12 @@
 """Tests for the discrete-event simulator."""
 
+import heapq
 import json
 import math
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ from plural import (
     TaskKind,
     ValidationError,
     compare_to_model,
+    expand_duplicables,
     run,
 )
+from plural import sim as sim_module
 from plural.sim import report_as_dict
 
 CHIP = ChipSpec(area=1e6, work=1)
@@ -283,6 +287,71 @@ class TestMemoryConflicts:
         report = run(g, SimConfig(chip=CHIP, m=1))
         assert report.mem_conflict_stalls == 0
 
+    def test_arrival_joins_waiting_losers(self):
+        # Slot 0: a and b contend for x (a wins, b waits); c reads w
+        # uncontended.  Slot 1: c's next access arrives at x while b still
+        # waits, and b wins.  Slot 2: c is granted after one stalled slot.
+        # a ends at 1, b at 0 + 1 + 1 stall = 2, c at 0 + 2 + 1 stall = 3.
+        g = TaskGraph(
+            [
+                singular("a", 1, reads={"x"}),
+                singular("b", 1, reads={"x"}),
+                singular("c", 2, reads={"w", "x"}),
+            ]
+        )
+        # area 3 over 3 cores gives frequency 1, so one slot lasts 1.0
+        cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
+        report = run(g, cfg, record_events=True)
+        assert [
+            (e.time, e.kind, e.task, e.detail)
+            for e in report.events
+            if e.kind in ("access", "stall")
+        ] == [
+            (0.0, "access", "c", "var=w"),
+            (0.0, "access", "a", "var=x"),
+            (0.0, "stall", "b", "var=x"),
+            (1.0, "access", "b", "var=x"),
+            (1.0, "stall", "c", "var=x"),
+            (2.0, "access", "c", "var=x"),
+        ]
+        assert report.mem_conflict_stalls == 2
+        assert report.makespan == 3.0
+        assert report.per_core_busy_time == (1.0, 2.0, 3.0)
+
+    def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
+        # A 64-way burst on one variable: every event-heap push is an
+        # instance start, a grant, or a retry of a contended (variable, slot).
+        g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
+        cfg = SimConfig(chip=CHIP, m=64, seed=5)
+        traced = run(g, cfg, record_events=True)
+        contended = {(e.time, e.detail) for e in traced.events if e.kind == "stall"}
+
+        def pushes(simulation_class):
+            sim = simulation_class(expand_duplicables(g), cfg, {}, False)
+            counts = Counter()
+            real_push = heapq.heappush
+
+            def counting_push(heap, item):
+                counts["events" if heap is sim.heap else "other"] += 1
+                real_push(heap, item)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(heapq, "heappush", counting_push)
+                sim.execute()
+            assert sim.mem_conflict_stalls == traced.mem_conflict_stalls
+            return counts
+
+        instances, grants = 64, traced.mem_access_count
+        counts = pushes(sim_module._Simulation)
+        assert counts["events"] <= instances + grants + len(contended)
+        # the ready queue and the idle-core heap take at most one push per
+        # instance each
+        assert counts["other"] <= 2 * instances
+        assert traced.mem_conflict_stalls > 10 * (instances + grants + len(contended))
+        # the per-stall engine pushes every loser back, once per lost slot
+        per_stall = pushes(PerStallSimulation)
+        assert per_stall["events"] == instances + grants + traced.mem_conflict_stalls
+
     def test_contention_lowers_speedup(self):
         g = TaskGraph([duplicable("w", 2, 10, writes={"x"})])
         cfg = SimConfig(chip=CHIP, m=2)
@@ -399,6 +468,139 @@ class TestSingleCoreReference:
         assert single.empirical_speedup == 1.0
 
 
+class PerStallSimulation(sim_module._Simulation):
+    """The simulator before per-variable wait sets, kept as the oracle.
+
+    Every loser goes back into the event heap for the next slot and stalls
+    one slot per lost arbitration; all m cores exist from the start, and
+    dispatch scans them for the lowest-index idle one, then for the
+    lowest-index queue with room.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
+
+    def _dispatch(self, slot):
+        while self.ready:
+            core_idx = next(
+                (i for i, c in enumerate(self.cores) if c.current is None), None
+            )
+            if core_idx is None:
+                break
+            _, tid = heapq.heappop(self.ready)
+            self._start(core_idx, tid, slot, from_queue=False)
+        while self.ready:
+            core_idx = next(
+                (
+                    i
+                    for i, c in enumerate(self.cores)
+                    if c.current is not None and len(c.queue) < self.cfg.prealloc_depth
+                ),
+                None,
+            )
+            if core_idx is None:
+                break
+            _, tid = heapq.heappop(self.ready)
+            self.cores[core_idx].queue.append(tid)
+            self.sched_msg_count += 1
+            self._event(slot, "queue", tid, f"core={core_idx}")
+
+    def _arbitrate(self, accesses, slot):
+        groups = {}
+        for inst in accesses:
+            var = inst.vars[inst.granted % len(inst.vars)]
+            groups.setdefault(var, []).append(inst)
+        for var in sorted(groups):
+            group = sorted(groups[var], key=lambda i: i.tid)
+            if len(group) > 1:
+                self.rng.shuffle(group)
+            winner, losers = group[0], group[1:]
+            winner.granted += 1
+            self.mem_access_count += 1
+            self._event(slot, "access", winner.tid, f"var={var}")
+            self._push_next(winner)
+            for inst in losers:
+                inst.stalls += 1
+                self.mem_conflict_stalls += 1
+                self._event(slot, "stall", inst.tid, f"var={var}")
+                heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
+
+    def execute(self):
+        roots = [tid for tid in sorted(self.g.tasks) if self.pred_left[tid] == 0]
+        for tid in roots:
+            self._on_ready(tid, 0)
+        self._dispatch(0)
+        while self.heap:
+            slot = self.heap[0][0]
+            accesses = []
+            while self.heap and self.heap[0][0] == slot:
+                _, etype, _, inst = heapq.heappop(self.heap)
+                if etype == sim_module._COMPLETE:
+                    self._complete(inst, slot)
+                else:
+                    accesses.append(inst)
+            if accesses:
+                self._arbitrate(accesses, slot)
+
+
+def run_outcome(g, cfg, simulation_class):
+    """The traced report of one run on ``simulation_class``, or its error."""
+    with mock.patch.object(sim_module, "_Simulation", simulation_class):
+        try:
+            return run(g, cfg, record_events=True)
+        except (DegenerateWorkloadError, DomainError, GraphStructureError) as exc:
+            return type(exc), str(exc)
+
+
+@st.composite
+def contention_cases(draw):
+    """Duplicables and singular tasks crowding one to three shared variables."""
+    shared = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    footprint = st.frozensets(st.sampled_from(shared), max_size=2)
+    count = draw(st.integers(1, 4))
+    tasks = []
+    for i in range(count):
+        n, reads, writes = draw(st.integers(0, 40)), draw(footprint), draw(footprint)
+        if draw(st.booleans()):
+            tasks.append(duplicable(f"t{i}", draw(st.integers(1, 24)), n, reads, writes))
+        else:
+            tasks.append(singular(f"t{i}", n, reads, writes))
+    index = st.integers(0, count - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=count))
+    edges = {(f"t{i}", f"t{j}") for i, j in pairs if i < j}
+    cfg = SimConfig(
+        chip=ChipSpec(area=draw(st.sampled_from([7.3, 1e6])), work=1),
+        m=draw(st.sampled_from([1, 2, 3, 8, 64])),
+        mem_access_stride=draw(st.integers(1, 5)),
+        prealloc_depth=draw(st.integers(0, 2)),
+        comm_costs_enabled=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return TaskGraph(tasks, edges), cfg
+
+
+class TestPerStallReference:
+    """Wait sets and the idle-core heap change the simulator's cost, not its
+    reports: the per-stall engine must give the same traced report."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(contention_cases())
+    def test_contended_runs_match(self, case):
+        g, cfg = case
+        assert run_outcome(g, cfg, sim_module._Simulation) == run_outcome(
+            g, cfg, PerStallSimulation
+        )
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(sim_cases())
+    def test_control_and_conditional_runs_match(self, case):
+        g, cfg = case
+        assert run_outcome(g, cfg, sim_module._Simulation) == run_outcome(
+            g, cfg, PerStallSimulation
+        )
+
+
 class TestLedger:
     def test_comm_energy_exact_on_three_task_chain(self):
         g = TaskGraph(
@@ -512,8 +714,6 @@ class TestRandomizedGraphs:
         return TaskGraph(tasks, edges), outcomes
 
     def test_invariants_hold_on_random_workloads(self):
-        from plural import expand_duplicables
-
         rng = random.Random(424242)
         for _ in range(40):
             g, outcomes = self._random_graph(rng)
@@ -580,6 +780,11 @@ class TestErrors:
         g = TaskGraph([singular("a", 0)])
         with pytest.raises(DegenerateWorkloadError):
             run(g, SimConfig(chip=CHIP, m=2))
+
+    def test_report_out_of_float_range(self):
+        chip = ChipSpec(area=1e-300, work=1, cpi=1e300)
+        with pytest.raises(DomainError, match="makespan falls outside float range"):
+            run(parallel_workload(4, 10), SimConfig(chip=chip, m=4))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="m"):
