@@ -50,6 +50,7 @@ from .graph import (
     check_crew,
     concurrent_pairs,
     expand_duplicables,
+    private_variables,
     validate_dag,
 )
 from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, single_metrics, sweep
@@ -86,6 +87,7 @@ __all__ = [
     "validate_dag",
     "concurrent_pairs",
     "check_crew",
+    "private_variables",
     "expand_duplicables",
     "SimConfig",
     "SimReport",

@@ -146,7 +146,7 @@ def cmd_comm_sweep(args, out) -> int:
     rows = []
     for m in parse_core_counts(args.m):
         metrics = scaling.ensemble_metrics(spec, m)
-        traffic = comm.comm_metrics(spec, m)
+        traffic = comm.comm_metrics(spec, m, metrics)
         row = {col: getattr(metrics, col) for col in SWEEP_COLUMNS}
         row.update({col: getattr(traffic, col) for col in COMM_COLUMNS[len(SWEEP_COLUMNS):]})
         rows.append(row)

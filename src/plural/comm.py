@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .scaling import ChipSpec, _check_core_count, _check_in_range, ensemble_metrics
+from .scaling import (
+    ChipSpec,
+    EnsembleMetrics,
+    _check_core_count,
+    _check_in_range,
+    ensemble_metrics,
+)
 
 __all__ = [
     "CommMetrics",
@@ -78,15 +84,19 @@ def mem_power(area: float, m: int) -> float:
     return (math.sqrt(area) + math.log2(m)) * math.sqrt(m * area)
 
 
-def comm_metrics(spec: ChipSpec, m: int) -> CommMetrics:
+def comm_metrics(
+    spec: ChipSpec, m: int, ensemble: EnsembleMetrics | None = None
+) -> CommMetrics:
     """Assemble the full power breakdown for ``m`` cores on ``spec``.
 
-    Compute power comes from the scaling model; scheduler and memory power
-    from the message model above.  The communications-adjusted figure of
-    merit divides the ensemble performance by the summed power.  A row that
-    leaves float range raises ``DomainError``.
+    Compute power comes from the scaling model (``ensemble``, when the
+    caller already holds ``ensemble_metrics(spec, m)``); scheduler and
+    memory power from the message model above.  The communications-adjusted
+    figure of merit divides the ensemble performance by the summed power.  A
+    row that leaves float range raises ``DomainError``.
     """
-    ensemble = ensemble_metrics(spec, m)
+    if ensemble is None:
+        ensemble = ensemble_metrics(spec, m)
     sched_e = sched_msg_energy(spec.area)
     sched_p = sched_power(spec.area, m)
     mem_e = mem_access_energy(spec.area, m)

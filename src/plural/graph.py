@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -40,6 +41,7 @@ __all__ = [
     "validate_dag",
     "concurrent_pairs",
     "check_crew",
+    "private_variables",
     "expand_duplicables",
 ]
 
@@ -171,6 +173,12 @@ class TaskGraph:
     def predecessors(self, task_id: str) -> list[str]:
         return sorted(p for p, s in self._edges if s == task_id)
 
+    @cached_property
+    def _footprint(self) -> _Footprint:
+        # The graph never changes, so ``plural simulate`` builds the index
+        # once for its CREW warnings and its run.
+        return _build_footprint(self)
+
     def __iter__(self) -> Iterator[Task]:
         return iter(self._tasks.values())
 
@@ -290,6 +298,42 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     return pairs
 
 
+# (authored id -> its bit, authored id -> descendants as an int bitset,
+#  concrete variable -> (instance id, authored id, writes it?) per toucher)
+_Footprint = tuple[dict[str, int], dict[str, int], dict[str, list[tuple[str, str, bool]]]]
+
+
+def _build_footprint(g: TaskGraph) -> _Footprint:
+    """Index each concrete variable (after ``#`` substitution) to the
+    instances that touch it, at a cost of the summed instance footprints,
+    next to the authored graph's descendant bitsets: O(V + E).
+
+    Two instances of one duplicable are always concurrent, and instances of
+    different tasks are concurrent exactly when their authored tasks are, so
+    the bitsets of the authored graph decide every instance pair.
+
+    Raises ``GraphStructureError`` when an instance id collides with another
+    task's id and ``CycleError``, with a witness over expanded ids, when the
+    graph has a cycle.
+    """
+    instances = _instance_ids(g)
+    if validate_dag(g) is not None:
+        raise CycleError(validate_dag(expand_duplicables(g)))
+    index = {tid: i for i, tid in enumerate(g.tasks)}
+    desc = _descendant_bits(g, index)
+    touchers: dict[str, list[tuple[str, str, bool]]] = {}
+    for tid, task in g.tasks.items():
+        if not (task.read_set or task.write_set):
+            continue
+        for k, iid in enumerate(instances[tid]):
+            reads, writes = task.read_set, task.write_set
+            if task.kind is TaskKind.DUPLICABLE:
+                reads, writes = _instance_vars(reads, k), _instance_vars(writes, k)
+            for var in reads | writes:
+                touchers.setdefault(var, []).append((iid, tid, var in writes))
+    return index, desc, touchers
+
+
 def check_crew(g: TaskGraph) -> list[CrewViolation]:
     """Report every CREW violation among concurrent tasks.
 
@@ -302,35 +346,12 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     legal and never reported.  The list is sorted by task pair, with a
     pair's write-write variables before its read-write ones, each ascending.
 
-    The expanded graph is never built.  Two instances of one duplicable are
-    always concurrent, and instances of different tasks are concurrent
-    exactly when their authored tasks are, so reachability is computed once
-    on the authored graph as int bitsets: O(V + E).  Each concrete variable
-    (after ``#`` substitution) is indexed to the instances that touch it,
-    at a cost of the summed instance footprints, and only pairs that share a
-    variable written by at least one of them are tested.
-
-    Raises ``GraphStructureError`` when an instance id collides with another
-    task's id and ``CycleError``, with a witness over expanded ids, when the
-    graph has a cycle.
+    The expanded graph is never built: reachability and footprints come
+    from the authored graph (see ``_build_footprint``), and only pairs that
+    share a variable written by at least one of them are tested.  Raises
+    what ``_build_footprint`` raises.
     """
-    instances = _instance_ids(g)
-    if validate_dag(g) is not None:
-        raise CycleError(validate_dag(expand_duplicables(g)))
-    index = {tid: i for i, tid in enumerate(g.tasks)}
-    desc = _descendant_bits(g, index)
-
-    # Concrete variable -> (instance id, authored id, writes it?) per toucher.
-    touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    for tid, task in g.tasks.items():
-        if not (task.read_set or task.write_set):
-            continue
-        for k, iid in enumerate(instances[tid]):
-            reads, writes = task.read_set, task.write_set
-            if task.kind is TaskKind.DUPLICABLE:
-                reads, writes = _instance_vars(reads, k), _instance_vars(writes, k)
-            for var in reads | writes:
-                touchers.setdefault(var, []).append((iid, tid, var in writes))
+    index, desc, touchers = g._footprint
 
     # (instance a, instance b), a < b -> (write-write vars, read-write vars)
     found: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
@@ -355,6 +376,30 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
         violations.extend(CrewViolation(*pair, var, WRITE_WRITE) for var in sorted(both_write))
         violations.extend(CrewViolation(*pair, var, READ_WRITE) for var in sorted(read_write))
     return violations
+
+
+def private_variables(g: TaskGraph) -> frozenset[str]:
+    """The concrete variables whose touchers are totally ordered by precedence.
+
+    Such a variable is never accessed by two instances in one slot of a
+    run, whatever branches a conditional takes: a branch not taken only
+    removes touchers.  The touchers' authored tasks are sorted by their
+    number of descendants, since a task has more than any task it precedes,
+    and only consecutive pairs are tested, stopping at the first unordered
+    one: O(touchers log touchers) per variable.  A task does not precede
+    itself, so a variable that two instances of one duplicable share is
+    never private.  Raises what ``check_crew`` raises.
+    """
+    index, desc, touchers = g._footprint
+    size = {tid: bits.bit_count() for tid, bits in desc.items()}
+    private = []
+    for var, entries in touchers.items():
+        if len(entries) > 1:
+            tasks = sorted((tid for _, tid, _ in entries), key=size.__getitem__, reverse=True)
+            if not all(desc[a] >> index[b] & 1 for a, b in zip(tasks, tasks[1:])):
+                continue
+        private.append(var)
+    return frozenset(private)
 
 
 def instance_id(task_id: str, number: int) -> str:

@@ -21,6 +21,12 @@ Execution semantics:
   contenders, and every loser waits in the variable's wait set and contends
   again next slot, its core stalled meanwhile.  A granted access has stalled
   its core for the grant slot minus the arrival slot.
+* A variable whose touchers are all ordered by precedence
+  (``graph.private_variables``) is never accessed by two instances in one
+  slot, so an access to it never stalls and draws nothing from the
+  generator.  An untraced run grants such accesses by arithmetic, without
+  an event; a traced run takes every access through the event loop so that
+  each grant keeps its place in the trace.  Reports are the same either way.
 * Energy ledger: an executed instruction costs A/m.  With communication
   costs enabled, each scheduler message (one init and one completion per
   core-executed instance) costs sqrt(A) and each memory access costs
@@ -56,6 +62,7 @@ from .graph import (
     _successor_map,
     expand_duplicables,
     instance_id,
+    private_variables,
     validate_dag,
 )
 from .scaling import ChipSpec, ensemble_metrics
@@ -160,14 +167,27 @@ class _Instance:
     """A core-executed task instance and its progress through its slots."""
 
     __slots__ = (
-        "tid", "n", "vars", "n_access", "core", "start", "stalls", "granted", "since"
+        "tid", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
     )
 
-    def __init__(self, tid: str, n: int, vars_: tuple[str, ...], stride: int):
+    def __init__(
+        self, tid: str, n: int, vars_: tuple[str, ...], stride: int, private: frozenset[str]
+    ):
         self.tid = tid
         self.n = n
         self.vars = vars_
         self.n_access = n // stride if vars_ else 0
+        # skip[r]: how many accesses from residue r on target private
+        # variables before one that does not; None when none is private.
+        self.skip: tuple[int, ...] | None = None
+        if private and self.n_access:
+            shared = [k for k, var in enumerate(vars_) if var not in private]
+            if len(shared) < len(vars_):
+                size = len(vars_)
+                self.skip = tuple(
+                    min(((k - r) % size for k in shared), default=self.n_access)
+                    for r in range(size)
+                )
         self.core = -1
         self.start = 0
         self.stalls = 0
@@ -191,10 +211,12 @@ class _Simulation:
         cfg: SimConfig,
         outcomes: Mapping[str, list[str]],
         record_events: bool,
+        private: frozenset[str] = frozenset(),
     ):
         self.g = g
         self.cfg = cfg
         self.outcomes = outcomes
+        self.private = private  # variables whose accesses never contend
         chip = cfg.chip
         self.core_freq = (chip.area / cfg.m) ** chip.pollack_exponent
         self.slot_dt = chip.cpi / self.core_freq
@@ -274,7 +296,11 @@ class _Simulation:
         self.started.add(tid)
         task = self.g.tasks[tid]
         inst = _Instance(
-            tid, task.instruction_count, self._access_vars(tid), self.cfg.mem_access_stride
+            tid,
+            task.instruction_count,
+            self._access_vars(tid),
+            self.cfg.mem_access_stride,
+            self.private,
         )
         inst.core = core_idx
         inst.start = slot
@@ -285,7 +311,16 @@ class _Simulation:
         self._push_next(inst)
 
     def _push_next(self, inst: _Instance) -> None:
-        """Queue the instance's next milestone: its next access, else completion."""
+        """Queue the instance's next milestone: its next access, else completion.
+
+        Accesses to private variables are granted here, in bulk: each would
+        be a group of one, granted in its arrival slot with no stall and no
+        draw from the generator.
+        """
+        if inst.skip is not None:
+            jump = min(inst.skip[inst.granted % len(inst.vars)], inst.n_access - inst.granted)
+            inst.granted += jump
+            self.mem_access_count += jump
         if inst.granted < inst.n_access:
             instr = (inst.granted + 1) * self.cfg.mem_access_stride
             slot = inst.start + instr - 1 + inst.stalls
@@ -483,8 +518,11 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
         raise CycleError(cycle)
     outcomes = _resolve_outcomes(g, cfg)
     expanded = expand_duplicables(g)
+    # A traced run takes every access through the event loop, so each grant
+    # keeps its place in the trace.
+    private = frozenset() if record_events else private_variables(g)
 
-    sim = _Simulation(expanded, cfg, outcomes, record_events)
+    sim = _Simulation(expanded, cfg, outcomes, record_events, private)
     sim.execute()
     if sim.total_instructions == 0:
         raise DegenerateWorkloadError(

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from plural import cli
+import plural.graph as graph_module
+from plural import cli, comm, scaling
 
 DEMO_GRAPH = {
     "tasks": [
@@ -199,6 +200,21 @@ class TestCommSweep:
             int(r["m"]) for r in rows if float(r["sched_power"]) > float(r["compute_power"])
         ]
         assert min(crossing) == 1024
+
+    def test_scaling_model_evaluated_once_per_row(self, capsys, monkeypatch):
+        calls = []
+        real = scaling.ensemble_metrics
+
+        def counting(spec, m):
+            calls.append(m)
+            return real(spec, m)
+
+        monkeypatch.setattr(scaling, "ensemble_metrics", counting)
+        monkeypatch.setattr(comm, "ensemble_metrics", counting)
+        code, out, _ = run_cli(capsys, "comm-sweep")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert calls == [int(row["m"]) for row in rows]
 
 
 class TestEt2Command:
@@ -423,6 +439,21 @@ class TestSimulate:
         _, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--comm-costs")
         doc = json.loads(out)
         assert doc["sched_msg_energy_total"] == doc["sched_msg_count"] * 1000.0
+
+    def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
+        # The CREW warnings and the run's private variables share one index.
+        built = []
+        real = graph_module._build_footprint
+
+        def counting(g):
+            built.append(len(g))
+            return real(g)
+
+        monkeypatch.setattr(graph_module, "_build_footprint", counting)
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, _, _ = run_cli(capsys, "simulate", path, "--m", "4")
+        assert code == 0
+        assert built == [1]
 
 
 class TestValidate:

@@ -17,6 +17,7 @@ from plural import (
     check_crew,
     concurrent_pairs,
     expand_duplicables,
+    private_variables,
     validate_dag,
 )
 from plural.graph import READ_WRITE, WRITE_WRITE
@@ -58,6 +59,23 @@ def pairwise_check_crew(g):
         for var in sorted(read_write):
             violations.append(CrewViolation(a, b, var, READ_WRITE))
     return violations
+
+
+def pairwise_private_variables(g):
+    """Reference privacy test: a concrete variable is private when no pair of
+    the expanded graph's tasks that touch it is concurrent."""
+    expanded = expand_duplicables(g)
+    concurrent = concurrent_pairs(expanded)
+    touchers = {}
+    for tid in sorted(expanded.tasks):
+        task = expanded.tasks[tid]
+        for var in task.read_set | task.write_set:
+            touchers.setdefault(var, []).append(tid)
+    return frozenset(
+        var
+        for var, tids in touchers.items()
+        if not any((a, b) in concurrent for i, a in enumerate(tids) for b in tids[i + 1 :])
+    )
 
 
 def reachable_pairs(g):
@@ -336,6 +354,61 @@ class TestCheckCrewMatchesPairwiseCheck:
         violations = check_crew(fork_join(8, {"acc"}))
         assert len(violations) == 8 * 7 // 2
         assert {(v.variable, v.kind) for v in violations} == {("acc", WRITE_WRITE)}
+
+
+class TestPrivateVariables:
+    def test_singular_chain_shares_private_variable(self):
+        g = TaskGraph(
+            [singular("a", writes={"v"}), singular("b", {"v"}, {"v"}), singular("c", reads={"v"})],
+            [("a", "b"), ("b", "c")],
+        )
+        assert private_variables(g) == {"v"}
+
+    def test_duplicable_instances_writing_one_name_are_not_private(self):
+        g = TaskGraph([duplicable("T", 2, reads={"in[#]"}, writes={"acc"})])
+        assert private_variables(g) == {"in[0]", "in[1]"}
+
+    def test_instance_variable_meets_literal_name(self):
+        # Instance 0's "v[#]" is "v[0]", which the singular task names literally.
+        tasks = [duplicable("w", 2, writes={"v[#]"}), singular("r", reads={"v[0]"})]
+        assert private_variables(TaskGraph(tasks, [("w", "r")])) == {"v[0]", "v[1]"}
+        assert private_variables(TaskGraph(tasks)) == {"v[1]"}
+
+    def test_not_taken_branch_still_counts(self):
+        # Only one branch ever runs, but the static test keeps both touchers.
+        g = TaskGraph(
+            [
+                singular("start", writes={"cfg"}),
+                control("pick", ControlKind.CONDITIONAL),
+                singular("left", reads={"cfg"}, writes={"z"}),
+                singular("right", writes={"z"}),
+            ],
+            [("start", "pick"), ("pick", "left"), ("pick", "right")],
+        )
+        assert private_variables(g) == {"cfg"}
+
+    def test_diamond_concurrent_readers_share_x(self):
+        g = TaskGraph(
+            [
+                singular("A", writes={"x", "a"}),
+                singular("B", reads={"x"}),
+                singular("C", reads={"x"}),
+                singular("D", reads={"x", "a"}),
+            ],
+            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
+        )
+        assert private_variables(g) == {"a"}
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(crew_graphs())
+    @example(TaskGraph([duplicable("a", 2, writes={"v[#]"}), singular("b", reads={"v[0]"})]))
+    @example(TaskGraph([duplicable("a", 1, {"x"}, {"x"}), singular("b", {"x"})], [("a", "b")]))
+    @example(
+        TaskGraph([duplicable("a", 2, writes={"x"}), singular("b")], [("a", "b"), ("b", "a")])
+    )
+    @example(TaskGraph([duplicable("a", 2), singular("a#1", writes={"x"})]))
+    def test_same_result_as_pairwise_reference(self, g):
+        assert crew_outcome(private_variables, g) == crew_outcome(pairwise_private_variables, g)
 
 
 class TestExpandDuplicables:

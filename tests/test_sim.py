@@ -27,6 +27,7 @@ from plural import (
     ValidationError,
     compare_to_model,
     expand_duplicables,
+    private_variables,
     run,
 )
 from plural import sim as sim_module
@@ -474,11 +475,12 @@ class PerStallSimulation(sim_module._Simulation):
     Every loser goes back into the event heap for the next slot and stalls
     one slot per lost arbitration; all m cores exist from the start, and
     dispatch scans them for the lowest-index idle one, then for the
-    lowest-index queue with room.
+    lowest-index queue with room.  It ignores the private variables it is
+    given, so every access goes through its loop.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, g, cfg, outcomes, record_events, private=frozenset()):
+        super().__init__(g, cfg, outcomes, record_events)
         self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
 
     def _dispatch(self, slot):
@@ -544,11 +546,11 @@ class PerStallSimulation(sim_module._Simulation):
                 self._arbitrate(accesses, slot)
 
 
-def run_outcome(g, cfg, simulation_class):
-    """The traced report of one run on ``simulation_class``, or its error."""
+def run_outcome(g, cfg, simulation_class, record_events=True):
+    """The report of one run on ``simulation_class``, or its error."""
     with mock.patch.object(sim_module, "_Simulation", simulation_class):
         try:
-            return run(g, cfg, record_events=True)
+            return run(g, cfg, record_events=record_events)
         except (DegenerateWorkloadError, DomainError, GraphStructureError) as exc:
             return type(exc), str(exc)
 
@@ -599,6 +601,116 @@ class TestPerStallReference:
         assert run_outcome(g, cfg, sim_module._Simulation) == run_outcome(
             g, cfg, PerStallSimulation
         )
+
+
+@st.composite
+def mixed_footprint_cases(draw):
+    """Chains and fork-joins whose tasks mix private and shared variables.
+
+    Stage k reads "s{k}[#]" and writes "s{k+1}[#]", which only its chain
+    neighbours touch, and a duplicable stage's "v[#]" is its own per
+    instance; these are private while the chain edges hold.  "x" and "y",
+    or "v[#]" named by a singular task, are shared with the stage's own
+    instances, with the other stages once an edge is left out, or with a
+    side task.  An optional loader and join make the chain a fork-join.
+    """
+    count = draw(st.integers(1, 4))
+    extra = st.frozensets(st.sampled_from(["x", "y", "v[#]"]), max_size=2)
+    tasks, stages = [], [f"st{k}" for k in range(count)]
+    for k, tid in enumerate(stages):
+        reads, writes = {f"s{k}[#]"} | draw(extra), {f"s{k + 1}[#]"} | draw(extra)
+        n = draw(st.integers(0, 40))
+        if draw(st.booleans()):
+            tasks.append(duplicable(tid, draw(st.integers(1, 8)), n, reads, writes))
+        else:
+            tasks.append(singular(tid, n, reads, writes))
+    # Most chain edges are drawn; a missing one makes its neighbours concurrent.
+    edges = {(a, b) for a, b in zip(stages, stages[1:]) if draw(st.integers(0, 4))}
+    if draw(st.booleans()):
+        tasks.append(singular("load", draw(st.integers(1, 40)), draw(extra), {"s0[#]"}))
+        tasks.append(singular("join", draw(st.integers(0, 40)), draw(extra), {"done"}))
+        edges |= {("load", stages[0]), (stages[-1], "join")}
+    if draw(st.booleans()):
+        tasks.append(singular("side", draw(st.integers(1, 40)), draw(extra), draw(extra)))
+    cfg = SimConfig(
+        chip=ChipSpec(area=draw(st.sampled_from([7.3, 1e6])), work=1),
+        m=draw(st.sampled_from([1, 2, 3, 8, 64])),
+        mem_access_stride=draw(st.integers(1, 5)),
+        prealloc_depth=draw(st.integers(0, 2)),
+        comm_costs_enabled=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return TaskGraph(tasks, edges), cfg
+
+
+class TestUntracedMatchesTraced:
+    """An untraced run grants private accesses by arithmetic; a traced run
+    takes every access through the event loop, and so does the per-stall
+    engine.  All three must give the same report, or the same error."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
+    def test_reports_match(self, case):
+        g, cfg = case
+        untraced = run_outcome(g, cfg, sim_module._Simulation, record_events=False)
+        traced = run_outcome(g, cfg, sim_module._Simulation)
+        if isinstance(traced, tuple):
+            assert untraced == traced
+        else:
+            assert untraced == replace(traced, events=())
+        assert untraced == run_outcome(g, cfg, PerStallSimulation, record_events=False)
+
+
+class TestPrivateAccesses:
+    """Accesses to private variables cost the event loop nothing."""
+
+    @staticmethod
+    def event_pushes(monkeypatch, g, cfg):
+        """Run ``g`` untraced; return the simulation and its event-heap pushes."""
+        sim = sim_module._Simulation(expand_duplicables(g), cfg, {}, False, private_variables(g))
+        pushed = []
+        real_push = heapq.heappush
+
+        def counting_push(heap, item):
+            if heap is sim.heap:
+                pushed.append(item)
+            real_push(heap, item)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heapq, "heappush", counting_push)
+            sim.execute()
+        return sim, pushed
+
+    def test_stage_chain_never_arbitrates(self, monkeypatch):
+        d, sizes = 32, [150, 211, 263, 300]
+        stages = [
+            duplicable(f"st{k}", d, n, reads={f"s{k}[#]"}, writes={f"s{k + 1}[#]"})
+            for k, n in enumerate(sizes)
+        ]
+        g = TaskGraph(stages, [(f"st{k}", f"st{k + 1}") for k in range(3)])
+        cfg = SimConfig(chip=CHIP, m=32, seed=1001)
+
+        def forbidden(*args):
+            raise AssertionError("a private access reached arbitration")
+
+        monkeypatch.setattr(sim_module._Simulation, "_arbitrate", forbidden)
+        sim, pushed = self.event_pushes(monkeypatch, g, cfg)
+        assert len(pushed) == 4 * d  # one completion per instance
+        assert sim.mem_access_count == d * sum(n // 5 for n in sizes)
+        assert sim.mem_conflict_stalls == 0
+
+    def test_mixed_instance_pushes_its_shared_accesses(self, monkeypatch):
+        # "m" alternates private "p" and shared "x"; "c" also reads "x".
+        g = TaskGraph(
+            [singular("m", 10, reads={"p", "x"}), singular("c", 7, reads={"x"})]
+        )
+        cfg = SimConfig(chip=CHIP, m=2, mem_access_stride=1, seed=3)
+        sim, pushed = self.event_pushes(monkeypatch, g, cfg)
+        kinds = Counter(kind for _, kind, tid, _ in pushed if tid == "m")
+        assert kinds == {sim_module._ACCESS: 5, sim_module._COMPLETE: 1}
+        assert sim.mem_access_count == 10 + 7
+        traced = run(g, cfg, record_events=True)
+        assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
 
 
 class TestLedger:
