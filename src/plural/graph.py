@@ -167,12 +167,6 @@ class TaskGraph:
     def edges(self) -> frozenset[tuple[str, str]]:
         return self._edges
 
-    def successors(self, task_id: str) -> list[str]:
-        return sorted(s for p, s in self._edges if p == task_id)
-
-    def predecessors(self, task_id: str) -> list[str]:
-        return sorted(p for p, s in self._edges if s == task_id)
-
     @cached_property
     def _footprint(self) -> _Footprint:
         # The graph never changes, so ``plural simulate`` builds the index
@@ -251,11 +245,11 @@ def validate_dag(g: TaskGraph) -> list[str] | None:
     return None
 
 
-def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int]:
-    """Each task's descendants as an int bitset, bit ``index[tid]`` per task.
+def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int] | None:
+    """Each task's descendants as an int bitset, bit ``index[tid]`` per task,
+    or None when the graph has a cycle.
 
-    One pass over a topological order, so O(V + E) bitset unions; the graph
-    must be a DAG.
+    One pass over a topological order, so O(V + E) bitset unions.
     """
     succ = _successor_map(g)
     indegree = dict.fromkeys(g.tasks, 0)
@@ -267,6 +261,8 @@ def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int]:
             indegree[s] -= 1
             if indegree[s] == 0:
                 order.append(s)
+    if len(order) < len(g.tasks):
+        return None
     desc: dict[str, int] = {}
     for tid in reversed(order):
         bits = 0
@@ -317,18 +313,16 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     graph has a cycle.
     """
     instances = _instance_ids(g)
-    if validate_dag(g) is not None:
-        raise CycleError(validate_dag(expand_duplicables(g)))
     index = {tid: i for i, tid in enumerate(g.tasks)}
     desc = _descendant_bits(g, index)
+    if desc is None:
+        raise CycleError(validate_dag(expand_duplicables(g)))
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
     for tid, task in g.tasks.items():
         if not (task.read_set or task.write_set):
             continue
         for k, iid in enumerate(instances[tid]):
-            reads, writes = task.read_set, task.write_set
-            if task.kind is TaskKind.DUPLICABLE:
-                reads, writes = _instance_vars(reads, k), _instance_vars(writes, k)
+            reads, writes = _instance_footprint(task, k)
             for var in reads | writes:
                 touchers.setdefault(var, []).append((iid, tid, var in writes))
     return index, desc, touchers
@@ -407,8 +401,15 @@ def instance_id(task_id: str, number: int) -> str:
     return f"{task_id}{INSTANCE_SEP}{number}"
 
 
-def _instance_vars(names: frozenset[str], number: int) -> frozenset[str]:
-    return frozenset(name.replace(INSTANCE_PLACEHOLDER, str(number)) for name in names)
+def _instance_footprint(task: Task, number: int) -> tuple[frozenset[str], frozenset[str]]:
+    """One instance's (reads, writes): a duplicable's ``#`` becomes ``number``."""
+    if task.kind is not TaskKind.DUPLICABLE:
+        return task.read_set, task.write_set
+    k = str(number)
+    return (
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in task.read_set),
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in task.write_set),
+    )
 
 
 def _instance_ids(g: TaskGraph) -> dict[str, list[str]]:
@@ -441,31 +442,25 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
     inherit every incoming and outgoing edge of the original.  Expansion is
     idempotent and preserves acyclicity.
     """
-    replacements: dict[str, list[str]] = {}
+    ids = _instance_ids(g)
     new_tasks: list[Task] = []
     for tid in sorted(g.tasks):
         task = g.tasks[tid]
         if task.kind is not TaskKind.DUPLICABLE:
             new_tasks.append(task)
             continue
-        members = []
-        for k in range(task.instances):
-            members.append(instance_id(tid, k))
+        for k, iid in enumerate(ids[tid]):
+            reads, writes = _instance_footprint(task, k)
             new_tasks.append(
                 Task(
-                    id=instance_id(tid, k),
+                    id=iid,
                     kind=TaskKind.SINGULAR,
                     entry_point=task.entry_point,
                     instruction_count=task.instruction_count,
-                    read_set=_instance_vars(task.read_set, k),
-                    write_set=_instance_vars(task.write_set, k),
+                    read_set=reads,
+                    write_set=writes,
                     instance_number=k,
                 )
             )
-        replacements[tid] = members
-    new_edges: set[tuple[str, str]] = set()
-    for pred, succ in g.edges:
-        for p in replacements.get(pred, [pred]):
-            for s in replacements.get(succ, [succ]):
-                new_edges.add((p, s))
-    return TaskGraph(new_tasks, new_edges)
+    edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}
+    return TaskGraph(new_tasks, edges)

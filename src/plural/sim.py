@@ -7,10 +7,12 @@ arbitration ties are exact and a run is a pure function of (graph, config).
 
 Execution semantics:
 
-* The scheduler dispatches ready tasks FIFO by readiness time (ties by
-  ascending task id) to idle cores first, then into per-core pre-allocation
-  queues of configurable depth.  Dispatch and completion messages are
-  instantaneous; the queue exists to keep cores from idling between tasks.
+* The scheduler dispatches ready instances FIFO by readiness time (ties by
+  ascending instance id string) to idle cores first, then into per-core
+  pre-allocation queues of configurable depth.  Dispatch and completion
+  messages are instantaneous; the queue exists to keep cores from idling.
+* A duplicable task runs as its d instances; no expanded graph is built.  A
+  task's instances are released when its last predecessor instance ends.
 * Control tasks run on the scheduler itself in zero time and never occupy a
   core.  A conditional control task forwards to exactly one successor,
   chosen by the configuration.
@@ -46,7 +48,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     CycleError,
@@ -57,11 +59,13 @@ from .errors import (
 )
 from .graph import (
     ControlKind,
+    Task,
     TaskGraph,
     TaskKind,
+    _instance_footprint,
+    _instance_ids,
     _successor_map,
-    expand_duplicables,
-    instance_id,
+    expand_duplicables,  # noqa: F401 -- unused, but benchmarks/tracing.py wraps it here
     private_variables,
     validate_dag,
 )
@@ -167,16 +171,16 @@ class _Instance:
     """A core-executed task instance and its progress through its slots."""
 
     __slots__ = (
-        "tid", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
+        "tid", "task", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
     )
 
-    def __init__(
-        self, tid: str, n: int, vars_: tuple[str, ...], stride: int, private: frozenset[str]
-    ):
-        self.tid = tid
-        self.n = n
-        self.vars = vars_
-        self.n_access = n // stride if vars_ else 0
+    def __init__(self, tid: str, task: Task, number: int, stride: int, private: frozenset[str]):
+        self.tid = tid  # instance id
+        self.task = task.id
+        self.n = task.instruction_count
+        reads, writes = _instance_footprint(task, number)
+        self.vars = vars_ = tuple(sorted(reads)) + tuple(sorted(writes))
+        self.n_access = self.n // stride if vars_ else 0
         # skip[r]: how many accesses from residue r on target private
         # variables before one that does not; None when none is private.
         self.skip: tuple[int, ...] | None = None
@@ -195,12 +199,15 @@ class _Instance:
         self.since = 0  # slot at which the pending access arrived
 
 
+_Item = tuple[str, str, int]  # (instance id, authored task id, instance number)
+
+
 class _Core:
     __slots__ = ("current", "queue", "busy_slots")
 
     def __init__(self) -> None:
         self.current: _Instance | None = None
-        self.queue: deque[str] = deque()
+        self.queue: deque[_Item] = deque()
         self.busy_slots = 0
 
 
@@ -209,13 +216,11 @@ class _Simulation:
         self,
         g: TaskGraph,
         cfg: SimConfig,
-        outcomes: Mapping[str, list[str]],
         record_events: bool,
         private: frozenset[str] = frozenset(),
     ):
         self.g = g
         self.cfg = cfg
-        self.outcomes = outcomes
         self.private = private  # variables whose accesses never contend
         chip = cfg.chip
         self.core_freq = (chip.area / cfg.m) ** chip.pollack_exponent
@@ -225,19 +230,21 @@ class _Simulation:
         self.access_energy = math.sqrt(chip.area) + math.log2(cfg.m)
         self.rng = random.Random(cfg.seed)
 
+        self.ids = _instance_ids(g)
+        # Each task's unfinished predecessor instances.
         self.pred_left = {tid: 0 for tid in g.tasks}
-        for _, succ in g.edges:
-            self.pred_left[succ] += 1
+        for pred, succ in g.edges:
+            self.pred_left[succ] += len(self.ids[pred])
         self.succs = _successor_map(g)
 
         # Cores are created on first use, lowest index first, so the cores
         # never used are the indices from len(self.cores) up to m - 1.
         self.cores: list[_Core] = []
         self.idle: list[int] = []  # min-heap of used cores that are idle
-        self.ready: list[tuple[int, str]] = []  # (ready slot, task id)
-        # Entries are (slot, kind, task id, instance) for completions and
+        self.ready: list[tuple[int, _Item]] = []  # (ready slot, instance)
+        # Entries are (slot, kind, instance id, instance) for completions and
         # accesses and (slot, _RETRY, variable, None) for retries.  Each
-        # started task id has one pending entry at a time and starts at most
+        # started instance has one pending entry at a time and starts at most
         # once, and each variable has at most one retry per slot, so
         # (slot, kind, key) is unique and heapq never compares the last field.
         self.heap: list[tuple[int, int, str, _Instance | None]] = []
@@ -258,56 +265,67 @@ class _Simulation:
         if self.trace is not None:
             self.trace.append(SimEvent(slot * self.slot_dt, kind, task, detail))
 
-    def _access_vars(self, tid: str) -> tuple[str, ...]:
-        task = self.g.tasks[tid]
-        return tuple(sorted(task.read_set)) + tuple(sorted(task.write_set))
+    def _instances(self, tids: Iterable[str]) -> list[_Item]:
+        return [(iid, tid, k) for tid in tids for k, iid in enumerate(self.ids[tid])]
+
+    def _count_down(self, followers: list[str]) -> list[_Item]:
+        """Count one finished instance off each follower; return the instances
+        of those left with none."""
+        for s in followers:
+            self.pred_left[s] -= 1
+        return self._instances(s for s in followers if self.pred_left[s] == 0)
 
     # -- scheduler ----------------------------------------------------------
 
-    def _on_ready(self, tid: str, slot: int) -> None:
-        """Make a task ready; control tasks resolve on the scheduler at once."""
-        pending = deque([tid])
-        while pending:
-            t = pending.popleft()
-            task = self.g.tasks[t]
-            if task.kind is not TaskKind.CONTROL:
-                heapq.heappush(self.ready, (slot, t))
-                self._event(slot, "ready", t, "")
-                continue
-            self.last_boundary = max(self.last_boundary, slot)
-            if task.control_kind is ControlKind.CONDITIONAL:
-                followers = self.outcomes.get(t)
-                if followers is None:
-                    raise SimConfigError(
-                        f"conditional control task {t!r} was reached but has no "
-                        "configured outcome"
-                    )
-            else:
-                followers = self.succs[t]
-            self._event(slot, "control", t, f"forwards={','.join(followers)}")
-            for s in followers:
-                self.pred_left[s] -= 1
-                if self.pred_left[s] == 0:
-                    pending.append(s)
+    def _release(self, walk: list[_Item], succs: Collection[str], slot: int) -> None:
+        """Make ``walk``'s instances ready by ascending id, as a finished
+        instance notifies those of its successors ``succs`` one at a time.  A
+        control task resolves at once, breadth first; an instance it frees is
+        made ready then if the walk has passed it, else at its place in it."""
+        heapq.heapify(walk)
+        while walk:
+            position = walk[0][0]
+            pending = deque([heapq.heappop(walk)])
+            while pending:
+                iid, t, k = pending.popleft()
+                task = self.g.tasks[t]
+                if task.kind is not TaskKind.CONTROL:
+                    heapq.heappush(self.ready, (slot, (iid, t, k)))
+                    self._event(slot, "ready", iid, "")
+                    continue
+                self.last_boundary = max(self.last_boundary, slot)
+                if task.control_kind is ControlKind.CONDITIONAL:
+                    chosen = self.cfg.conditional_outcomes.get(t)
+                    if chosen is None:
+                        raise SimConfigError(
+                            f"conditional control task {t!r} was reached but has no "
+                            "configured outcome"
+                        )
+                    # The chosen task's instances go by number, not by id.
+                    followers, order = [chosen], list
+                else:
+                    followers, order = self.succs[t], sorted
+                if self.trace is not None:
+                    forwards = ",".join(i for i, _, _ in order(self._instances(followers)))
+                    self._event(slot, "control", t, f"forwards={forwards}")
+                for item in order(self._count_down(followers)):
+                    if item[1] in succs and item[0] > position:
+                        heapq.heappush(walk, item)
+                    else:
+                        pending.append(item)
 
-    def _start(self, core_idx: int, tid: str, slot: int, from_queue: bool) -> None:
-        if tid in self.started:
-            raise RuntimeError(f"task instance {tid!r} started twice")
-        self.started.add(tid)
-        task = self.g.tasks[tid]
-        inst = _Instance(
-            tid,
-            task.instruction_count,
-            self._access_vars(tid),
-            self.cfg.mem_access_stride,
-            self.private,
-        )
+    def _start(self, core_idx: int, item: _Item, slot: int, from_queue: bool) -> None:
+        iid, tid, k = item
+        if iid in self.started:
+            raise RuntimeError(f"task instance {iid!r} started twice")
+        self.started.add(iid)
+        inst = _Instance(iid, self.g.tasks[tid], k, self.cfg.mem_access_stride, self.private)
         inst.core = core_idx
         inst.start = slot
         self.cores[core_idx].current = inst
         if not from_queue:
             self.sched_msg_count += 1  # task-init message
-        self._event(slot, "start", tid, f"core={core_idx}")
+        self._event(slot, "start", iid, f"core={core_idx}")
         self._push_next(inst)
 
     def _push_next(self, inst: _Instance) -> None:
@@ -340,8 +358,8 @@ class _Simulation:
                 self.cores.append(_Core())
             else:
                 break
-            _, tid = heapq.heappop(self.ready)
-            self._start(core_idx, tid, slot, from_queue=False)
+            _, item = heapq.heappop(self.ready)
+            self._start(core_idx, item, slot, from_queue=False)
         # Past the first loop either nothing is ready or all m cores exist and
         # are busy.
         while self.ready:
@@ -355,10 +373,10 @@ class _Simulation:
             )
             if core_idx is None:
                 break
-            _, tid = heapq.heappop(self.ready)
-            self.cores[core_idx].queue.append(tid)
+            _, item = heapq.heappop(self.ready)
+            self.cores[core_idx].queue.append(item)
             self.sched_msg_count += 1  # task-init message, pre-allocated
-            self._event(slot, "queue", tid, f"core={core_idx}")
+            self._event(slot, "queue", item[0], f"core={core_idx}")
 
     def _complete(self, inst: _Instance, slot: int) -> None:
         core = self.cores[inst.core]
@@ -368,10 +386,8 @@ class _Simulation:
         self.sched_msg_count += 1  # task-completion message
         self.last_boundary = max(self.last_boundary, slot)
         self._event(slot, "complete", inst.tid, f"core={inst.core}")
-        for s in self.succs[inst.tid]:
-            self.pred_left[s] -= 1
-            if self.pred_left[s] == 0:
-                self._on_ready(s, slot)
+        succs = self.succs[inst.task]
+        self._release(self._count_down(succs), succs, slot)
         if core.queue:
             self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
         else:
@@ -427,9 +443,7 @@ class _Simulation:
     def execute(self) -> None:
         # Snapshot the roots first: resolving a root control task releases its
         # successors, which the walk must not make ready a second time.
-        roots = [tid for tid in sorted(self.g.tasks) if self.pred_left[tid] == 0]
-        for tid in roots:
-            self._on_ready(tid, 0)
+        self._release(self._instances(t for t in self.g.tasks if self.pred_left[t] == 0), (), 0)
         self._dispatch(0)
         while self.heap:
             slot = self.heap[0][0]
@@ -480,10 +494,8 @@ class _Simulation:
         )
 
 
-def _resolve_outcomes(g: TaskGraph, cfg: SimConfig) -> dict[str, list[str]]:
-    """Validate outcomes against the authored graph and map each chosen
-    successor to its expanded task id(s): all d instances for a duplicable."""
-    outcomes: dict[str, list[str]] = {}
+def _check_outcomes(g: TaskGraph, cfg: SimConfig) -> None:
+    """Check that each configured outcome is an edge out of a conditional."""
     for tid, chosen in cfg.conditional_outcomes.items():
         task = g.tasks.get(tid)
         if task is None:
@@ -497,18 +509,12 @@ def _resolve_outcomes(g: TaskGraph, cfg: SimConfig) -> dict[str, list[str]]:
             raise SimConfigError(
                 f"conditional outcome {tid!r} -> {chosen!r} is not an edge of the graph"
             )
-        target = g.tasks[chosen]
-        if target.kind is TaskKind.DUPLICABLE:
-            outcomes[tid] = [instance_id(chosen, k) for k in range(target.instances)]
-        else:
-            outcomes[tid] = [chosen]
-    return outcomes
 
 
 def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimReport:
     """Simulate a task graph and return its measurements.
 
-    The graph must be acyclic; duplicable tasks are expanded internally.
+    The graph must be acyclic; a duplicable task runs as its d instances.
     ``empirical_speedup`` compares the run with one core of the full chip
     area, which executes every instruction back to back.  A report value
     that leaves float range raises ``DomainError`` naming the value.
@@ -516,13 +522,12 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
-    outcomes = _resolve_outcomes(g, cfg)
-    expanded = expand_duplicables(g)
+    _check_outcomes(g, cfg)
     # A traced run takes every access through the event loop, so each grant
     # keeps its place in the trace.
     private = frozenset() if record_events else private_variables(g)
 
-    sim = _Simulation(expanded, cfg, outcomes, record_events, private)
+    sim = _Simulation(g, cfg, record_events, private)
     sim.execute()
     if sim.total_instructions == 0:
         raise DegenerateWorkloadError(

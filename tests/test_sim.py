@@ -30,6 +30,7 @@ from plural import (
     private_variables,
     run,
 )
+from plural import graph as graph_module
 from plural import sim as sim_module
 from plural.sim import report_as_dict
 
@@ -58,6 +59,21 @@ def control(tid, kind=ControlKind.MERGE):
 def parallel_workload(d, n):
     """d independent instances of n instructions with disjoint footprints."""
     return TaskGraph([duplicable("work", d, n, reads={"in[#]"}, writes={"out[#]"})])
+
+
+def stage_chain(d, sizes):
+    """Chained duplicables; stage k reads "s{k}[#]" and writes "s{k+1}[#]"."""
+    stages = [
+        duplicable(f"st{k}", d, n, reads={f"s{k}[#]"}, writes={f"s{k + 1}[#]"})
+        for k, n in enumerate(sizes)
+    ]
+    return TaskGraph(stages, [(f"st{k}", f"st{k + 1}") for k in range(len(sizes) - 1)])
+
+
+def instance_ids(task):
+    if task.kind is TaskKind.DUPLICABLE:
+        return [f"{task.id}#{k}" for k in range(task.instances)]
+    return [task.id]
 
 
 def slot_dt(cfg):
@@ -328,7 +344,7 @@ class TestMemoryConflicts:
         contended = {(e.time, e.detail) for e in traced.events if e.kind == "stall"}
 
         def pushes(simulation_class):
-            sim = simulation_class(expand_duplicables(g), cfg, {}, False)
+            sim = simulation_class(g, cfg, False)
             counts = Counter()
             real_push = heapq.heappush
 
@@ -479,8 +495,8 @@ class PerStallSimulation(sim_module._Simulation):
     given, so every access goes through its loop.
     """
 
-    def __init__(self, g, cfg, outcomes, record_events, private=frozenset()):
-        super().__init__(g, cfg, outcomes, record_events)
+    def __init__(self, g, cfg, record_events, private=frozenset()):
+        super().__init__(g, cfg, record_events)
         self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
 
     def _dispatch(self, slot):
@@ -490,8 +506,8 @@ class PerStallSimulation(sim_module._Simulation):
             )
             if core_idx is None:
                 break
-            _, tid = heapq.heappop(self.ready)
-            self._start(core_idx, tid, slot, from_queue=False)
+            _, item = heapq.heappop(self.ready)
+            self._start(core_idx, item, slot, from_queue=False)
         while self.ready:
             core_idx = next(
                 (
@@ -503,10 +519,10 @@ class PerStallSimulation(sim_module._Simulation):
             )
             if core_idx is None:
                 break
-            _, tid = heapq.heappop(self.ready)
-            self.cores[core_idx].queue.append(tid)
+            _, item = heapq.heappop(self.ready)
+            self.cores[core_idx].queue.append(item)
             self.sched_msg_count += 1
-            self._event(slot, "queue", tid, f"core={core_idx}")
+            self._event(slot, "queue", item[0], f"core={core_idx}")
 
     def _arbitrate(self, accesses, slot):
         groups = {}
@@ -529,9 +545,7 @@ class PerStallSimulation(sim_module._Simulation):
                 heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
 
     def execute(self):
-        roots = [tid for tid in sorted(self.g.tasks) if self.pred_left[tid] == 0]
-        for tid in roots:
-            self._on_ready(tid, 0)
+        self._release(self._instances(t for t in self.g.tasks if self.pred_left[t] == 0), (), 0)
         self._dispatch(0)
         while self.heap:
             slot = self.heap[0][0]
@@ -667,7 +681,7 @@ class TestPrivateAccesses:
     @staticmethod
     def event_pushes(monkeypatch, g, cfg):
         """Run ``g`` untraced; return the simulation and its event-heap pushes."""
-        sim = sim_module._Simulation(expand_duplicables(g), cfg, {}, False, private_variables(g))
+        sim = sim_module._Simulation(g, cfg, False, private_variables(g))
         pushed = []
         real_push = heapq.heappush
 
@@ -683,11 +697,7 @@ class TestPrivateAccesses:
 
     def test_stage_chain_never_arbitrates(self, monkeypatch):
         d, sizes = 32, [150, 211, 263, 300]
-        stages = [
-            duplicable(f"st{k}", d, n, reads={f"s{k}[#]"}, writes={f"s{k + 1}[#]"})
-            for k, n in enumerate(sizes)
-        ]
-        g = TaskGraph(stages, [(f"st{k}", f"st{k + 1}") for k in range(3)])
+        g = stage_chain(d, sizes)
         cfg = SimConfig(chip=CHIP, m=32, seed=1001)
 
         def forbidden(*args):
@@ -711,6 +721,182 @@ class TestPrivateAccesses:
         assert sim.mem_access_count == 10 + 7
         traced = run(g, cfg, record_events=True)
         assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
+
+
+def expanded_outcome(g, cfg, record_events):
+    """The report of a run of ``expand_duplicables(g)``, or the error that
+    expanding or running raises."""
+    try:
+        return run(expand_duplicables(g), cfg, record_events=record_events)
+    except (DegenerateWorkloadError, DomainError, GraphStructureError) as exc:
+        return type(exc), str(exc)
+
+
+def ready_order(report):
+    return [(e.kind, e.task) for e in report.events if e.kind in ("ready", "control")]
+
+
+class TestAuthoredMatchesExpanded:
+    """``run`` simulates the authored graph and never expands it; running the
+    expanded graph is the oracle it must reproduce, trace and errors included."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
+    def test_reports_match(self, case):
+        g, cfg = case
+        # The expanded graph has no task of a duplicable's id to forward to.
+        if any(g.tasks[s].kind is TaskKind.DUPLICABLE for s in cfg.conditional_outcomes.values()):
+            return
+        for record_events in (True, False):
+            assert run_outcome(g, cfg, sim_module._Simulation, record_events) == expanded_outcome(
+                g, cfg, record_events
+            )
+
+    @pytest.mark.parametrize("with_root", [True, False])
+    def test_ties_go_by_instance_id_string(self, with_root):
+        # "w!" sorts before "w#0", and "w#05" between "w#0" and "w#1".
+        tasks = [duplicable("w", 12, 4, writes={"o[#]"}), singular("w!", 4), singular("w#05", 4)]
+        edges = []
+        if with_root:
+            tasks.append(singular("p", 3))
+            edges = [("p", "w"), ("p", "w!"), ("p", "w#05")]
+        g = TaskGraph(tasks, edges)
+        cfg = SimConfig(chip=CHIP, m=4)
+        report = run(g, cfg, record_events=True)
+        ids = sorted(["w!", "w#05"] + [f"w#{k}" for k in range(12)])
+        assert ids[:4] == ["w!", "w#0", "w#05", "w#1"]
+        assert [task for _, task in ready_order(report)] == ["p"] * with_root + ids
+        assert report == expanded_outcome(g, cfg, record_events=True)
+
+    def test_control_frees_what_the_walk_has_passed(self):
+        # "x" notifies "c", "d" and "e" in id order.  The merge "c" frees "f"
+        # at once, but "e" only when "x" reaches it, after "d".
+        g = TaskGraph(
+            [singular("x", 3), control("c"), singular("d", 2), singular("e", 2), singular("f", 2)],
+            [("x", "c"), ("x", "d"), ("x", "e"), ("c", "e"), ("c", "f")],
+        )
+        cfg = SimConfig(chip=CHIP, m=2)
+        report = run(g, cfg, record_events=True)
+        assert ready_order(report) == [
+            ("ready", "x"), ("control", "c"), ("ready", "f"), ("ready", "d"), ("ready", "e")
+        ]
+        assert report == expanded_outcome(g, cfg, record_events=True)
+
+    def test_conditional_forwards_to_duplicable_by_number(self):
+        g = TaskGraph(
+            [
+                singular("p", 3),
+                control("c", ControlKind.CONDITIONAL),
+                duplicable("w", 12, 4, writes={"o[#]"}),
+                singular("x", 4),
+            ],
+            [("p", "c"), ("c", "w"), ("c", "x")],
+        )
+        cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"c": "w"})
+        report = run(g, cfg, record_events=True)
+        numbered = [f"w#{k}" for k in range(12)]
+        assert ready_order(report) == [
+            ("ready", "p"), ("control", "c"), *(("ready", iid) for iid in numbered)
+        ]
+        assert [e.detail for e in report.events if e.kind == "control"] == [
+            "forwards=" + ",".join(numbered)
+        ]
+        starts = [e.task for e in report.events if e.kind == "start"]
+        assert starts == ["p"] + sorted(numbered)
+        assert report.total_instructions == 3 + 12 * 4
+        assert run(g, cfg) == replace(report, events=())
+
+    def test_conditional_frees_what_the_walk_has_passed(self):
+        # "p" notifies "w#0", then the conditional "w#05", which frees "w#0"
+        # at once; "w#1", "w#10", ... wait for "p" to reach them.
+        g = TaskGraph(
+            [
+                singular("p", 3),
+                control("w#05", ControlKind.CONDITIONAL),
+                duplicable("w", 12, 4, writes={"o[#]"}),
+                singular("y", 4),
+            ],
+            [("p", "w"), ("p", "w#05"), ("w#05", "w"), ("w#05", "y")],
+        )
+        cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"w#05": "w"})
+        report = run(g, cfg, record_events=True)
+        later = sorted(f"w#{k}" for k in range(1, 12))
+        assert ready_order(report) == [
+            ("ready", "p"), ("control", "w#05"), ("ready", "w#0"),
+            *(("ready", iid) for iid in later),
+        ]
+
+    def test_run_builds_no_expanded_graph(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("run built the expanded graph")
+
+        monkeypatch.setattr(graph_module, "expand_duplicables", forbidden)
+        monkeypatch.setattr(sim_module, "expand_duplicables", forbidden)
+        d, sizes = 32, [150, 211, 263, 300]
+        g = stage_chain(d, sizes)
+        for record_events in (False, True):
+            report = run(g, SimConfig(chip=CHIP, m=32, seed=7), record_events=record_events)
+            assert report.total_instructions == d * sum(sizes)
+
+
+def executed_tasks(g, cfg):
+    """The authored tasks a run reaches: those whose every predecessor is
+    reached and, if a conditional, forwards to them."""
+    preds = {tid: [] for tid in g.tasks}
+    for pred, succ in g.edges:
+        preds[succ].append(pred)
+    reached = {}
+
+    def reach(tid):
+        if tid not in reached:
+            reached[tid] = all(
+                reach(p) and cfg.conditional_outcomes.get(p, tid) == tid for p in preds[tid]
+            )
+        return reached[tid]
+
+    return {tid for tid in g.tasks if reach(tid)}
+
+
+class TestTraceInvariants:
+    """The North-star invariants, read from the trace of the authored-graph
+    engine."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
+    def test_invariants(self, case):
+        g, cfg = case
+        try:
+            report = run(g, cfg, record_events=True)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        events = report.events
+        executed = executed_tasks(g, cfg)
+        tasks = {iid: task for task in g for iid in instance_ids(task)}
+        # Each executed instance starts once and completes once; each
+        # executed control task resolves once.
+        starts = Counter(e.task for e in events if e.kind == "start")
+        completes = Counter(e.task for e in events if e.kind == "complete")
+        controls = Counter(e.task for e in events if e.kind == "control")
+        core_run = Counter(
+            iid for iid, task in tasks.items()
+            if task.id in executed and task.kind is not TaskKind.CONTROL
+        )
+        assert starts == completes == core_run
+        assert controls == Counter(t for t in executed if g.tasks[t].kind is TaskKind.CONTROL)
+        # No instance starts before every instance of its predecessors is done.
+        began = {e.task: e.time for e in events if e.kind in ("start", "control")}
+        done = {e.task: e.time for e in events if e.kind in ("complete", "control")}
+        for pred, succ in g.edges:
+            for later in instance_ids(g.tasks[succ]):
+                if later in began:
+                    for earlier in instance_ids(g.tasks[pred]):
+                        assert done[earlier] <= began[later]
+        # Each variable is granted at most once per slot.
+        grants = [(e.time, e.detail) for e in events if e.kind == "access"]
+        assert len(grants) == len(set(grants))
+        # Work is conserved, and the ledger is consistent.
+        assert report.total_instructions == sum(tasks[iid].instruction_count for iid in starts)
+        assert math.isclose(report.avg_power * report.makespan, report.total_energy, rel_tol=1e-12)
 
 
 class TestLedger:
