@@ -228,6 +228,27 @@ def _warn_crew(g) -> None:
         sys.stderr.write(f"WARNING: CREW violation: {violation}\n")
 
 
+def _dump_report(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a flat report dict.
+
+    With an indent, ``json`` falls back to its pure-Python encoder, which is
+    slow on the m-long float lists.  Those are written by the C encoder and
+    re-indented: both encoders spell a float as ``float.__repr__`` does, or
+    as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", ".
+    Nested containers keep the indenting encoder.
+    """
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value and set(map(type, value)) == {float}:
+            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        elif isinstance(value, (dict, list)):
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        else:
+            text = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def cmd_simulate(args, out) -> int:
     g = graphio.load(args.graph)
     _warn_crew(g)
@@ -251,7 +272,7 @@ def cmd_simulate(args, out) -> int:
         doc = sim.report_as_dict(report, include_events=args.emit_events)
         if args.check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_dump_report(doc) + "\n")
     return EXIT_OK
 
 
@@ -332,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except PluralError as exc:

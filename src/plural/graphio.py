@@ -94,6 +94,8 @@ def loads(text: str) -> TaskGraph:
     except json.JSONDecodeError as exc:
         # str(exc) carries "line N column M", keeping messages line-anchored.
         raise GraphFormatError(f"task graph document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("task graph document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise _format_error("top level must be an object")
     unknown = set(doc) - {"tasks", "edges"}
@@ -122,7 +124,11 @@ def loads(text: str) -> TaskGraph:
 
 def load(path: str | Path) -> TaskGraph:
     """Read and parse a task-graph document from a file."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"task graph document is not UTF-8: {exc}") from None
+    return loads(text)
 
 
 def _task_to_obj(task: Task) -> dict:

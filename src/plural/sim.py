@@ -223,7 +223,9 @@ class _Simulation:
         self.cfg = cfg
         self.private = private  # variables whose accesses never contend
         chip = cfg.chip
-        self.core_freq = (chip.area / cfg.m) ** chip.pollack_exponent
+        self.core_freq = _check_finite(
+            "core_freq", (chip.area / cfg.m) ** chip.pollack_exponent, positive=True
+        )
         self.slot_dt = chip.cpi / self.core_freq
         self.instr_energy = chip.area / cfg.m
         self.msg_energy = math.sqrt(chip.area)
@@ -241,6 +243,9 @@ class _Simulation:
         # never used are the indices from len(self.cores) up to m - 1.
         self.cores: list[_Core] = []
         self.idle: list[int] = []  # min-heap of used cores that are idle
+        # Min-heap of the cores whose pre-allocation queue has room: each
+        # core is in it exactly while len(queue) < prealloc_depth.
+        self.room: list[int] = []
         self.ready: list[tuple[int, _Item]] = []  # (ready slot, instance)
         # Entries are (slot, kind, instance id, instance) for completions and
         # accesses and (slot, _RETRY, variable, None) for retries.  Each
@@ -356,25 +361,21 @@ class _Simulation:
             elif len(self.cores) < self.cfg.m:
                 core_idx = len(self.cores)
                 self.cores.append(_Core())
+                if self.cfg.prealloc_depth:
+                    heapq.heappush(self.room, core_idx)
             else:
                 break
             _, item = heapq.heappop(self.ready)
             self._start(core_idx, item, slot, from_queue=False)
         # Past the first loop either nothing is ready or all m cores exist and
         # are busy.
-        while self.ready:
-            core_idx = next(
-                (
-                    i
-                    for i, c in enumerate(self.cores)
-                    if len(c.queue) < self.cfg.prealloc_depth
-                ),
-                None,
-            )
-            if core_idx is None:
-                break
+        while self.ready and self.room:
+            core_idx = self.room[0]
+            queue = self.cores[core_idx].queue
             _, item = heapq.heappop(self.ready)
-            self.cores[core_idx].queue.append(item)
+            queue.append(item)
+            if len(queue) == self.cfg.prealloc_depth:
+                heapq.heappop(self.room)
             self.sched_msg_count += 1  # task-init message, pre-allocated
             self._event(slot, "queue", item[0], f"core={core_idx}")
 
@@ -389,6 +390,8 @@ class _Simulation:
         succs = self.succs[inst.task]
         self._release(self._count_down(succs), succs, slot)
         if core.queue:
+            if len(core.queue) == self.cfg.prealloc_depth:
+                heapq.heappush(self.room, inst.core)
             self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
         else:
             heapq.heappush(self.idle, inst.core)
@@ -475,7 +478,8 @@ class _Simulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
-        busy += (0.0,) * (self.cfg.m - len(busy))
+        # An idle core's utilization is 0.0 / makespan, which is 0.0.
+        unused = (0.0,) * (self.cfg.m - len(busy))
         return SimReport(
             m=self.cfg.m,
             makespan=makespan,
@@ -484,8 +488,8 @@ class _Simulation:
             sched_msg_energy_total=sched_energy,
             mem_msg_energy_total=mem_energy,
             avg_power=total_energy / makespan,
-            per_core_busy_time=busy,
-            utilization=tuple(b / makespan for b in busy),
+            per_core_busy_time=busy + unused,
+            utilization=tuple(b / makespan for b in busy) + unused,
             sched_msg_count=self.sched_msg_count,
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,

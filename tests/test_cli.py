@@ -1,13 +1,19 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_sim import contention_cases, sim_cases
 
 import plural.graph as graph_module
-from plural import cli, comm, scaling
+from plural import DegenerateWorkloadError, GraphStructureError, cli, comm, scaling, sim
 
 DEMO_GRAPH = {
     "tasks": [
@@ -44,6 +50,26 @@ REPORT_CSV_HEADER = [
 DEFAULT_SWEEP_DIGESTS = {
     "sweep": "47d11295a269cf3a39adaa93f215e8a954982890c44238e46487360b2dd9d4a8",
     "comm-sweep": "be3c3a2cd81970d9d5e9129ad0b71875c6fc7e20e656b9bbe5c02dc9861a2af4",
+}
+
+# A loader, 300 instances contending for "x", a merge and a reduce; at
+# m = 16384 the report is dominated by its two m-long float lists.
+WIDE_GRAPH = {
+    "tasks": [
+        {"id": "load", "kind": "singular", "instructions": 40, "writes": ["x"]},
+        {"id": "work", "kind": "duplicable", "d": 300, "instructions": 200,
+         "reads": ["x", "in[#]"], "writes": ["out[#]"]},
+        {"id": "join", "kind": "control", "control_kind": "merge"},
+        {"id": "reduce", "kind": "singular", "instructions": 50,
+         "reads": ["out[0]"], "writes": ["y"]},
+    ],
+    "edges": [["load", "work"], ["work", "join"], ["join", "reduce"]],
+}
+# sha256 of `plural simulate WIDE_GRAPH --m 16384` stdout, as printed by
+# `json.dumps(doc, indent=2)`.
+WIDE_SIMULATE_DIGESTS = {
+    "plain": "c1052fffba74849ec9239d6a4d1c41dda7852f70c61b713c4362f6f88b257c1a",
+    "check-model": "36c146ab7ecd6890406d449300e3432fc6190e76f6205c497cb1ef1c248f3c70",
 }
 
 
@@ -440,6 +466,16 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["sched_msg_energy_total"] == doc["sched_msg_count"] * 1000.0
 
+    @pytest.mark.parametrize(
+        "name, flags",
+        [("plain", ()), ("check-model", ("--check-model", "--comm-costs", "--seed", "7"))],
+    )
+    def test_wide_report_matches_pinned_digest(self, capsys, tmp_path, name, flags):
+        path = write_graph(tmp_path, WIDE_GRAPH)
+        code, out, _ = run_cli(capsys, "simulate", path, "--m", "16384", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SIMULATE_DIGESTS[name]
+
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
         # The CREW warnings and the run's private variables share one index.
         built = []
@@ -454,6 +490,63 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", path, "--m", "4")
         assert code == 0
         assert built == [1]
+
+
+class TestDumpReport:
+    """The report emitter must write exactly what ``json.dumps(doc, indent=2)``
+    writes."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 1, "per_core_busy_time": [], "utilization": []},
+            {"makespan": -0.0, "per_core_busy_time": [-0.0, 0.0, 5e-324, 1e-310]},
+            {"per_core_busy_time": [1e16, 1e-7, 1e22, 0.1, 123456789.0], "avg_power": 1e16},
+            {"utilization": [math.nan, math.inf, -math.inf, 1.5], "makespan": math.nan},
+            {"m": 2, "utilization": [1.0], "mixed": [1, 2.0, True, None]},
+            {
+                "events": [
+                    {"time": 0.0, "kind": "ready", "task": 'a"b\\c', "detail": "x\ny\tz"},
+                    {"time": 1e-7, "kind": "start", "task": "\u00e9\u2192\u2713", "detail": ""},
+                ],
+                "model_check": {"speedup_deviation": 1e-7, "nested": {"empty": {}, "list": []}},
+            },
+        ],
+        ids=["empty-lists", "signed-zero-subnormal", "exponents", "non-finite",
+             "mixed-list", "event-strings"],
+    )
+    def test_hand_cases(self, doc):
+        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(
+                st.floats(), st.integers(), st.text(max_size=6), st.none(),
+                st.lists(st.floats(), max_size=6),
+                st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=3)), max_size=4),
+                st.dictionaries(st.text(max_size=3), st.floats(), max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_generated_documents(self, doc):
+        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases()), st.booleans(), st.booleans())
+    def test_simulated_reports(self, case, emit_events, check_model):
+        g, cfg = case
+        try:
+            report = sim.run(g, cfg, record_events=emit_events)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        doc = sim.report_as_dict(report, include_events=emit_events)
+        if check_model:
+            doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
+        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
 
 
 class TestValidate:
@@ -499,3 +592,120 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+
+# Graph files: valid documents drawn from small pools of ids, counts and
+# footprints, so that many of them run; documents that may break any rule of
+# the format; and bytes that are not JSON, or not UTF-8.
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=4),
+    st.lists(st.text(max_size=3), max_size=3),
+)
+TASK_ID = st.sampled_from(["a", "b", "c", "a#0"])
+FOOTPRINT = st.lists(st.sampled_from(["x", "y", "v[#]", "v[0]"]), max_size=3)
+
+
+@st.composite
+def valid_docs(draw):
+    ids = draw(st.lists(TASK_ID, unique=True, min_size=1, max_size=4))
+    tasks = []
+    for tid in ids:
+        kind = draw(st.sampled_from(["singular", "duplicable", "control"]))
+        task = {"id": tid, "kind": kind}
+        if kind == "control":
+            task["control_kind"] = draw(st.sampled_from(["branch", "merge", "conditional"]))
+        else:
+            if kind == "duplicable":
+                task["d"] = draw(st.integers(1, 12))
+            task.update(instructions=draw(st.integers(0, 60)), reads=draw(FOOTPRINT),
+                        writes=draw(FOOTPRINT))
+        tasks.append(task)
+    index = st.integers(0, len(ids) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=4))
+    return {"tasks": tasks, "edges": [[ids[i], ids[j]] for i, j in pairs if i < j]}
+
+
+VALID_DOC = valid_docs()
+ANY_TASK = st.fixed_dictionaries(
+    {"id": st.one_of(TASK_ID, ANY_VALUE), "kind": ANY_VALUE},
+    optional={
+        key: ANY_VALUE
+        for key in ("d", "control_kind", "entry", "instructions", "reads", "writes", "bogus")
+    },
+)
+ANY_DOC = st.fixed_dictionaries(
+    {},
+    optional={
+        "tasks": st.one_of(st.lists(ANY_TASK, max_size=4), ANY_VALUE),
+        "edges": st.one_of(st.lists(st.one_of(st.lists(TASK_ID, max_size=3), ANY_VALUE), max_size=4), ANY_VALUE),
+        "bogus": ANY_VALUE,
+    },
+)
+MALFORMED_BYTES = st.one_of(
+    VALID_DOC.map(lambda doc: json.dumps(doc).encode()[:-1]),
+    ANY_DOC.map(lambda doc: json.dumps(doc).encode()),
+    ANY_VALUE.map(lambda value: json.dumps(value).encode()),
+    st.binary(max_size=24),
+)
+NUMBER = st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "1e300", "5e-324"]))
+# --m stays at most 4096: the report holds two m-long lists.
+SIMULATE_FLAGS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--m"), st.integers(-1, 4096).map(str)),
+        st.tuples(st.just("--stride"), st.integers(-1, 8).map(str)),
+        st.tuples(st.just("--prealloc-depth"), st.integers(-1, 4).map(str)),
+        st.tuples(st.just("--seed"), st.integers().map(str)),
+        st.tuples(st.sampled_from(["--area", "--work", "--alpha", "--cpi"]), NUMBER),
+        st.tuples(st.just("--outcome"), st.sampled_from(["a=b", "b=c", "a=a#0", "c=zz", "a", "=b"])),
+        st.tuples(
+            st.sampled_from(
+                ["--static-power", "--comm-costs", "--check-model", "--emit-events", "--csv"]
+            )
+        ),
+        st.tuples(st.sampled_from(["--m", "--bogus", "1.5", "x"])),
+    ),
+    max_size=6,
+).map(lambda flags: [token for flag in flags for token in flag])
+
+
+class TestArgvFuzz:
+    """Any flags and any graph file end in exit 0, 1 or 2; exit 3 (internal
+    error) is unreachable."""
+
+    @staticmethod
+    def check_exit_code(tmp_path_factory, content, where, argv):
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        if where == "file":
+            path.write_bytes(content)
+        elif where == "directory":
+            path.mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2), err.getvalue()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(VALID_DOC, SIMULATE_FLAGS)
+    @example(
+        {"tasks": [{"id": "a", "kind": "singular", "instructions": 10}], "edges": []},
+        ["--m", "3", "--area", "5e-324", "--cpi", "1e-5"],
+    )
+    def test_simulate_flags(self, tmp_path_factory, doc, flags):
+        content = json.dumps(doc).encode()
+        self.check_exit_code(tmp_path_factory, content, "file", ["simulate", *flags])
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        MALFORMED_BYTES,
+        st.sampled_from(["file", "file", "missing", "directory"]),
+        st.sampled_from(["simulate", "validate"]),
+    )
+    @example(b"\xff\xfe{", "file", "simulate")
+    @example(b"\xff\xfe{", "file", "validate")
+    @example(b"[" * 100000, "file", "simulate")
+    @example(b"[" * 100000, "file", "validate")
+    @example(b"{}", "directory", "simulate")
+    @example(b"{}", "directory", "validate")
+    def test_malformed_graph(self, tmp_path_factory, content, where, command):
+        self.check_exit_code(tmp_path_factory, content, where, [command])

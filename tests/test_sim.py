@@ -349,7 +349,12 @@ class TestMemoryConflicts:
             real_push = heapq.heappush
 
             def counting_push(heap, item):
-                counts["events" if heap is sim.heap else "other"] += 1
+                if heap is sim.heap:
+                    counts["events"] += 1
+                elif heap is sim.room:
+                    counts["room"] += 1
+                else:
+                    counts["other"] += 1
                 real_push(heap, item)
 
             with monkeypatch.context() as patch:
@@ -362,8 +367,10 @@ class TestMemoryConflicts:
         counts = pushes(sim_module._Simulation)
         assert counts["events"] <= instances + grants + len(contended)
         # the ready queue and the idle-core heap take at most one push per
-        # instance each
+        # instance each; a core enters the heap of queues with room when it
+        # is first used or when its full queue starts an instance
         assert counts["other"] <= 2 * instances
+        assert counts["room"] <= instances
         assert traced.mem_conflict_stalls > 10 * (instances + grants + len(contended))
         # the per-stall engine pushes every loser back, once per lost slot
         per_stall = pushes(PerStallSimulation)
@@ -857,6 +864,38 @@ def executed_tasks(g, cfg):
     return {tid for tid in g.tasks if reach(tid)}
 
 
+def assert_trace_invariants(g, cfg, report):
+    """Check the North-star invariants against the trace of a traced run."""
+    events = report.events
+    executed = executed_tasks(g, cfg)
+    tasks = {iid: task for task in g for iid in instance_ids(task)}
+    # Each executed instance starts once and completes once; each
+    # executed control task resolves once.
+    starts = Counter(e.task for e in events if e.kind == "start")
+    completes = Counter(e.task for e in events if e.kind == "complete")
+    controls = Counter(e.task for e in events if e.kind == "control")
+    core_run = Counter(
+        iid for iid, task in tasks.items()
+        if task.id in executed and task.kind is not TaskKind.CONTROL
+    )
+    assert starts == completes == core_run
+    assert controls == Counter(t for t in executed if g.tasks[t].kind is TaskKind.CONTROL)
+    # No instance starts before every instance of its predecessors is done.
+    began = {e.task: e.time for e in events if e.kind in ("start", "control")}
+    done = {e.task: e.time for e in events if e.kind in ("complete", "control")}
+    for pred, succ in g.edges:
+        for later in instance_ids(g.tasks[succ]):
+            if later in began:
+                for earlier in instance_ids(g.tasks[pred]):
+                    assert done[earlier] <= began[later]
+    # Each variable is granted at most once per slot.
+    grants = [(e.time, e.detail) for e in events if e.kind == "access"]
+    assert len(grants) == len(set(grants))
+    # Work is conserved, and the ledger is consistent.
+    assert report.total_instructions == sum(tasks[iid].instruction_count for iid in starts)
+    assert math.isclose(report.avg_power * report.makespan, report.total_energy, rel_tol=1e-12)
+
+
 class TestTraceInvariants:
     """The North-star invariants, read from the trace of the authored-graph
     engine."""
@@ -869,34 +908,98 @@ class TestTraceInvariants:
             report = run(g, cfg, record_events=True)
         except (DegenerateWorkloadError, GraphStructureError):
             return
-        events = report.events
-        executed = executed_tasks(g, cfg)
-        tasks = {iid: task for task in g for iid in instance_ids(task)}
-        # Each executed instance starts once and completes once; each
-        # executed control task resolves once.
-        starts = Counter(e.task for e in events if e.kind == "start")
-        completes = Counter(e.task for e in events if e.kind == "complete")
-        controls = Counter(e.task for e in events if e.kind == "control")
-        core_run = Counter(
-            iid for iid, task in tasks.items()
-            if task.id in executed and task.kind is not TaskKind.CONTROL
+        assert_trace_invariants(g, cfg, report)
+
+
+class LinearScanSimulation(sim_module._Simulation):
+    """Dispatch without the heap of cores whose queue has room, kept as the
+    oracle: once every core is busy, each ready instance scans all cores for
+    the lowest index whose pre-allocation queue has room."""
+
+    def _dispatch(self, slot):
+        while self.ready:
+            if self.idle:
+                core_idx = heapq.heappop(self.idle)
+            elif len(self.cores) < self.cfg.m:
+                core_idx = len(self.cores)
+                self.cores.append(sim_module._Core())
+            else:
+                break
+            _, item = heapq.heappop(self.ready)
+            self._start(core_idx, item, slot, from_queue=False)
+        while self.ready:
+            core_idx = next(
+                (i for i, c in enumerate(self.cores) if len(c.queue) < self.cfg.prealloc_depth),
+                None,
+            )
+            if core_idx is None:
+                break
+            _, item = heapq.heappop(self.ready)
+            self.cores[core_idx].queue.append(item)
+            self.sched_msg_count += 1
+            self._event(slot, "queue", item[0], f"core={core_idx}")
+
+
+def width(g):
+    """Instances of the graph's core-executed tasks."""
+    return sum(t.instances for t in g if t.kind is not TaskKind.CONTROL)
+
+
+class TestRoomHeapMatchesLinearScan:
+    """Pre-allocation takes the lowest core with queue room from a heap; the
+    linear scan it replaces must give the same traced report.  m is drawn
+    below the graph's width, so that every core gets busy and queues fill."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases()), st.integers(0, 3), st.data())
+    def test_traced_reports_match(self, case, depth, data):
+        g, cfg = case
+        m = data.draw(st.integers(1, max(1, width(g) - 1)))
+        cfg = replace(cfg, m=m, prealloc_depth=depth)
+        report = run_outcome(g, cfg, sim_module._Simulation)
+        assert report == run_outcome(g, cfg, LinearScanSimulation)
+        if not isinstance(report, tuple):
+            assert_trace_invariants(g, cfg, report)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_deep_backlog(self, depth):
+        # A loader, then d = 8m instances: the queues fill and drain many times.
+        m = 16
+        g = TaskGraph(
+            [singular("load", 20, writes={"in[0]"}), duplicable("w", 8 * m, 20, {"in[#]"}, {"out[#]"})],
+            {("load", "w")},
         )
-        assert starts == completes == core_run
-        assert controls == Counter(t for t in executed if g.tasks[t].kind is TaskKind.CONTROL)
-        # No instance starts before every instance of its predecessors is done.
-        began = {e.task: e.time for e in events if e.kind in ("start", "control")}
-        done = {e.task: e.time for e in events if e.kind in ("complete", "control")}
-        for pred, succ in g.edges:
-            for later in instance_ids(g.tasks[succ]):
-                if later in began:
-                    for earlier in instance_ids(g.tasks[pred]):
-                        assert done[earlier] <= began[later]
-        # Each variable is granted at most once per slot.
-        grants = [(e.time, e.detail) for e in events if e.kind == "access"]
-        assert len(grants) == len(set(grants))
-        # Work is conserved, and the ledger is consistent.
-        assert report.total_instructions == sum(tasks[iid].instruction_count for iid in starts)
-        assert math.isclose(report.avg_power * report.makespan, report.total_energy, rel_tol=1e-12)
+        cfg = SimConfig(chip=CHIP, m=m, prealloc_depth=depth)
+        report = run_outcome(g, cfg, sim_module._Simulation)
+        assert report == run_outcome(g, cfg, LinearScanSimulation)
+        # Past the first m, every instance waits in a queue when there are any.
+        queued = sum(e.kind == "queue" for e in report.events)
+        assert queued == (7 * m if depth else 0)
+
+
+class TestSeedIndependence:
+    """The seed only picks conflict winners: it moves stalls and the
+    makespan, never the work, the messages, the accesses or their energy."""
+
+    FIXED = (
+        "total_instructions", "mem_access_count", "sched_msg_count", "compute_energy",
+        "sched_msg_energy_total", "mem_msg_energy_total",
+    )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seed_leaves_counts_and_energy(self, case, seed):
+        g, cfg = case
+        try:
+            first = run(g, cfg)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        other = run(g, replace(cfg, seed=seed))
+        for name in self.FIXED:
+            assert getattr(other, name) == getattr(first, name), name
 
 
 class TestLedger:
