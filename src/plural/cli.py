@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 
 from . import comm, et2, graphio, scaling, sim
 from .errors import PluralError
-from .graph import check_crew, validate_dag
+from .graph import CrewViolation, check_crew, validate_dag
 
 __all__ = ["main"]
 
@@ -223,9 +223,12 @@ def _outcomes_from_args(pairs: list[str]) -> dict[str, str]:
     return outcomes
 
 
-def _warn_crew(g) -> None:
-    for violation in check_crew(g):
+def _warn_crew(g) -> list[CrewViolation]:
+    """Warn of each CREW violation on stderr; return the violations."""
+    violations = check_crew(g)
+    for violation in violations:
         sys.stderr.write(f"WARNING: CREW violation: {violation}\n")
+    return violations
 
 
 def _dump_report(doc: dict) -> str:
@@ -282,9 +285,7 @@ def cmd_validate(args, out) -> int:
     if cycle is not None:
         sys.stderr.write("cycle: " + " -> ".join(cycle) + "\n")
         return EXIT_INPUT
-    violations = check_crew(g)
-    for violation in violations:
-        sys.stderr.write(f"WARNING: CREW violation: {violation}\n")
+    violations = _warn_crew(g)
     out.write(
         f"ok: {len(g.tasks)} tasks, {len(g.edges)} edges, "
         f"{len(violations)} CREW violation(s)\n"
@@ -353,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except PluralError as exc:
+    except (OSError, PluralError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -66,6 +66,11 @@ class ControlKind(Enum):
     CONDITIONAL = "conditional"
 
 
+def _is_count(value: object, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class Task:
     """One node of a task graph.
@@ -91,7 +96,7 @@ class Task:
             raise ValidationError(f"task id must be a non-empty string, got {self.id!r}")
         object.__setattr__(self, "read_set", frozenset(self.read_set))
         object.__setattr__(self, "write_set", frozenset(self.write_set))
-        if not isinstance(self.instruction_count, int) or self.instruction_count < 0:
+        if not _is_count(self.instruction_count, 0):
             raise ValidationError(
                 f"task {self.id!r}: instruction_count must be a nonnegative "
                 f"integer, got {self.instruction_count!r}"
@@ -121,7 +126,7 @@ class Task:
                     f"task {self.id!r}: control_kind is only valid on control tasks"
                 )
             if self.kind is TaskKind.DUPLICABLE:
-                if not isinstance(self.instances, int) or self.instances < 1:
+                if not _is_count(self.instances, 1):
                     raise ValidationError(
                         f"task {self.id!r}: duplicable instance count must be a "
                         f"positive integer, got {self.instances!r}"

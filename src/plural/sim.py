@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple
 
+from . import comm
 from .errors import (
     CycleError,
     DegenerateWorkloadError,
@@ -158,11 +159,9 @@ class ModelDeviation:
     powerdown_deviation: float
 
 
-# Event kinds, in the order a slot processes them.  A retry event marks a
-# variable whose losers wait for the slot.
+# Event kinds, in the order a slot processes them.
 _COMPLETE = 0
 _ACCESS = 1
-_RETRY = 2
 
 _TID = attrgetter("tid")
 
@@ -228,8 +227,8 @@ class _Simulation:
         )
         self.slot_dt = chip.cpi / self.core_freq
         self.instr_energy = chip.area / cfg.m
-        self.msg_energy = math.sqrt(chip.area)
-        self.access_energy = math.sqrt(chip.area) + math.log2(cfg.m)
+        self.msg_energy = comm.sched_msg_energy(chip.area)
+        self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed)
 
         self.ids = _instance_ids(g)
@@ -247,13 +246,12 @@ class _Simulation:
         # core is in it exactly while len(queue) < prealloc_depth.
         self.room: list[int] = []
         self.ready: list[tuple[int, _Item]] = []  # (ready slot, instance)
-        # Entries are (slot, kind, instance id, instance) for completions and
-        # accesses and (slot, _RETRY, variable, None) for retries.  Each
-        # started instance has one pending entry at a time and starts at most
-        # once, and each variable has at most one retry per slot, so
-        # (slot, kind, key) is unique and heapq never compares the last field.
-        self.heap: list[tuple[int, int, str, _Instance | None]] = []
-        self.waiting: dict[str, list[_Instance]] = {}  # losers, per variable
+        # Entries are (slot, kind, instance id, instance), one per instance
+        # milestone: its next access or its completion.  Each started instance
+        # has one pending entry at a time and starts at most once, so
+        # (slot, kind, id) is unique and heapq never compares the instance.
+        self.heap: list[tuple[int, int, str, _Instance]] = []
+        self.waiting: dict[str, list[_Instance]] = {}  # contenders, never empty
         self.started: set[str] = set()
 
         self.total_instructions = 0
@@ -397,30 +395,21 @@ class _Simulation:
             heapq.heappush(self.idle, inst.core)
         self._dispatch(slot)
 
-    def _arbitrate(self, arrivals: list[_Instance], retries: list[str], slot: int) -> None:
-        """Grant each variable contended in ``slot`` to one contender.
+    def _arbitrate(self, slot: int) -> None:
+        """Grant each variable with contenders in ``slot`` to one of them.
 
-        A variable's contenders are its waiting losers (``retries`` names the
-        variables that have some) and the slot's new ``arrivals``.  Sorted
-        by task id and shuffled, the first wins; the others stay in the
-        variable's wait set, and one retry event brings them back next slot.
-        A stall is charged once, at the grant: the slots since the arrival.
+        A variable's contenders are its wait set: losers of earlier slots
+        and the slot's arrivals.  Sorted by task id and shuffled, the first
+        wins; the others stay in the wait set, which keeps the main loop on
+        the next slot, and an emptied set is dropped.  A stall is charged
+        once, at the grant: the slots since the arrival.
         """
-        groups = {var: self.waiting.pop(var) for var in retries}
-        for inst in arrivals:
-            inst.since = slot
-            var = inst.vars[inst.granted % len(inst.vars)]
-            group = groups.get(var)
-            if group is None:
-                groups[var] = [inst]
-            else:
-                group.append(inst)
-        for var in sorted(groups):
-            group = groups[var]
+        for var in sorted(self.waiting):
+            group = self.waiting[var]
             if len(group) == 1:
                 order = group
             else:
-                # The wait set is kept sorted and arrivals pop in task id
+                # The losers are kept sorted and arrivals pop in task id
                 # order, so this sort merges two sorted runs.
                 group.sort(key=_TID)
                 order = group.copy()
@@ -436,10 +425,9 @@ class _Simulation:
                 for inst in order[1:]:
                     self._event(slot, "stall", inst.tid, f"var={var}")
             self._push_next(winner)
-            if len(group) > 1:
-                group.remove(winner)
-                self.waiting[var] = group
-                heapq.heappush(self.heap, (slot + 1, _RETRY, var, None))
+            group.remove(winner)
+            if not group:
+                del self.waiting[var]
 
     # -- main loop ----------------------------------------------------------
 
@@ -448,20 +436,26 @@ class _Simulation:
         # successors, which the walk must not make ready a second time.
         self._release(self._instances(t for t in self.g.tasks if self.pred_left[t] == 0), (), 0)
         self._dispatch(0)
-        while self.heap:
-            slot = self.heap[0][0]
-            arrivals: list[_Instance] = []
-            retries: list[str] = []
+        slot = 0
+        # A grant queues its instance's next milestone at a later slot, so
+        # once a slot is arbitrated the heap holds nothing before slot + 1,
+        # where any waiting loser contends again.
+        while self.heap or self.waiting:
+            slot = slot + 1 if self.waiting else self.heap[0][0]
             while self.heap and self.heap[0][0] == slot:
-                _, kind, key, inst = heapq.heappop(self.heap)
+                _, kind, _, inst = heapq.heappop(self.heap)
                 if kind == _COMPLETE:
                     self._complete(inst, slot)
-                elif kind == _ACCESS:
-                    arrivals.append(inst)
                 else:
-                    retries.append(key)
-            if arrivals or retries:
-                self._arbitrate(arrivals, retries, slot)
+                    inst.since = slot
+                    var = inst.vars[inst.granted % len(inst.vars)]
+                    group = self.waiting.get(var)
+                    if group is None:
+                        self.waiting[var] = [inst]
+                    else:
+                        group.append(inst)
+            if self.waiting:
+                self._arbitrate(slot)
 
     @property
     def makespan(self) -> float:
@@ -575,7 +569,8 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
     ref_compute = report.total_instructions * area
     if cfg.comm_costs_enabled:
-        ref_total = ref_compute + (report.sched_msg_count + report.mem_access_count) * math.sqrt(area)
+        messages = report.sched_msg_count + report.mem_access_count
+        ref_total = ref_compute + messages * comm.sched_msg_energy(area)
     else:
         ref_total = ref_compute
     ref_makespan = report.empirical_speedup * report.makespan

@@ -583,6 +583,20 @@ class TestValidate:
         assert code == 2
         assert "a -> b -> a" in err
 
+    def test_bool_counts_rejected(self, capsys, tmp_path):
+        doc = {
+            "tasks": [
+                {"id": "a", "kind": "duplicable", "d": True, "instructions": True,
+                 "writes": ["o[#]"]},
+            ],
+            "edges": [],
+        }
+        path = write_graph(tmp_path, doc)
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert "'a'" in err and "instruction_count" in err
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):

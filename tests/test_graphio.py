@@ -105,6 +105,21 @@ def test_task_level_validation_is_wrapped():
         )
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ('"kind": "singular", "instructions": true', "instruction_count"),
+        ('"kind": "duplicable", "d": true, "instructions": 4', "duplicable instance count"),
+        ('"kind": "duplicable", "d": 2, "instructions": false', "instruction_count"),
+    ],
+    ids=["instructions-true", "d-true", "instructions-false"],
+)
+def test_rejects_bool_counts(task, message):
+    # JSON true and false are Python bools, which are ints.
+    with pytest.raises(GraphFormatError, match=rf"\('a'\): task 'a': {message}"):
+        loads(f'{{"tasks": [{{"id": "a", {task}, "writes": ["o[#]"]}}], "edges": []}}')
+
+
 def test_dangling_edge_is_structural_error():
     with pytest.raises(GraphStructureError, match="ghost"):
         loads('{"tasks": [{"id": "a", "kind": "singular"}], "edges": [["a", "ghost"]]}')

@@ -337,7 +337,7 @@ class TestMemoryConflicts:
 
     def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
         # A 64-way burst on one variable: every event-heap push is an
-        # instance start, a grant, or a retry of a contended (variable, slot).
+        # instance start or a grant.
         g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
         traced = run(g, cfg, record_events=True)
@@ -365,7 +365,7 @@ class TestMemoryConflicts:
 
         instances, grants = 64, traced.mem_access_count
         counts = pushes(sim_module._Simulation)
-        assert counts["events"] <= instances + grants + len(contended)
+        assert counts["events"] == instances + grants
         # the ready queue and the idle-core heap take at most one push per
         # instance each; a core enters the heap of queues with room when it
         # is first used or when its full queue starts an instance
@@ -911,35 +911,6 @@ class TestTraceInvariants:
         assert_trace_invariants(g, cfg, report)
 
 
-class LinearScanSimulation(sim_module._Simulation):
-    """Dispatch without the heap of cores whose queue has room, kept as the
-    oracle: once every core is busy, each ready instance scans all cores for
-    the lowest index whose pre-allocation queue has room."""
-
-    def _dispatch(self, slot):
-        while self.ready:
-            if self.idle:
-                core_idx = heapq.heappop(self.idle)
-            elif len(self.cores) < self.cfg.m:
-                core_idx = len(self.cores)
-                self.cores.append(sim_module._Core())
-            else:
-                break
-            _, item = heapq.heappop(self.ready)
-            self._start(core_idx, item, slot, from_queue=False)
-        while self.ready:
-            core_idx = next(
-                (i for i, c in enumerate(self.cores) if len(c.queue) < self.cfg.prealloc_depth),
-                None,
-            )
-            if core_idx is None:
-                break
-            _, item = heapq.heappop(self.ready)
-            self.cores[core_idx].queue.append(item)
-            self.sched_msg_count += 1
-            self._event(slot, "queue", item[0], f"core={core_idx}")
-
-
 def width(g):
     """Instances of the graph's core-executed tasks."""
     return sum(t.instances for t in g if t.kind is not TaskKind.CONTROL)
@@ -947,8 +918,9 @@ def width(g):
 
 class TestRoomHeapMatchesLinearScan:
     """Pre-allocation takes the lowest core with queue room from a heap; the
-    linear scan it replaces must give the same traced report.  m is drawn
-    below the graph's width, so that every core gets busy and queues fill."""
+    per-stall engine's scan over every core must give the same traced report.
+    m is drawn below the graph's width, so that every core gets busy and
+    queues fill."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.one_of(sim_cases(), contention_cases()), st.integers(0, 3), st.data())
@@ -957,7 +929,7 @@ class TestRoomHeapMatchesLinearScan:
         m = data.draw(st.integers(1, max(1, width(g) - 1)))
         cfg = replace(cfg, m=m, prealloc_depth=depth)
         report = run_outcome(g, cfg, sim_module._Simulation)
-        assert report == run_outcome(g, cfg, LinearScanSimulation)
+        assert report == run_outcome(g, cfg, PerStallSimulation)
         if not isinstance(report, tuple):
             assert_trace_invariants(g, cfg, report)
 
@@ -971,7 +943,7 @@ class TestRoomHeapMatchesLinearScan:
         )
         cfg = SimConfig(chip=CHIP, m=m, prealloc_depth=depth)
         report = run_outcome(g, cfg, sim_module._Simulation)
-        assert report == run_outcome(g, cfg, LinearScanSimulation)
+        assert report == run_outcome(g, cfg, PerStallSimulation)
         # Past the first m, every instance waits in a queue when there are any.
         queued = sum(e.kind == "queue" for e in report.events)
         assert queued == (7 * m if depth else 0)
