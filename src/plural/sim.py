@@ -19,10 +19,15 @@ Execution semantics:
 * Every Nth instruction of a task (N = mem_access_stride) is a shared-memory
   access, targeting the task's footprint round-robin (sorted reads, then
   sorted writes).  Accesses to one variable in the same slot are serialized:
-  each slot, a seeded generator picks one winner among the variable's
-  contenders, and every loser waits in the variable's wait set and contends
+  each slot, one draw of a seeded generator picks a winner uniformly among
+  the variable's contenders sorted by instance id (a lone contender draws
+  nothing), and every loser waits in the variable's wait set and contends
   again next slot, its core stalled meanwhile.  A granted access has stalled
   its core for the grant slot minus the arrival slot.
+* Reads are serialized too: memory is single-ported, one access per variable
+  per slot.  A CREW PRAM (Fortune & Wyllie, 1978) would grant every reader
+  of a variable in the same slot when no writer contends; this model does
+  not, so readers of one shared variable stall each other.
 * A variable whose touchers are all ordered by precedence
   (``graph.private_variables``) is never accessed by two instances in one
   slot, so an access to it never stalls and draws nothing from the
@@ -45,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -251,7 +257,8 @@ class _Simulation:
         # has one pending entry at a time and starts at most once, so
         # (slot, kind, id) is unique and heapq never compares the instance.
         self.heap: list[tuple[int, int, str, _Instance]] = []
-        self.waiting: dict[str, list[_Instance]] = {}  # contenders, never empty
+        # Contenders per variable, sorted by instance id; never empty.
+        self.waiting: dict[str, list[_Instance]] = {}
         self.started: set[str] = set()
 
         self.total_instructions = 0
@@ -399,22 +406,16 @@ class _Simulation:
         """Grant each variable with contenders in ``slot`` to one of them.
 
         A variable's contenders are its wait set: losers of earlier slots
-        and the slot's arrivals.  Sorted by task id and shuffled, the first
-        wins; the others stay in the wait set, which keeps the main loop on
-        the next slot, and an emptied set is dropped.  A stall is charged
-        once, at the grant: the slots since the arrival.
+        and the slot's arrivals, kept sorted by instance id.  One draw of
+        ``randrange(len(group))`` picks the winner, so the winner is uniform
+        and a group of one draws nothing.  The others stay in the wait set,
+        in id order, which keeps the main loop on the next slot; an emptied
+        set is dropped.  A stall is charged once, at the grant: the slots
+        since the arrival.
         """
         for var in sorted(self.waiting):
             group = self.waiting[var]
-            if len(group) == 1:
-                order = group
-            else:
-                # The losers are kept sorted and arrivals pop in task id
-                # order, so this sort merges two sorted runs.
-                group.sort(key=_TID)
-                order = group.copy()
-                self.rng.shuffle(order)
-            winner = order[0]
+            winner = group.pop(self.rng.randrange(len(group)) if len(group) > 1 else 0)
             stalls = slot - winner.since
             winner.stalls += stalls
             self.mem_conflict_stalls += stalls
@@ -422,10 +423,9 @@ class _Simulation:
             self.mem_access_count += 1
             if self.trace is not None:
                 self._event(slot, "access", winner.tid, f"var={var}")
-                for inst in order[1:]:
+                for inst in group:
                     self._event(slot, "stall", inst.tid, f"var={var}")
             self._push_next(winner)
-            group.remove(winner)
             if not group:
                 del self.waiting[var]
 
@@ -453,7 +453,7 @@ class _Simulation:
                     if group is None:
                         self.waiting[var] = [inst]
                     else:
-                        group.append(inst)
+                        insort(group, inst, key=_TID)
             if self.waiting:
                 self._arbitrate(slot)
 

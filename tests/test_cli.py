@@ -5,13 +5,16 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sim import contention_cases, sim_cases
 
+import plural
 import plural.graph as graph_module
 from plural import DegenerateWorkloadError, GraphStructureError, cli, comm, scaling, sim
 
@@ -68,8 +71,8 @@ WIDE_GRAPH = {
 # sha256 of `plural simulate WIDE_GRAPH --m 16384` stdout, as printed by
 # `json.dumps(doc, indent=2)`.
 WIDE_SIMULATE_DIGESTS = {
-    "plain": "c1052fffba74849ec9239d6a4d1c41dda7852f70c61b713c4362f6f88b257c1a",
-    "check-model": "36c146ab7ecd6890406d449300e3432fc6190e76f6205c497cb1ef1c248f3c70",
+    "plain": "c05fd4da967404a0fe0756621b28ec81c772580e1552ef61b3a5a80a1baabac2",
+    "check-model": "2e4ca040a3938dc5a471b2885d11c6e08a49d1c03295914a5b428775b008d0bb",
 }
 
 
@@ -606,6 +609,14 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+def test_package_version_matches_pyproject():
+    # Reports are versioned with the package; a regex, since tomllib is 3.11+.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared is not None
+    assert plural.__version__ == declared.group(1)
 
 
 

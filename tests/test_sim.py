@@ -305,10 +305,11 @@ class TestMemoryConflicts:
         assert report.mem_conflict_stalls == 0
 
     def test_arrival_joins_waiting_losers(self):
-        # Slot 0: a and b contend for x (a wins, b waits); c reads w
-        # uncontended.  Slot 1: c's next access arrives at x while b still
-        # waits, and b wins.  Slot 2: c is granted after one stalled slot.
-        # a ends at 1, b at 0 + 1 + 1 stall = 2, c at 0 + 2 + 1 stall = 3.
+        # Seed 0's first two draws of randrange(2) are 1 and 1.  Slot 0: c
+        # reads w alone, no draw; x's wait set is [a, b] and draw 1 grants b,
+        # so a waits.  Slot 1: b ends; c's next access arrives at x and joins
+        # a, giving [a, c], and draw 1 grants c; a stalls again.  Slot 2: a
+        # is alone, no draw.  a ends at 0 + 1 + 2 stalls = 3, b at 1, c at 2.
         g = TaskGraph(
             [
                 singular("a", 1, reads={"x"}),
@@ -325,15 +326,40 @@ class TestMemoryConflicts:
             if e.kind in ("access", "stall")
         ] == [
             (0.0, "access", "c", "var=w"),
-            (0.0, "access", "a", "var=x"),
-            (0.0, "stall", "b", "var=x"),
-            (1.0, "access", "b", "var=x"),
-            (1.0, "stall", "c", "var=x"),
-            (2.0, "access", "c", "var=x"),
+            (0.0, "access", "b", "var=x"),
+            (0.0, "stall", "a", "var=x"),
+            (1.0, "access", "c", "var=x"),
+            (1.0, "stall", "a", "var=x"),
+            (2.0, "access", "a", "var=x"),
         ]
         assert report.mem_conflict_stalls == 2
         assert report.makespan == 3.0
-        assert report.per_core_busy_time == (1.0, 2.0, 3.0)
+        assert report.per_core_busy_time == (3.0, 1.0, 2.0)
+
+    def test_arrival_takes_its_place_by_id(self):
+        # As above, with the two-access task named a.  Slot 0: [b, c], draw
+        # 1 grants c.  Slot 1: a's access to x sorts ahead of the waiting b,
+        # giving [a, b], so draw 1 grants b, not the arrival.
+        g = TaskGraph(
+            [
+                singular("a", 2, reads={"w", "x"}),
+                singular("b", 1, reads={"x"}),
+                singular("c", 1, reads={"x"}),
+            ]
+        )
+        cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
+        report = run(g, cfg, record_events=True)
+        assert [
+            (e.time, e.kind, e.task) for e in report.events if e.kind in ("access", "stall")
+        ] == [
+            (0.0, "access", "a"),
+            (0.0, "access", "c"),
+            (0.0, "stall", "b"),
+            (1.0, "access", "b"),
+            (1.0, "stall", "a"),
+            (2.0, "access", "a"),
+        ]
+        assert report.mem_conflict_stalls == 2
 
     def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
         # A 64-way burst on one variable: every event-heap push is an
@@ -375,6 +401,52 @@ class TestMemoryConflicts:
         # the per-stall engine pushes every loser back, once per lost slot
         per_stall = pushes(PerStallSimulation)
         assert per_stall["events"] == instances + grants + traced.mem_conflict_stalls
+
+    def test_one_draw_per_contended_slot(self, monkeypatch):
+        # The 64-way burst above: traced, every grant goes through
+        # arbitration, and only a (variable, slot) with two or more
+        # contenders, which is one with a stall, draws.
+        g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
+        cfg = SimConfig(chip=CHIP, m=64, seed=5)
+        calls = Counter()
+        real_randrange = random.Random.randrange
+
+        def counting_randrange(rng, *args):
+            calls["randrange"] += 1
+            return real_randrange(rng, *args)
+
+        def forbidden(rng, *args):
+            raise AssertionError("arbitration shuffled a wait set")
+
+        monkeypatch.setattr(random.Random, "randrange", counting_randrange)
+        monkeypatch.setattr(random.Random, "shuffle", forbidden)
+        traced = run(g, cfg, record_events=True)
+        contended = {(e.time, e.detail) for e in traced.events if e.kind == "stall"}
+        assert calls["randrange"] == len(contended) > 0
+        assert traced.mem_access_count > 2 * len(contended)
+        calls.clear()
+        assert run(g, cfg).mem_conflict_stalls == traced.mem_conflict_stalls
+        assert calls["randrange"] == len(contended)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 16])
+    def test_k_way_burst_stalls_do_not_depend_on_seed(self, k):
+        # One access each, all arriving in one slot: the i-th grant waited
+        # i slots, whichever order the draws pick.
+        g = TaskGraph([duplicable("r", k, 5, reads={"x"})])
+        for seed in range(25):
+            report = run(g, SimConfig(chip=CHIP, m=k, seed=seed))
+            assert report.mem_conflict_stalls == k * (k - 1) // 2
+
+    def test_first_grant_is_uniform(self):
+        # 4 contenders over 4000 seeds: each should win about 1000 times,
+        # with a standard deviation of about 27.
+        g = TaskGraph([duplicable("r", 4, 5, reads={"x"})])
+        wins = Counter()
+        for seed in range(4000):
+            report = run(g, SimConfig(chip=CHIP, m=4, seed=seed), record_events=True)
+            wins[next(e.task for e in report.events if e.kind == "access")] += 1
+        assert sorted(wins) == instance_ids(g.tasks["r"])
+        assert all(850 <= n <= 1150 for n in wins.values()), wins
 
     def test_contention_lowers_speedup(self):
         g = TaskGraph([duplicable("w", 2, 10, writes={"x"})])
@@ -496,7 +568,9 @@ class PerStallSimulation(sim_module._Simulation):
     """The simulator before per-variable wait sets, kept as the oracle.
 
     Every loser goes back into the event heap for the next slot and stalls
-    one slot per lost arbitration; all m cores exist from the start, and
+    one slot per lost arbitration; each slot, one draw over a variable's
+    contenders sorted by instance id picks its winner, and a group of one
+    draws nothing.  All m cores exist from the start, and
     dispatch scans them for the lowest-index idle one, then for the
     lowest-index queue with room.  It ignores the private variables it is
     given, so every access goes through its loop.
@@ -537,10 +611,8 @@ class PerStallSimulation(sim_module._Simulation):
             var = inst.vars[inst.granted % len(inst.vars)]
             groups.setdefault(var, []).append(inst)
         for var in sorted(groups):
-            group = sorted(groups[var], key=lambda i: i.tid)
-            if len(group) > 1:
-                self.rng.shuffle(group)
-            winner, losers = group[0], group[1:]
+            losers = sorted(groups[var], key=lambda i: i.tid)
+            winner = losers.pop(self.rng.randrange(len(losers)) if len(losers) > 1 else 0)
             winner.granted += 1
             self.mem_access_count += 1
             self._event(slot, "access", winner.tid, f"var={var}")
@@ -603,25 +675,29 @@ def contention_cases(draw):
     return TaskGraph(tasks, edges), cfg
 
 
+def assert_matches_per_stall(g, cfg):
+    """The traced run equals the per-stall engine's and keeps the trace
+    invariants."""
+    report = run_outcome(g, cfg, sim_module._Simulation)
+    assert report == run_outcome(g, cfg, PerStallSimulation)
+    if not isinstance(report, tuple):
+        assert_trace_invariants(g, cfg, report)
+
+
 class TestPerStallReference:
     """Wait sets and the idle-core heap change the simulator's cost, not its
-    reports: the per-stall engine must give the same traced report."""
+    reports: the per-stall engine must give the same traced report, and
+    that report must keep the trace invariants."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(contention_cases())
     def test_contended_runs_match(self, case):
-        g, cfg = case
-        assert run_outcome(g, cfg, sim_module._Simulation) == run_outcome(
-            g, cfg, PerStallSimulation
-        )
+        assert_matches_per_stall(*case)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(sim_cases())
     def test_control_and_conditional_runs_match(self, case):
-        g, cfg = case
-        assert run_outcome(g, cfg, sim_module._Simulation) == run_outcome(
-            g, cfg, PerStallSimulation
-        )
+        assert_matches_per_stall(*case)
 
 
 @st.composite
@@ -927,11 +1003,7 @@ class TestRoomHeapMatchesLinearScan:
     def test_traced_reports_match(self, case, depth, data):
         g, cfg = case
         m = data.draw(st.integers(1, max(1, width(g) - 1)))
-        cfg = replace(cfg, m=m, prealloc_depth=depth)
-        report = run_outcome(g, cfg, sim_module._Simulation)
-        assert report == run_outcome(g, cfg, PerStallSimulation)
-        if not isinstance(report, tuple):
-            assert_trace_invariants(g, cfg, report)
+        assert_matches_per_stall(g, replace(cfg, m=m, prealloc_depth=depth))
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_deep_backlog(self, depth):
