@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CycleError, GraphStructureError, ValidationError
 
@@ -299,9 +299,12 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     return pairs
 
 
-# (authored id -> its bit, authored id -> descendants as an int bitset,
-#  concrete variable -> (instance id, authored id, writes it?) per toucher)
-_Footprint = tuple[dict[str, int], dict[str, int], dict[str, list[tuple[str, str, bool]]]]
+class _Footprint(NamedTuple):
+    index: dict[str, int]  # authored id -> its bit
+    desc: dict[str, int]  # authored id -> descendants as an int bitset
+    touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
+    # authored id, ascending -> (instance id, sorted reads + sorted writes) per instance
+    instances: dict[str, list[tuple[str, tuple[str, ...]]]]
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -317,20 +320,22 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     task's id and ``CycleError``, with a witness over expanded ids, when the
     graph has a cycle.
     """
-    instances = _instance_ids(g)
+    ids = _instance_ids(g)
     index = {tid: i for i, tid in enumerate(g.tasks)}
     desc = _descendant_bits(g, index)
     if desc is None:
         raise CycleError(validate_dag(expand_duplicables(g)))
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    for tid, task in g.tasks.items():
-        if not (task.read_set or task.write_set):
-            continue
-        for k, iid in enumerate(instances[tid]):
+    instances: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for tid, iids in ids.items():
+        task = g.tasks[tid]
+        instances[tid] = []
+        for k, iid in enumerate(iids):
             reads, writes = _instance_footprint(task, k)
+            instances[tid].append((iid, tuple(sorted(reads)) + tuple(sorted(writes))))
             for var in reads | writes:
                 touchers.setdefault(var, []).append((iid, tid, var in writes))
-    return index, desc, touchers
+    return _Footprint(index, desc, touchers, instances)
 
 
 def check_crew(g: TaskGraph) -> list[CrewViolation]:
@@ -350,7 +355,7 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     share a variable written by at least one of them are tested.  Raises
     what ``_build_footprint`` raises.
     """
-    index, desc, touchers = g._footprint
+    index, desc, touchers, _ = g._footprint
 
     # (instance a, instance b), a < b -> (write-write vars, read-write vars)
     found: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
@@ -389,7 +394,7 @@ def private_variables(g: TaskGraph) -> frozenset[str]:
     itself, so a variable that two instances of one duplicable share is
     never private.  Raises what ``check_crew`` raises.
     """
-    index, desc, touchers = g._footprint
+    index, desc, touchers, _ = g._footprint
     size = {tid: bits.bit_count() for tid, bits in desc.items()}
     private = []
     for var, entries in touchers.items():

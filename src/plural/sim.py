@@ -31,9 +31,11 @@ Execution semantics:
 * A variable whose touchers are all ordered by precedence
   (``graph.private_variables``) is never accessed by two instances in one
   slot, so an access to it never stalls and draws nothing from the
-  generator.  An untraced run grants such accesses by arithmetic, without
-  an event; a traced run takes every access through the event loop so that
-  each grant keeps its place in the trace.  Reports are the same either way.
+  generator.  Such accesses are granted by arithmetic, without an event.
+* A trace holds each instance's milestones, each control task's
+  resolution and one ``access`` event per grant, whose ``waited=`` is its
+  stall.  It is sorted by time, then kind in the order a slot processes
+  them (complete, control, ready, start, queue, access), then id.
 * Energy ledger: an executed instruction costs A/m.  With communication
   costs enabled, each scheduler message (one init and one completion per
   core-executed instance) costs sqrt(A) and each memory access costs
@@ -54,7 +56,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import comm
 from .errors import (
@@ -69,8 +71,6 @@ from .graph import (
     Task,
     TaskGraph,
     TaskKind,
-    _instance_footprint,
-    _instance_ids,
     _successor_map,
     expand_duplicables,  # noqa: F401 -- unused, but benchmarks/tracing.py wraps it here
     private_variables,
@@ -121,7 +121,7 @@ class SimEvent(NamedTuple):
     """One entry of the optional event trace."""
 
     time: float
-    kind: str  # ready | start | queue | access | stall | complete | control
+    kind: str  # complete | control | ready | start | queue | access
     task: str
     detail: str
 
@@ -168,6 +168,9 @@ class ModelDeviation:
 # Event kinds, in the order a slot processes them.
 _COMPLETE = 0
 _ACCESS = 1
+# Trace event kinds, in the order the trace lists one slot's events.  A task
+# has at most one event of a kind per slot, so a trace's order is total.
+_TRACE_KINDS = ("complete", "control", "ready", "start", "queue", "access")
 
 _TID = attrgetter("tid")
 
@@ -179,12 +182,11 @@ class _Instance:
         "tid", "task", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
     )
 
-    def __init__(self, tid: str, task: Task, number: int, stride: int, private: frozenset[str]):
+    def __init__(self, tid: str, task: Task, vars_: tuple, stride: int, private: frozenset[str]):
         self.tid = tid  # instance id
         self.task = task.id
         self.n = task.instruction_count
-        reads, writes = _instance_footprint(task, number)
-        self.vars = vars_ = tuple(sorted(reads)) + tuple(sorted(writes))
+        self.vars = vars_  # access targets, round-robin
         self.n_access = self.n // stride if vars_ else 0
         # skip[r]: how many accesses from residue r on target private
         # variables before one that does not; None when none is private.
@@ -204,7 +206,7 @@ class _Instance:
         self.since = 0  # slot at which the pending access arrived
 
 
-_Item = tuple[str, str, int]  # (instance id, authored task id, instance number)
+_Item = tuple[str, str, tuple[str, ...]]  # (instance id, authored task id, access targets)
 
 
 class _Core:
@@ -237,11 +239,11 @@ class _Simulation:
         self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed)
 
-        self.ids = _instance_ids(g)
+        self.instances = g._footprint.instances  # by ascending authored id
         # Each task's unfinished predecessor instances.
         self.pred_left = {tid: 0 for tid in g.tasks}
         for pred, succ in g.edges:
-            self.pred_left[succ] += len(self.ids[pred])
+            self.pred_left[succ] += len(self.instances[pred])
         self.succs = _successor_map(g)
 
         # Cores are created on first use, lowest index first, so the cores
@@ -276,7 +278,7 @@ class _Simulation:
             self.trace.append(SimEvent(slot * self.slot_dt, kind, task, detail))
 
     def _instances(self, tids: Iterable[str]) -> list[_Item]:
-        return [(iid, tid, k) for tid in tids for k, iid in enumerate(self.ids[tid])]
+        return [(iid, tid, vars_) for tid in tids for iid, vars_ in self.instances[tid]]
 
     def _count_down(self, followers: list[str]) -> list[_Item]:
         """Count one finished instance off each follower; return the instances
@@ -287,49 +289,39 @@ class _Simulation:
 
     # -- scheduler ----------------------------------------------------------
 
-    def _release(self, walk: list[_Item], succs: Collection[str], slot: int) -> None:
-        """Make ``walk``'s instances ready by ascending id, as a finished
-        instance notifies those of its successors ``succs`` one at a time.  A
-        control task resolves at once, breadth first; an instance it frees is
-        made ready then if the walk has passed it, else at its place in it."""
-        heapq.heapify(walk)
-        while walk:
-            position = walk[0][0]
-            pending = deque([heapq.heappop(walk)])
-            while pending:
-                iid, t, k = pending.popleft()
-                task = self.g.tasks[t]
-                if task.kind is not TaskKind.CONTROL:
-                    heapq.heappush(self.ready, (slot, (iid, t, k)))
-                    self._event(slot, "ready", iid, "")
-                    continue
-                self.last_boundary = max(self.last_boundary, slot)
-                if task.control_kind is ControlKind.CONDITIONAL:
-                    chosen = self.cfg.conditional_outcomes.get(t)
-                    if chosen is None:
-                        raise SimConfigError(
-                            f"conditional control task {t!r} was reached but has no "
-                            "configured outcome"
-                        )
-                    # The chosen task's instances go by number, not by id.
-                    followers, order = [chosen], list
-                else:
-                    followers, order = self.succs[t], sorted
-                if self.trace is not None:
-                    forwards = ",".join(i for i, _, _ in order(self._instances(followers)))
-                    self._event(slot, "control", t, f"forwards={forwards}")
-                for item in order(self._count_down(followers)):
-                    if item[1] in succs and item[0] > position:
-                        heapq.heappush(walk, item)
-                    else:
-                        pending.append(item)
+    def _release(self, freed: list[_Item], slot: int) -> None:
+        """Make the ``freed`` instances ready.  A control task among them
+        resolves at once and appends the instances it frees.  The ``ready``
+        heap's key, not this order, decides dispatch."""
+        for iid, t, vars_ in freed:
+            task = self.g.tasks[t]
+            if task.kind is not TaskKind.CONTROL:
+                heapq.heappush(self.ready, (slot, (iid, t, vars_)))
+                self._event(slot, "ready", iid, "")
+                continue
+            self.last_boundary = max(self.last_boundary, slot)
+            if task.control_kind is ControlKind.CONDITIONAL:
+                chosen = self.cfg.conditional_outcomes.get(t)
+                if chosen is None:
+                    raise SimConfigError(
+                        f"conditional control task {t!r} was reached but has no "
+                        "configured outcome"
+                    )
+                # The chosen task's instances go by number, not by id.
+                followers, order = [chosen], list
+            else:
+                followers, order = self.succs[t], sorted
+            if self.trace is not None:
+                forwards = ",".join(i for i, _, _ in order(self._instances(followers)))
+                self._event(slot, "control", t, f"forwards={forwards}")
+            freed.extend(self._count_down(followers))
 
     def _start(self, core_idx: int, item: _Item, slot: int, from_queue: bool) -> None:
-        iid, tid, k = item
+        iid, tid, vars_ = item
         if iid in self.started:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
-        inst = _Instance(iid, self.g.tasks[tid], k, self.cfg.mem_access_stride, self.private)
+        inst = _Instance(iid, self.g.tasks[tid], vars_, self.cfg.mem_access_stride, self.private)
         inst.core = core_idx
         inst.start = slot
         self.cores[core_idx].current = inst
@@ -345,13 +337,18 @@ class _Simulation:
         be a group of one, granted in its arrival slot with no stall and no
         draw from the generator.
         """
+        stride = self.cfg.mem_access_stride
         if inst.skip is not None:
             jump = min(inst.skip[inst.granted % len(inst.vars)], inst.n_access - inst.granted)
+            if self.trace is not None:
+                for k in range(inst.granted, inst.granted + jump):
+                    slot = inst.start + (k + 1) * stride - 1 + inst.stalls
+                    var = inst.vars[k % len(inst.vars)]
+                    self._event(slot, "access", inst.tid, f"var={var} waited=0")
             inst.granted += jump
             self.mem_access_count += jump
         if inst.granted < inst.n_access:
-            instr = (inst.granted + 1) * self.cfg.mem_access_stride
-            slot = inst.start + instr - 1 + inst.stalls
+            slot = inst.start + (inst.granted + 1) * stride - 1 + inst.stalls
             heapq.heappush(self.heap, (slot, _ACCESS, inst.tid, inst))
         else:
             slot = inst.start + inst.n + inst.stalls
@@ -392,8 +389,7 @@ class _Simulation:
         self.sched_msg_count += 1  # task-completion message
         self.last_boundary = max(self.last_boundary, slot)
         self._event(slot, "complete", inst.tid, f"core={inst.core}")
-        succs = self.succs[inst.task]
-        self._release(self._count_down(succs), succs, slot)
+        self._release(self._count_down(self.succs[inst.task]), slot)
         if core.queue:
             if len(core.queue) == self.cfg.prealloc_depth:
                 heapq.heappush(self.room, inst.core)
@@ -422,9 +418,7 @@ class _Simulation:
             winner.granted += 1
             self.mem_access_count += 1
             if self.trace is not None:
-                self._event(slot, "access", winner.tid, f"var={var}")
-                for inst in group:
-                    self._event(slot, "stall", inst.tid, f"var={var}")
+                self._event(slot, "access", winner.tid, f"var={var} waited={stalls}")
             self._push_next(winner)
             if not group:
                 del self.waiting[var]
@@ -433,8 +427,8 @@ class _Simulation:
 
     def execute(self) -> None:
         # Snapshot the roots first: resolving a root control task releases its
-        # successors, which the walk must not make ready a second time.
-        self._release(self._instances(t for t in self.g.tasks if self.pred_left[t] == 0), (), 0)
+        # successors, which must not be made ready a second time.
+        self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
         self._dispatch(0)
         slot = 0
         # A grant queues its instance's next milestone at a later slot, so
@@ -474,6 +468,9 @@ class _Simulation:
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
         # An idle core's utilization is 0.0 / makespan, which is 0.0.
         unused = (0.0,) * (self.cfg.m - len(busy))
+        events = () if self.trace is None else tuple(
+            sorted(self.trace, key=lambda e: (e.time, _TRACE_KINDS.index(e.kind), e.task))
+        )
         return SimReport(
             m=self.cfg.m,
             makespan=makespan,
@@ -488,7 +485,7 @@ class _Simulation:
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,
             empirical_speedup=empirical_speedup,
-            events=tuple(self.trace) if self.trace is not None else (),
+            events=events,
         )
 
 
@@ -521,11 +518,7 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     if cycle is not None:
         raise CycleError(cycle)
     _check_outcomes(g, cfg)
-    # A traced run takes every access through the event loop, so each grant
-    # keeps its place in the trace.
-    private = frozenset() if record_events else private_variables(g)
-
-    sim = _Simulation(g, cfg, record_events, private)
+    sim = _Simulation(g, cfg, record_events, private_variables(g))
     sim.execute()
     if sim.total_instructions == 0:
         raise DegenerateWorkloadError(

@@ -6,13 +6,14 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_sim import contention_cases, sim_cases
+from test_sim import TRACE_KINDS, contention_cases, sim_cases
 
 import plural
 import plural.graph as graph_module
@@ -449,8 +450,11 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--emit-events")
         doc = json.loads(out)
         assert code == 0
-        assert doc["events"][0]["kind"] == "ready"
+        # Slot 0 makes all 64 instances ready, then starts 4 and queues 4.
+        assert [e["kind"] for e in doc["events"][:65]] == ["ready"] * 64 + ["start"]
         assert list(doc["events"][0]) == ["time", "kind", "task", "detail"]
+        keys = [(e["time"], TRACE_KINDS.index(e["kind"]), e["task"]) for e in doc["events"]]
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize(
         "flags, extra_keys",
@@ -479,20 +483,51 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SIMULATE_DIGESTS[name]
 
+    def test_wide_trace_grows_with_grants_not_stalls(self, capsys, tmp_path):
+        # 300 instances read "x" at once: about a million stalls, but the
+        # trace holds one event per ready, start, complete and control, and
+        # one per granted access.
+        path = write_graph(tmp_path, WIDE_GRAPH)
+        code, out, _ = run_cli(capsys, "simulate", path, "--m", "16384", "--emit-events")
+        assert code == 0
+        doc = json.loads(out)
+        instances = 1 + 300 + 1
+        assert doc["mem_access_count"] == 40 // 5 + 300 * (200 // 5) + 50 // 5
+        assert doc["mem_conflict_stalls"] > 10 * len(doc["events"])
+        assert Counter(e["kind"] for e in doc["events"]) == {
+            "ready": instances,
+            "start": instances,
+            "complete": instances,
+            "control": 1,
+            "access": doc["mem_access_count"],
+        }
+
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
-        # The CREW warnings and the run's private variables share one index.
-        built = []
-        real = graph_module._build_footprint
+        # The CREW warnings and the run share one index, which holds each
+        # instance's footprint: traced or not, each is computed once.
+        built, footprints = [], Counter()
+        real_build, real_footprint = graph_module._build_footprint, graph_module._instance_footprint
 
         def counting(g):
             built.append(len(g))
-            return real(g)
+            return real_build(g)
+
+        def counting_footprint(task, number):
+            footprints[task.id, number] += 1
+            return real_footprint(task, number)
 
         monkeypatch.setattr(graph_module, "_build_footprint", counting)
+        monkeypatch.setattr(graph_module, "_instance_footprint", counting_footprint)
+        # A module that imports the function by name must use the counted one too.
+        monkeypatch.setattr(sim, "_instance_footprint", counting_footprint, raising=False)
         path = write_graph(tmp_path, DEMO_GRAPH)
-        code, _, _ = run_cli(capsys, "simulate", path, "--m", "4")
-        assert code == 0
-        assert built == [1]
+        for flags in ((), ("--emit-events",)):
+            built.clear()
+            footprints.clear()
+            code, _, _ = run_cli(capsys, "simulate", path, "--m", "4", *flags)
+            assert code == 0
+            assert built == [1]
+            assert footprints == Counter(("work", k) for k in range(64))
 
 
 class TestDumpReport:

@@ -80,6 +80,28 @@ def slot_dt(cfg):
     return cfg.chip.cpi / (cfg.chip.area / cfg.m) ** cfg.chip.pollack_exponent
 
 
+# The documented order of one slot's events in a trace, spelled out.
+TRACE_KINDS = ["complete", "control", "ready", "start", "queue", "access"]
+
+
+def access_fields(event):
+    """An access event's (variable, slots it waited)."""
+    var, _, waited = event.detail.removeprefix("var=").rpartition(" waited=")
+    return var, int(waited)
+
+
+def contended(report, cfg):
+    """The (slot, variable) pairs with two or more contenders: an access
+    granted in slot s after waiting w slots lost slots s - w to s - 1."""
+    pairs = set()
+    for e in report.events:
+        if e.kind == "access":
+            var, waited = access_fields(e)
+            grant = round(e.time / slot_dt(cfg))
+            pairs.update((s, var) for s in range(grant - waited, grant))
+    return pairs
+
+
 class TestIdealWorkload:
     def test_hand_traced_m16(self):
         # 64 instances of 1000 instructions on 16 cores: 4 tasks per core,
@@ -296,7 +318,7 @@ class TestMemoryConflicts:
     def test_serialization_safety(self):
         g = TaskGraph([duplicable("w", 4, 20, writes={"hot"})])
         report = run(g, SimConfig(chip=CHIP, m=4, seed=9), record_events=True)
-        slots = [(e.time, e.detail) for e in report.events if e.kind == "access"]
+        slots = [(e.time, access_fields(e)[0]) for e in report.events if e.kind == "access"]
         assert len(slots) == len(set(slots))
 
     def test_single_core_never_conflicts(self):
@@ -306,10 +328,11 @@ class TestMemoryConflicts:
 
     def test_arrival_joins_waiting_losers(self):
         # Seed 0's first two draws of randrange(2) are 1 and 1.  Slot 0: c
-        # reads w alone, no draw; x's wait set is [a, b] and draw 1 grants b,
-        # so a waits.  Slot 1: b ends; c's next access arrives at x and joins
-        # a, giving [a, c], and draw 1 grants c; a stalls again.  Slot 2: a
-        # is alone, no draw.  a ends at 0 + 1 + 2 stalls = 3, b at 1, c at 2.
+        # reads the private w, no draw; x's wait set is [a, b] and draw 1
+        # grants b, so a waits.  Slot 1: b ends; c's next access arrives at x
+        # and joins a, giving [a, c], and draw 1 grants c; a stalls again.
+        # Slot 2: a is alone, no draw.  a ends at 0 + 1 + 2 stalls = 3, b at
+        # 1, c at 2.
         g = TaskGraph(
             [
                 singular("a", 1, reads={"x"}),
@@ -320,18 +343,13 @@ class TestMemoryConflicts:
         # area 3 over 3 cores gives frequency 1, so one slot lasts 1.0
         cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
         report = run(g, cfg, record_events=True)
-        assert [
-            (e.time, e.kind, e.task, e.detail)
-            for e in report.events
-            if e.kind in ("access", "stall")
-        ] == [
-            (0.0, "access", "c", "var=w"),
-            (0.0, "access", "b", "var=x"),
-            (0.0, "stall", "a", "var=x"),
-            (1.0, "access", "c", "var=x"),
-            (1.0, "stall", "a", "var=x"),
-            (2.0, "access", "a", "var=x"),
+        assert [(e.time, e.task, e.detail) for e in report.events if e.kind == "access"] == [
+            (0.0, "b", "var=x waited=0"),
+            (0.0, "c", "var=w waited=0"),
+            (1.0, "c", "var=x waited=0"),
+            (2.0, "a", "var=x waited=2"),
         ]
+        assert contended(report, cfg) == {(0, "x"), (1, "x")}
         assert report.mem_conflict_stalls == 2
         assert report.makespan == 3.0
         assert report.per_core_busy_time == (3.0, 1.0, 2.0)
@@ -349,16 +367,13 @@ class TestMemoryConflicts:
         )
         cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
         report = run(g, cfg, record_events=True)
-        assert [
-            (e.time, e.kind, e.task) for e in report.events if e.kind in ("access", "stall")
-        ] == [
-            (0.0, "access", "a"),
-            (0.0, "access", "c"),
-            (0.0, "stall", "b"),
-            (1.0, "access", "b"),
-            (1.0, "stall", "a"),
-            (2.0, "access", "a"),
+        assert [(e.time, e.task, e.detail) for e in report.events if e.kind == "access"] == [
+            (0.0, "a", "var=w waited=0"),
+            (0.0, "c", "var=x waited=0"),
+            (1.0, "b", "var=x waited=1"),
+            (2.0, "a", "var=x waited=1"),
         ]
+        assert contended(report, cfg) == {(0, "x"), (1, "x")}
         assert report.mem_conflict_stalls == 2
 
     def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
@@ -367,7 +382,8 @@ class TestMemoryConflicts:
         g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
         traced = run(g, cfg, record_events=True)
-        contended = {(e.time, e.detail) for e in traced.events if e.kind == "stall"}
+        contended_slots = contended(traced, cfg)
+        assert contended_slots
 
         def pushes(simulation_class):
             sim = simulation_class(g, cfg, False)
@@ -397,15 +413,14 @@ class TestMemoryConflicts:
         # is first used or when its full queue starts an instance
         assert counts["other"] <= 2 * instances
         assert counts["room"] <= instances
-        assert traced.mem_conflict_stalls > 10 * (instances + grants + len(contended))
+        assert traced.mem_conflict_stalls > 10 * (instances + grants + len(contended_slots))
         # the per-stall engine pushes every loser back, once per lost slot
         per_stall = pushes(PerStallSimulation)
         assert per_stall["events"] == instances + grants + traced.mem_conflict_stalls
 
     def test_one_draw_per_contended_slot(self, monkeypatch):
-        # The 64-way burst above: traced, every grant goes through
-        # arbitration, and only a (variable, slot) with two or more
-        # contenders, which is one with a stall, draws.
+        # The 64-way burst above: only a (slot, variable) with two or more
+        # contenders, which is one that some access waited through, draws.
         g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
         calls = Counter()
@@ -421,12 +436,12 @@ class TestMemoryConflicts:
         monkeypatch.setattr(random.Random, "randrange", counting_randrange)
         monkeypatch.setattr(random.Random, "shuffle", forbidden)
         traced = run(g, cfg, record_events=True)
-        contended = {(e.time, e.detail) for e in traced.events if e.kind == "stall"}
-        assert calls["randrange"] == len(contended) > 0
-        assert traced.mem_access_count > 2 * len(contended)
+        contended_slots = contended(traced, cfg)
+        assert calls["randrange"] == len(contended_slots) > 0
+        assert traced.mem_access_count > 2 * len(contended_slots)
         calls.clear()
         assert run(g, cfg).mem_conflict_stalls == traced.mem_conflict_stalls
-        assert calls["randrange"] == len(contended)
+        assert calls["randrange"] == len(contended_slots)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 16])
     def test_k_way_burst_stalls_do_not_depend_on_seed(self, k):
@@ -570,15 +585,17 @@ class PerStallSimulation(sim_module._Simulation):
     Every loser goes back into the event heap for the next slot and stalls
     one slot per lost arbitration; each slot, one draw over a variable's
     contenders sorted by instance id picks its winner, and a group of one
-    draws nothing.  All m cores exist from the start, and
-    dispatch scans them for the lowest-index idle one, then for the
-    lowest-index queue with room.  It ignores the private variables it is
-    given, so every access goes through its loop.
+    draws nothing.  A grant's trace event carries the slots its access lost.
+    All m cores exist from the start, and dispatch scans them for the
+    lowest-index idle one, then for the lowest-index queue with room.  It
+    ignores the private variables it is given, so every access goes through
+    its loop: it is the oracle of their arithmetic grants.
     """
 
     def __init__(self, g, cfg, record_events, private=frozenset()):
         super().__init__(g, cfg, record_events)
         self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
+        self.lost = Counter()  # slots each instance's pending access has lost
 
     def _dispatch(self, slot):
         while self.ready:
@@ -615,16 +632,17 @@ class PerStallSimulation(sim_module._Simulation):
             winner = losers.pop(self.rng.randrange(len(losers)) if len(losers) > 1 else 0)
             winner.granted += 1
             self.mem_access_count += 1
-            self._event(slot, "access", winner.tid, f"var={var}")
+            waited = self.lost.pop(winner.tid, 0)
+            self._event(slot, "access", winner.tid, f"var={var} waited={waited}")
             self._push_next(winner)
             for inst in losers:
                 inst.stalls += 1
                 self.mem_conflict_stalls += 1
-                self._event(slot, "stall", inst.tid, f"var={var}")
+                self.lost[inst.tid] += 1
                 heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
 
     def execute(self):
-        self._release(self._instances(t for t in self.g.tasks if self.pred_left[t] == 0), (), 0)
+        self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
         self._dispatch(0)
         while self.heap:
             slot = self.heap[0][0]
@@ -741,9 +759,9 @@ def mixed_footprint_cases(draw):
 
 
 class TestUntracedMatchesTraced:
-    """An untraced run grants private accesses by arithmetic; a traced run
-    takes every access through the event loop, and so does the per-stall
-    engine.  All three must give the same report, or the same error."""
+    """Traced and untraced runs grant private accesses by arithmetic; the
+    per-stall engine takes every access through its event loop.  All three
+    must give the same report, or the same error."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
@@ -819,6 +837,10 @@ def ready_order(report):
     return [(e.kind, e.task) for e in report.events if e.kind in ("ready", "control")]
 
 
+def start_order(report):
+    return [e.task for e in report.events if e.kind == "start"]
+
+
 class TestAuthoredMatchesExpanded:
     """``run`` simulates the authored graph and never expands it; running the
     expanded graph is the oracle it must reproduce, trace and errors included."""
@@ -848,21 +870,22 @@ class TestAuthoredMatchesExpanded:
         report = run(g, cfg, record_events=True)
         ids = sorted(["w!", "w#05"] + [f"w#{k}" for k in range(12)])
         assert ids[:4] == ["w!", "w#0", "w#05", "w#1"]
-        assert [task for _, task in ready_order(report)] == ["p"] * with_root + ids
+        # All 14 are ready in one slot and m = 4: dispatch goes by id.
+        assert start_order(report) == ["p"] * with_root + ids
         assert report == expanded_outcome(g, cfg, record_events=True)
 
     def test_control_frees_what_the_walk_has_passed(self):
-        # "x" notifies "c", "d" and "e" in id order.  The merge "c" frees "f"
-        # at once, but "e" only when "x" reaches it, after "d".
+        # "x" frees "c" and "d"; the merge "c" resolves at once and frees "e"
+        # and "f" in the same slot.  The two cores take "d" and "e" by id.
         g = TaskGraph(
             [singular("x", 3), control("c"), singular("d", 2), singular("e", 2), singular("f", 2)],
             [("x", "c"), ("x", "d"), ("x", "e"), ("c", "e"), ("c", "f")],
         )
         cfg = SimConfig(chip=CHIP, m=2)
         report = run(g, cfg, record_events=True)
-        assert ready_order(report) == [
-            ("ready", "x"), ("control", "c"), ("ready", "f"), ("ready", "d"), ("ready", "e")
-        ]
+        freed = {e.time for e in report.events if e.task != "x" and e.kind in ("ready", "control")}
+        assert freed == {3 * slot_dt(cfg)}
+        assert start_order(report) == ["x", "d", "e", "f"]
         assert report == expanded_outcome(g, cfg, record_events=True)
 
     def test_conditional_forwards_to_duplicable_by_number(self):
@@ -879,19 +902,18 @@ class TestAuthoredMatchesExpanded:
         report = run(g, cfg, record_events=True)
         numbered = [f"w#{k}" for k in range(12)]
         assert ready_order(report) == [
-            ("ready", "p"), ("control", "c"), *(("ready", iid) for iid in numbered)
+            ("ready", "p"), ("control", "c"), *(("ready", iid) for iid in sorted(numbered))
         ]
         assert [e.detail for e in report.events if e.kind == "control"] == [
             "forwards=" + ",".join(numbered)
         ]
-        starts = [e.task for e in report.events if e.kind == "start"]
-        assert starts == ["p"] + sorted(numbered)
+        assert start_order(report) == ["p"] + sorted(numbered)
         assert report.total_instructions == 3 + 12 * 4
         assert run(g, cfg) == replace(report, events=())
 
     def test_conditional_frees_what_the_walk_has_passed(self):
-        # "p" notifies "w#0", then the conditional "w#05", which frees "w#0"
-        # at once; "w#1", "w#10", ... wait for "p" to reach them.
+        # "p" frees the conditional "w#05", which resolves at once and frees
+        # all of "w" in "p"'s completion slot; they start by id.
         g = TaskGraph(
             [
                 singular("p", 3),
@@ -903,11 +925,12 @@ class TestAuthoredMatchesExpanded:
         )
         cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"w#05": "w"})
         report = run(g, cfg, record_events=True)
-        later = sorted(f"w#{k}" for k in range(1, 12))
+        numbered = sorted(f"w#{k}" for k in range(12))
         assert ready_order(report) == [
-            ("ready", "p"), ("control", "w#05"), ("ready", "w#0"),
-            *(("ready", iid) for iid in later),
+            ("ready", "p"), ("control", "w#05"), *(("ready", iid) for iid in numbered)
         ]
+        assert {e.time for e in report.events if e.kind == "control"} == {3 * slot_dt(cfg)}
+        assert start_order(report) == ["p"] + numbered
 
     def test_run_builds_no_expanded_graph(self, monkeypatch):
         def forbidden(g):
@@ -964,8 +987,17 @@ def assert_trace_invariants(g, cfg, report):
             if later in began:
                 for earlier in instance_ids(g.tasks[pred]):
                     assert done[earlier] <= began[later]
+    # The trace is in its documented total order, and a stall shows only as
+    # an access's wait: one access event per grant, the waits summing to
+    # the stall count.
+    assert {e.kind for e in events} <= set(TRACE_KINDS)  # no "stall" kind
+    keys = [(e.time, TRACE_KINDS.index(e.kind), e.task) for e in events]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    accesses = [(e.time, *access_fields(e)) for e in events if e.kind == "access"]
+    assert len(accesses) == report.mem_access_count
+    assert sum(waited for _, _, waited in accesses) == report.mem_conflict_stalls
     # Each variable is granted at most once per slot.
-    grants = [(e.time, e.detail) for e in events if e.kind == "access"]
+    grants = [(time, var) for time, var, _ in accesses]
     assert len(grants) == len(set(grants))
     # Work is conserved, and the ledger is consistent.
     assert report.total_instructions == sum(tasks[iid].instruction_count for iid in starts)
@@ -1196,7 +1228,7 @@ class TestRandomizedGraphs:
                 if succ in started and pred in done:
                     assert started[succ] >= done[pred]
             # no two grants of one variable share a slot
-            grants = [(e.time, e.detail) for e in report.events if e.kind == "access"]
+            grants = [(e.time, access_fields(e)[0]) for e in report.events if e.kind == "access"]
             assert len(grants) == len(set(grants))
             # bounded utilization, consistent ledger
             assert all(0.0 <= u <= 1.0 + 1e-12 for u in report.utilization)
