@@ -11,14 +11,19 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 input or validation error,
 3 internal error.  Sweep defaults (area 1e6, work 1, m from 1 to 16384 in
 powers of two) emit the model's standard demonstration data with no flags.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built once, on the first call, and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
+from operator import attrgetter
 
 from . import comm, et2, graphio, scaling, sim
 from .errors import PluralError
@@ -31,13 +36,30 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-SWEEP_COLUMNS = [f.name for f in fields(scaling.EnsembleMetrics)]
 
-COMM_COLUMNS = SWEEP_COLUMNS + [f.name for f in fields(comm.CommMetrics) if f.name != "m"]
+def _csv_layout(columns: list[tuple[str, str]]) -> tuple[str, str]:
+    """The header line and the ``%`` row format of a CSV over (name, type) columns.
 
-REPORT_CSV_COLUMNS = [
-    f.name for f in fields(sim.SimReport) if not str(f.type).startswith("tuple")
-] + ["mean_utilization"]
+    ``%d`` spells an int as ``str`` does and ``%.12g`` a float as
+    ``format(value, ".12g")`` does, so one ``%`` writes a whole row.
+    """
+    header = ",".join(name for name, _ in columns)
+    row = ",".join("%d" if kind == "int" else "%.12g" for _, kind in columns)
+    return header + "\n", row + "\n"
+
+
+_SWEEP_FIELDS = [(f.name, f.type) for f in fields(scaling.EnsembleMetrics)]
+_COMM_FIELDS = [(f.name, f.type) for f in fields(comm.CommMetrics) if f.name != "m"]
+_REPORT_FIELDS = [(f.name, f.type) for f in fields(sim.SimReport) if f.type in ("int", "float")]
+
+SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
+SWEEP_CSV = _csv_layout(_SWEEP_FIELDS)
+COMM_SWEEP_CSV = _csv_layout(_SWEEP_FIELDS + _COMM_FIELDS)
+REPORT_CSV = _csv_layout(_REPORT_FIELDS + [("mean_utilization", "float")])
+
+_sweep_values = attrgetter(*SWEEP_COLUMNS)
+_comm_values = attrgetter(*(name for name, _ in _COMM_FIELDS))
+_report_values = attrgetter(*(name for name, _ in _REPORT_FIELDS))
 
 PLOT_SCRIPT = """\
 # gnuplot stub: save the sweep CSV next to this script and adjust `datafile`.
@@ -58,12 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".12g")
 
 
 def parse_core_counts(text: str) -> list[int]:
@@ -119,40 +135,22 @@ def _add_chip_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _write_plot_script(path: str, csv_name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PLOT_SCRIPT.format(name=csv_name))
-
-
-def _emit_csv(columns: list[str], rows: list[dict], out) -> None:
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row[col]) for col in columns) + "\n")
-
-
 def cmd_sweep(args, out) -> int:
+    """``sweep``, and ``comm-sweep``: the same rows with the traffic columns."""
     spec = _chip_from_args(args)
-    rows = []
-    for metrics in scaling.sweep(spec, parse_core_counts(args.m)):
-        rows.append({col: getattr(metrics, col) for col in SWEEP_COLUMNS})
-    _emit_csv(SWEEP_COLUMNS, rows, out)
-    if args.plot_script:
-        _write_plot_script(args.plot_script, "sweep.csv")
-    return EXIT_OK
-
-
-def cmd_comm_sweep(args, out) -> int:
-    spec = _chip_from_args(args)
-    rows = []
+    with_comm = args.command == "comm-sweep"
+    header, row = COMM_SWEEP_CSV if with_comm else SWEEP_CSV
+    lines = [header]
     for m in parse_core_counts(args.m):
         metrics = scaling.ensemble_metrics(spec, m)
-        traffic = comm.comm_metrics(spec, m, metrics)
-        row = {col: getattr(metrics, col) for col in SWEEP_COLUMNS}
-        row.update({col: getattr(traffic, col) for col in COMM_COLUMNS[len(SWEEP_COLUMNS):]})
-        rows.append(row)
-    _emit_csv(COMM_COLUMNS, rows, out)
+        values = _sweep_values(metrics)
+        if with_comm:
+            values += _comm_values(comm.comm_metrics(spec, m, metrics))
+        lines.append(row % values)
+    out.write("".join(lines))
     if args.plot_script:
-        _write_plot_script(args.plot_script, "comm-sweep.csv")
+        with open(args.plot_script, "w", encoding="utf-8") as fh:
+            fh.write(PLOT_SCRIPT.format(name=f"{args.command}.csv"))
     return EXIT_OK
 
 
@@ -266,11 +264,9 @@ def cmd_simulate(args, out) -> int:
     )
     report = sim.run(g, cfg, record_events=args.emit_events)
     if args.csv:
-        row = sim.report_as_dict(report)
-        row["mean_utilization"] = (
-            sum(report.utilization) / len(report.utilization) if report.utilization else 0.0
-        )
-        _emit_csv(REPORT_CSV_COLUMNS, [row], out)
+        header, row = REPORT_CSV
+        mean_utilization = sum(report.utilization) / cfg.m
+        out.write(header + row % (*_report_values(report), mean_utilization))
     else:
         doc = sim.report_as_dict(report, include_events=args.emit_events)
         if args.check_model:
@@ -293,21 +289,24 @@ def cmd_validate(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``plural`` parser, built once and shared: ``parse_args`` fills a fresh
+    namespace per call, and ``--outcome`` copies its default list to append."""
     parser = _Parser(prog="plural", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", help="scaling-model sweep over core counts (CSV)")
-    _add_chip_flags(p)
-    p.add_argument("--m", default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2")
-    p.add_argument("--plot-script", help="also write a gnuplot stub to this path")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("comm-sweep", help="sweep with communication power breakdown (CSV)")
-    _add_chip_flags(p)
-    p.add_argument("--m", default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2")
-    p.add_argument("--plot-script", help="also write a gnuplot stub to this path")
-    p.set_defaults(func=cmd_comm_sweep)
+    for name, help_text in (
+        ("sweep", "scaling-model sweep over core counts (CSV)"),
+        ("comm-sweep", "sweep with communication power breakdown (CSV)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_chip_flags(p)
+        p.add_argument(
+            "--m", default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2"
+        )
+        p.add_argument("--plot-script", help="also write a gnuplot stub to this path")
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("et2", help="apply an energy-time trade-off transform")
     p.add_argument("--e", type=float, required=True, help="energy of the starting point")

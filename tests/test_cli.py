@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +20,7 @@ from test_sim import TRACE_KINDS, contention_cases, sim_cases
 
 import plural
 import plural.graph as graph_module
-from plural import DegenerateWorkloadError, GraphStructureError, cli, comm, scaling, sim
+from plural import DegenerateWorkloadError, GraphStructureError, cli, comm, graphio, scaling, sim
 
 DEMO_GRAPH = {
     "tasks": [
@@ -25,6 +28,18 @@ DEMO_GRAPH = {
          "reads": ["in[#]"], "writes": ["out[#]"]},
     ],
     "edges": [],
+}
+
+# A conditional control task choosing between two singular tasks; a run
+# needs --outcome pick=left or pick=right.
+CONDITIONAL_GRAPH = {
+    "tasks": [
+        {"id": "start", "kind": "singular", "instructions": 5},
+        {"id": "pick", "kind": "control", "control_kind": "conditional"},
+        {"id": "left", "kind": "singular", "instructions": 10},
+        {"id": "right", "kind": "singular", "instructions": 20},
+    ],
+    "edges": [["start", "pick"], ["pick", "left"], ["pick", "right"]],
 }
 
 
@@ -81,6 +96,14 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call_main(argv):
+    """``main``'s exit code, stdout and stderr, for tests that cannot use capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def csv_rows(text):
@@ -247,6 +270,81 @@ class TestCommSweep:
         assert calls == [int(row["m"]) for row in rows]
 
 
+def per_value_csv(columns, rows):
+    """The CSV writer before rows were written with one ``%`` format, kept as
+    their oracle: each value is formatted on its own, an int by ``str`` and
+    anything else by ``format(value, ".12g")``."""
+
+    def fmt(value):
+        return str(value) if isinstance(value, int) else format(value, ".12g")
+
+    lines = [",".join(columns)] + [",".join(fmt(row[col]) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Chip parameters; an alpha outside (0, 1) is an input error.
+CHIP_NUMBER = st.floats(1e-3, 1e9)
+CORE_COUNTS = st.lists(st.integers(1, 2**62), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+class TestCsvRowsMatchPerValueWriter:
+    """Sweep and ``simulate --csv`` rows come from one ``%`` format per row,
+    built from the row dataclasses' field types; they must be the bytes the
+    per-value writer gives."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(["sweep", "comm-sweep"]),
+        CHIP_NUMBER, CHIP_NUMBER, st.floats(0, 1.25), CHIP_NUMBER,
+        st.booleans(),
+        CORE_COUNTS,
+    )
+    def test_sweep(self, command, area, work, alpha, cpi, static_power, core_counts):
+        argv = [command, f"--area={area!r}", f"--work={work!r}", f"--alpha={alpha!r}",
+                f"--cpi={cpi!r}", "--m", ",".join(map(str, core_counts))]
+        if static_power:
+            argv.append("--static-power")
+        try:
+            spec = scaling.ChipSpec(area=area, work=work, cpi=cpi, pollack_exponent=alpha,
+                                    static_power_enabled=static_power)
+            rows = []
+            for m in core_counts:
+                metrics = scaling.ensemble_metrics(spec, m)
+                row = asdict(metrics)
+                if command == "comm-sweep":
+                    row.update(asdict(comm.comm_metrics(spec, m, metrics)))
+                rows.append(row)
+        except plural.PluralError as exc:
+            assert call_main(argv) == (2, "", f"error: {exc}\n")
+            return
+        header = COMM_HEADER if command == "comm-sweep" else SWEEP_HEADER
+        assert call_main(argv) == (0, per_value_csv(header, rows), "")
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases()))
+    def test_simulate(self, tmp_path_factory, case):
+        g, cfg = case
+        try:
+            report = sim.run(g, cfg)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        row = sim.report_as_dict(report)
+        row["mean_utilization"] = sum(report.utilization) / len(report.utilization)
+        path = tmp_path_factory.mktemp("csv") / "graph.json"
+        graphio.dump(g, path)
+        chip = cfg.chip
+        argv = ["simulate", str(path), "--csv", f"--area={chip.area!r}", f"--work={chip.work!r}",
+                f"--alpha={chip.pollack_exponent!r}", f"--cpi={chip.cpi!r}", "--m", str(cfg.m),
+                "--stride", str(cfg.mem_access_stride), "--prealloc-depth", str(cfg.prealloc_depth),
+                "--seed", str(cfg.seed)]
+        if cfg.comm_costs_enabled:
+            argv.append("--comm-costs")
+        for task, chosen in cfg.conditional_outcomes.items():
+            argv += ["--outcome", f"{task}={chosen}"]
+        code, out, _ = call_main(argv)
+        assert (code, out) == (0, per_value_csv(REPORT_CSV_HEADER, [row]))
+
+
 class TestEt2Command:
     def test_stretch(self, capsys):
         code, out, _ = run_cli(capsys, "et2", "--e", "8", "--t", "2", "stretch:2")
@@ -404,16 +502,7 @@ class TestSimulate:
         assert "cycle" in err
 
     def test_conditional_outcome_flag(self, capsys, tmp_path):
-        doc = {
-            "tasks": [
-                {"id": "start", "kind": "singular", "instructions": 5},
-                {"id": "pick", "kind": "control", "control_kind": "conditional"},
-                {"id": "left", "kind": "singular", "instructions": 10},
-                {"id": "right", "kind": "singular", "instructions": 20},
-            ],
-            "edges": [["start", "pick"], ["pick", "left"], ["pick", "right"]],
-        }
-        path = write_graph(tmp_path, doc)
+        path = write_graph(tmp_path, CONDITIONAL_GRAPH)
         code, out, _ = run_cli(capsys, "simulate", path, "--m", "1", "--outcome", "pick=right")
         assert code == 0
         assert json.loads(out)["total_instructions"] == 25
@@ -646,6 +735,61 @@ class TestUsage:
         assert code == 1
 
 
+class TestParserBuiltOnce:
+    """``main`` builds its parser on the first call and reuses it; no call
+    leaves state in it that changes a later call."""
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import plural.cli\n"
+            "print(len(built), plural.cli.build_parser.cache_info().currsize)\n"
+        )
+        src = str(Path(plural.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_interleaved_calls_match_fresh_parsers(self, tmp_path):
+        path = write_graph(tmp_path, CONDITIONAL_GRAPH)
+        calls = [
+            ["simulate", path, "--m", "1", "--outcome", "pick=right"],
+            ["simulate", path, "--m", "1"],
+            ["simulate", path, "--m", "1", "--outcome", "pick=left", "--csv"],
+            ["sweep", "--m", "1:64:x4", "--static-power"],
+            ["sweep", "--m", "1:64:x4"],
+            ["comm-sweep", "--m", "1:64:x4", "--static-power", "--area", "4e4"],
+            ["comm-sweep", "--m", "1:64:x4"],
+            ["sweep", "--m", "4:1:x2"],
+            ["sweep", "--m", "1,2", "--bogus"],
+            ["sweep", "--m", "1,2"],
+            ["frobnicate"],
+            ["et2", "--e", "8", "--t", "2", "stretch:2"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(call_main(argv))
+        cli.build_parser.cache_clear()
+        shared = [call_main(argv) for argv in calls]
+        assert shared == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        # The calls differ where their flags differ, not by what came before.
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 2, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
+        assert json.loads(shared[0][1])["total_instructions"] == 25
+        assert shared[1][2] == (
+            "error: conditional control task 'pick' was reached but has no configured outcome\n"
+        )
+        assert shared[3][1] != shared[4][1] and shared[5][1] != shared[6][1]
+
+
 def test_package_version_matches_pyproject():
     # Reports are versioned with the package; a regex, since tomllib is 3.11+.
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
@@ -740,10 +884,8 @@ class TestArgvFuzz:
             path.write_bytes(content)
         elif where == "directory":
             path.mkdir()
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([argv[0], str(path), *argv[1:]])
-        assert code in (0, 1, 2), err.getvalue()
+        code, _, err = call_main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2), err
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(VALID_DOC, SIMULATE_FLAGS)

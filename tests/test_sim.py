@@ -1078,6 +1078,64 @@ class TestSeedIndependence:
             assert getattr(other, name) == getattr(first, name), name
 
 
+class KeptSimulation(sim_module._Simulation):
+    """The simulator, keeping its last instance so a test can read its
+    integer slot counts."""
+
+    last = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        KeptSimulation.last = self
+
+
+def span_slots(g, cfg):
+    """D: the slots of the longest precedence chain of executed tasks, a
+    control task taking none and a duplicable its instances' length."""
+    executed = executed_tasks(g, cfg)
+    preds = {tid: [] for tid in executed}
+    for pred, succ in g.edges:
+        if succ in executed:
+            preds[succ].append(pred)
+    finish = {}
+
+    def chain(tid):
+        if tid not in finish:
+            task = g.tasks[tid]
+            own = 0 if task.kind is TaskKind.CONTROL else task.instruction_count
+            finish[tid] = own + max((chain(p) for p in preds[tid]), default=0)
+        return finish[tid]
+
+    return max(chain(tid) for tid in executed)
+
+
+class TestListSchedulingBounds:
+    """In slots, with T the run's last slot, W its instructions, S its stalls
+    and D the executed path's span: the cores' busy slots are exactly W + S,
+    and D <= T.  With no stall and no pre-allocation queue the dispatcher is
+    greedy (no core idles while an instance is ready), so list scheduling's
+    bound T <= W/m + D holds (Graham, 1969; Brent, 1974)."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases(), mixed_footprint_cases()))
+    def test_bounds(self, case):
+        g, cfg = case
+        for depth in {cfg.prealloc_depth, 0}:
+            with mock.patch.object(sim_module, "_Simulation", KeptSimulation):
+                try:
+                    report = run(g, replace(cfg, prealloc_depth=depth))
+                except (DegenerateWorkloadError, GraphStructureError):
+                    return
+            simulation = KeptSimulation.last
+            t = simulation.last_boundary
+            w, s = report.total_instructions, report.mem_conflict_stalls
+            assert sum(core.busy_slots for core in simulation.cores) == w + s
+            span = span_slots(g, cfg)
+            assert span <= t
+            if s == 0 and depth == 0:
+                assert cfg.m * t <= w + cfg.m * span
+
+
 class TestLedger:
     def test_comm_energy_exact_on_three_task_chain(self):
         g = TaskGraph(
