@@ -229,20 +229,56 @@ def _warn_crew(g) -> list[CrewViolation]:
     return violations
 
 
+# One trace event as ``json.dumps`` writes it inside the report's "events".
+_EVENT = '{\n      "time": %r,\n      "kind": %s,\n      "task": %s,\n      "detail": %s\n    }'
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _zero_tail(values: tuple[float, ...]) -> int:
+    """The length of the run of zeros that ends ``values``, or 0 when a zero
+    comes before that run.
+
+    One ``count`` finds the zeros at C speed, and one search of the rest
+    checks that none is left there.  The count compares a report's zeros
+    mostly by identity: its unused cores share one 0.0 object.
+    """
+    if not values or values[-1] != 0.0:
+        return 0
+    k = values.count(values[-1])
+    return 0 if 0.0 in values[: len(values) - k] else k
+
+
 def _dump_report(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, for a flat report dict.
+    """``json.dumps(doc, indent=2)``, byte for byte, for a report dict from
+    ``sim.report_as_dict``, with or without ``model_check``.
 
     With an indent, ``json`` falls back to its pure-Python encoder, which is
-    slow on the m-long float lists.  Those are written by the C encoder and
-    re-indented: both encoders spell a float as ``float.__repr__`` does, or
-    as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", ".
-    Nested containers keep the indenting encoder.
+    slow on long lists, so these are written by hand:
+
+    * A tuple is a per-core tuple of the report: floats, each at least +0.0
+      (see ``SimReport``).  Its trailing zeros bar one, the cores never
+      used, are one repeated string, so its cost grows with the cores used,
+      not m.  The C encoder writes the rest, re-indented: both encoders
+      spell a float as ``float.__repr__`` does, or as
+      ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", ".
+    * ``events`` is written one ``%`` template per event: the C string
+      escaper for the strings and ``float.__repr__``, ``json``'s spelling
+      of a finite float, for the time.
+
+    Other containers keep the indenting encoder.
     """
     items = []
     for key, value in doc.items():
-        if isinstance(value, list) and value and set(map(type, value)) == {float}:
-            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        elif isinstance(value, (dict, list)):
+        if isinstance(value, tuple) and value:
+            rest = max(_zero_tail(value) - 1, 0)
+            floats = json.dumps(value[: len(value) - rest])[1:-1].replace(", ", ",\n    ")
+            text = "[\n    " + floats + ",\n    0.0" * rest + "\n  ]"
+        elif key == "events" and value:
+            text = "[\n    " + ",\n    ".join(
+                _EVENT % (e["time"], _json_str(e["kind"]), _json_str(e["task"]), _json_str(e["detail"]))
+                for e in value
+            ) + "\n  ]"
+        elif isinstance(value, (dict, list, tuple)):
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         else:
             text = json.dumps(value)
@@ -265,7 +301,8 @@ def cmd_simulate(args, out) -> int:
     report = sim.run(g, cfg, record_events=args.emit_events)
     if args.csv:
         header, row = REPORT_CSV
-        mean_utilization = sum(report.utilization) / cfg.m
+        used = report.utilization[: cfg.m - _zero_tail(report.utilization)]
+        mean_utilization = sum(used) / cfg.m  # adding the +0.0 of unused cores changes nothing
         out.write(header + row % (*_report_values(report), mean_utilization))
     else:
         doc = sim.report_as_dict(report, include_events=args.emit_events)

@@ -173,6 +173,11 @@ class TaskGraph:
         return self._edges
 
     @cached_property
+    def _successors(self) -> dict[str, list[str]]:
+        # Read by ``validate_dag``, the footprint index and the simulator.
+        return _successor_map(self)
+
+    @cached_property
     def _footprint(self) -> _Footprint:
         # The graph never changes, so ``plural simulate`` builds the index
         # once for its CREW warnings and its run.
@@ -210,6 +215,8 @@ class CrewViolation:
 
 
 def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
+    """Each task's successors, ascending.  Built once per graph: read it as
+    ``g._successors``, and do not change it."""
     succ: dict[str, list[str]] = {tid: [] for tid in g.tasks}
     for pred, s in g.edges:
         succ[pred].append(s)
@@ -224,7 +231,7 @@ def validate_dag(g: TaskGraph) -> list[str] | None:
     The witness is a task-id sequence along edges with the starting id
     repeated at the end, e.g. ``["A", "B", "A"]``.
     """
-    succ = _successor_map(g)
+    succ = g._successors
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(g.tasks, WHITE)
     for root in sorted(g.tasks):
@@ -256,7 +263,7 @@ def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int] |
 
     One pass over a topological order, so O(V + E) bitset unions.
     """
-    succ = _successor_map(g)
+    succ = g._successors
     indegree = dict.fromkeys(g.tasks, 0)
     for _, s in g.edges:
         indegree[s] += 1

@@ -71,7 +71,6 @@ from .graph import (
     Task,
     TaskGraph,
     TaskKind,
-    _successor_map,
     expand_duplicables,  # noqa: F401 -- unused, but benchmarks/tracing.py wraps it here
     private_variables,
     validate_dag,
@@ -128,7 +127,12 @@ class SimEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SimReport:
-    """Measurements from one simulator run."""
+    """Measurements from one simulator run.
+
+    ``per_core_busy_time`` and ``utilization`` hold one float per core, each
+    at least +0.0: never -0.0, never an int.  Cores are used lowest index
+    first, so the cores a run never used are a trailing run of 0.0.
+    """
 
     m: int
     makespan: float
@@ -175,6 +179,23 @@ _TRACE_KINDS = ("complete", "control", "ready", "start", "queue", "access")
 _TID = attrgetter("tid")
 
 
+_Skip = tuple[float, ...] | None
+
+
+def _skip_table(private: tuple[bool, ...]) -> _Skip:
+    """An access plan over targets that are private where ``private`` is true.
+
+    ``skip[r]`` counts the accesses from residue r that target private
+    variables before one that does not, ``math.inf`` when none does; the
+    caller caps it at the accesses left.  None when no target is private.
+    """
+    if not any(private):
+        return None
+    shared = [k for k, is_private in enumerate(private) if not is_private]
+    size = len(private)
+    return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
+
+
 class _Instance:
     """A core-executed task instance and its progress through its slots."""
 
@@ -182,23 +203,15 @@ class _Instance:
         "tid", "task", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
     )
 
-    def __init__(self, tid: str, task: Task, vars_: tuple, stride: int, private: frozenset[str]):
+    def __init__(
+        self, tid: str, task: Task, vars_: tuple[str, ...], stride: int, skip: _Skip
+    ):
         self.tid = tid  # instance id
         self.task = task.id
         self.n = task.instruction_count
         self.vars = vars_  # access targets, round-robin
         self.n_access = self.n // stride if vars_ else 0
-        # skip[r]: how many accesses from residue r on target private
-        # variables before one that does not; None when none is private.
-        self.skip: tuple[int, ...] | None = None
-        if private and self.n_access:
-            shared = [k for k, var in enumerate(vars_) if var not in private]
-            if len(shared) < len(vars_):
-                size = len(vars_)
-                self.skip = tuple(
-                    min(((k - r) % size for k in shared), default=self.n_access)
-                    for r in range(size)
-                )
+        self.skip = skip if self.n_access else None  # see _skip_table
         self.core = -1
         self.start = 0
         self.stalls = 0
@@ -229,6 +242,9 @@ class _Simulation:
         self.g = g
         self.cfg = cfg
         self.private = private  # variables whose accesses never contend
+        # Access plans by which targets are private: instances of one shape
+        # share one.  Kept per run, since ``private`` is the graph's.
+        self.skips: dict[tuple[bool, ...], _Skip] = {}
         chip = cfg.chip
         self.core_freq = _check_finite(
             "core_freq", (chip.area / cfg.m) ** chip.pollack_exponent, positive=True
@@ -244,7 +260,7 @@ class _Simulation:
         self.pred_left = {tid: 0 for tid in g.tasks}
         for pred, succ in g.edges:
             self.pred_left[succ] += len(self.instances[pred])
-        self.succs = _successor_map(g)
+        self.succs = g._successors
 
         # Cores are created on first use, lowest index first, so the cores
         # never used are the indices from len(self.cores) up to m - 1.
@@ -321,7 +337,11 @@ class _Simulation:
         if iid in self.started:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
-        inst = _Instance(iid, self.g.tasks[tid], vars_, self.cfg.mem_access_stride, self.private)
+        mask = tuple(map(self.private.__contains__, vars_))
+        if mask not in self.skips:
+            self.skips[mask] = _skip_table(mask)
+        stride = self.cfg.mem_access_stride
+        inst = _Instance(iid, self.g.tasks[tid], vars_, stride, self.skips[mask])
         inst.core = core_idx
         inst.start = slot
         self.cores[core_idx].current = inst
@@ -587,13 +607,12 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
 
 def report_as_dict(report: SimReport, *, include_events: bool = False) -> dict:
-    """Plain-dict form of a report, for JSON output."""
-    out = {}
-    for f in fields(SimReport):
-        value = getattr(report, f.name)
-        if f.name == "events":
-            if include_events:
-                out["events"] = [event._asdict() for event in value]
-        else:
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+    """Plain-dict form of a report, for JSON output.
+
+    The per-core values stay the report's own tuples, which ``json`` writes
+    as arrays; the trace, if included, is a list of one dict per event.
+    """
+    out = {f.name: getattr(report, f.name) for f in fields(SimReport) if f.name != "events"}
+    if include_events:
+        out["events"] = [event._asdict() for event in report.events]
     return out

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -104,6 +104,20 @@ def call_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def simulate_argv(path, cfg):
+    """The ``plural simulate`` argv that runs ``cfg`` on the graph file ``path``."""
+    chip = cfg.chip
+    argv = ["simulate", str(path), f"--area={chip.area!r}", f"--work={chip.work!r}",
+            f"--alpha={chip.pollack_exponent!r}", f"--cpi={chip.cpi!r}", "--m", str(cfg.m),
+            "--stride", str(cfg.mem_access_stride), "--prealloc-depth", str(cfg.prealloc_depth),
+            "--seed", str(cfg.seed)]
+    if cfg.comm_costs_enabled:
+        argv.append("--comm-costs")
+    for task, chosen in cfg.conditional_outcomes.items():
+        argv += ["--outcome", f"{task}={chosen}"]
+    return argv
 
 
 def csv_rows(text):
@@ -332,16 +346,7 @@ class TestCsvRowsMatchPerValueWriter:
         row["mean_utilization"] = sum(report.utilization) / len(report.utilization)
         path = tmp_path_factory.mktemp("csv") / "graph.json"
         graphio.dump(g, path)
-        chip = cfg.chip
-        argv = ["simulate", str(path), "--csv", f"--area={chip.area!r}", f"--work={chip.work!r}",
-                f"--alpha={chip.pollack_exponent!r}", f"--cpi={chip.cpi!r}", "--m", str(cfg.m),
-                "--stride", str(cfg.mem_access_stride), "--prealloc-depth", str(cfg.prealloc_depth),
-                "--seed", str(cfg.seed)]
-        if cfg.comm_costs_enabled:
-            argv.append("--comm-costs")
-        for task, chosen in cfg.conditional_outcomes.items():
-            argv += ["--outcome", f"{task}={chosen}"]
-        code, out, _ = call_main(argv)
+        code, out, _ = call_main(simulate_argv(path, cfg) + ["--csv"])
         assert (code, out) == (0, per_value_csv(REPORT_CSV_HEADER, [row]))
 
 
@@ -591,15 +596,42 @@ class TestSimulate:
             "access": doc["mem_access_count"],
         }
 
+    def test_access_plans_do_not_outlive_a_call(self, tmp_path):
+        # "work#0" shares "x[0]" with "other" and its siblings do not, so
+        # the instances of "work" follow two access plans.  Each call, at
+        # any stride, prints what a fresh process prints.
+        path = write_graph(tmp_path, {
+            "tasks": [
+                {"id": "work", "kind": "duplicable", "d": 4, "instructions": 24,
+                 "reads": ["s", "x[#]"], "writes": ["out[#]"]},
+                {"id": "other", "kind": "singular", "instructions": 12, "writes": ["x[0]"]},
+            ],
+            "edges": [],
+        })
+        src = str(Path(plural.__file__).resolve().parents[1])
+        code = "import sys; from plural.cli import main; sys.exit(main(sys.argv[1:]))"
+        for stride in ("1", "3", "1", "7"):
+            argv = ["simulate", path, "--m", "3", "--stride", stride, "--emit-events"]
+            fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                   env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60)
+            assert fresh.returncode == 0, fresh.stderr
+            assert call_main(argv) == (0, fresh.stdout, fresh.stderr)
+
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
         # The CREW warnings and the run share one index, which holds each
-        # instance's footprint: traced or not, each is computed once.
-        built, footprints = [], Counter()
+        # instance's footprint: traced or not, each is computed once.  The
+        # DAG check, the index and the run share one successor map.
+        built, successor_maps, footprints = [], [], Counter()
         real_build, real_footprint = graph_module._build_footprint, graph_module._instance_footprint
+        real_successors = graph_module._successor_map
 
         def counting(g):
             built.append(len(g))
             return real_build(g)
+
+        def counting_successors(g):
+            successor_maps.append(len(g))
+            return real_successors(g)
 
         def counting_footprint(task, number):
             footprints[task.id, number] += 1
@@ -607,15 +639,18 @@ class TestSimulate:
 
         monkeypatch.setattr(graph_module, "_build_footprint", counting)
         monkeypatch.setattr(graph_module, "_instance_footprint", counting_footprint)
+        monkeypatch.setattr(graph_module, "_successor_map", counting_successors)
         # A module that imports the function by name must use the counted one too.
         monkeypatch.setattr(sim, "_instance_footprint", counting_footprint, raising=False)
         path = write_graph(tmp_path, DEMO_GRAPH)
         for flags in ((), ("--emit-events",)):
             built.clear()
+            successor_maps.clear()
             footprints.clear()
             code, _, _ = run_cli(capsys, "simulate", path, "--m", "4", *flags)
             assert code == 0
             assert built == [1]
+            assert successor_maps == [1]
             assert footprints == Counter(("work", k) for k in range(64))
 
 
@@ -631,6 +666,14 @@ class TestDumpReport:
             {"per_core_busy_time": [1e16, 1e-7, 1e22, 0.1, 123456789.0], "avg_power": 1e16},
             {"utilization": [math.nan, math.inf, -math.inf, 1.5], "makespan": math.nan},
             {"m": 2, "utilization": [1.0], "mixed": [1, 2.0, True, None]},
+            # Zero runs that are not all +0.0 floats must keep their spelling.
+            {"per_core_busy_time": [1.0, 0.0, -0.0], "utilization": [0.5, 0.0, 0]},
+            {"utilization": [0.0, False], "per_core_busy_time": [0.0, 0.0, 0.0]},
+            # Per-core tuples: floats of at least +0.0, zeros anywhere.
+            {"per_core_busy_time": (0.0,), "utilization": (0.0, 0.0, 0.0)},
+            {"per_core_busy_time": (0.0, 0.0, 1.0, 0.0), "utilization": (0.0, 1.5)},
+            {"per_core_busy_time": (1.0, 0.0, 0.0, 2.0, 0.0), "utilization": (0.0, 0.0, 3.0)},
+            {"per_core_busy_time": (2.5, 5e-324, 0.0), "utilization": (1e22,), "events": []},
             {
                 "events": [
                     {"time": 0.0, "kind": "ready", "task": 'a"b\\c', "detail": "x\ny\tz"},
@@ -640,7 +683,8 @@ class TestDumpReport:
             },
         ],
         ids=["empty-lists", "signed-zero-subnormal", "exponents", "non-finite",
-             "mixed-list", "event-strings"],
+             "mixed-list", "zero-runs", "zero-runs-bool", "zero-tuples", "inner-zeros",
+             "inner-zero-pair", "short-tuples", "event-strings"],
     )
     def test_hand_cases(self, doc):
         assert cli._dump_report(doc) == json.dumps(doc, indent=2)
@@ -674,6 +718,37 @@ class TestDumpReport:
         if check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
         assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+
+    # The instances of "idle" run no instruction on cores 0 and 1 while "w"
+    # keeps cores 2 to 4 busy: zeros inside the used cores, then m - 5
+    # unused ones.
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases()), st.integers(1, 4096))
+    @example(
+        (
+            plural.TaskGraph([
+                plural.Task("idle", plural.TaskKind.DUPLICABLE, instances=2, instruction_count=0),
+                plural.Task("w", plural.TaskKind.DUPLICABLE, instances=3, instruction_count=10),
+            ]),
+            sim.SimConfig(chip=scaling.ChipSpec(area=1e6, work=1), m=1),
+        ),
+        8,
+    )
+    def test_simulate_stdout(self, tmp_path_factory, case, m):
+        g, cfg = case
+        cfg = replace(cfg, m=m)
+        try:
+            report = sim.run(g, cfg)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        path = tmp_path_factory.mktemp("report") / "graph.json"
+        graphio.dump(g, path)
+        doc = sim.report_as_dict(report)
+        code, out, _ = call_main(simulate_argv(path, cfg))
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+        doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
+        code, out, _ = call_main(simulate_argv(path, cfg) + ["--check-model"])
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
 
 
 class TestValidate:

@@ -823,6 +823,35 @@ class TestPrivateAccesses:
         traced = run(g, cfg, record_events=True)
         assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
 
+    # "work#0" shares "x[0]" with "other", which it does not follow, while
+    # "x[1]" to "x[3]" are private; every instance shares "s".  So instance
+    # 0 and its siblings follow different access plans, and "solo"'s only
+    # target is private.
+    PLANS = TaskGraph([
+        duplicable("work", 4, 24, {"s", "x[#]"}, {"out[#]"}),
+        singular("other", 12, writes={"x[0]"}),
+        singular("solo", 9, reads={"p"}),
+    ])
+
+    def test_one_plan_per_private_positions(self):
+        g = self.PLANS
+        sim = sim_module._Simulation(g, SimConfig(chip=CHIP, m=2), False, private_variables(g))
+        sim.execute()
+        # Targets are sorted reads, then sorted writes: ("s", "x[k]", "out[k]").
+        assert sim.skips == {
+            (False, False, True): (0, 0, 1),
+            (False, True, True): (0, 2, 1),
+            (False,): None,
+            (True,): (math.inf,),
+        }
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
+    def test_shared_plans_match_per_stall(self, m, stride):
+        for seed in range(3):
+            cfg = SimConfig(chip=CHIP, m=m, mem_access_stride=stride, seed=seed)
+            assert_matches_per_stall(self.PLANS, cfg)
+
 
 def expanded_outcome(g, cfg, record_events):
     """The report of a run of ``expand_duplicables(g)``, or the error that
