@@ -224,8 +224,7 @@ def _outcomes_from_args(pairs: list[str]) -> dict[str, str]:
 def _warn_crew(g) -> list[CrewViolation]:
     """Warn of each CREW violation on stderr; return the violations."""
     violations = check_crew(g)
-    for violation in violations:
-        sys.stderr.write(f"WARNING: CREW violation: {violation}\n")
+    sys.stderr.write("".join(f"WARNING: CREW violation: {violation}\n" for violation in violations))
     return violations
 
 
@@ -298,7 +297,7 @@ def cmd_simulate(args, out) -> int:
         seed=args.seed,
         conditional_outcomes=_outcomes_from_args(args.outcome),
     )
-    report = sim.run(g, cfg, record_events=args.emit_events)
+    report = sim.run(g, cfg, record_events=args.emit_events and not args.csv)
     if args.csv:
         header, row = REPORT_CSV
         used = report.utilization[: cfg.m - _zero_tail(report.utilization)]
@@ -320,7 +319,7 @@ def cmd_validate(args, out) -> int:
         return EXIT_INPUT
     violations = _warn_crew(g)
     out.write(
-        f"ok: {len(g.tasks)} tasks, {len(g.edges)} edges, "
+        f"ok: {len(g)} tasks, {len(g.edges)} edges, "
         f"{len(violations)} CREW violation(s)\n"
     )
     return EXIT_OK

@@ -155,7 +155,7 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edge_set = frozenset((str(p), str(s)) for p, s in edges)
-        for pred, succ in sorted(edge_set):
+        for pred, succ in sorted((p, s) for p, s in edge_set if p not in task_map or s not in task_map):
             for endpoint in (pred, succ):
                 if endpoint not in task_map:
                     raise GraphStructureError(
@@ -217,7 +217,7 @@ class CrewViolation:
 def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
     """Each task's successors, ascending.  Built once per graph: read it as
     ``g._successors``, and do not change it."""
-    succ: dict[str, list[str]] = {tid: [] for tid in g.tasks}
+    succ: dict[str, list[str]] = {tid: [] for tid in g._tasks}
     for pred, s in g.edges:
         succ[pred].append(s)
     for lst in succ.values():
@@ -233,8 +233,8 @@ def validate_dag(g: TaskGraph) -> list[str] | None:
     """
     succ = g._successors
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(g.tasks, WHITE)
-    for root in sorted(g.tasks):
+    color = dict.fromkeys(g._tasks, WHITE)
+    for root in sorted(g._tasks):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
@@ -264,16 +264,16 @@ def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int] |
     One pass over a topological order, so O(V + E) bitset unions.
     """
     succ = g._successors
-    indegree = dict.fromkeys(g.tasks, 0)
+    indegree = dict.fromkeys(g._tasks, 0)
     for _, s in g.edges:
         indegree[s] += 1
-    order: list[str] = [tid for tid in g.tasks if indegree[tid] == 0]
+    order: list[str] = [tid for tid in g._tasks if indegree[tid] == 0]
     for tid in order:
         for s in succ[tid]:
             indegree[s] -= 1
             if indegree[s] == 0:
                 order.append(s)
-    if len(order) < len(g.tasks):
+    if len(order) < len(g._tasks):
         return None
     desc: dict[str, int] = {}
     for tid in reversed(order):
@@ -294,7 +294,7 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
-    ids = sorted(g.tasks)
+    ids = sorted(g._tasks)
     index = {tid: i for i, tid in enumerate(ids)}
     desc = _descendant_bits(g, index)
     pairs: set[tuple[str, str]] = set()
@@ -310,8 +310,8 @@ class _Footprint(NamedTuple):
     index: dict[str, int]  # authored id -> its bit
     desc: dict[str, int]  # authored id -> descendants as an int bitset
     touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
-    # authored id, ascending -> (instance id, sorted reads + sorted writes) per instance
-    instances: dict[str, list[tuple[str, tuple[str, ...]]]]
+    # authored id, ascending -> (instance id, authored id, sorted reads + sorted writes) per instance
+    instances: dict[str, list[tuple[str, str, tuple[str, ...]]]]
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -328,20 +328,23 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     graph has a cycle.
     """
     ids = _instance_ids(g)
-    index = {tid: i for i, tid in enumerate(g.tasks)}
+    index = {tid: i for i, tid in enumerate(g._tasks)}
     desc = _descendant_bits(g, index)
     if desc is None:
         raise CycleError(validate_dag(expand_duplicables(g)))
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    instances: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    instances: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
     for tid, iids in ids.items():
-        task = g.tasks[tid]
-        instances[tid] = []
+        task = g._tasks[tid]
+        items = instances[tid] = []
         for k, iid in enumerate(iids):
             reads, writes = _instance_footprint(task, k)
-            instances[tid].append((iid, tuple(sorted(reads)) + tuple(sorted(writes))))
-            for var in reads | writes:
-                touchers.setdefault(var, []).append((iid, tid, var in writes))
+            items.append((iid, tid, (*sorted(reads), *sorted(writes))))
+            for var in reads:
+                if var not in writes:
+                    touchers.setdefault(var, []).append((iid, tid, False))
+            for var in writes:
+                touchers.setdefault(var, []).append((iid, tid, True))
     return _Footprint(index, desc, touchers, instances)
 
 
@@ -413,11 +416,6 @@ def private_variables(g: TaskGraph) -> frozenset[str]:
     return frozenset(private)
 
 
-def instance_id(task_id: str, number: int) -> str:
-    """Id of one expanded instance of a duplicable task."""
-    return f"{task_id}{INSTANCE_SEP}{number}"
-
-
 def _instance_footprint(task: Task, number: int) -> tuple[frozenset[str], frozenset[str]]:
     """One instance's (reads, writes): a duplicable's ``#`` becomes ``number``."""
     if task.kind is not TaskKind.DUPLICABLE:
@@ -437,16 +435,15 @@ def _instance_ids(g: TaskGraph) -> dict[str, list[str]]:
     """
     ids: dict[str, list[str]] = {}
     seen: set[str] = set()
-    for tid in sorted(g.tasks):
-        task = g.tasks[tid]
+    for tid, task in sorted(g._tasks.items()):
         if task.kind is TaskKind.DUPLICABLE:
-            ids[tid] = [instance_id(tid, k) for k in range(task.instances)]
+            ids[tid] = [f"{tid}{INSTANCE_SEP}{k}" for k in range(task.instances)]
         else:
             ids[tid] = [tid]
-        for iid in ids[tid]:
-            if iid in seen:
-                raise GraphStructureError(f"duplicate task id {iid!r}")
-            seen.add(iid)
+        if not seen.isdisjoint(ids[tid]):
+            iid = next(iid for iid in ids[tid] if iid in seen)
+            raise GraphStructureError(f"duplicate task id {iid!r}")
+        seen.update(ids[tid])
     return ids
 
 
@@ -461,8 +458,8 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
     """
     ids = _instance_ids(g)
     new_tasks: list[Task] = []
-    for tid in sorted(g.tasks):
-        task = g.tasks[tid]
+    for tid in sorted(g._tasks):
+        task = g._tasks[tid]
         if task.kind is not TaskKind.DUPLICABLE:
             new_tasks.append(task)
             continue

@@ -30,61 +30,61 @@ from .graph import ControlKind, Task, TaskGraph, TaskKind
 __all__ = ["loads", "load", "dumps", "dump"]
 
 _TASK_KEYS = {"id", "kind", "d", "control_kind", "entry", "instructions", "reads", "writes"}
+# Each enum's members by value: a lookup here is cheaper than calling the enum.
+_KINDS = {kind.value: kind for kind in TaskKind}
+_CONTROL_KINDS = {kind.value: kind for kind in ControlKind}
 
 
 def _format_error(message: str) -> GraphFormatError:
     return GraphFormatError(f"task graph document: {message}")
 
 
-def _string_list(value: object, what: str) -> list[str]:
+def _where(obj: dict, index: int) -> str:
+    """Where task ``index`` is, for an error message: spelled out only to raise one."""
+    return f"tasks[{index}] ({obj['id']!r})"
+
+
+def _member(members: dict, obj: dict, key: str, index: int):
+    """The enum member whose value is ``obj[key]``."""
+    try:
+        return members[obj[key]]
+    except (KeyError, TypeError):  # TypeError: the value is a list or a dict
+        raise _format_error(
+            f"{_where(obj, index)}: {key} must be one of {list(members)!r}, got {obj[key]!r}"
+        ) from None
+
+
+def _string_list(obj: dict, key: str, index: int) -> list[str]:
+    value = obj.get(key, [])
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _format_error(f"{what} must be a list of strings, got {value!r}")
+        raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
     return value
 
 
 def _parse_task(obj: object, index: int) -> Task:
     if not isinstance(obj, dict):
         raise _format_error(f"tasks[{index}] must be an object, got {obj!r}")
-    unknown = set(obj) - _TASK_KEYS
-    if unknown:
-        raise _format_error(
-            f"tasks[{index}] has unknown key(s) {sorted(unknown)!r}"
-        )
+    if not obj.keys() <= _TASK_KEYS:
+        raise _format_error(f"tasks[{index}] has unknown key(s) {sorted(obj.keys() - _TASK_KEYS)!r}")
     if "id" not in obj or "kind" not in obj:
         raise _format_error(f"tasks[{index}] needs both 'id' and 'kind'")
-    tid = obj["id"]
-    where = f"tasks[{index}] ({tid!r})"
-    try:
-        kind = TaskKind(obj["kind"])
-    except ValueError:
-        raise _format_error(
-            f"{where}: kind must be one of "
-            f"{[k.value for k in TaskKind]!r}, got {obj['kind']!r}"
-        ) from None
+    kind = _member(_KINDS, obj, "kind", index)
     if "d" in obj and kind is not TaskKind.DUPLICABLE:
-        raise _format_error(f"{where}: 'd' is only valid on duplicable tasks")
-    control_kind = None
-    if "control_kind" in obj:
-        try:
-            control_kind = ControlKind(obj["control_kind"])
-        except ValueError:
-            raise _format_error(
-                f"{where}: control_kind must be one of "
-                f"{[k.value for k in ControlKind]!r}, got {obj['control_kind']!r}"
-            ) from None
+        raise _format_error(f"{_where(obj, index)}: 'd' is only valid on duplicable tasks")
+    control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
     try:
         return Task(
-            id=tid,
+            id=obj["id"],
             kind=kind,
             instances=obj.get("d", 1),
             control_kind=control_kind,
             entry_point=obj.get("entry"),
             instruction_count=obj.get("instructions", 0),
-            read_set=frozenset(_string_list(obj.get("reads", []), f"{where}: reads")),
-            write_set=frozenset(_string_list(obj.get("writes", []), f"{where}: writes")),
+            read_set=_string_list(obj, "reads", index),  # Task makes frozensets of them
+            write_set=_string_list(obj, "writes", index),
         )
     except PluralError as exc:
-        raise _format_error(f"{where}: {exc}") from None
+        raise _format_error(f"{_where(obj, index)}: {exc}") from None
 
 
 def loads(text: str) -> TaskGraph:
@@ -108,18 +108,13 @@ def loads(text: str) -> TaskGraph:
     if not isinstance(edges_obj, list):
         raise _format_error("'edges' must be a list")
     tasks = [_parse_task(t, i) for i, t in enumerate(tasks_obj)]
-    edges = []
     for i, pair in enumerate(edges_obj):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(e, str) for e in pair)
+        if not (
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)
         ):
-            raise _format_error(
-                f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}"
-            )
-        edges.append((pair[0], pair[1]))
-    return TaskGraph(tasks, edges)
+            raise _format_error(f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}")
+    return TaskGraph(tasks, edges_obj)
 
 
 def load(path: str | Path) -> TaskGraph:
@@ -148,7 +143,7 @@ def _task_to_obj(task: Task) -> dict:
 def dumps(g: TaskGraph) -> str:
     """Serialize a task graph to the JSON document format (stable ordering)."""
     doc = {
-        "tasks": [_task_to_obj(g.tasks[tid]) for tid in sorted(g.tasks)],
+        "tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
         "edges": [list(edge) for edge in sorted(g.edges)],
     }
     return json.dumps(doc, indent=2) + "\n"

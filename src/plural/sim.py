@@ -204,7 +204,8 @@ class _Instance:
     )
 
     def __init__(
-        self, tid: str, task: Task, vars_: tuple[str, ...], stride: int, skip: _Skip
+        self, tid: str, task: Task, vars_: tuple[str, ...], stride: int, skip: _Skip,
+        core: int, start: int,
     ):
         self.tid = tid  # instance id
         self.task = task.id
@@ -212,8 +213,8 @@ class _Instance:
         self.vars = vars_  # access targets, round-robin
         self.n_access = self.n // stride if vars_ else 0
         self.skip = skip if self.n_access else None  # see _skip_table
-        self.core = -1
-        self.start = 0
+        self.core = core
+        self.start = start  # slot
         self.stalls = 0
         self.granted = 0
         self.since = 0  # slot at which the pending access arrived
@@ -241,6 +242,7 @@ class _Simulation:
     ):
         self.g = g
         self.cfg = cfg
+        self.stride = cfg.mem_access_stride
         self.private = private  # variables whose accesses never contend
         # Access plans by which targets are private: instances of one shape
         # share one.  Kept per run, since ``private`` is the graph's.
@@ -257,7 +259,7 @@ class _Simulation:
 
         self.instances = g._footprint.instances  # by ascending authored id
         # Each task's unfinished predecessor instances.
-        self.pred_left = {tid: 0 for tid in g.tasks}
+        self.pred_left = dict.fromkeys(g._tasks, 0)
         for pred, succ in g.edges:
             self.pred_left[succ] += len(self.instances[pred])
         self.succs = g._successors
@@ -289,19 +291,23 @@ class _Simulation:
 
     # -- event helpers ------------------------------------------------------
 
-    def _event(self, slot: int, kind: str, task: str, detail: str) -> None:
+    def _event(self, slot: int, kind: str, task: str, detail: str = "", *args: object) -> None:
+        """Trace an event; its detail, ``detail % args``, is formatted only when tracing."""
         if self.trace is not None:
-            self.trace.append(SimEvent(slot * self.slot_dt, kind, task, detail))
+            self.trace.append(SimEvent(slot * self.slot_dt, kind, task, detail % args if args else detail))
 
     def _instances(self, tids: Iterable[str]) -> list[_Item]:
-        return [(iid, tid, vars_) for tid in tids for iid, vars_ in self.instances[tid]]
+        return [item for tid in tids for item in self.instances[tid]]
 
     def _count_down(self, followers: list[str]) -> list[_Item]:
         """Count one finished instance off each follower; return the instances
         of those left with none."""
+        freed = []
         for s in followers:
             self.pred_left[s] -= 1
-        return self._instances(s for s in followers if self.pred_left[s] == 0)
+            if not self.pred_left[s]:
+                freed += self.instances[s]
+        return freed
 
     # -- scheduler ----------------------------------------------------------
 
@@ -309,11 +315,12 @@ class _Simulation:
         """Make the ``freed`` instances ready.  A control task among them
         resolves at once and appends the instances it frees.  The ``ready``
         heap's key, not this order, decides dispatch."""
-        for iid, t, vars_ in freed:
-            task = self.g.tasks[t]
+        for item in freed:
+            iid, t, _ = item
+            task = self.g._tasks[t]
             if task.kind is not TaskKind.CONTROL:
-                heapq.heappush(self.ready, (slot, (iid, t, vars_)))
-                self._event(slot, "ready", iid, "")
+                heapq.heappush(self.ready, (slot, item))
+                self._event(slot, "ready", iid)
                 continue
             self.last_boundary = max(self.last_boundary, slot)
             if task.control_kind is ControlKind.CONDITIONAL:
@@ -338,16 +345,15 @@ class _Simulation:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
         mask = tuple(map(self.private.__contains__, vars_))
-        if mask not in self.skips:
-            self.skips[mask] = _skip_table(mask)
-        stride = self.cfg.mem_access_stride
-        inst = _Instance(iid, self.g.tasks[tid], vars_, stride, self.skips[mask])
-        inst.core = core_idx
-        inst.start = slot
+        try:
+            skip = self.skips[mask]
+        except KeyError:
+            skip = self.skips[mask] = _skip_table(mask)
+        inst = _Instance(iid, self.g._tasks[tid], vars_, self.stride, skip, core_idx, slot)
         self.cores[core_idx].current = inst
         if not from_queue:
             self.sched_msg_count += 1  # task-init message
-        self._event(slot, "start", iid, f"core={core_idx}")
+        self._event(slot, "start", iid, "core=%d", core_idx)
         self._push_next(inst)
 
     def _push_next(self, inst: _Instance) -> None:
@@ -357,18 +363,18 @@ class _Simulation:
         be a group of one, granted in its arrival slot with no stall and no
         draw from the generator.
         """
-        stride = self.cfg.mem_access_stride
+        stride, granted = self.stride, inst.granted
         if inst.skip is not None:
-            jump = min(inst.skip[inst.granted % len(inst.vars)], inst.n_access - inst.granted)
+            size = len(inst.vars)
+            jump = min(inst.skip[granted % size], inst.n_access - granted)
             if self.trace is not None:
-                for k in range(inst.granted, inst.granted + jump):
+                for k in range(granted, granted + jump):
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls
-                    var = inst.vars[k % len(inst.vars)]
-                    self._event(slot, "access", inst.tid, f"var={var} waited=0")
-            inst.granted += jump
+                    self._event(slot, "access", inst.tid, "var=%s waited=0", inst.vars[k % size])
+            granted = inst.granted = granted + jump
             self.mem_access_count += jump
-        if inst.granted < inst.n_access:
-            slot = inst.start + (inst.granted + 1) * stride - 1 + inst.stalls
+        if granted < inst.n_access:
+            slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
             heapq.heappush(self.heap, (slot, _ACCESS, inst.tid, inst))
         else:
             slot = inst.start + inst.n + inst.stalls
@@ -399,7 +405,7 @@ class _Simulation:
             if len(queue) == self.cfg.prealloc_depth:
                 heapq.heappop(self.room)
             self.sched_msg_count += 1  # task-init message, pre-allocated
-            self._event(slot, "queue", item[0], f"core={core_idx}")
+            self._event(slot, "queue", item[0], "core=%d", core_idx)
 
     def _complete(self, inst: _Instance, slot: int) -> None:
         core = self.cores[inst.core]
@@ -408,15 +414,18 @@ class _Simulation:
         self.total_instructions += inst.n
         self.sched_msg_count += 1  # task-completion message
         self.last_boundary = max(self.last_boundary, slot)
-        self._event(slot, "complete", inst.tid, f"core={inst.core}")
-        self._release(self._count_down(self.succs[inst.task]), slot)
+        self._event(slot, "complete", inst.tid, "core=%d", inst.core)
+        freed = self._count_down(self.succs[inst.task])
+        if freed:
+            self._release(freed, slot)
         if core.queue:
             if len(core.queue) == self.cfg.prealloc_depth:
                 heapq.heappush(self.room, inst.core)
             self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
         else:
             heapq.heappush(self.idle, inst.core)
-        self._dispatch(slot)
+        if self.ready:
+            self._dispatch(slot)
 
     def _arbitrate(self, slot: int) -> None:
         """Grant each variable with contenders in ``slot`` to one of them.

@@ -539,6 +539,21 @@ class TestSimulate:
         assert len(rows) == 1
         assert rows[0]["m"] == "4"
 
+    def test_csv_records_no_events(self, tmp_path, monkeypatch):
+        # A CSV row holds no events, so --emit-events changes nothing there.
+        path = write_graph(tmp_path, WIDE_GRAPH)
+        argv = ["simulate", str(path), "--m", "16384", "--csv"]
+        recorded = []
+        real_run = sim.run
+
+        def spy(g, cfg, *, record_events=False):
+            recorded.append(record_events)
+            return real_run(g, cfg, record_events=record_events)
+
+        monkeypatch.setattr(sim, "run", spy)
+        assert call_main(argv + ["--emit-events"]) == call_main(argv)
+        assert recorded == [False, False]
+
     def test_emit_events(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)
         code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--emit-events")

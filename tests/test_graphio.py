@@ -1,8 +1,12 @@
 """Tests for the task-graph JSON document format."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
-from plural import ControlKind, GraphFormatError, GraphStructureError, Task, TaskGraph, TaskKind
+from plural import ControlKind, GraphFormatError, GraphStructureError, Task, TaskGraph, TaskKind, cli
 from plural.graphio import dump, dumps, load, loads
 
 DOC = """
@@ -138,3 +142,67 @@ def test_dump_control_task_shape():
     text = dumps(g)
     assert '"control_kind": "branch"' in text
     assert '"entry"' not in text
+
+
+A = {"id": "a", "kind": "singular"}
+KINDS = "['singular', 'duplicable', 'control']"
+CONTROL_KINDS = "['branch', 'merge', 'conditional']"
+PAIR = "must be a [predecessor, successor] id pair, got"
+
+
+def validate_file(tmp_path, doc):
+    """Exit code and stderr of ``plural validate`` on ``doc``."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"tasks": [{**A, "kind": "parallel"}]},
+         f"tasks[0] ('a'): kind must be one of {KINDS}, got 'parallel'"),
+        ({"tasks": [{**A, "kind": 3}]}, f"tasks[0] ('a'): kind must be one of {KINDS}, got 3"),
+        ({"tasks": [{**A, "kind": ["singular"]}]},
+         f"tasks[0] ('a'): kind must be one of {KINDS}, got ['singular']"),
+        ({"tasks": [{**A, "kind": {"singular": 1}}]},
+         f"tasks[0] ('a'): kind must be one of {KINDS}, got {{'singular': 1}}"),
+        ({"tasks": [{**A, "kind": "control", "control_kind": "loop"}]},
+         f"tasks[0] ('a'): control_kind must be one of {CONTROL_KINDS}, got 'loop'"),
+        ({"tasks": [{**A, "kind": "control", "control_kind": ["merge"]}]},
+         f"tasks[0] ('a'): control_kind must be one of {CONTROL_KINDS}, got ['merge']"),
+        ({"tasks": [{**A, "d": 4}]}, "tasks[0] ('a'): 'd' is only valid on duplicable tasks"),
+        # The task's place is spelled twice in these two messages.
+        ({"tasks": [{**A, "reads": "x"}]},
+         "tasks[0] ('a'): task graph document: tasks[0] ('a'): reads must be a list of "
+         "strings, got 'x'"),
+        ({"tasks": [{**A, "writes": ["o", 1]}]},
+         "tasks[0] ('a'): task graph document: tasks[0] ('a'): writes must be a list of "
+         "strings, got ['o', 1]"),
+        ({"tasks": [{**A, "kind": "control", "control_kind": "merge", "instructions": 5}]},
+         "tasks[0] ('a'): task 'a': control tasks execute no instructions"),
+        ({"tasks": [A], "edges": ["ab"]}, f"edges[0] {PAIR} 'ab'"),
+        ({"tasks": [A], "edges": [["a"]]}, f"edges[0] {PAIR} ['a']"),
+        ({"tasks": [A], "edges": [["a", "a"], ["a", 1]]}, f"edges[1] {PAIR} ['a', 1]"),
+    ],
+    ids=[
+        "kind-string", "kind-number", "kind-list", "kind-dict", "control-kind",
+        "control-kind-list", "d-on-singular", "reads-not-list", "writes-non-string",
+        "task-validation", "edge-string", "edge-short", "edge-non-string",
+    ],
+)
+def test_malformed_document_messages(tmp_path, doc, message):
+    assert validate_file(tmp_path, doc) == (2, f"error: task graph document: {message}\n")
+
+
+def test_first_unknown_edge_endpoint_in_sorted_order(tmp_path):
+    doc = {
+        "tasks": [A, {"id": "b", "kind": "singular"}],
+        "edges": [["b", "zz"], ["a", "b"], ["ghost", "a"], ["a", "yy"]],
+    }
+    assert validate_file(tmp_path, doc) == (
+        2, "error: edge ('a', 'yy') references unknown task id 'yy'\n"
+    )

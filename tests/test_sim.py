@@ -718,6 +718,46 @@ class TestPerStallReference:
         assert_matches_per_stall(*case)
 
 
+def event_calls(g, cfg, record_events):
+    """A run's outcome and each ``_event`` call it made, as (slot, kind, task,
+    detail, args)."""
+    calls = []
+    real_event = sim_module._Simulation._event
+
+    def recording(self, slot, kind, task, detail="", *args):
+        calls.append((slot, kind, task, detail, args))
+        return real_event(self, slot, kind, task, detail, *args)
+
+    with mock.patch.object(sim_module._Simulation, "_event", recording):
+        return run_outcome(g, cfg, sim_module._Simulation, record_events), calls
+
+
+class TestUntracedRunsFormatNoDetail:
+    """An untraced run passes each event's detail to ``_event`` as a ``%``
+    template and its arguments, which only a traced run formats."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases()))
+    def test_details_stay_templates(self, case):
+        g, cfg = case
+        untraced, calls = event_calls(g, cfg, record_events=False)
+        # A formatted detail names a core or a stall count by its digits.
+        assert not [call for call in calls if any(ch.isdigit() for ch in call[3])]
+        traced, traced_calls = event_calls(g, cfg, record_events=True)
+        if isinstance(traced, tuple):
+            assert untraced == traced
+            return
+        # Formatting the untraced templates gives the traced details, whose
+        # events are the trace's events.
+        kinds = {call[1] for call in calls}
+        formatted = [(s, k, t, d % a if a else d) for s, k, t, d, a in traced_calls if k in kinds]
+        assert formatted == [(s, k, t, d % a if a else d) for s, k, t, d, a in calls]
+        assert sorted(e.detail for e in traced.events if e.kind in kinds) == sorted(
+            call[3] for call in formatted
+        )
+        assert_matches_per_stall(g, cfg)
+
+
 @st.composite
 def mixed_footprint_cases(draw):
     """Chains and fork-joins whose tasks mix private and shared variables.
