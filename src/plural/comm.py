@@ -60,10 +60,10 @@ def sched_msg_energy(area: float) -> float:
 
 
 def sched_power(area: float, m: int) -> float:
-    """Scheduler traffic power: sqrt(A) per message at rate sqrt(m * A)."""
-    _check_area(area)
+    """Scheduler traffic power: one message's energy at rate sqrt(m * A)."""
+    energy = sched_msg_energy(area)
     _check_core_count(m)
-    return math.sqrt(area) * math.sqrt(m * area)
+    return energy * math.sqrt(m * area)
 
 
 def mem_access_energy(area: float, m: int) -> float:
@@ -78,10 +78,8 @@ def mem_access_energy(area: float, m: int) -> float:
 
 
 def mem_power(area: float, m: int) -> float:
-    """Memory traffic power: (sqrt(A) + log2(m)) per access at rate sqrt(m * A)."""
-    _check_area(area)
-    _check_core_count(m)
-    return (math.sqrt(area) + math.log2(m)) * math.sqrt(m * area)
+    """Memory traffic power: one access's energy at rate sqrt(m * A)."""
+    return mem_access_energy(area, m) * math.sqrt(m * area)
 
 
 def comm_metrics(
@@ -98,9 +96,10 @@ def comm_metrics(
     if ensemble is None:
         ensemble = ensemble_metrics(spec, m)
     sched_e = sched_msg_energy(spec.area)
-    sched_p = sched_power(spec.area, m)
     mem_e = mem_access_energy(spec.area, m)
-    mem_p = mem_power(spec.area, m)
+    rate = math.sqrt(m * spec.area)
+    sched_p = sched_e * rate
+    mem_p = mem_e * rate
     total = ensemble.power + sched_p + mem_p
     row = CommMetrics(
         m=m,

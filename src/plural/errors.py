@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check behind them."""
+
+
+def _is_count(value: object, least: float) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 class PluralError(Exception):

@@ -28,7 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import CycleError, GraphStructureError, ValidationError
+from .errors import CycleError, GraphStructureError, ValidationError, _is_count
 
 __all__ = [
     "TaskKind",
@@ -64,11 +64,6 @@ class ControlKind(Enum):
     BRANCH = "branch"
     MERGE = "merge"
     CONDITIONAL = "conditional"
-
-
-def _is_count(value: object, least: int) -> bool:
-    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -174,8 +169,13 @@ class TaskGraph:
 
     @cached_property
     def _successors(self) -> dict[str, list[str]]:
-        # Read by ``validate_dag``, the footprint index and the simulator.
+        # Read by the search, the footprint index and the simulator.
         return _successor_map(self)
+
+    @cached_property
+    def _search(self) -> tuple[list[str] | None, list[str] | None]:
+        # The one search that every DAG check and the reachability bitsets read.
+        return _search(self._successors)
 
     @cached_property
     def _footprint(self) -> _Footprint:
@@ -225,63 +225,56 @@ def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
     return succ
 
 
-def validate_dag(g: TaskGraph) -> list[str] | None:
-    """Return None if the graph is acyclic, else one witness cycle.
-
-    The witness is a task-id sequence along edges with the starting id
-    repeated at the end, e.g. ``["A", "B", "A"]``.
-    """
-    succ = g._successors
+def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] | None]:
+    """Depth-first search (Tarjan, 1972), roots and successors ascending, on
+    an explicit stack.  Returns (order, None) on a DAG, order being the reverse
+    postorder, a topological order; else (None, the first back edge's cycle)."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(g._tasks, WHITE)
-    for root in sorted(g._tasks):
+    color = dict.fromkeys(succ, WHITE)
+    postorder: list[str] = []
+    for root in sorted(succ):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
-        path = [root]
         stack = [(root, iter(succ[root]))]
         while stack:
             node, neighbors = stack[-1]
             nxt = next(neighbors, None)
             if nxt is None:
                 color[node] = BLACK
-                path.pop()
+                postorder.append(node)
                 stack.pop()
                 continue
             if color[nxt] == GRAY:
-                return path[path.index(nxt) :] + [nxt]
+                path = [tid for tid, _ in stack]
+                return None, path[path.index(nxt) :] + [nxt]
             if color[nxt] == WHITE:
                 color[nxt] = GRAY
-                path.append(nxt)
                 stack.append((nxt, iter(succ[nxt])))
-    return None
+    return postorder[::-1], None
 
 
-def _descendant_bits(g: TaskGraph, index: Mapping[str, int]) -> dict[str, int] | None:
-    """Each task's descendants as an int bitset, bit ``index[tid]`` per task,
-    or None when the graph has a cycle.
+def validate_dag(g: TaskGraph) -> list[str] | None:
+    """Return None if the graph is acyclic, else one witness cycle.
 
-    One pass over a topological order, so O(V + E) bitset unions.
+    The witness is a task-id sequence along edges with the starting id
+    repeated at the end, e.g. ``["A", "B", "A"]``.
     """
-    succ = g._successors
-    indegree = dict.fromkeys(g._tasks, 0)
-    for _, s in g.edges:
-        indegree[s] += 1
-    order: list[str] = [tid for tid in g._tasks if indegree[tid] == 0]
-    for tid in order:
-        for s in succ[tid]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                order.append(s)
-    if len(order) < len(g._tasks):
-        return None
+    return None if g._search[1] is None else list(g._search[1])  # a copy: the search is cached
+
+
+def _descendant_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """Each task's bit, its place in the DAG's topological order, and its
+    descendants as an int bitset of those bits: O(V + E) bitset unions."""
+    succ, order = g._successors, g._search[0]
+    index = {tid: i for i, tid in enumerate(order)}
     desc: dict[str, int] = {}
     for tid in reversed(order):
         bits = 0
         for s in succ[tid]:
             bits |= desc[s] | 1 << index[s]
         desc[tid] = bits
-    return desc
+    return index, desc
 
 
 def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
@@ -294,20 +287,18 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
+    index, desc = _descendant_bits(g)
     ids = sorted(g._tasks)
-    index = {tid: i for i, tid in enumerate(ids)}
-    desc = _descendant_bits(g, index)
     pairs: set[tuple[str, str]] = set()
     for i, a in enumerate(ids):
-        for j in range(i + 1, len(ids)):
-            b = ids[j]
-            if not (desc[a] >> j & 1 or desc[b] >> i & 1):
+        for b in ids[i + 1 :]:
+            if not (desc[a] >> index[b] & 1 or desc[b] >> index[a] & 1):
                 pairs.add((a, b))
     return pairs
 
 
 class _Footprint(NamedTuple):
-    index: dict[str, int]  # authored id -> its bit
+    index: dict[str, int]  # authored id -> its bit, its place in a topological order
     desc: dict[str, int]  # authored id -> descendants as an int bitset
     touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
     # authored id, ascending -> (instance id, authored id, sorted reads + sorted writes) per instance
@@ -324,14 +315,17 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     the bitsets of the authored graph decide every instance pair.
 
     Raises ``GraphStructureError`` when an instance id collides with another
-    task's id and ``CycleError``, with a witness over expanded ids, when the
-    graph has a cycle.
+    task's id and ``CycleError``, with ``validate_dag``'s witness on the
+    expanded graph, when the graph has a cycle.  A search with each duplicable
+    renamed to its first instance finds it: any other instance has the same
+    edges and is reached only after the first finished, so it finds nothing.
     """
     ids = _instance_ids(g)
-    index = {tid: i for i, tid in enumerate(g._tasks)}
-    desc = _descendant_bits(g, index)
-    if desc is None:
-        raise CycleError(validate_dag(expand_duplicables(g)))
+    if g._search[1] is not None:
+        first = {tid: iids[0] for tid, iids in ids.items()}
+        renamed = {first[t]: sorted(first[s] for s in succ) for t, succ in g._successors.items()}
+        raise CycleError(_search(renamed)[1])
+    index, desc = _descendant_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
     instances: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
     for tid, iids in ids.items():
@@ -397,19 +391,18 @@ def private_variables(g: TaskGraph) -> frozenset[str]:
 
     Such a variable is never accessed by two instances in one slot of a
     run, whatever branches a conditional takes: a branch not taken only
-    removes touchers.  The touchers' authored tasks are sorted by their
-    number of descendants, since a task has more than any task it precedes,
-    and only consecutive pairs are tested, stopping at the first unordered
-    one: O(touchers log touchers) per variable.  A task does not precede
-    itself, so a variable that two instances of one duplicable share is
-    never private.  Raises what ``check_crew`` raises.
+    removes touchers.  Sorted topologically, tasks form a chain exactly when
+    each consecutive pair is ordered, so only those pairs are tested,
+    stopping at the first unordered one: O(touchers log touchers) per
+    variable.  A task does not precede itself, so a variable that two
+    instances of one duplicable share is never private.  Raises what
+    ``check_crew`` raises.
     """
     index, desc, touchers, _ = g._footprint
-    size = {tid: bits.bit_count() for tid, bits in desc.items()}
     private = []
     for var, entries in touchers.items():
         if len(entries) > 1:
-            tasks = sorted((tid for _, tid, _ in entries), key=size.__getitem__, reverse=True)
+            tasks = sorted((tid for _, tid, _ in entries), key=index.__getitem__)
             if not all(desc[a] >> index[b] & 1 for a, b in zip(tasks, tasks[1:])):
                 continue
         private.append(var)

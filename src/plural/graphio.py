@@ -72,6 +72,7 @@ def _parse_task(obj: object, index: int) -> Task:
     if "d" in obj and kind is not TaskKind.DUPLICABLE:
         raise _format_error(f"{_where(obj, index)}: 'd' is only valid on duplicable tasks")
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
+    reads, writes = _string_list(obj, "reads", index), _string_list(obj, "writes", index)
     try:
         return Task(
             id=obj["id"],
@@ -80,8 +81,7 @@ def _parse_task(obj: object, index: int) -> Task:
             control_kind=control_kind,
             entry_point=obj.get("entry"),
             instruction_count=obj.get("instructions", 0),
-            read_set=_string_list(obj, "reads", index),  # Task makes frozensets of them
-            write_set=_string_list(obj, "writes", index),
+            read_set=reads, write_set=writes,  # Task makes frozensets of them
         )
     except PluralError as exc:
         raise _format_error(f"{_where(obj, index)}: {exc}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _is_count
 
 __all__ = [
     "ChipSpec",
@@ -80,7 +80,7 @@ class EnsembleMetrics:
 
 
 def _check_core_count(m: int) -> None:
-    if not isinstance(m, int):
+    if not _is_count(m, -math.inf):
         raise DomainError(f"core count m must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"core count m must be >= 1, got {m}")

@@ -65,6 +65,7 @@ from .errors import (
     DomainError,
     SimConfigError,
     ValidationError,
+    _is_count,
 )
 from .graph import (
     ControlKind,
@@ -101,18 +102,11 @@ class SimConfig:
     conditional_outcomes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValidationError(f"m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.mem_access_stride, int) or self.mem_access_stride < 1:
-            raise ValidationError(
-                f"mem_access_stride must be a positive integer, got "
-                f"{self.mem_access_stride!r}"
-            )
-        if not isinstance(self.prealloc_depth, int) or self.prealloc_depth < 0:
-            raise ValidationError(
-                f"prealloc_depth must be a nonnegative integer, got "
-                f"{self.prealloc_depth!r}"
-            )
+        for name, least, word in (("m", 1, "positive"), ("mem_access_stride", 1, "positive"),
+                                  ("prealloc_depth", 0, "nonnegative")):
+            value = getattr(self, name)
+            if not _is_count(value, least):
+                raise ValidationError(f"{name} must be a {word} integer, got {value!r}")
         object.__setattr__(self, "conditional_outcomes", dict(self.conditional_outcomes))
 
 

@@ -635,10 +635,11 @@ class TestSimulate:
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
         # The CREW warnings and the run share one index, which holds each
         # instance's footprint: traced or not, each is computed once.  The
-        # DAG check, the index and the run share one successor map.
-        built, successor_maps, footprints = [], [], Counter()
+        # DAG check, the index and the run share one successor map and one
+        # depth-first search, and so do validate's DAG check and CREW check.
+        built, successor_maps, searches, footprints = [], [], [], Counter()
         real_build, real_footprint = graph_module._build_footprint, graph_module._instance_footprint
-        real_successors = graph_module._successor_map
+        real_successors, real_search = graph_module._successor_map, graph_module._search
 
         def counting(g):
             built.append(len(g))
@@ -648,6 +649,10 @@ class TestSimulate:
             successor_maps.append(len(g))
             return real_successors(g)
 
+        def counting_search(succ):
+            searches.append(len(succ))
+            return real_search(succ)
+
         def counting_footprint(task, number):
             footprints[task.id, number] += 1
             return real_footprint(task, number)
@@ -655,17 +660,20 @@ class TestSimulate:
         monkeypatch.setattr(graph_module, "_build_footprint", counting)
         monkeypatch.setattr(graph_module, "_instance_footprint", counting_footprint)
         monkeypatch.setattr(graph_module, "_successor_map", counting_successors)
+        monkeypatch.setattr(graph_module, "_search", counting_search)
         # A module that imports the function by name must use the counted one too.
         monkeypatch.setattr(sim, "_instance_footprint", counting_footprint, raising=False)
         path = write_graph(tmp_path, DEMO_GRAPH)
-        for flags in ((), ("--emit-events",)):
+        for command in (("simulate", "--m", "4"), ("simulate", "--m", "4", "--emit-events"), ("validate",)):
             built.clear()
             successor_maps.clear()
+            searches.clear()
             footprints.clear()
-            code, _, _ = run_cli(capsys, "simulate", path, "--m", "4", *flags)
+            code, _, _ = run_cli(capsys, command[0], path, *command[1:])
             assert code == 0
             assert built == [1]
             assert successor_maps == [1]
+            assert searches == [1]
             assert footprints == Counter(("work", k) for k in range(64))
 
 
@@ -799,6 +807,20 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", path)
         assert code == 2
         assert "a -> b -> a" in err
+
+    def test_cycle_through_wide_duplicables(self, capsys, tmp_path):
+        # Expanded, this graph has 2 * 10**10 edges; the witness must come
+        # from the authored graph.  simulate names instance ids, validate
+        # authored ones.
+        doc = {
+            "tasks": [{"id": tid, "kind": "duplicable", "d": 100_000} for tid in ("a", "b")],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        path = write_graph(tmp_path, doc)
+        assert run_cli(capsys, "simulate", path, "--m", "2") == (
+            2, "", "error: task graph contains a cycle: a#0 -> b#0 -> a#0\n"
+        )
+        assert run_cli(capsys, "validate", path) == (2, "", "cycle: a -> b -> a\n")
 
     def test_bool_counts_rejected(self, capsys, tmp_path):
         doc = {

@@ -227,6 +227,8 @@ class TestParallelize:
             parallelize(make_state(1, 1), 0)
         with pytest.raises(DomainError):
             parallelize(make_state(1, 1), 2.0)
+        with pytest.raises(DomainError):
+            parallelize(make_state(1, 1), True)
 
 
 class TestConstrain:

@@ -328,6 +328,13 @@ class TestCheckCrewMatchesPairwiseCheck:
     @example(
         TaskGraph([duplicable("a", 2, writes={"x"}), singular("b")], [("a", "b"), ("b", "a")])
     )
+    # Renamed to its first instance, a duplicable sorts elsewhere: "a" < "a!" < "a#0".
+    @example(
+        TaskGraph(
+            [singular("r"), duplicable("a", 2), singular("a!")],
+            [("r", "a"), ("r", "a!"), ("a", "r"), ("a!", "r")],
+        )
+    )
     # An instance id collides with an authored id.
     @example(TaskGraph([duplicable("a", 2), singular("a#1", writes={"x"})]))
     def test_same_result_as_pairwise_check(self, g):
@@ -340,20 +347,24 @@ class TestCheckCrewMatchesPairwiseCheck:
         monkeypatch.setattr(graph_module, "concurrent_pairs", forbidden)
         monkeypatch.setattr(graph_module, "expand_duplicables", forbidden)
 
-        def fork_join(d, writes):
+        def fork_join(d, writes, *back_edges):
             return TaskGraph(
                 [
                     singular("load", writes={"in"}),
                     duplicable("work", d, reads={"in"}, writes=writes),
                     singular("join", writes={"done"}),
                 ],
-                [("load", "work"), ("work", "join")],
+                [("load", "work"), ("work", "join"), *back_edges],
             )
 
         assert check_crew(fork_join(4000, {"out[#]"})) == []
         violations = check_crew(fork_join(8, {"acc"}))
         assert len(violations) == 8 * 7 // 2
         assert {(v.variable, v.kind) for v in violations} == {("acc", WRITE_WRITE)}
+        # The expanded graph's witness, found without its 2 * 10**5 edges.
+        with pytest.raises(CycleError) as caught:
+            check_crew(fork_join(100_000, {"out[#]"}, ("join", "load")))
+        assert caught.value.cycle == ["join", "load", "work#0", "join"]
 
 
 class TestPrivateVariables:

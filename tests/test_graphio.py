@@ -175,13 +175,9 @@ def validate_file(tmp_path, doc):
         ({"tasks": [{**A, "kind": "control", "control_kind": ["merge"]}]},
          f"tasks[0] ('a'): control_kind must be one of {CONTROL_KINDS}, got ['merge']"),
         ({"tasks": [{**A, "d": 4}]}, "tasks[0] ('a'): 'd' is only valid on duplicable tasks"),
-        # The task's place is spelled twice in these two messages.
-        ({"tasks": [{**A, "reads": "x"}]},
-         "tasks[0] ('a'): task graph document: tasks[0] ('a'): reads must be a list of "
-         "strings, got 'x'"),
+        ({"tasks": [{**A, "reads": "x"}]}, "tasks[0] ('a'): reads must be a list of strings, got 'x'"),
         ({"tasks": [{**A, "writes": ["o", 1]}]},
-         "tasks[0] ('a'): task graph document: tasks[0] ('a'): writes must be a list of "
-         "strings, got ['o', 1]"),
+         "tasks[0] ('a'): writes must be a list of strings, got ['o', 1]"),
         ({"tasks": [{**A, "kind": "control", "control_kind": "merge", "instructions": 5}]},
          "tasks[0] ('a'): task 'a': control tasks execute no instructions"),
         ({"tasks": [A], "edges": ["ab"]}, f"edges[0] {PAIR} 'ab'"),

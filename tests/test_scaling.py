@@ -117,6 +117,8 @@ class TestEnsemble:
             ensemble_metrics(spec, -3)
         with pytest.raises(DomainError):
             ensemble_metrics(spec, 2.0)
+        with pytest.raises(DomainError, match="integer"):
+            ensemble_metrics(spec, True)
 
 
 class TestSweep:

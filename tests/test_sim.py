@@ -1391,9 +1391,11 @@ class TestErrors:
             run(parallel_workload(4, 10), SimConfig(chip=chip, m=4))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError, match="m"):
-            SimConfig(chip=CHIP, m=0)
-        with pytest.raises(ValidationError, match="stride"):
-            SimConfig(chip=CHIP, m=1, mem_access_stride=0)
-        with pytest.raises(ValidationError, match="prealloc"):
-            SimConfig(chip=CHIP, m=1, prealloc_depth=-1)
+        for bad in (0, True):
+            with pytest.raises(ValidationError, match="m must"):
+                SimConfig(chip=CHIP, m=bad)
+            with pytest.raises(ValidationError, match="stride"):
+                SimConfig(chip=CHIP, m=1, mem_access_stride=bad)
+        for bad in (-1, True):
+            with pytest.raises(ValidationError, match="prealloc"):
+                SimConfig(chip=CHIP, m=1, prealloc_depth=bad)
