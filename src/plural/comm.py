@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
 from .scaling import (
     ChipSpec,
     EnsembleMetrics,
@@ -48,22 +48,24 @@ class CommMetrics:
     perf_per_total_power: float
 
 
-def _check_area(area: float) -> None:
-    if not area > 0:
-        raise DomainError(f"area must be positive, got {area!r}")
-
-
 def sched_msg_energy(area: float) -> float:
     """Energy of one fixed-size scheduler message crossing the chip: sqrt(A)."""
-    _check_area(area)
+    if not _is_real(area, 0):
+        raise DomainError(f"area must be positive and finite, got {area!r}")
     return math.sqrt(area)
+
+
+def _rate(area: float, m: int) -> float:
+    """The ensemble's instruction rate sqrt(m * A), for an area already checked."""
+    _check_core_count(m)
+    if not (_is_real(m, 0) and m * area < math.inf):
+        raise DomainError(f"m * area falls outside float range at m={m}")
+    return math.sqrt(m * area)
 
 
 def sched_power(area: float, m: int) -> float:
     """Scheduler traffic power: one message's energy at rate sqrt(m * A)."""
-    energy = sched_msg_energy(area)
-    _check_core_count(m)
-    return energy * math.sqrt(m * area)
+    return sched_msg_energy(area) * _rate(area, m)
 
 
 def mem_access_energy(area: float, m: int) -> float:
@@ -72,14 +74,14 @@ def mem_access_energy(area: float, m: int) -> float:
     An m-endpoint log-depth switching network has log2(m) stages; with a
     single core there are no switch stages and only the wire term remains.
     """
-    _check_area(area)
+    wire = sched_msg_energy(area)
     _check_core_count(m)
-    return math.sqrt(area) + math.log2(m)
+    return wire + math.log2(m)
 
 
 def mem_power(area: float, m: int) -> float:
     """Memory traffic power: one access's energy at rate sqrt(m * A)."""
-    return mem_access_energy(area, m) * math.sqrt(m * area)
+    return mem_access_energy(area, m) * _rate(area, m)
 
 
 def comm_metrics(

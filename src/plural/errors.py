@@ -1,9 +1,17 @@
-"""Exception types shared across the package, and the count check behind them."""
+"""Exception types shared across the package, and the count and real-number checks behind them."""
+
+import sys
 
 
 def _is_count(value: object, least: float) -> bool:
     """Whether ``value`` is an integer, not a bool, of at least ``least``."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value: object, least: float, most: float = sys.float_info.max) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, with ``least < value <= most``;
+    ``most`` defaults to the largest float, so an int too large for a float fails like inf."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and least < value <= most
 
 
 class PluralError(Exception):

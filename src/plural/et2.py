@@ -18,11 +18,12 @@ transforms along and between ET2 curves:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
 from .scaling import _check_core_count
 
 __all__ = [
@@ -39,6 +40,12 @@ __all__ = [
 
 # Stored theta must agree with energy * time**2 to this relative tolerance.
 _THETA_RTOL = 1e-12
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # time**2 of a larger float raises OverflowError
+
+
+def _theta(energy: float, time: float) -> float:
+    """``energy * time**2``, or inf where a float cannot hold ``energy`` or ``time**2``."""
+    return energy * time**2 if _is_real(energy, 0) and _is_real(time, 0, _ROOT_MAX) else math.inf
 
 
 @dataclass(frozen=True)
@@ -50,16 +57,14 @@ class Et2State:
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.energy > 0:
-            raise DomainError(f"energy must be positive, got {self.energy!r}")
-        if not self.time > 0:
-            raise DomainError(f"time must be positive, got {self.time!r}")
-        if not self.theta > 0:
-            raise DomainError(f"theta must be positive, got {self.theta!r}")
-        reference = self.energy * self.time**2
-        if not math.isfinite(reference):
+        for name in ("energy", "time", "theta"):
+            value = getattr(self, name)
+            if not _is_real(value, 0, math.inf):
+                raise DomainError(f"{name} must be positive, got {value!r}")
+        reference = _theta(self.energy, self.time)
+        if not _is_real(reference, -math.inf):
             raise DomainError("energy * time**2 overflows a float")
-        if abs(self.theta - reference) > _THETA_RTOL * reference:
+        if not _is_real(self.theta, 0) or abs(self.theta - reference) > _THETA_RTOL * reference:
             raise DomainError(
                 f"theta {self.theta!r} is inconsistent with "
                 f"energy * time**2 = {reference!r}"
@@ -87,15 +92,11 @@ class Et2ParallelResult:
 
 def make_state(energy: float, time: float) -> Et2State:
     """Build a state from an (energy, time) point; theta is derived."""
-    try:
-        theta = energy * time**2
-    except OverflowError:
-        raise DomainError("energy * time**2 overflows a float") from None
-    return Et2State(energy=energy, time=time, theta=theta)
+    return Et2State(energy=energy, time=time, theta=_theta(energy, time))
 
 
 def _check_fraction(fraction: float) -> None:
-    if not 0 < fraction <= 1:
+    if not _is_real(fraction, 0, 1):
         raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
 
 
@@ -120,7 +121,7 @@ def stretch_time(s: Et2State, factor: float) -> Et2State:
     its cube.  Factors below 1 (speeding up) are mathematically valid points
     on the same curve and are accepted with a warning.
     """
-    if not factor > 0:
+    if not _is_real(factor, 0, math.inf):
         raise DomainError(f"stretch factor must be positive, got {factor!r}")
     if factor < 1:
         warnings.warn(
@@ -212,7 +213,7 @@ def constrain(
     if len(given) != 1:
         raise DomainError("exactly one of energy, time, power must be given")
     value = given[0]
-    if not value > 0:
+    if not _is_real(value, 0, math.inf):
         raise DomainError(f"constraint value must be positive, got {value!r}")
     theta = s.theta
     with _blame(f"constraint value {value!r}"):

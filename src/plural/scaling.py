@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, _is_count
+from .errors import DomainError, ValidationError, _is_count, _is_real
 
 __all__ = [
     "ChipSpec",
@@ -41,11 +41,10 @@ class ChipSpec:
     def __post_init__(self) -> None:
         for name in ("area", "work", "cpi"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if not 0.0 < self.pollack_exponent < 1.0:
+            if not _is_real(value, 0):
+                word = "finite" if _is_real(value, 0, math.inf) else "positive"
+                raise ValidationError(f"{name} must be {word}, got {value!r}")
+        if not (_is_real(self.pollack_exponent, 0) and self.pollack_exponent < 1):
             raise ValidationError(
                 f"pollack_exponent must lie in (0, 1), got {self.pollack_exponent!r}"
             )

@@ -66,6 +66,7 @@ from .errors import (
     SimConfigError,
     ValidationError,
     _is_count,
+    _is_real,
 )
 from .graph import (
     ControlKind,
@@ -242,11 +243,9 @@ class _Simulation:
         # share one.  Kept per run, since ``private`` is the graph's.
         self.skips: dict[tuple[bool, ...], _Skip] = {}
         chip = cfg.chip
-        self.core_freq = _check_finite(
-            "core_freq", (chip.area / cfg.m) ** chip.pollack_exponent, positive=True
-        )
+        self.instr_energy = chip.area / _check_finite("m", cfg.m, positive=True)  # A/m, a core's area
+        self.core_freq = _check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
         self.slot_dt = chip.cpi / self.core_freq
-        self.instr_energy = chip.area / cfg.m
         self.msg_energy = comm.sched_msg_energy(chip.area)
         self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed)
@@ -535,7 +534,8 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     The graph must be acyclic; a duplicable task runs as its d instances.
     ``empirical_speedup`` compares the run with one core of the full chip
     area, which executes every instruction back to back.  A report value
-    that leaves float range raises ``DomainError`` naming the value.
+    that leaves float range, or an m or an instruction total too large for
+    a float, raises ``DomainError`` naming the value.
     """
     cycle = validate_dag(g)
     if cycle is not None:
@@ -547,6 +547,7 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
         raise DegenerateWorkloadError(
             "the executed path of the task graph contains no instructions"
         )
+    _check_finite("total_instructions", sim.total_instructions)
     makespan = _check_finite("makespan", sim.makespan, positive=True)
     chip = cfg.chip
     reference = sim.total_instructions * (chip.cpi / chip.area**chip.pollack_exponent)
@@ -559,9 +560,8 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
 
 
 def _check_finite(name: str, value: float, *, positive: bool = False) -> float:
-    """Return ``value`` if it is finite (and, with ``positive``, above zero);
-    otherwise raise ``DomainError`` naming it."""
-    if not (0 < value < math.inf if positive else math.isfinite(value)):
+    """Return ``value`` if it is a finite real (with ``positive``, above zero); else raise ``DomainError`` naming it."""
+    if not _is_real(value, 0 if positive else -math.inf):
         raise DomainError(f"{name} falls outside float range, got {value!r}")
     return value
 

@@ -472,6 +472,12 @@ class TestSimulate:
                 "powerdown_measured falls outside float range, got inf",
                 id="model-check",
             ),
+            # An m too large for a float is refused before the run starts.
+            pytest.param(
+                ["--m", "1" + "0" * 400],
+                "m falls outside float range, got 1" + "0" * 400,
+                id="m=10**400",
+            ),
         ],
     )
     def test_out_of_range_report_is_input_error(self, capsys, tmp_path, args, message):
@@ -480,6 +486,12 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_work_too_large_for_a_float_is_input_error(self, capsys, tmp_path):
+        doc = {"tasks": [{"id": "a", "kind": "singular", "instructions": 10**400}], "edges": []}
+        code, out, err = run_cli(capsys, "simulate", write_graph(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: total_instructions falls outside float range, got {10**400}\n"
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.json"), "--m", "2")

@@ -1,0 +1,151 @@
+"""The library's error contract: every public callable that takes a real
+number or a count returns finite values or raises a ``PluralError``.
+
+Each case below calls one callable of ``plural.__all__`` with one drawn
+argument, every other argument valid.  The arguments cover finite numbers,
+±inf, NaN, bools, ints too large for a float, negatives and a numeric string.
+A bool or a string is never a number here: such a call must raise.
+
+Left out: the result records (``EnsembleMetrics``, ``CommMetrics``,
+``Et2ParallelResult``, ``SimReport``, ``ModelDeviation``, ``SimEvent``,
+``CrewViolation``), which hold what the functions compute and check nothing,
+and the callables whose arguments are a chip, a graph, a report or a
+configuration, which the cases build from drawn values.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import plural
+from plural import (
+    ChipSpec,
+    Et2State,
+    PluralError,
+    SimConfig,
+    Task,
+    TaskGraph,
+    TaskKind,
+    comm_metrics,
+    constrain,
+    ensemble_metrics,
+    iso_energy_time,
+    iso_time_energy,
+    make_state,
+    mem_access_energy,
+    mem_power,
+    parallelize,
+    run,
+    sched_msg_energy,
+    sched_power,
+    shrink_work,
+    stretch_time,
+    sweep,
+)
+
+SPEC = ChipSpec(area=1e6, work=1.0)
+STATE = make_state(8.0, 2.0)
+GRAPH = TaskGraph([Task(id="a", instruction_count=40, read_set=frozenset({"x"}))])
+
+
+def _chip(field):
+    """A chip with ``field`` drawn, run through the model and the simulator."""
+    def call(value):
+        spec = ChipSpec(**{"area": 1e6, "work": 1.0, field: value})
+        return comm_metrics(spec, 4), run(GRAPH, SimConfig(chip=spec, m=4, comm_costs_enabled=True))
+    return call
+
+
+def _config(field):
+    return lambda value: run(GRAPH, SimConfig(**{"chip": SPEC, "m": 2, field: value}))
+
+
+CALLS = {
+    **{f"ChipSpec.{field}": _chip(field) for field in ("area", "work", "cpi", "pollack_exponent")},
+    "ensemble_metrics.m": lambda value: ensemble_metrics(SPEC, value),
+    "sweep.m_values": lambda value: sweep(SPEC, [1, value]),
+    "comm_metrics.m": lambda value: comm_metrics(SPEC, value),
+    "Et2State.energy": lambda value: Et2State(energy=value, time=2.0, theta=32.0),
+    "Et2State.time": lambda value: Et2State(energy=8.0, time=value, theta=32.0),
+    "Et2State.theta": lambda value: Et2State(energy=8.0, time=2.0, theta=value),
+    "make_state.energy": lambda value: make_state(value, 2.0),
+    "make_state.time": lambda value: make_state(8.0, value),
+    "stretch_time.factor": lambda value: stretch_time(STATE, value),
+    "shrink_work.fraction": lambda value: shrink_work(STATE, value),
+    "iso_time_energy.fraction": lambda value: iso_time_energy(STATE, value),
+    "iso_energy_time.fraction": lambda value: iso_energy_time(STATE, value),
+    "parallelize.m": lambda value: parallelize(STATE, value),
+    **{
+        f"constrain.{kind}": (lambda kind: lambda value: constrain(STATE, **{kind: value}))(kind)
+        for kind in ("energy", "time", "power")
+    },
+    "sched_msg_energy.area": sched_msg_energy,
+    "sched_power.area": lambda value: sched_power(value, 16),
+    "sched_power.m": lambda value: sched_power(1e6, value),
+    "mem_access_energy.area": lambda value: mem_access_energy(value, 16),
+    "mem_access_energy.m": lambda value: mem_access_energy(1e6, value),
+    "mem_power.area": lambda value: mem_power(value, 16),
+    "mem_power.m": lambda value: mem_power(1e6, value),
+    "Task.instruction_count": lambda value: run(
+        TaskGraph([Task(id="a", instruction_count=value)]), SimConfig(chip=SPEC, m=2)
+    ),
+    # A duplicable count is only built, not run: a run expands every one of
+    # the d instances, so a d of 10**400 never finishes.
+    "Task.instances": lambda value: Task(id="a", kind=TaskKind.DUPLICABLE, instances=value),
+    **{f"SimConfig.{field}": _config(field) for field in ("m", "mem_access_stride", "prealloc_depth")},
+}
+
+SPECIAL = [0, 1, -1, 0.5, -2.5, 5e-324, 1e300, math.inf, -math.inf, math.nan, True, False,
+           2**1024, 10**400, -(10**400), "1"]
+# Finite counts stay small: a run's report holds m floats per list, so an m
+# such as 2**40 exhausts memory instead (ROADMAP, Open item 2).
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers(-8, 4096))
+
+
+def _finite(result) -> bool:
+    """Whether every number in ``result`` (nested records and tuples too) is finite."""
+    if isinstance(result, float):
+        return math.isfinite(result)
+    if isinstance(result, (tuple, list)):
+        return all(map(_finite, result))
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return True
+
+
+def _with_special_examples(test):
+    for value in SPECIAL:
+        test = example(value=value)(test)
+    return test
+
+
+def test_every_callable_taking_a_number_is_covered():
+    covered = {name.split(".")[0] for name in CALLS} | {"run"}
+    records = {"EnsembleMetrics", "CommMetrics", "Et2ParallelResult", "SimReport", "ModelDeviation",
+               "SimEvent", "CrewViolation"}
+    # These take a chip, a graph, a report or a configuration, or are enums.
+    no_number = {"single_metrics", "TaskGraph", "TaskKind", "ControlKind", "validate_dag",
+                 "concurrent_pairs", "check_crew", "private_variables", "expand_duplicables",
+                 "compare_to_model"}
+    callables = {name for name in plural.__all__ if not name.endswith("Error")}
+    assert callables - covered - records - no_number == set()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@_with_special_examples
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(value=VALUES)
+def test_returns_finite_values_or_raises_plural_error(name, value):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # stretch_time warns of factors below 1
+            result = CALLS[name](value)
+    except PluralError:
+        return
+    assert not isinstance(value, (bool, str)), f"{name} accepted {value!r}"
+    assert _finite(result), f"{name}({value!r}) returned {result!r}"
+
