@@ -56,7 +56,7 @@ from .graph import (
 from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, single_metrics, sweep
 from .sim import ModelDeviation, SimConfig, SimEvent, SimReport, compare_to_model, run
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ChipSpec",

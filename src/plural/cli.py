@@ -233,33 +233,21 @@ _EVENT = '{\n      "time": %r,\n      "kind": %s,\n      "task": %s,\n      "det
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _zero_tail(values: tuple[float, ...]) -> int:
-    """The length of the run of zeros that ends ``values``, or 0 when a zero
-    comes before that run.
-
-    One ``count`` finds the zeros at C speed, and one search of the rest
-    checks that none is left there.  The count compares a report's zeros
-    mostly by identity: its unused cores share one 0.0 object.
-    """
-    if not values or values[-1] != 0.0:
-        return 0
-    k = values.count(values[-1])
-    return 0 if 0.0 in values[: len(values) - k] else k
-
-
 def _dump_report(doc: dict) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, for a report dict from
-    ``sim.report_as_dict``, with or without ``model_check``.
+    ``sim.report_as_dict``, with or without ``model_check``, once each
+    per-core tuple is padded with 0.0 to ``doc["m"]`` entries.
 
-    With an indent, ``json`` falls back to its pure-Python encoder, which is
-    slow on long lists, so these are written by hand:
+    A report lists the cores a run used, and the printed report all m: this
+    is the one place that pads.  With an indent, ``json`` falls back to its
+    pure-Python encoder, which is slow on long lists, so these are written
+    by hand:
 
-    * A tuple is a per-core tuple of the report: floats, each at least +0.0
-      (see ``SimReport``).  Its trailing zeros bar one, the cores never
-      used, are one repeated string, so its cost grows with the cores used,
-      not m.  The C encoder writes the rest, re-indented: both encoders
-      spell a float as ``float.__repr__`` does, or as
-      ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", ".
+    * A per-core tuple, never empty: the C encoder writes its values,
+      re-indented (both encoders spell a float as ``float.__repr__`` does,
+      or as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds
+      ", "), and the cores never used follow as one repeated string, so the
+      cost grows with the cores used, not m.
     * ``events`` is written one ``%`` template per event: the C string
       escaper for the strings and ``float.__repr__``, ``json``'s spelling
       of a finite float, for the time.
@@ -269,9 +257,8 @@ def _dump_report(doc: dict) -> str:
     items = []
     for key, value in doc.items():
         if isinstance(value, tuple) and value:
-            rest = max(_zero_tail(value) - 1, 0)
-            floats = json.dumps(value[: len(value) - rest])[1:-1].replace(", ", ",\n    ")
-            text = "[\n    " + floats + ",\n    0.0" * rest + "\n  ]"
+            floats = json.dumps(value)[1:-1].replace(", ", ",\n    ")
+            text = "[\n    " + floats + ",\n    0.0" * (doc["m"] - len(value)) + "\n  ]"
         elif key == "events" and value:
             text = "[\n    " + ",\n    ".join(
                 _EVENT % (e["time"], _json_str(e["kind"]), _json_str(e["task"]), _json_str(e["detail"]))
@@ -300,11 +287,10 @@ def cmd_simulate(args, out) -> int:
     report = sim.run(g, cfg, record_events=args.emit_events and not args.csv)
     if args.csv:
         header, row = REPORT_CSV
-        used = report.utilization[: cfg.m - _zero_tail(report.utilization)]
-        mean_utilization = sum(used) / cfg.m  # adding the +0.0 of unused cores changes nothing
+        mean_utilization = sum(report.utilization) / cfg.m  # unused cores add +0.0 each
         out.write(header + row % (*_report_values(report), mean_utilization))
     else:
-        doc = sim.report_as_dict(report, include_events=args.emit_events)
+        doc = sim.report_as_dict(report)
         if args.check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
         out.write(_dump_report(doc) + "\n")

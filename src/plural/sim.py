@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -103,11 +104,11 @@ class SimConfig:
     conditional_outcomes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, least, word in (("m", 1, "positive"), ("mem_access_stride", 1, "positive"),
-                                  ("prealloc_depth", 0, "nonnegative")):
+        for name, least, word in (("m", 1, "a positive"), ("mem_access_stride", 1, "a positive"),
+                                  ("prealloc_depth", 0, "a nonnegative"), ("seed", -math.inf, "an")):
             value = getattr(self, name)
             if not _is_count(value, least):
-                raise ValidationError(f"{name} must be a {word} integer, got {value!r}")
+                raise ValidationError(f"{name} must be {word} integer, got {value!r}")
         object.__setattr__(self, "conditional_outcomes", dict(self.conditional_outcomes))
 
 
@@ -124,9 +125,11 @@ class SimEvent(NamedTuple):
 class SimReport:
     """Measurements from one simulator run.
 
-    ``per_core_busy_time`` and ``utilization`` hold one float per core, each
-    at least +0.0: never -0.0, never an int.  Cores are used lowest index
-    first, so the cores a run never used are a trailing run of 0.0.
+    ``per_core_busy_time`` and ``utilization`` hold one float per core the
+    run used, each at least +0.0: never -0.0, never an int.  Cores are used
+    lowest index first, so with k the length of either tuple, the run used
+    cores 0 to k - 1, and cores k to m - 1 never started an instance.  A
+    core that only ran instances of no instruction is used, with 0.0.
     """
 
     m: int
@@ -343,6 +346,9 @@ class _Simulation:
         except KeyError:
             skip = self.skips[mask] = _skip_table(mask)
         inst = _Instance(iid, self.g._tasks[tid], vars_, self.stride, skip, core_idx, slot)
+        self.total_instructions += inst.n
+        if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
+            _check_finite("total_instructions", self.total_instructions)
         self.cores[core_idx].current = inst
         if not from_queue:
             self.sched_msg_count += 1  # task-init message
@@ -404,7 +410,6 @@ class _Simulation:
         core = self.cores[inst.core]
         core.busy_slots += inst.n + inst.stalls
         core.current = None
-        self.total_instructions += inst.n
         self.sched_msg_count += 1  # task-completion message
         self.last_boundary = max(self.last_boundary, slot)
         self._event(slot, "complete", inst.tid, "core=%d", inst.core)
@@ -488,8 +493,6 @@ class _Simulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
-        # An idle core's utilization is 0.0 / makespan, which is 0.0.
-        unused = (0.0,) * (self.cfg.m - len(busy))
         events = () if self.trace is None else tuple(
             sorted(self.trace, key=lambda e: (e.time, _TRACE_KINDS.index(e.kind), e.task))
         )
@@ -501,8 +504,8 @@ class _Simulation:
             sched_msg_energy_total=sched_energy,
             mem_msg_energy_total=mem_energy,
             avg_power=total_energy / makespan,
-            per_core_busy_time=busy + unused,
-            utilization=tuple(b / makespan for b in busy) + unused,
+            per_core_busy_time=busy,
+            utilization=tuple(b / makespan for b in busy),
             sched_msg_count=self.sched_msg_count,
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,
@@ -535,7 +538,8 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     ``empirical_speedup`` compares the run with one core of the full chip
     area, which executes every instruction back to back.  A report value
     that leaves float range, or an m or an instruction total too large for
-    a float, raises ``DomainError`` naming the value.
+    a float, raises ``DomainError`` naming the value; the instruction total
+    is refused as the instance that makes it too large starts.
     """
     cycle = validate_dag(g)
     if cycle is not None:
@@ -547,7 +551,6 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
         raise DegenerateWorkloadError(
             "the executed path of the task graph contains no instructions"
         )
-    _check_finite("total_instructions", sim.total_instructions)
     makespan = _check_finite("makespan", sim.makespan, positive=True)
     chip = cfg.chip
     reference = sim.total_instructions * (chip.cpi / chip.area**chip.pollack_exponent)
@@ -575,7 +578,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
     instruction energy A and access energy sqrt(A).  A ratio that leaves
     float range raises ``DomainError`` naming it.
     """
-    if report.m != cfg.m or len(report.per_core_busy_time) != cfg.m:
+    if report.m != cfg.m:
         raise DomainError(
             f"report was produced for m={report.m}, not for the given "
             f"configuration's m={cfg.m}"
@@ -609,13 +612,14 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
     return deviation
 
 
-def report_as_dict(report: SimReport, *, include_events: bool = False) -> dict:
+def report_as_dict(report: SimReport) -> dict:
     """Plain-dict form of a report, for JSON output.
 
-    The per-core values stay the report's own tuples, which ``json`` writes
-    as arrays; the trace, if included, is a list of one dict per event.
+    The per-core values stay the report's own tuples, one float per core
+    used; ``events`` is there when the report has a trace, as a list of one
+    dict per event.
     """
     out = {f.name: getattr(report, f.name) for f in fields(SimReport) if f.name != "events"}
-    if include_events:
+    if report.events:
         out["events"] = [event._asdict() for event in report.events]
     return out

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -72,7 +73,7 @@ DEFAULT_SWEEP_DIGESTS = {
 }
 
 # A loader, 300 instances contending for "x", a merge and a reduce; at
-# m = 16384 the report is dominated by its two m-long float lists.
+# m = 16384 the printed report is dominated by its two m-long float lists.
 WIDE_GRAPH = {
     "tasks": [
         {"id": "load", "kind": "singular", "instructions": 40, "writes": ["x"]},
@@ -124,6 +125,29 @@ def csv_rows(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def padded(doc):
+    """``doc`` with each per-core tuple listed to ``doc["m"]`` entries, the
+    cores never used as 0.0: the printed report's shape."""
+    return {
+        key: list(value) + [0.0] * (doc["m"] - len(value)) if isinstance(value, tuple) else value
+        for key, value in doc.items()
+    }
+
+
+def run_plural(argv, memory=2**30):
+    """``plural argv`` in a fresh process of at most ``memory`` bytes; its exit
+    code, stdout and stderr.  A run that outlasts 60 s fails the test."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = str(Path(plural.__file__).resolve().parents[1])
+    code = "import sys; from plural.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def write_graph(tmp_path, doc, name="graph.json"):
@@ -343,7 +367,7 @@ class TestCsvRowsMatchPerValueWriter:
         except (DegenerateWorkloadError, GraphStructureError):
             return
         row = sim.report_as_dict(report)
-        row["mean_utilization"] = sum(report.utilization) / len(report.utilization)
+        row["mean_utilization"] = sum(report.utilization) / report.m
         path = tmp_path_factory.mktemp("csv") / "graph.json"
         graphio.dump(g, path)
         code, out, _ = call_main(simulate_argv(path, cfg) + ["--csv"])
@@ -493,6 +517,51 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"error: total_instructions falls outside float range, got {10**400}\n"
 
+    # Each access of such an instance is one loop step when the run is
+    # traced or the variable contended, so the run must stop as it starts.
+    @pytest.mark.parametrize(
+        "task, flags",
+        [
+            pytest.param({"kind": "singular"}, ["--emit-events"], id="traced"),
+            pytest.param({"kind": "duplicable", "d": 2}, ["--m", "2", "--csv"], id="contended"),
+        ],
+    )
+    def test_instance_too_long_for_a_float_is_refused_as_it_starts(self, tmp_path, task, flags):
+        doc = {"tasks": [{"id": "a", **task, "instructions": 10**400, "reads": ["x"]}]}
+        path = write_graph(tmp_path, doc)
+        assert run_plural(["simulate", path, *flags]) == (
+            2, "", f"error: total_instructions falls outside float range, got {10**400}\n"
+        )
+
+    def test_instance_too_long_for_a_float_on_a_branch_not_taken(self, capsys, tmp_path):
+        doc = {
+            "tasks": [
+                {"id": "pick", "kind": "control", "control_kind": "conditional"},
+                {"id": "big", "kind": "singular", "instructions": 10**400, "reads": ["x"]},
+                {"id": "small", "kind": "singular", "instructions": 10, "reads": ["x"]},
+            ],
+            "edges": [["pick", "big"], ["pick", "small"]],
+        }
+        path = write_graph(tmp_path, doc)
+        code, out, err = run_cli(capsys, "simulate", path, "--outcome", "pick=small", "--csv")
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[1][0]["total_instructions"] == "10"
+
+    @pytest.mark.parametrize("m", [2**40, 2**62])
+    def test_csv_at_a_huge_core_count(self, tmp_path, m):
+        # The run uses four cores, and its report lists those four; the row's
+        # mean utilization still averages over all m.
+        doc = {"tasks": [{"id": "w", "kind": "duplicable", "d": 4, "instructions": 20,
+                          "writes": ["o[#]"]}]}
+        path = write_graph(tmp_path, doc)
+        report = sim.run(graphio.load(path), sim.SimConfig(chip=scaling.ChipSpec(area=1e6, work=1), m=m))
+        assert len(report.utilization) == 4
+        row = sim.report_as_dict(report)
+        row["mean_utilization"] = sum(report.utilization) / m
+        assert run_plural(["simulate", path, "--m", str(m), "--csv"], memory=2**28) == (
+            0, per_value_csv(REPORT_CSV_HEADER, [row]), ""
+        )
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.json"), "--m", "2")
         assert code == 2
@@ -635,14 +704,11 @@ class TestSimulate:
             ],
             "edges": [],
         })
-        src = str(Path(plural.__file__).resolve().parents[1])
-        code = "import sys; from plural.cli import main; sys.exit(main(sys.argv[1:]))"
         for stride in ("1", "3", "1", "7"):
             argv = ["simulate", path, "--m", "3", "--stride", stride, "--emit-events"]
-            fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                                   env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60)
-            assert fresh.returncode == 0, fresh.stderr
-            assert call_main(argv) == (0, fresh.stdout, fresh.stderr)
+            fresh = run_plural(argv)
+            assert fresh[0] == 0, fresh[2]
+            assert call_main(argv) == fresh
 
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
         # The CREW warnings and the run share one index, which holds each
@@ -691,7 +757,7 @@ class TestSimulate:
 
 class TestDumpReport:
     """The report emitter must write exactly what ``json.dumps(doc, indent=2)``
-    writes."""
+    writes once each per-core tuple is padded to m entries."""
 
     @pytest.mark.parametrize(
         "doc",
@@ -704,11 +770,12 @@ class TestDumpReport:
             # Zero runs that are not all +0.0 floats must keep their spelling.
             {"per_core_busy_time": [1.0, 0.0, -0.0], "utilization": [0.5, 0.0, 0]},
             {"utilization": [0.0, False], "per_core_busy_time": [0.0, 0.0, 0.0]},
-            # Per-core tuples: floats of at least +0.0, zeros anywhere.
-            {"per_core_busy_time": (0.0,), "utilization": (0.0, 0.0, 0.0)},
-            {"per_core_busy_time": (0.0, 0.0, 1.0, 0.0), "utilization": (0.0, 1.5)},
-            {"per_core_busy_time": (1.0, 0.0, 0.0, 2.0, 0.0), "utilization": (0.0, 0.0, 3.0)},
-            {"per_core_busy_time": (2.5, 5e-324, 0.0), "utilization": (1e22,), "events": []},
+            # Per-core tuples: floats of at least +0.0, zeros anywhere, up
+            # to m of them.
+            {"m": 3, "per_core_busy_time": (0.0,), "utilization": (0.0, 0.0, 0.0)},
+            {"m": 4, "per_core_busy_time": (0.0, 0.0, 1.0, 0.0), "utilization": (0.0, 1.5)},
+            {"m": 9, "per_core_busy_time": (1.0, 0.0, 0.0, 2.0, 0.0), "utilization": (0.0, 0.0, 3.0)},
+            {"m": 3, "per_core_busy_time": (2.5, 5e-324, 0.0), "utilization": (1e22,), "events": []},
             {
                 "events": [
                     {"time": 0.0, "kind": "ready", "task": 'a"b\\c', "detail": "x\ny\tz"},
@@ -722,7 +789,7 @@ class TestDumpReport:
              "inner-zero-pair", "short-tuples", "event-strings"],
     )
     def test_hand_cases(self, doc):
-        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+        assert cli._dump_report(doc) == json.dumps(padded(doc), indent=2)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -749,10 +816,11 @@ class TestDumpReport:
             report = sim.run(g, cfg, record_events=emit_events)
         except (DegenerateWorkloadError, GraphStructureError):
             return
-        doc = sim.report_as_dict(report, include_events=emit_events)
+        doc = sim.report_as_dict(report)
+        assert ("events" in doc) == emit_events
         if check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
-        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+        assert cli._dump_report(doc) == json.dumps(padded(doc), indent=2)
 
     # The instances of "idle" run no instruction on cores 0 and 1 while "w"
     # keeps cores 2 to 4 busy: zeros inside the used cores, then m - 5
@@ -778,7 +846,7 @@ class TestDumpReport:
             return
         path = tmp_path_factory.mktemp("report") / "graph.json"
         graphio.dump(g, path)
-        doc = sim.report_as_dict(report)
+        doc = padded(sim.report_as_dict(report))
         code, out, _ = call_main(simulate_argv(path, cfg))
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
         doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
@@ -977,7 +1045,7 @@ MALFORMED_BYTES = st.one_of(
     st.binary(max_size=24),
 )
 NUMBER = st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "1e300", "5e-324"]))
-# --m stays at most 4096: the report holds two m-long lists.
+# --m stays at most 4096: the JSON output holds two m-long lists.
 SIMULATE_FLAGS = st.lists(
     st.one_of(
         st.tuples(st.just("--m"), st.integers(-1, 4096).map(str)),

@@ -96,13 +96,13 @@ CALLS = {
     # A duplicable count is only built, not run: a run expands every one of
     # the d instances, so a d of 10**400 never finishes.
     "Task.instances": lambda value: Task(id="a", kind=TaskKind.DUPLICABLE, instances=value),
-    **{f"SimConfig.{field}": _config(field) for field in ("m", "mem_access_stride", "prealloc_depth")},
+    **{f"SimConfig.{field}": _config(field) for field in ("m", "mem_access_stride", "prealloc_depth", "seed")},
 }
 
+# 2**40 is a core count whose run must not build anything m long: a report
+# lists only the cores the run used.
 SPECIAL = [0, 1, -1, 0.5, -2.5, 5e-324, 1e300, math.inf, -math.inf, math.nan, True, False,
-           2**1024, 10**400, -(10**400), "1"]
-# Finite counts stay small: a run's report holds m floats per list, so an m
-# such as 2**40 exhausts memory instead (ROADMAP, Open item 2).
+           2**40, 2**1024, 10**400, -(10**400), "1"]
 VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers(-8, 4096))
 
 

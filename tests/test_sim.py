@@ -154,6 +154,22 @@ class TestScheduling:
         assert report.per_core_busy_time == (10 * dt, 6 * dt)
         assert report.utilization == (1.0, 6 / 10)
 
+    def test_report_holds_the_used_cores(self):
+        # Four instances on 2**40 cores use cores 0 to 3, and the report
+        # lists those four; compare_to_model takes it at the same m.
+        cfg = SimConfig(chip=CHIP, m=2**40)
+        report = run(parallel_workload(4, 10), cfg)
+        assert report.per_core_busy_time == (10 * slot_dt(cfg),) * 4
+        assert report.utilization == (1.0,) * 4
+        compare_to_model(report, cfg)
+
+    def test_cores_that_ran_no_instruction_are_used(self):
+        # The instances of "idle" take cores 0 and 1 and end at once, while
+        # "w" keeps cores 2 to 4 busy.
+        g = TaskGraph([duplicable("idle", 2, 0), duplicable("w", 3, 10)])
+        report = run(g, SimConfig(chip=CHIP, m=8))
+        assert report.utilization == (0.0, 0.0, 1.0, 1.0, 1.0)
+
     def test_prealloc_queue_used_and_counted_once(self):
         # 4 equal tasks on one core: with depth 1 the queue event appears and
         # each task still costs exactly one init and one completion message.
@@ -587,15 +603,25 @@ class PerStallSimulation(sim_module._Simulation):
     contenders sorted by instance id picks its winner, and a group of one
     draws nothing.  A grant's trace event carries the slots its access lost.
     All m cores exist from the start, and dispatch scans them for the
-    lowest-index idle one, then for the lowest-index queue with room.  It
-    ignores the private variables it is given, so every access goes through
-    its loop: it is the oracle of their arithmetic grants.
+    lowest-index idle one, then for the lowest-index queue with room; its
+    report holds the cores up to the highest one that started an instance.
+    It ignores the private variables it is given, so every access goes
+    through its loop: it is the oracle of their arithmetic grants.
     """
 
     def __init__(self, g, cfg, record_events, private=frozenset()):
         super().__init__(g, cfg, record_events)
         self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
+        self.used = 0  # one past the highest core that started an instance
         self.lost = Counter()  # slots each instance's pending access has lost
+
+    def _start(self, core_idx, item, slot, from_queue):
+        self.used = max(self.used, core_idx + 1)
+        super()._start(core_idx, item, slot, from_queue)
+
+    def report(self, empirical_speedup):
+        self.cores = self.cores[: self.used]
+        return super().report(empirical_speedup)
 
     def _dispatch(self, slot):
         while self.ready:
@@ -1399,3 +1425,12 @@ class TestErrors:
         for bad in (-1, True):
             with pytest.raises(ValidationError, match="prealloc"):
                 SimConfig(chip=CHIP, m=1, prealloc_depth=bad)
+
+    def test_seed_must_be_an_integer(self):
+        # A seed of None would seed from the operating system, and runs of
+        # one configuration would differ.
+        for bad in (None, 1.5, "abc", True):
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                SimConfig(chip=CHIP, m=1, seed=bad)
+        for good in (-1, 0, 10**400):
+            assert SimConfig(chip=CHIP, m=1, seed=good).seed == good
