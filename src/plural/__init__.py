@@ -50,13 +50,12 @@ from .graph import (
     check_crew,
     concurrent_pairs,
     expand_duplicables,
-    private_variables,
     validate_dag,
 )
 from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, single_metrics, sweep
 from .sim import ModelDeviation, SimConfig, SimEvent, SimReport, compare_to_model, run
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ChipSpec",
@@ -87,7 +86,6 @@ __all__ = [
     "validate_dag",
     "concurrent_pairs",
     "check_crew",
-    "private_variables",
     "expand_duplicables",
     "SimConfig",
     "SimReport",

@@ -113,31 +113,26 @@ def parse_core_counts(text: str) -> list[int]:
         raise _UsageError(f"bad m-range {text!r}: {exc}") from None
 
 
-def _chip_from_args(args) -> scaling.ChipSpec:
+def _chip_from_args(args, work: float = 1.0, static_power: bool = False) -> scaling.ChipSpec:
+    # Only the sweeps take a work and static power: a run's work is its graph's.
     return scaling.ChipSpec(
         area=args.area,
-        work=args.work,
+        work=work,
         cpi=args.cpi,
         pollack_exponent=args.alpha,
-        static_power_enabled=args.static_power,
+        static_power_enabled=static_power,
     )
 
 
 def _add_chip_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--area", type=float, default=1e6, help="total chip area A (default 1e6)")
-    parser.add_argument("--work", type=float, default=1.0, help="workload size W in instructions (default 1)")
     parser.add_argument("--alpha", type=float, default=0.5, help="frequency-vs-area exponent (default 0.5)")
     parser.add_argument("--cpi", type=float, default=1.0, help="cycles per instruction (default 1)")
-    parser.add_argument(
-        "--static-power",
-        action="store_true",
-        help="add area-proportional static power to the power figures",
-    )
 
 
 def cmd_sweep(args, out) -> int:
     """``sweep``, and ``comm-sweep``: the same rows with the traffic columns."""
-    spec = _chip_from_args(args)
+    spec = _chip_from_args(args, args.work, args.static_power)
     with_comm = args.command == "comm-sweep"
     header, row = COMM_SWEEP_CSV if with_comm else SWEEP_CSV
     lines = [header]
@@ -324,6 +319,9 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_chip_flags(p)
+        p.add_argument("--work", type=float, default=1.0, help="workload size W in instructions (default 1)")
+        p.add_argument("--static-power", action="store_true",
+                       help="add area-proportional static power to the power figures")
         p.add_argument(
             "--m", default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2"
         )

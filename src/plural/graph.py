@@ -10,8 +10,9 @@ declared footprint of shared variables they read and write.
 Shared-memory access follows the PRAM CREW discipline: concurrent tasks may
 all read a variable, but a variable written by a task must not be touched by
 any task concurrent with it.  ``check_crew`` reports every violation of that
-rule; two tasks are concurrent when neither precedes the other through the
-edge relation.
+rule, and only a variable that some violation names is ever arbitrated by
+the simulator; two tasks are concurrent when neither precedes the other
+through the edge relation.
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -41,7 +42,6 @@ __all__ = [
     "validate_dag",
     "concurrent_pairs",
     "check_crew",
-    "private_variables",
     "expand_duplicables",
 ]
 
@@ -183,6 +183,17 @@ class TaskGraph:
         # once for its CREW warnings and its run.
         return _build_footprint(self)
 
+    @cached_property
+    def _contended(self) -> frozenset[str]:
+        # The variables some CREW violation names, which the simulator
+        # arbitrates.  A variable's search stops at its first concurrent
+        # pair, so no violation is listed: d writers of one name cost O(1).
+        fp = self._footprint
+        return frozenset(
+            var for var, entries in fp.touchers.items()
+            if len(entries) > 1 and next(_crew_pairs(fp, entries), None)
+        )
+
     def __iter__(self) -> Iterator[Task]:
         return iter(self._tasks.values())
 
@@ -289,20 +300,22 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
         raise CycleError(cycle)
     index, desc = _descendant_bits(g)
     ids = sorted(g._tasks)
-    pairs: set[tuple[str, str]] = set()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if not (desc[a] >> index[b] & 1 or desc[b] >> index[a] & 1):
-                pairs.add((a, b))
-    return pairs
+    return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if _concurrent(index, desc, a, b)}
+
+
+def _concurrent(index: dict[str, int], desc: dict[str, int], a: str, b: str) -> bool:
+    """Whether instances of authored tasks ``a`` and ``b`` can run at once:
+    they are instances of one duplicable, or neither task descends from the other."""
+    return a == b or not (desc[a] >> index[b] & 1 or desc[b] >> index[a] & 1)
 
 
 class _Footprint(NamedTuple):
     index: dict[str, int]  # authored id -> its bit, its place in a topological order
     desc: dict[str, int]  # authored id -> descendants as an int bitset
     touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
-    # authored id, ascending -> (instance id, authored id, sorted reads + sorted writes) per instance
-    instances: dict[str, list[tuple[str, str, tuple[str, ...]]]]
+    # authored id, ascending -> per instance: (instance id, authored id,
+    # sorted reads + sorted writes, number of reads)
+    instances: dict[str, list[tuple[str, str, tuple[str, ...], int]]]
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -327,13 +340,13 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
         raise CycleError(_search(renamed)[1])
     index, desc = _descendant_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    instances: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
+    instances: dict[str, list[tuple[str, str, tuple[str, ...], int]]] = {}
     for tid, iids in ids.items():
         task = g._tasks[tid]
         items = instances[tid] = []
         for k, iid in enumerate(iids):
             reads, writes = _instance_footprint(task, k)
-            items.append((iid, tid, (*sorted(reads), *sorted(writes))))
+            items.append((iid, tid, (*sorted(reads), *sorted(writes)), len(reads)))
             for var in reads:
                 if var not in writes:
                     touchers.setdefault(var, []).append((iid, tid, False))
@@ -359,24 +372,15 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     share a variable written by at least one of them are tested.  Raises
     what ``_build_footprint`` raises.
     """
-    index, desc, touchers, _ = g._footprint
+    fp = g._footprint
 
     # (instance a, instance b), a < b -> (write-write vars, read-write vars)
     found: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-    for var, entries in touchers.items():
-        for w_id, w_task, w_writes in entries:
-            if not w_writes:
-                continue
-            for t_id, t_task, t_writes in entries:
-                # A writer pair is taken once, from its smaller id.
-                if t_id == w_id or (t_writes and t_id < w_id):
-                    continue
-                # Instances of one duplicable pass: a DAG task is not its own descendant.
-                if desc[w_task] >> index[t_task] & 1 or desc[t_task] >> index[w_task] & 1:
-                    continue
-                pair = (w_id, t_id) if w_id < t_id else (t_id, w_id)
-                both_write, read_write = found.setdefault(pair, ([], []))
-                (both_write if t_writes else read_write).append(var)
+    for var, entries in fp.touchers.items():
+        for w_id, t_id, t_writes in _crew_pairs(fp, entries):
+            pair = (w_id, t_id) if w_id < t_id else (t_id, w_id)
+            both_write, read_write = found.setdefault(pair, ([], []))
+            (both_write if t_writes else read_write).append(var)
 
     violations: list[CrewViolation] = []
     for pair in sorted(found):
@@ -386,27 +390,17 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     return violations
 
 
-def private_variables(g: TaskGraph) -> frozenset[str]:
-    """The concrete variables whose touchers are totally ordered by precedence.
-
-    Such a variable is never accessed by two instances in one slot of a
-    run, whatever branches a conditional takes: a branch not taken only
-    removes touchers.  Sorted topologically, tasks form a chain exactly when
-    each consecutive pair is ordered, so only those pairs are tested,
-    stopping at the first unordered one: O(touchers log touchers) per
-    variable.  A task does not precede itself, so a variable that two
-    instances of one duplicable share is never private.  Raises what
-    ``check_crew`` raises.
-    """
-    index, desc, touchers, _ = g._footprint
-    private = []
-    for var, entries in touchers.items():
-        if len(entries) > 1:
-            tasks = sorted((tid for _, tid, _ in entries), key=index.__getitem__)
-            if not all(desc[a] >> index[b] & 1 for a, b in zip(tasks, tasks[1:])):
-                continue
-        private.append(var)
-    return frozenset(private)
+def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterator[tuple[str, str, bool]]:
+    """Each concurrent (writer, toucher) pair of instances among one
+    variable's touchers, as (writer id, toucher id, toucher writes?): the
+    pairs that break the CREW rule.  A writer pair is yielded once, from its
+    smaller id.  Lazy, so a caller may stop at the first."""
+    index, desc = fp.index, fp.desc
+    for w_id, w_task, w_writes in entries:
+        if w_writes:
+            for t_id, t_task, t_writes in entries:
+                if t_id != w_id and not (t_writes and t_id < w_id) and _concurrent(index, desc, w_task, t_task):
+                    yield w_id, t_id, t_writes
 
 
 def _instance_footprint(task: Task, number: int) -> tuple[frozenset[str], frozenset[str]]:

@@ -18,20 +18,18 @@ Execution semantics:
   chosen by the configuration.
 * Every Nth instruction of a task (N = mem_access_stride) is a shared-memory
   access, targeting the task's footprint round-robin (sorted reads, then
-  sorted writes).  Accesses to one variable in the same slot are serialized:
-  each slot, one draw of a seeded generator picks a winner uniformly among
-  the variable's contenders sorted by instance id (a lone contender draws
-  nothing), and every loser waits in the variable's wait set and contends
-  again next slot, its core stalled meanwhile.  A granted access has stalled
-  its core for the grant slot minus the arrival slot.
-* Reads are serialized too: memory is single-ported, one access per variable
-  per slot.  A CREW PRAM (Fortune & Wyllie, 1978) would grant every reader
-  of a variable in the same slot when no writer contends; this model does
-  not, so readers of one shared variable stall each other.
-* A variable whose touchers are all ordered by precedence
-  (``graph.private_variables``) is never accessed by two instances in one
-  slot, so an access to it never stalls and draws nothing from the
-  generator.  Such accesses are granted by arithmetic, without an event.
+  sorted writes); an access that targets one of the sorted reads is a read.
+  Memory is CREW (Fortune & Wyllie, 1978): each slot, a variable's waiting
+  reads are all granted when no write waits.  Otherwise one draw of a seeded generator
+  picks a contender uniformly among them, sorted by instance id (a lone
+  contender draws nothing): a writer that wins is granted alone, a reader
+  takes every waiting reader with it.  The others wait in the variable's
+  wait set and contend again next slot, their cores stalled meanwhile.  A
+  granted access has stalled its core for the grant slot minus the arrival
+  slot.
+* Only a variable that some CREW violation names (``check_crew``) can
+  contend.  An access to any other never stalls and draws nothing from the
+  generator, so it is granted by arithmetic, without an event.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It is sorted by time, then kind in the order a slot processes
@@ -54,7 +52,7 @@ import math
 import random
 import sys
 from bisect import insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -75,7 +73,6 @@ from .graph import (
     TaskGraph,
     TaskKind,
     expand_duplicables,  # noqa: F401 -- unused, but benchmarks/tracing.py wraps it here
-    private_variables,
     validate_dag,
 )
 from .scaling import ChipSpec, ensemble_metrics
@@ -109,6 +106,10 @@ class SimConfig:
             value = getattr(self, name)
             if not _is_count(value, least):
                 raise ValidationError(f"{name} must be {word} integer, got {value!r}")
+        if self.chip.static_power_enabled:
+            raise ValidationError(
+                "the simulator charges no static power, so chip.static_power_enabled must be False"
+            )
         object.__setattr__(self, "conditional_outcomes", dict(self.conditional_outcomes))
 
 
@@ -180,17 +181,17 @@ _TID = attrgetter("tid")
 _Skip = tuple[float, ...] | None
 
 
-def _skip_table(private: tuple[bool, ...]) -> _Skip:
-    """An access plan over targets that are private where ``private`` is true.
+def _skip_table(contended: tuple[bool, ...]) -> _Skip:
+    """An access plan over targets that are contended where ``contended`` is true.
 
-    ``skip[r]`` counts the accesses from residue r that target private
+    ``skip[r]`` counts the accesses from residue r that target uncontended
     variables before one that does not, ``math.inf`` when none does; the
-    caller caps it at the accesses left.  None when no target is private.
+    caller caps it at the accesses left.  None when every target is contended.
     """
-    if not any(private):
+    if all(contended):
         return None
-    shared = [k for k, is_private in enumerate(private) if not is_private]
-    size = len(private)
+    shared = [k for k, is_contended in enumerate(contended) if is_contended]
+    size = len(contended)
     return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
 
 
@@ -198,17 +199,19 @@ class _Instance:
     """A core-executed task instance and its progress through its slots."""
 
     __slots__ = (
-        "tid", "task", "n", "vars", "n_access", "skip", "core", "start", "stalls", "granted", "since"
+        "tid", "task", "n", "vars", "n_reads", "n_access", "skip", "core", "start", "stalls",
+        "granted", "since", "reading",
     )
 
     def __init__(
-        self, tid: str, task: Task, vars_: tuple[str, ...], stride: int, skip: _Skip,
+        self, tid: str, task: Task, vars_: tuple[str, ...], n_reads: int, stride: int, skip: _Skip,
         core: int, start: int,
     ):
         self.tid = tid  # instance id
         self.task = task.id
         self.n = task.instruction_count
         self.vars = vars_  # access targets, round-robin
+        self.n_reads = n_reads  # the targets before this one are reads
         self.n_access = self.n // stride if vars_ else 0
         self.skip = skip if self.n_access else None  # see _skip_table
         self.core = core
@@ -216,9 +219,10 @@ class _Instance:
         self.stalls = 0
         self.granted = 0
         self.since = 0  # slot at which the pending access arrived
+        self.reading = False  # whether the pending access is a read
 
 
-_Item = tuple[str, str, tuple[str, ...]]  # (instance id, authored task id, access targets)
+_Item = tuple[str, str, tuple[str, ...], int]  # (instance id, authored task id, access targets, reads)
 
 
 class _Core:
@@ -231,19 +235,13 @@ class _Core:
 
 
 class _Simulation:
-    def __init__(
-        self,
-        g: TaskGraph,
-        cfg: SimConfig,
-        record_events: bool,
-        private: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, g: TaskGraph, cfg: SimConfig, record_events: bool):
         self.g = g
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
-        self.private = private  # variables whose accesses never contend
-        # Access plans by which targets are private: instances of one shape
-        # share one.  Kept per run, since ``private`` is the graph's.
+        self.contended = g._contended  # the only variables whose accesses can contend
+        # Access plans by which targets are contended: instances of one
+        # shape share one.  Kept per run, since ``contended`` is the graph's.
         self.skips: dict[tuple[bool, ...], _Skip] = {}
         chip = cfg.chip
         self.instr_energy = chip.area / _check_finite("m", cfg.m, positive=True)  # A/m, a core's area
@@ -273,8 +271,10 @@ class _Simulation:
         # has one pending entry at a time and starts at most once, so
         # (slot, kind, id) is unique and heapq never compares the instance.
         self.heap: list[tuple[int, int, str, _Instance]] = []
-        # Contenders per variable, sorted by instance id; never empty.
-        self.waiting: dict[str, list[_Instance]] = {}
+        # Contenders per variable, sorted by instance id, and how many of
+        # them write; an emptied wait set is dropped.
+        self.waiting: defaultdict[str, list[_Instance]] = defaultdict(list)
+        self.writes: defaultdict[str, int] = defaultdict(int)
         self.started: set[str] = set()
 
         self.total_instructions = 0
@@ -312,7 +312,7 @@ class _Simulation:
         resolves at once and appends the instances it frees.  The ``ready``
         heap's key, not this order, decides dispatch."""
         for item in freed:
-            iid, t, _ = item
+            iid, t = item[0], item[1]
             task = self.g._tasks[t]
             if task.kind is not TaskKind.CONTROL:
                 heapq.heappush(self.ready, (slot, item))
@@ -331,21 +331,21 @@ class _Simulation:
             else:
                 followers, order = self.succs[t], sorted
             if self.trace is not None:
-                forwards = ",".join(i for i, _, _ in order(self._instances(followers)))
+                forwards = ",".join(item[0] for item in order(self._instances(followers)))
                 self._event(slot, "control", t, f"forwards={forwards}")
             freed.extend(self._count_down(followers))
 
     def _start(self, core_idx: int, item: _Item, slot: int, from_queue: bool) -> None:
-        iid, tid, vars_ = item
+        iid, tid, vars_, n_reads = item
         if iid in self.started:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
-        mask = tuple(map(self.private.__contains__, vars_))
+        mask = tuple(map(self.contended.__contains__, vars_))
         try:
             skip = self.skips[mask]
         except KeyError:
             skip = self.skips[mask] = _skip_table(mask)
-        inst = _Instance(iid, self.g._tasks[tid], vars_, self.stride, skip, core_idx, slot)
+        inst = _Instance(iid, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
         self.total_instructions += inst.n
         if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
             _check_finite("total_instructions", self.total_instructions)
@@ -358,9 +358,9 @@ class _Simulation:
     def _push_next(self, inst: _Instance) -> None:
         """Queue the instance's next milestone: its next access, else completion.
 
-        Accesses to private variables are granted here, in bulk: each would
-        be a group of one, granted in its arrival slot with no stall and no
-        draw from the generator.
+        Accesses to uncontended variables are granted here, in bulk: each
+        would be granted in its arrival slot with no stall and no draw from
+        the generator.
         """
         stride, granted = self.stride, inst.granted
         if inst.skip is not None:
@@ -426,29 +426,38 @@ class _Simulation:
             self._dispatch(slot)
 
     def _arbitrate(self, slot: int) -> None:
-        """Grant each variable with contenders in ``slot`` to one of them.
+        """Grant each contended variable's waiting accesses in ``slot`` by the CREW rule.
 
         A variable's contenders are its wait set: losers of earlier slots
-        and the slot's arrivals, kept sorted by instance id.  One draw of
-        ``randrange(len(group))`` picks the winner, so the winner is uniform
-        and a group of one draws nothing.  The others stay in the wait set,
-        in id order, which keeps the main loop on the next slot; an emptied
-        set is dropped.  A stall is charged once, at the grant: the slots
-        since the arrival.
+        and the slot's arrivals, kept sorted by instance id.  With no write
+        among them, every read is granted and nothing is drawn.  Otherwise
+        one draw of ``randrange(len(group))`` picks a contender uniformly, a
+        group of one drawing nothing: a writer that wins is granted alone, a
+        reader takes every waiting reader with it.  The others stay in the
+        wait set, in id order, which keeps the main loop on the next slot;
+        an emptied set is dropped.  A stall is charged once, at the grant:
+        the slots since the arrival.
         """
         for var in sorted(self.waiting):
             group = self.waiting[var]
-            winner = group.pop(self.rng.randrange(len(group)) if len(group) > 1 else 0)
-            stalls = slot - winner.since
-            winner.stalls += stalls
-            self.mem_conflict_stalls += stalls
-            winner.granted += 1
-            self.mem_access_count += 1
-            if self.trace is not None:
-                self._event(slot, "access", winner.tid, f"var={var} waited={stalls}")
-            self._push_next(winner)
+            k = self.rng.randrange(len(group)) if self.writes[var] and len(group) > 1 else 0
+            if group[k].reading:  # with no write waiting, group[0] reads
+                granted = [inst for inst in group if inst.reading]
+                group[:] = [inst for inst in group if not inst.reading]
+            else:
+                granted = [group.pop(k)]
+                self.writes[var] -= 1
             if not group:
-                del self.waiting[var]
+                del self.waiting[var], self.writes[var]
+            for inst in granted:
+                stalls = slot - inst.since
+                inst.stalls += stalls
+                self.mem_conflict_stalls += stalls
+                inst.granted += 1
+                self.mem_access_count += 1
+                if self.trace is not None:
+                    self._event(slot, "access", inst.tid, f"var={var} waited={stalls}")
+                self._push_next(inst)
 
     # -- main loop ----------------------------------------------------------
 
@@ -469,12 +478,11 @@ class _Simulation:
                     self._complete(inst, slot)
                 else:
                     inst.since = slot
-                    var = inst.vars[inst.granted % len(inst.vars)]
-                    group = self.waiting.get(var)
-                    if group is None:
-                        self.waiting[var] = [inst]
-                    else:
-                        insort(group, inst, key=_TID)
+                    target = inst.granted % len(inst.vars)
+                    inst.reading = target < inst.n_reads
+                    var = inst.vars[target]
+                    insort(self.waiting[var], inst, key=_TID)
+                    self.writes[var] += not inst.reading
             if self.waiting:
                 self._arbitrate(slot)
 
@@ -545,7 +553,7 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     if cycle is not None:
         raise CycleError(cycle)
     _check_outcomes(g, cfg)
-    sim = _Simulation(g, cfg, record_events, private_variables(g))
+    sim = _Simulation(g, cfg, record_events)
     sim.execute()
     if sim.total_instructions == 0:
         raise DegenerateWorkloadError(

@@ -72,7 +72,7 @@ DEFAULT_SWEEP_DIGESTS = {
     "comm-sweep": "be3c3a2cd81970d9d5e9129ad0b71875c6fc7e20e656b9bbe5c02dc9861a2af4",
 }
 
-# A loader, 300 instances contending for "x", a merge and a reduce; at
+# A loader, 300 instances reading "x" together, a merge and a reduce; at
 # m = 16384 the printed report is dominated by its two m-long float lists.
 WIDE_GRAPH = {
     "tasks": [
@@ -86,10 +86,10 @@ WIDE_GRAPH = {
     "edges": [["load", "work"], ["work", "join"], ["join", "reduce"]],
 }
 # sha256 of `plural simulate WIDE_GRAPH --m 16384` stdout, as printed by
-# `json.dumps(doc, indent=2)`.
+# `json.dumps(doc, indent=2)`, since 0.5.0 granted the readers of "x" together.
 WIDE_SIMULATE_DIGESTS = {
-    "plain": "c05fd4da967404a0fe0756621b28ec81c772580e1552ef61b3a5a80a1baabac2",
-    "check-model": "2e4ca040a3938dc5a471b2885d11c6e08a49d1c03295914a5b428775b008d0bb",
+    "plain": "0d5328dce28a2bcc115d6ce303d03f18bd4c2e93ab678d00d6632d7e4924552a",
+    "check-model": "a5cabb3d6cbe8542d0fd68f18fcad89fb05a5bd8073872969502e3c1fcbb6109",
 }
 
 
@@ -110,10 +110,9 @@ def call_main(argv):
 def simulate_argv(path, cfg):
     """The ``plural simulate`` argv that runs ``cfg`` on the graph file ``path``."""
     chip = cfg.chip
-    argv = ["simulate", str(path), f"--area={chip.area!r}", f"--work={chip.work!r}",
-            f"--alpha={chip.pollack_exponent!r}", f"--cpi={chip.cpi!r}", "--m", str(cfg.m),
-            "--stride", str(cfg.mem_access_stride), "--prealloc-depth", str(cfg.prealloc_depth),
-            "--seed", str(cfg.seed)]
+    argv = ["simulate", str(path), f"--area={chip.area!r}", f"--alpha={chip.pollack_exponent!r}",
+            f"--cpi={chip.cpi!r}", "--m", str(cfg.m), "--stride", str(cfg.mem_access_stride),
+            "--prealloc-depth", str(cfg.prealloc_depth), "--seed", str(cfg.seed)]
     if cfg.comm_costs_enabled:
         argv.append("--comm-costs")
     for task, chosen in cfg.conditional_outcomes.items():
@@ -439,7 +438,7 @@ class TestSimulate:
     def test_check_model_within_two_percent(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)
         code, out, err = run_cli(
-            capsys, "simulate", path, "--m", "16", "--work", "64000", "--check-model"
+            capsys, "simulate", path, "--m", "16", "--check-model"
         )
         doc = json.loads(out)
         assert code == 0
@@ -519,18 +518,23 @@ class TestSimulate:
 
     # Each access of such an instance is one loop step when the run is
     # traced or the variable contended, so the run must stop as it starts.
+    # Two instances writing "x" contend, which the CREW check warns of first.
     @pytest.mark.parametrize(
-        "task, flags",
+        "task, flags, warning",
         [
-            pytest.param({"kind": "singular"}, ["--emit-events"], id="traced"),
-            pytest.param({"kind": "duplicable", "d": 2}, ["--m", "2", "--csv"], id="contended"),
+            pytest.param({"kind": "singular"}, ["--emit-events"], "", id="traced"),
+            pytest.param(
+                {"kind": "duplicable", "d": 2, "writes": ["x"]}, ["--m", "2", "--csv"],
+                "WARNING: CREW violation: write-write conflict on 'x' between 'a#0' and 'a#1'\n",
+                id="contended",
+            ),
         ],
     )
-    def test_instance_too_long_for_a_float_is_refused_as_it_starts(self, tmp_path, task, flags):
+    def test_instance_too_long_for_a_float_is_refused_as_it_starts(self, tmp_path, task, flags, warning):
         doc = {"tasks": [{"id": "a", **task, "instructions": 10**400, "reads": ["x"]}]}
         path = write_graph(tmp_path, doc)
         assert run_plural(["simulate", path, *flags]) == (
-            2, "", f"error: total_instructions falls outside float range, got {10**400}\n"
+            2, "", f"{warning}error: total_instructions falls outside float range, got {10**400}\n"
         )
 
     def test_instance_too_long_for_a_float_on_a_branch_not_taken(self, capsys, tmp_path):
@@ -657,6 +661,14 @@ class TestSimulate:
         assert code == 0
         assert list(json.loads(out)) == REPORT_KEYS + extra_keys
 
+    @pytest.mark.parametrize("flags", [["--work", "7e9"], ["--static-power"]], ids=["work", "static-power"])
+    def test_sweep_only_chip_flags_are_refused(self, capsys, tmp_path, flags):
+        # A run takes its work from the graph and charges no static power.
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, out, err = run_cli(capsys, "simulate", path, "--m", "4", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+
     def test_comm_costs_flag(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)
         _, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--comm-costs")
@@ -674,10 +686,12 @@ class TestSimulate:
         assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SIMULATE_DIGESTS[name]
 
     def test_wide_trace_grows_with_grants_not_stalls(self, capsys, tmp_path):
-        # 300 instances read "x" at once: about a million stalls, but the
-        # trace holds one event per ready, start, complete and control, and
-        # one per granted access.
-        path = write_graph(tmp_path, WIDE_GRAPH)
+        # 300 instances write "acc" at once: hundreds of thousands of
+        # stalls, but the trace holds one event per ready, start, complete
+        # and control, and one per granted access.
+        doc = json.loads(json.dumps(WIDE_GRAPH))
+        doc["tasks"][1]["writes"] = ["acc"]
+        path = write_graph(tmp_path, doc)
         code, out, _ = run_cli(capsys, "simulate", path, "--m", "16384", "--emit-events")
         assert code == 0
         doc = json.loads(out)
@@ -1052,11 +1066,11 @@ SIMULATE_FLAGS = st.lists(
         st.tuples(st.just("--stride"), st.integers(-1, 8).map(str)),
         st.tuples(st.just("--prealloc-depth"), st.integers(-1, 4).map(str)),
         st.tuples(st.just("--seed"), st.integers().map(str)),
-        st.tuples(st.sampled_from(["--area", "--work", "--alpha", "--cpi"]), NUMBER),
+        st.tuples(st.sampled_from(["--area", "--alpha", "--cpi"]), NUMBER),
         st.tuples(st.just("--outcome"), st.sampled_from(["a=b", "b=c", "a=a#0", "c=zz", "a", "=b"])),
         st.tuples(
             st.sampled_from(
-                ["--static-power", "--comm-costs", "--check-model", "--emit-events", "--csv"]
+                ["--comm-costs", "--check-model", "--emit-events", "--csv"]
             )
         ),
         st.tuples(st.sampled_from(["--m", "--bogus", "1.5", "x"])),

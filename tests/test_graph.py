@@ -17,7 +17,6 @@ from plural import (
     check_crew,
     concurrent_pairs,
     expand_duplicables,
-    private_variables,
     validate_dag,
 )
 from plural.graph import READ_WRITE, WRITE_WRITE, _successor_map
@@ -59,23 +58,6 @@ def pairwise_check_crew(g):
         for var in sorted(read_write):
             violations.append(CrewViolation(a, b, var, READ_WRITE))
     return violations
-
-
-def pairwise_private_variables(g):
-    """Reference privacy test: a concrete variable is private when no pair of
-    the expanded graph's tasks that touch it is concurrent."""
-    expanded = expand_duplicables(g)
-    concurrent = concurrent_pairs(expanded)
-    touchers = {}
-    for tid in sorted(expanded.tasks):
-        task = expanded.tasks[tid]
-        for var in task.read_set | task.write_set:
-            touchers.setdefault(var, []).append(tid)
-    return frozenset(
-        var
-        for var, tids in touchers.items()
-        if not any((a, b) in concurrent for i, a in enumerate(tids) for b in tids[i + 1 :])
-    )
 
 
 def reachable_pairs(g):
@@ -367,23 +349,36 @@ class TestCheckCrewMatchesPairwiseCheck:
         assert caught.value.cycle == ["join", "load", "work#0", "join"]
 
 
+def contended(g):
+    return g._contended
+
+
+def crew_variables(check):
+    """The variables that the violations ``check`` finds name."""
+    return lambda g: frozenset(violation.variable for violation in check(g))
+
+
 class TestPrivateVariables:
+    """A variable is private to the simulator's arbitration, and granted by
+    arithmetic, unless some CREW violation names it: ``g._contended`` holds
+    the others."""
+
     def test_singular_chain_shares_private_variable(self):
         g = TaskGraph(
             [singular("a", writes={"v"}), singular("b", {"v"}, {"v"}), singular("c", reads={"v"})],
             [("a", "b"), ("b", "c")],
         )
-        assert private_variables(g) == {"v"}
+        assert contended(g) == set()
 
     def test_duplicable_instances_writing_one_name_are_not_private(self):
         g = TaskGraph([duplicable("T", 2, reads={"in[#]"}, writes={"acc"})])
-        assert private_variables(g) == {"in[0]", "in[1]"}
+        assert contended(g) == {"acc"}
 
     def test_instance_variable_meets_literal_name(self):
         # Instance 0's "v[#]" is "v[0]", which the singular task names literally.
         tasks = [duplicable("w", 2, writes={"v[#]"}), singular("r", reads={"v[0]"})]
-        assert private_variables(TaskGraph(tasks, [("w", "r")])) == {"v[0]", "v[1]"}
-        assert private_variables(TaskGraph(tasks)) == {"v[1]"}
+        assert contended(TaskGraph(tasks, [("w", "r")])) == set()
+        assert contended(TaskGraph(tasks)) == {"v[0]"}
 
     def test_not_taken_branch_still_counts(self):
         # Only one branch ever runs, but the static test keeps both touchers.
@@ -396,19 +391,21 @@ class TestPrivateVariables:
             ],
             [("start", "pick"), ("pick", "left"), ("pick", "right")],
         )
-        assert private_variables(g) == {"cfg"}
+        assert contended(g) == {"z"}
 
     def test_diamond_concurrent_readers_share_x(self):
-        g = TaskGraph(
-            [
-                singular("A", writes={"x", "a"}),
-                singular("B", reads={"x"}),
-                singular("C", reads={"x"}),
-                singular("D", reads={"x", "a"}),
-            ],
-            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
-        )
-        assert private_variables(g) == {"a"}
+        # "B" and "C" read "x" at once, which CREW allows: no violation, so
+        # nothing contends.  A concurrent write would make "x" contended.
+        tasks = [
+            singular("A", writes={"x", "a"}),
+            singular("B", reads={"x"}),
+            singular("C", reads={"x"}),
+            singular("D", reads={"x", "a"}),
+        ]
+        edges = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")]
+        assert contended(TaskGraph(tasks, edges)) == set()
+        tasks[2] = singular("C", writes={"x"})
+        assert contended(TaskGraph(tasks, edges)) == {"x"}
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(crew_graphs())
@@ -419,7 +416,11 @@ class TestPrivateVariables:
     )
     @example(TaskGraph([duplicable("a", 2), singular("a#1", writes={"x"})]))
     def test_same_result_as_pairwise_reference(self, g):
-        assert crew_outcome(private_variables, g) == crew_outcome(pairwise_private_variables, g)
+        # The contended set is the set of variables that the violations name,
+        # errors included, whether check_crew or the pairwise check finds them.
+        outcome = crew_outcome(contended, g)
+        assert outcome == crew_outcome(crew_variables(check_crew), g)
+        assert outcome == crew_outcome(crew_variables(pairwise_check_crew), g)
 
 
 class TestExpandDuplicables:

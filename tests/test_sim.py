@@ -25,9 +25,9 @@ from plural import (
     TaskGraph,
     TaskKind,
     ValidationError,
+    check_crew,
     compare_to_model,
     expand_duplicables,
-    private_variables,
     run,
 )
 from plural import graph as graph_module
@@ -74,6 +74,15 @@ def instance_ids(task):
     if task.kind is TaskKind.DUPLICABLE:
         return [f"{task.id}#{k}" for k in range(task.instances)]
     return [task.id]
+
+
+def instance_targets(task, iid):
+    """An instance's (sorted reads, sorted writes), a duplicable's "#"
+    replaced by the instance number that ends its id."""
+    if task.kind is not TaskKind.DUPLICABLE:
+        return sorted(task.read_set), sorted(task.write_set)
+    number = iid.rpartition("#")[2]
+    return tuple(sorted({v.replace("#", number) for v in names}) for names in (task.read_set, task.write_set))
 
 
 def slot_dt(cfg):
@@ -344,16 +353,16 @@ class TestMemoryConflicts:
 
     def test_arrival_joins_waiting_losers(self):
         # Seed 0's first two draws of randrange(2) are 1 and 1.  Slot 0: c
-        # reads the private w, no draw; x's wait set is [a, b] and draw 1
+        # reads the uncontended w, no draw; x's wait set is [a, b] and draw 1
         # grants b, so a waits.  Slot 1: b ends; c's next access arrives at x
         # and joins a, giving [a, c], and draw 1 grants c; a stalls again.
         # Slot 2: a is alone, no draw.  a ends at 0 + 1 + 2 stalls = 3, b at
         # 1, c at 2.
         g = TaskGraph(
             [
-                singular("a", 1, reads={"x"}),
-                singular("b", 1, reads={"x"}),
-                singular("c", 2, reads={"w", "x"}),
+                singular("a", 1, writes={"x"}),
+                singular("b", 1, writes={"x"}),
+                singular("c", 2, reads={"w"}, writes={"x"}),
             ]
         )
         # area 3 over 3 cores gives frequency 1, so one slot lasts 1.0
@@ -376,9 +385,9 @@ class TestMemoryConflicts:
         # giving [a, b], so draw 1 grants b, not the arrival.
         g = TaskGraph(
             [
-                singular("a", 2, reads={"w", "x"}),
-                singular("b", 1, reads={"x"}),
-                singular("c", 1, reads={"x"}),
+                singular("a", 2, reads={"w"}, writes={"x"}),
+                singular("b", 1, writes={"x"}),
+                singular("c", 1, writes={"x"}),
             ]
         )
         cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
@@ -395,7 +404,7 @@ class TestMemoryConflicts:
     def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
         # A 64-way burst on one variable: every event-heap push is an
         # instance start or a grant.
-        g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
+        g = TaskGraph([duplicable("r", 64, 20, writes={"x"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
         traced = run(g, cfg, record_events=True)
         contended_slots = contended(traced, cfg)
@@ -435,9 +444,11 @@ class TestMemoryConflicts:
         assert per_stall["events"] == instances + grants + traced.mem_conflict_stalls
 
     def test_one_draw_per_contended_slot(self, monkeypatch):
-        # The 64-way burst above: only a (slot, variable) with two or more
-        # contenders, which is one that some access waited through, draws.
-        g = TaskGraph([duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})])
+        # A 64-way burst like the one above: only a (slot, variable) with two
+        # or more contenders, which is one that some access waited through,
+        # draws; every other access to "x" and every one to "out[#]" draws
+        # nothing.
+        g = TaskGraph([duplicable("r", 64, 20, writes={"x", "out[#]"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
         calls = Counter()
         real_randrange = random.Random.randrange
@@ -463,7 +474,7 @@ class TestMemoryConflicts:
     def test_k_way_burst_stalls_do_not_depend_on_seed(self, k):
         # One access each, all arriving in one slot: the i-th grant waited
         # i slots, whichever order the draws pick.
-        g = TaskGraph([duplicable("r", k, 5, reads={"x"})])
+        g = TaskGraph([duplicable("r", k, 5, writes={"x"})])
         for seed in range(25):
             report = run(g, SimConfig(chip=CHIP, m=k, seed=seed))
             assert report.mem_conflict_stalls == k * (k - 1) // 2
@@ -471,7 +482,7 @@ class TestMemoryConflicts:
     def test_first_grant_is_uniform(self):
         # 4 contenders over 4000 seeds: each should win about 1000 times,
         # with a standard deviation of about 27.
-        g = TaskGraph([duplicable("r", 4, 5, reads={"x"})])
+        g = TaskGraph([duplicable("r", 4, 5, writes={"x"})])
         wins = Counter()
         for seed in range(4000):
             report = run(g, SimConfig(chip=CHIP, m=4, seed=seed), record_events=True)
@@ -486,6 +497,43 @@ class TestMemoryConflicts:
         deviation = compare_to_model(report, cfg)
         assert deviation.speedup_deviation > 0
         assert report.empirical_speedup < math.sqrt(2)
+
+    def test_concurrent_reads_are_granted_together(self, monkeypatch):
+        # A loader writes "x", then 64 instances read it at once: CREW grants
+        # every read in its arrival slot, and nothing is arbitrated or drawn.
+        g = TaskGraph(
+            [singular("load", 20, writes={"x"}), duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})],
+            [("load", "r")],
+        )
+
+        def forbidden(*args):
+            raise AssertionError("a read-only variable was arbitrated")
+
+        monkeypatch.setattr(sim_module._Simulation, "_arbitrate", forbidden)
+        monkeypatch.setattr(random.Random, "randrange", forbidden)
+        report = run(g, SimConfig(chip=CHIP, m=64, seed=5), record_events=True)
+        assert report.mem_conflict_stalls == 0
+        reads = Counter(e.time for e in report.events if e.kind == "access" and e.detail.startswith("var=x "))
+        assert sorted(reads.values()) == [1] * (20 // 5) + [64] * (20 // 5 // 2)
+
+    def test_reader_that_wins_takes_every_reader(self):
+        # Slot 0: "r1" and "r2" read "x" as "w" writes it, so one draw runs
+        # over [r1, r2, w].  A reader that wins takes the other reader with
+        # it and "w" follows alone; a writer that wins is granted alone and
+        # both readers follow together, with no draw.
+        g = TaskGraph(
+            [singular("r1", 1, reads={"x"}), singular("r2", 1, reads={"x"}), singular("w", 1, writes={"x"})]
+        )
+        outcomes = set()
+        for seed in range(12):
+            cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=seed)
+            report = run(g, cfg, record_events=True)
+            waited = {e.task: access_fields(e)[1] for e in report.events if e.kind == "access"}
+            writer_won = random.Random(seed).randrange(3) == 2
+            assert waited == ({"w": 0, "r1": 1, "r2": 1} if writer_won else {"r1": 0, "r2": 0, "w": 1})
+            assert report.mem_conflict_stalls == (2 if writer_won else 1)
+            outcomes.add(writer_won)
+        assert outcomes == {True, False}
 
 
 class TestDeterminism:
@@ -595,29 +643,45 @@ class TestSingleCoreReference:
         assert single.empirical_speedup == 1.0
 
 
+class Everything:
+    """A container holding every variable name."""
+
+    def __contains__(self, var):
+        return True
+
+
 class PerStallSimulation(sim_module._Simulation):
     """The simulator before per-variable wait sets, kept as the oracle.
 
-    Every loser goes back into the event heap for the next slot and stalls
-    one slot per lost arbitration; each slot, one draw over a variable's
-    contenders sorted by instance id picks its winner, and a group of one
-    draws nothing.  A grant's trace event carries the slots its access lost.
-    All m cores exist from the start, and dispatch scans them for the
-    lowest-index idle one, then for the lowest-index queue with room; its
-    report holds the cores up to the highest one that started an instance.
-    It ignores the private variables it is given, so every access goes
-    through its loop: it is the oracle of their arithmetic grants.
+    It takes every access through its own loop, as if every variable could
+    contend, and applies the CREW rule itself, written from the footprints
+    rather than read from the engine.  Each slot it groups the arriving
+    accesses by variable and sorts a group by instance id.  With no write
+    in a group every read is granted; otherwise one draw picks a member (a
+    group of one draws nothing): a writer alone, or a reader with every
+    reader.  Every loser goes back into the event heap for the next slot and
+    stalls one slot per lost arbitration; a grant's trace event carries the
+    slots its access lost.  All m cores exist from the start, and dispatch
+    scans them for the lowest-index idle one, then for the lowest-index
+    queue with room; its report holds the cores up to the highest one that
+    started an instance.
     """
 
-    def __init__(self, g, cfg, record_events, private=frozenset()):
+    def __init__(self, g, cfg, record_events):
         super().__init__(g, cfg, record_events)
+        self.contended = Everything()  # no access is granted by arithmetic
         self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
         self.used = 0  # one past the highest core that started an instance
         self.lost = Counter()  # slots each instance's pending access has lost
+        self.n_reads = {}  # instance id -> its reads, counted from its task
 
     def _start(self, core_idx, item, slot, from_queue):
         self.used = max(self.used, core_idx + 1)
         super()._start(core_idx, item, slot, from_queue)
+        inst = self.cores[core_idx].current
+        reads, writes = instance_targets(self.g.tasks[inst.task], inst.tid)
+        assert inst.vars == (*reads, *writes)
+        self.n_reads[inst.tid] = len(reads)
 
     def report(self, empirical_speedup):
         self.cores = self.cores[: self.used]
@@ -654,18 +718,24 @@ class PerStallSimulation(sim_module._Simulation):
             var = inst.vars[inst.granted % len(inst.vars)]
             groups.setdefault(var, []).append(inst)
         for var in sorted(groups):
-            losers = sorted(groups[var], key=lambda i: i.tid)
-            winner = losers.pop(self.rng.randrange(len(losers)) if len(losers) > 1 else 0)
-            winner.granted += 1
-            self.mem_access_count += 1
-            waited = self.lost.pop(winner.tid, 0)
-            self._event(slot, "access", winner.tid, f"var={var} waited={waited}")
-            self._push_next(winner)
-            for inst in losers:
-                inst.stalls += 1
-                self.mem_conflict_stalls += 1
-                self.lost[inst.tid] += 1
-                heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
+            group = sorted(groups[var], key=lambda i: i.tid)
+            readers = [i for i in group if i.granted % len(i.vars) < self.n_reads[i.tid]]
+            winners = readers
+            if len(readers) < len(group):
+                pick = group[self.rng.randrange(len(group)) if len(group) > 1 else 0]
+                winners = readers if pick in readers else [pick]
+            for inst in group:
+                if inst in winners:
+                    inst.granted += 1
+                    self.mem_access_count += 1
+                    waited = self.lost.pop(inst.tid, 0)
+                    self._event(slot, "access", inst.tid, f"var={var} waited={waited}")
+                    self._push_next(inst)
+                else:
+                    inst.stalls += 1
+                    self.mem_conflict_stalls += 1
+                    self.lost[inst.tid] += 1
+                    heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
 
     def execute(self):
         self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
@@ -786,14 +856,15 @@ class TestUntracedRunsFormatNoDetail:
 
 @st.composite
 def mixed_footprint_cases(draw):
-    """Chains and fork-joins whose tasks mix private and shared variables.
+    """Chains and fork-joins whose tasks mix uncontended and contended variables.
 
     Stage k reads "s{k}[#]" and writes "s{k+1}[#]", which only its chain
     neighbours touch, and a duplicable stage's "v[#]" is its own per
-    instance; these are private while the chain edges hold.  "x" and "y",
-    or "v[#]" named by a singular task, are shared with the stage's own
+    instance; these are uncontended while the chain edges hold.  "x" and
+    "y", or "v[#]" named by a singular task, are shared with the stage's own
     instances, with the other stages once an edge is left out, or with a
-    side task.  An optional loader and join make the chain a fork-join.
+    side task, and contend where one of the sharers writes.  An optional
+    loader and join make the chain a fork-join.
     """
     count = draw(st.integers(1, 4))
     extra = st.frozensets(st.sampled_from(["x", "y", "v[#]"]), max_size=2)
@@ -825,9 +896,9 @@ def mixed_footprint_cases(draw):
 
 
 class TestUntracedMatchesTraced:
-    """Traced and untraced runs grant private accesses by arithmetic; the
-    per-stall engine takes every access through its event loop.  All three
-    must give the same report, or the same error."""
+    """Traced and untraced runs grant uncontended accesses by arithmetic;
+    the per-stall engine takes every access through its event loop.  All
+    three must give the same report, or the same error."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
@@ -843,12 +914,13 @@ class TestUntracedMatchesTraced:
 
 
 class TestPrivateAccesses:
-    """Accesses to private variables cost the event loop nothing."""
+    """Accesses to uncontended variables, those that no CREW violation
+    names, cost the event loop nothing."""
 
     @staticmethod
     def event_pushes(monkeypatch, g, cfg):
         """Run ``g`` untraced; return the simulation and its event-heap pushes."""
-        sim = sim_module._Simulation(g, cfg, False, private_variables(g))
+        sim = sim_module._Simulation(g, cfg, False)
         pushed = []
         real_push = heapq.heappush
 
@@ -868,7 +940,7 @@ class TestPrivateAccesses:
         cfg = SimConfig(chip=CHIP, m=32, seed=1001)
 
         def forbidden(*args):
-            raise AssertionError("a private access reached arbitration")
+            raise AssertionError("an uncontended access reached arbitration")
 
         monkeypatch.setattr(sim_module._Simulation, "_arbitrate", forbidden)
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
@@ -877,9 +949,9 @@ class TestPrivateAccesses:
         assert sim.mem_conflict_stalls == 0
 
     def test_mixed_instance_pushes_its_shared_accesses(self, monkeypatch):
-        # "m" alternates private "p" and shared "x"; "c" also reads "x".
+        # "m" alternates uncontended "p" and contended "x", which "c" writes.
         g = TaskGraph(
-            [singular("m", 10, reads={"p", "x"}), singular("c", 7, reads={"x"})]
+            [singular("m", 10, reads={"p", "x"}), singular("c", 7, writes={"x"})]
         )
         cfg = SimConfig(chip=CHIP, m=2, mem_access_stride=1, seed=3)
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
@@ -889,26 +961,25 @@ class TestPrivateAccesses:
         traced = run(g, cfg, record_events=True)
         assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
 
-    # "work#0" shares "x[0]" with "other", which it does not follow, while
-    # "x[1]" to "x[3]" are private; every instance shares "s".  So instance
-    # 0 and its siblings follow different access plans, and "solo"'s only
-    # target is private.
+    # "work#0" reads "x[0]", which "other" writes and does not follow,
+    # while "x[1]" to "x[3]" are uncontended; every instance writes "s".
+    # So instance 0 and its siblings follow different access plans, and
+    # "solo"'s only target is uncontended.
     PLANS = TaskGraph([
-        duplicable("work", 4, 24, {"s", "x[#]"}, {"out[#]"}),
+        duplicable("work", 4, 24, {"x[#]"}, {"out[#]", "s"}),
         singular("other", 12, writes={"x[0]"}),
         singular("solo", 9, reads={"p"}),
     ])
 
     def test_one_plan_per_private_positions(self):
-        g = self.PLANS
-        sim = sim_module._Simulation(g, SimConfig(chip=CHIP, m=2), False, private_variables(g))
+        sim = sim_module._Simulation(self.PLANS, SimConfig(chip=CHIP, m=2), False)
         sim.execute()
-        # Targets are sorted reads, then sorted writes: ("s", "x[k]", "out[k]").
+        # Targets are sorted reads, then sorted writes: ("x[k]", "out[k]", "s").
         assert sim.skips == {
-            (False, False, True): (0, 0, 1),
-            (False, True, True): (0, 2, 1),
-            (False,): None,
-            (True,): (math.inf,),
+            (True, False, True): (0, 1, 0),
+            (False, False, True): (2, 1, 0),
+            (True,): None,
+            (False,): (math.inf,),
         }
 
     @pytest.mark.parametrize("m", [1, 2, 5])
@@ -1058,6 +1129,25 @@ def executed_tasks(g, cfg):
     return {tid for tid in g.tasks if reach(tid)}
 
 
+def assert_crew_grants(tasks, events):
+    """Each access targets its instance's footprint round-robin, sorted reads
+    then sorted writes, and per variable per slot there is one write grant,
+    or any number of read grants and no write.  ``tasks`` maps instance ids
+    to their authored tasks."""
+    granted = Counter()  # instance id -> its accesses so far
+    per_slot = {}  # (time, variable) -> [read grants, write grants]
+    for e in events:
+        if e.kind == "access":
+            reads, writes = instance_targets(tasks[e.task], e.task)
+            targets = (*reads, *writes)
+            position = granted[e.task] % len(targets)
+            granted[e.task] += 1
+            var = access_fields(e)[0]
+            assert var == targets[position]
+            per_slot.setdefault((e.time, var), [0, 0])[position >= len(reads)] += 1
+    assert all(writes == 0 or (writes, reads) == (1, 0) for reads, writes in per_slot.values())
+
+
 def assert_trace_invariants(g, cfg, report):
     """Check the North-star invariants against the trace of a traced run."""
     events = report.events
@@ -1091,9 +1181,7 @@ def assert_trace_invariants(g, cfg, report):
     accesses = [(e.time, *access_fields(e)) for e in events if e.kind == "access"]
     assert len(accesses) == report.mem_access_count
     assert sum(waited for _, _, waited in accesses) == report.mem_conflict_stalls
-    # Each variable is granted at most once per slot.
-    grants = [(time, var) for time, var, _ in accesses]
-    assert len(grants) == len(set(grants))
+    assert_crew_grants(tasks, events)
     # Work is conserved, and the ledger is consistent.
     assert report.total_instructions == sum(tasks[iid].instruction_count for iid in starts)
     assert math.isclose(report.avg_power * report.makespan, report.total_energy, rel_tol=1e-12)
@@ -1171,6 +1259,69 @@ class TestSeedIndependence:
         other = run(g, replace(cfg, seed=seed))
         for name in self.FIXED:
             assert getattr(other, name) == getattr(first, name), name
+
+
+class TestCrewRule:
+    """Only a variable that some CREW violation names can contend, so the
+    CREW check decides both the warnings and the simulator's contention."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_crew_clean_runs_never_stall(self, case, seed):
+        # With no violation, no access reaches arbitration, so the seed,
+        # which only arbitration reads, changes nothing.
+        g, cfg = case
+
+        def forbidden(*args):
+            raise AssertionError("a CREW-clean run reached arbitration")
+
+        try:
+            if check_crew(g):
+                return
+            with mock.patch.object(sim_module._Simulation, "_arbitrate", forbidden):
+                report = run(g, cfg, record_events=True)
+                other = run(g, replace(cfg, seed=seed), record_events=True)
+        except (DegenerateWorkloadError, GraphStructureError):
+            return
+        assert report.mem_conflict_stalls == 0
+        assert other == report
+
+    def test_writers_of_one_name_list_no_violation(self, monkeypatch):
+        # d writers of "acc" make d * (d - 1) / 2 violations; the run finds
+        # "acc" contended from its first pair and lists none.
+        def forbidden(*args):
+            raise AssertionError("run built a CrewViolation")
+
+        monkeypatch.setattr(graph_module, "CrewViolation", forbidden)
+        g = TaskGraph([duplicable("w", 2000, 5, writes={"acc"})])
+        report = run(g, SimConfig(chip=CHIP, m=64))
+        assert g._contended == {"acc"}
+        assert report.mem_access_count == 2000
+        assert report.mem_conflict_stalls > 0
+
+    def test_fork_join_gap_to_sqrt_m_is_idleness(self):
+        # A loader writes "x", 4m instances read it, and a reduce reads it
+        # last: CREW-clean, so no slot stalls.  Of the m * T core-slots, W
+        # hold an instruction and the rest are idle, and with alpha = 1/2
+        # speedup / sqrt(m) is exactly W / (m * T).
+        m = 256
+        g = TaskGraph(
+            [
+                singular("load", 40, writes={"x"}),
+                duplicable("read", 4 * m, 200, reads={"x"}, writes={"out[#]"}),
+                singular("reduce", 50, reads={"x"}, writes={"result"}),
+            ],
+            [("load", "read"), ("read", "reduce")],
+        )
+        cfg = SimConfig(chip=CHIP, m=m)
+        report = run(g, cfg)
+        assert check_crew(g) == []
+        assert report.mem_conflict_stalls == 0
+        w, t = report.total_instructions, round(report.makespan / slot_dt(cfg))
+        assert math.isclose(report.empirical_speedup / math.sqrt(m), w / (m * t), rel_tol=1e-12, abs_tol=0)
 
 
 class KeptSimulation(sim_module._Simulation):
@@ -1380,9 +1531,8 @@ class TestRandomizedGraphs:
             for pred, succ in expanded.edges:
                 if succ in started and pred in done:
                     assert started[succ] >= done[pred]
-            # no two grants of one variable share a slot
-            grants = [(e.time, access_fields(e)[0]) for e in report.events if e.kind == "access"]
-            assert len(grants) == len(set(grants))
+            # per variable per slot, one write grant or only read grants
+            assert_crew_grants({iid: task for task in g for iid in instance_ids(task)}, report.events)
             # bounded utilization, consistent ledger
             assert all(0.0 <= u <= 1.0 + 1e-12 for u in report.utilization)
             assert math.isclose(
@@ -1425,6 +1575,16 @@ class TestErrors:
         for bad in (-1, True):
             with pytest.raises(ValidationError, match="prealloc"):
                 SimConfig(chip=CHIP, m=1, prealloc_depth=bad)
+
+    def test_static_power_refused(self):
+        # The simulator charges no static power, so a chip that has it
+        # would skew only the model side of compare_to_model.
+        chip = replace(CHIP, static_power_enabled=True)
+        with pytest.raises(ValidationError) as caught:
+            SimConfig(chip=chip, m=4)
+        assert str(caught.value) == (
+            "the simulator charges no static power, so chip.static_power_enabled must be False"
+        )
 
     def test_seed_must_be_an_integer(self):
         # A seed of None would seed from the operating system, and runs of
