@@ -23,6 +23,7 @@ each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -313,15 +314,18 @@ class _Footprint(NamedTuple):
     index: dict[str, int]  # authored id -> its bit, its place in a topological order
     desc: dict[str, int]  # authored id -> descendants as an int bitset
     touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
-    # authored id, ascending -> per instance: (instance id, authored id,
-    # sorted reads + sorted writes, number of reads)
-    instances: dict[str, list[tuple[str, str, tuple[str, ...], int]]]
+
+
+# A run of digits and placeholders.  A substituted number keeps each run in
+# place, so names can meet only if their text outside the runs is the same.
+_RUNS = re.compile(r"[0-9#]+")
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
-    """Index each concrete variable (after ``#`` substitution) to the
-    instances that touch it, at a cost of the summed instance footprints,
-    next to the authored graph's descendant bitsets: O(V + E).
+    """Index each concrete variable (after ``#`` substitution) of the names
+    that ``_meeting_names`` keeps to the instances that touch it, next to the
+    authored graph's descendant bitsets: O(V + E).  A clean graph expands no
+    instance, whatever its d.
 
     Two instances of one duplicable are always concurrent, and instances of
     different tasks are concurrent exactly when their authored tasks are, so
@@ -333,26 +337,61 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     renamed to its first instance finds it: any other instance has the same
     edges and is reached only after the first finished, so it finds nothing.
     """
-    ids = _instance_ids(g)
+    _check_instance_ids(g)
     if g._search[1] is not None:
-        first = {tid: iids[0] for tid, iids in ids.items()}
+        first = {tid: tid + INSTANCE_SEP + "0" if task.kind is TaskKind.DUPLICABLE else tid
+                 for tid, task in g._tasks.items()}
         renamed = {first[t]: sorted(first[s] for s in succ) for t, succ in g._successors.items()}
         raise CycleError(_search(renamed)[1])
     index, desc = _descendant_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    instances: dict[str, list[tuple[str, str, tuple[str, ...], int]]] = {}
-    for tid, iids in ids.items():
+    for tid, names in _meeting_names(g, index, desc).items():
         task = g._tasks[tid]
-        items = instances[tid] = []
-        for k, iid in enumerate(iids):
-            reads, writes = _instance_footprint(task, k)
-            items.append((iid, tid, (*sorted(reads), *sorted(writes)), len(reads)))
-            for var in reads:
-                if var not in writes:
-                    touchers.setdefault(var, []).append((iid, tid, False))
+        for k, iid in enumerate(_instance_ids(task)):
+            reads, writes = _instance_footprint(task, k, names)
+            for var in reads - writes:
+                touchers.setdefault(var, []).append((iid, tid, False))
             for var in writes:
                 touchers.setdefault(var, []).append((iid, tid, True))
-    return _Footprint(index, desc, touchers, instances)
+    return _Footprint(index, desc, touchers)
+
+
+def _meeting_names(g: TaskGraph, index: dict[str, int], desc: dict[str, int]) -> dict[str, set[str]]:
+    """Per task, its names that may give a variable that a concurrent
+    instance also touches, one of the two writing: maybe too many, never too
+    few.  A duplicable's ``#`` name is a pattern whose runs with ``#`` spell
+    any digits, and meets the names of its shape whose runs can equal its
+    own, not itself; literals meet by equal text, a duplicable's its own."""
+    literals: dict[str, list[tuple[str, bool]]] = {}  # name -> (task, writes?)
+    shapes: dict[str, list[tuple[str, str, bool, list]]] = {}  # shape -> (task, name, writes?, runs)
+    for tid, task in g._tasks.items():
+        for name in task.read_set | task.write_set:
+            if task.kind is TaskKind.DUPLICABLE and INSTANCE_PLACEHOLDER in name:
+                runs = [None if "#" in run else run for run in _RUNS.findall(name)]  # None spells any digits
+                shapes.setdefault(_RUNS.sub("#", name), []).append((tid, name, name in task.write_set, runs))
+            else:
+                literals.setdefault(name, []).append((tid, name in task.write_set))
+    found: dict[str, set[str]] = {}
+
+    def meet(a: str, a_name: str, a_writes: bool, b: str, b_name: str, b_writes: bool) -> None:
+        if (a_writes or b_writes) and _concurrent(index, desc, a, b):
+            found.setdefault(a, set()).add(a_name)
+            found.setdefault(b, set()).add(b_name)
+
+    counts = {shape: len(spellings) for shape, spellings in shapes.items()}  # the patterns lead each list
+    for name, entries in literals.items():
+        for i, (a, a_writes) in enumerate(entries):
+            for b, b_writes in entries[i if g._tasks[a].instances > 1 else i + 1 :]:
+                meet(a, name, a_writes, b, name, b_writes)
+        if counts and (spellings := shapes.get(_RUNS.sub("#", name))) is not None:
+            spellings.extend((b, name, b_writes, _RUNS.findall(name)) for b, b_writes in entries)
+    for shape, spellings in shapes.items():
+        for i, (a, a_name, a_writes, a_runs) in enumerate(spellings[: counts[shape]]):
+            for b, b_name, b_writes, b_runs in spellings[i + 1 :]:
+                if all(x == y or x is None and "#" not in y or y is None and "#" not in x
+                       for x, y in zip(a_runs, b_runs)):
+                    meet(a, a_name, a_writes, b, b_name, b_writes)
+    return found
 
 
 def check_crew(g: TaskGraph) -> list[CrewViolation]:
@@ -403,35 +442,42 @@ def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterato
                     yield w_id, t_id, t_writes
 
 
-def _instance_footprint(task: Task, number: int) -> tuple[frozenset[str], frozenset[str]]:
-    """One instance's (reads, writes): a duplicable's ``#`` becomes ``number``."""
+def _instance_footprint(
+    task: Task, number: int | str, names: set[str] | None = None
+) -> tuple[frozenset[str], frozenset[str]]:
+    """One instance's (reads, writes) of its ``names``, by default all: a duplicable's ``#`` becomes ``number``."""
+    reads, writes = task.read_set, task.write_set
+    if names is not None:
+        reads, writes = reads & names, writes & names
     if task.kind is not TaskKind.DUPLICABLE:
-        return task.read_set, task.write_set
+        return reads, writes
     k = str(number)
     return (
-        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in task.read_set),
-        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in task.write_set),
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in reads),
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in writes),
     )
 
 
-def _instance_ids(g: TaskGraph) -> dict[str, list[str]]:
-    """Each task's ids in the expanded graph, in ``expand_duplicables`` order.
+def _instance_ids(task: Task) -> list[str]:
+    """The task's ids in the expanded graph, by instance number."""
+    if task.kind is not TaskKind.DUPLICABLE:
+        return [task.id]
+    return [f"{task.id}{INSTANCE_SEP}{k}" for k in range(task.instances)]
 
-    Raises the ``GraphStructureError`` that building the expanded graph would
-    raise when an instance id collides with another task's id.
-    """
-    ids: dict[str, list[str]] = {}
-    seen: set[str] = set()
-    for tid, task in sorted(g._tasks.items()):
-        if task.kind is TaskKind.DUPLICABLE:
-            ids[tid] = [f"{tid}{INSTANCE_SEP}{k}" for k in range(task.instances)]
-        else:
-            ids[tid] = [tid]
-        if not seen.isdisjoint(ids[tid]):
-            iid = next(iid for iid in ids[tid] if iid in seen)
-            raise GraphStructureError(f"duplicate task id {iid!r}")
-        seen.update(ids[tid])
-    return ids
+
+def _check_instance_ids(g: TaskGraph) -> None:
+    """Raise the ``GraphStructureError`` that building the expanded graph
+    would raise: the first task id, ascending, that is also an instance id
+    of a duplicable task.  O(V), whatever the d."""
+    for tid in sorted(g._tasks):
+        name, _, k = tid.rpartition(INSTANCE_SEP)
+        dup = g._tasks.get(name)
+        if dup and dup.kind is TaskKind.DUPLICABLE and g._tasks[tid].kind is not TaskKind.DUPLICABLE and (
+            k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")  # as str() spells a number
+            # len(k) digits spell at least 8**(len(k) - 1): a longer k names no instance and is not parsed.
+            and 3 * (len(k) - 1) < dup.instances.bit_length() and int(k) < dup.instances
+        ):
+            raise GraphStructureError(f"duplicate task id {tid!r}")
 
 
 def expand_duplicables(g: TaskGraph) -> TaskGraph:
@@ -443,7 +489,8 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
     inherit every incoming and outgoing edge of the original.  Expansion is
     idempotent and preserves acyclicity.
     """
-    ids = _instance_ids(g)
+    _check_instance_ids(g)
+    ids = {tid: _instance_ids(task) for tid, task in g._tasks.items()}
     new_tasks: list[Task] = []
     for tid in sorted(g._tasks):
         task = g._tasks[tid]

@@ -29,7 +29,11 @@ Execution semantics:
   slot.
 * Only a variable that some CREW violation names (``check_crew``) can
   contend.  An access to any other never stalls and draws nothing from the
-  generator, so it is granted by arithmetic, without an event.
+  generator, so it is granted by arithmetic, without an event.  A task's
+  instances that touch no contended variable and start in one slot end in
+  one slot, so a run of such starts is one cohort: one heap entry, which
+  ends its members as if one at a time in id order.  Other instances run
+  alone.  Cohorts change no report.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It is sorted by time, then kind in the order a slot processes
@@ -51,9 +55,10 @@ import heapq
 import math
 import random
 import sys
-from bisect import insort
-from collections import defaultdict, deque
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from itertools import compress, groupby, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -68,10 +73,13 @@ from .errors import (
     _is_real,
 )
 from .graph import (
+    INSTANCE_SEP,
     ControlKind,
     Task,
     TaskGraph,
     TaskKind,
+    _instance_footprint,
+    _instance_ids,
     expand_duplicables,  # noqa: F401 -- unused, but benchmarks/tracing.py wraps it here
     validate_dag,
 )
@@ -174,6 +182,7 @@ _ACCESS = 1
 # Trace event kinds, in the order the trace lists one slot's events.  A task
 # has at most one event of a kind per slot, so a trace's order is total.
 _TRACE_KINDS = ("complete", "control", "ready", "start", "queue", "access")
+_RANK = {kind: rank for rank, kind in enumerate(_TRACE_KINDS)}
 
 _TID = attrgetter("tid")
 
@@ -195,26 +204,31 @@ def _skip_table(contended: tuple[bool, ...]) -> _Skip:
     return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
 
 
+def _targets(task: Task, iid: str) -> tuple[tuple[str, ...], int]:
+    """An instance's access targets, sorted reads then sorted writes, and its number of reads."""
+    reads, writes = _instance_footprint(task, iid.rpartition(INSTANCE_SEP)[2])
+    return (*sorted(reads), *sorted(writes)), len(reads)
+
+
 class _Instance:
-    """A core-executed task instance and its progress through its slots."""
+    """A cohort: instances of one task started in one slot, ascending by id,
+    each on its own core.  Two or more touch no contended variable; an
+    instance that can contend is alone and tracks its accesses."""
 
-    __slots__ = (
-        "tid", "task", "n", "vars", "n_reads", "n_access", "skip", "core", "start", "stalls",
-        "granted", "since", "reading",
-    )
+    __slots__ = ("tid", "ids", "cores", "task", "n", "vars", "n_reads", "n_access", "skip", "start", "stalls",
+                 "granted", "since", "reading")
 
-    def __init__(
-        self, tid: str, task: Task, vars_: tuple[str, ...], n_reads: int, stride: int, skip: _Skip,
-        core: int, start: int,
-    ):
-        self.tid = tid  # instance id
+    def __init__(self, ids: list[str], cores: list[int], task: Task, start: int, vars_: tuple[str, ...] = (),
+                 n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
+        self.tid = ids[0]  # the cohort's heap key
+        self.ids = ids
+        self.cores = cores  # each member's core
         self.task = task.id
         self.n = task.instruction_count
         self.vars = vars_  # access targets, round-robin
         self.n_reads = n_reads  # the targets before this one are reads
-        self.n_access = self.n // stride if vars_ else 0
-        self.skip = skip if self.n_access else None  # see _skip_table
-        self.core = core
+        self.n_access = n_access
+        self.skip = skip  # see _skip_table
         self.start = start  # slot
         self.stalls = 0
         self.granted = 0
@@ -222,24 +236,14 @@ class _Instance:
         self.reading = False  # whether the pending access is a read
 
 
-_Item = tuple[str, str, tuple[str, ...], int]  # (instance id, authored task id, access targets, reads)
-
-
-class _Core:
-    __slots__ = ("current", "queue", "busy_slots")
-
-    def __init__(self) -> None:
-        self.current: _Instance | None = None
-        self.queue: deque[_Item] = deque()
-        self.busy_slots = 0
-
-
 class _Simulation:
     def __init__(self, g: TaskGraph, cfg: SimConfig, record_events: bool):
         self.g = g
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
+        self.depth = cfg.prealloc_depth
         self.contended = g._contended  # the only variables whose accesses can contend
+        self.alone = {tid for var in self.contended for _, tid, _ in g._footprint.touchers[var]}  # tasks that touch one
         # Access plans by which targets are contended: instances of one
         # shape share one.  Kept per run, since ``contended`` is the graph's.
         self.skips: dict[tuple[bool, ...], _Skip] = {}
@@ -251,31 +255,34 @@ class _Simulation:
         self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed)
 
-        self.instances = g._footprint.instances  # by ascending authored id
-        # Each task's unfinished predecessor instances.
+        # Each task's unfinished predecessor instances, and its started ones.
         self.pred_left = dict.fromkeys(g._tasks, 0)
         for pred, succ in g.edges:
-            self.pred_left[succ] += len(self.instances[pred])
+            self.pred_left[succ] += g._tasks[pred].instances
         self.succs = g._successors
+        self.started = dict.fromkeys(g._tasks, 0)
 
-        # Cores are created on first use, lowest index first, so the cores
-        # never used are the indices from len(self.cores) up to m - 1.
-        self.cores: list[_Core] = []
-        self.idle: list[int] = []  # min-heap of used cores that are idle
-        # Min-heap of the cores whose pre-allocation queue has room: each
-        # core is in it exactly while len(queue) < prealloc_depth.
-        self.room: list[int] = []
-        self.ready: list[tuple[int, _Item]] = []  # (ready slot, instance)
-        # Entries are (slot, kind, instance id, instance), one per instance
-        # milestone: its next access or its completion.  Each started instance
-        # has one pending entry at a time and starts at most once, so
-        # (slot, kind, id) is unique and heapq never compares the instance.
+        # Cores are used lowest index first, so the cores never used are the
+        # indices from len(self.busy) up to m - 1.
+        self.busy: list[int] = []  # busy slots per used core
+        self.queues: list[list[str]] = []  # instance ids queued per used core
+        self.queued: dict[str, str] = {}  # queued instance id -> its task
+        self.idle: list[int] = []  # used cores that are idle, ascending
+        self.room: list[int] = []  # used cores whose queue has room, ascending
+        # Per task with ready instances: (ready slot, next id, its place, the
+        # task's ids ascending, task), a heap that dispatch merges by id.
+        self.ready: list[tuple[int, str, int, list[str], str]] = []
+        self.n_ready = 0
+        self.zero_waiting = 0  # ready or queued instances of no instruction, which end as they start
+        # Entries are (slot, kind, first id, cohort): a completion, or a lone
+        # instance's next access.  An instance is in one pending entry, so
+        # (slot, kind, id) is unique and heapq never compares cohorts.
         self.heap: list[tuple[int, int, str, _Instance]] = []
+        self.last: _Instance | None = None  # the latest cohort started
         # Contenders per variable, sorted by instance id, and how many of
         # them write; an emptied wait set is dropped.
         self.waiting: defaultdict[str, list[_Instance]] = defaultdict(list)
         self.writes: defaultdict[str, int] = defaultdict(int)
-        self.started: set[str] = set()
 
         self.total_instructions = 0
         self.sched_msg_count = 0
@@ -287,36 +294,34 @@ class _Simulation:
 
     # -- event helpers ------------------------------------------------------
 
-    def _event(self, slot: int, kind: str, task: str, detail: str = "", *args: object) -> None:
-        """Trace an event; its detail, ``detail % args``, is formatted only when tracing."""
-        if self.trace is not None:
-            self.trace.append(SimEvent(slot * self.slot_dt, kind, task, detail % args if args else detail))
+    def _trace(self, slot: int, kind: str, ids: Iterable[str], details: Iterable[str]) -> None:
+        """Record one event per instance id; called only when tracing."""
+        self.trace.extend(SimEvent(slot * self.slot_dt, kind, iid, detail) for iid, detail in zip(ids, details))
 
-    def _instances(self, tids: Iterable[str]) -> list[_Item]:
-        return [item for tid in tids for item in self.instances[tid]]
-
-    def _count_down(self, followers: list[str]) -> list[_Item]:
-        """Count one finished instance off each follower; return the instances
-        of those left with none."""
+    def _count_down(self, followers: list[str], k: int) -> list[str]:
+        """Count k finished instances off each follower; return those left with none."""
         freed = []
         for s in followers:
-            self.pred_left[s] -= 1
+            self.pred_left[s] -= k
             if not self.pred_left[s]:
-                freed += self.instances[s]
+                freed.append(s)
         return freed
 
     # -- scheduler ----------------------------------------------------------
 
-    def _release(self, freed: list[_Item], slot: int) -> None:
-        """Make the ``freed`` instances ready.  A control task among them
-        resolves at once and appends the instances it frees.  The ``ready``
+    def _release(self, freed: list[str], slot: int) -> None:
+        """Make the ``freed`` tasks' instances ready.  A control task among
+        them resolves at once and appends the tasks it frees.  The ready
         heap's key, not this order, decides dispatch."""
-        for item in freed:
-            iid, t = item[0], item[1]
+        for t in freed:
             task = self.g._tasks[t]
             if task.kind is not TaskKind.CONTROL:
-                heapq.heappush(self.ready, (slot, item))
-                self._event(slot, "ready", iid)
+                ids = sorted(_instance_ids(task))
+                self.n_ready += len(ids)
+                self.zero_waiting += 0 if task.instruction_count else len(ids)
+                heapq.heappush(self.ready, (slot, ids[0], 0, ids, t))
+                if self.trace is not None:
+                    self._trace(slot, "ready", ids, repeat(""))
                 continue
             self.last_boundary = max(self.last_boundary, slot)
             if task.control_kind is ControlKind.CONDITIONAL:
@@ -331,32 +336,80 @@ class _Simulation:
             else:
                 followers, order = self.succs[t], sorted
             if self.trace is not None:
-                forwards = ",".join(item[0] for item in order(self._instances(followers)))
-                self._event(slot, "control", t, f"forwards={forwards}")
-            freed.extend(self._count_down(followers))
+                forwards = order([iid for s in followers for iid in _instance_ids(self.g._tasks[s])])
+                self._trace(slot, "control", [t], ["forwards=" + ",".join(forwards)])
+            freed.extend(self._count_down(followers, 1))
 
-    def _start(self, core_idx: int, item: _Item, slot: int, from_queue: bool) -> None:
-        iid, tid, vars_, n_reads = item
-        if iid in self.started:
-            raise RuntimeError(f"task instance {iid!r} started twice")
-        self.started.add(iid)
-        mask = tuple(map(self.contended.__contains__, vars_))
-        try:
-            skip = self.skips[mask]
-        except KeyError:
-            skip = self.skips[mask] = _skip_table(mask)
-        inst = _Instance(iid, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
-        self.total_instructions += inst.n
-        if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
+    def _start(self, tid: str, ids: list[str], cores: list[int], slot: int, from_queue: bool) -> None:
+        """Start instances of one task on their cores: alone if the task can
+        contend, else as a cohort, which joins the latest cohort if that holds
+        the same task, started in this slot, and lower ids."""
+        task = self.g._tasks[tid]
+        k, n = len(ids), task.instruction_count
+        self.started[tid] += k
+        if self.started[tid] > task.instances:
+            raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
+        self.total_instructions += k * n
+        if self.total_instructions > sys.float_info.max:  # refused at the instance that made it too large
+            self.total_instructions -= (self.total_instructions - int(sys.float_info.max) - 1) // n * n
             _check_finite("total_instructions", self.total_instructions)
-        self.cores[core_idx].current = inst
-        if not from_queue:
-            self.sched_msg_count += 1  # task-init message
-        self._event(slot, "start", iid, "core=%d", core_idx)
-        self._push_next(inst)
+        self.zero_waiting -= 0 if n else k
+        self.sched_msg_count += 0 if from_queue else k  # task-init messages
+        if self.trace is not None:
+            self._trace(slot, "start", ids, map("core={}".format, cores))
+        n_access = n // self.stride if task.read_set or task.write_set else 0
+        if tid in self.alone:
+            self.last = None
+            for iid, core in zip(ids, cores):
+                vars_, n_reads = _targets(task, iid)
+                mask = tuple(map(self.contended.__contains__, vars_))
+                if mask not in self.skips:
+                    self.skips[mask] = _skip_table(mask)
+                skip = self.skips[mask] if n_access else None
+                self._push_next(_Instance([iid], [core], task, slot, vars_, n_reads, n_access, skip))
+            return
+        self.mem_access_count += k * n_access  # none can contend: each is granted as it arrives
+        for iid in ids if self.trace is not None and n_access else ():
+            vars_ = _targets(task, iid)[0]
+            for j in range(n_access):
+                detail = f"var={vars_[j % len(vars_)]} waited=0"
+                self._trace(slot + (j + 1) * self.stride - 1, "access", [iid], [detail])
+        if k > 1 and ids != sorted(ids):  # queued instances can leave their cores out of id order
+            ids, cores = map(list, zip(*sorted(zip(ids, cores))))
+        if self.last and self.last.task == tid and self.last.start == slot and n and self.last.ids[-1] < ids[0]:
+            self.last.ids += ids
+            self.last.cores += cores
+        else:
+            self.last = _Instance(ids, cores, task, slot)
+            heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[0], self.last))
+
+    def _fill(self, cores: list[int], slot: int, queue: bool) -> list[int]:
+        """Give each core, in order, the next ready instance while any is
+        ready, by (ready slot, id): started, or queued with ``queue``.  Return
+        the cores left."""
+        i = 0
+        while i < len(cores) and self.ready:
+            ready, _, first, ids, tid = heapq.heappop(self.ready)
+            end = min(first + len(cores) - i, len(ids))
+            if self.ready and self.ready[0][0] == ready:  # up to the next task's first id
+                end = bisect_left(ids, self.ready[0][1], first, end)
+            if end < len(ids):
+                heapq.heappush(self.ready, (ready, ids[end], end, ids, tid))
+            ids, given, i = ids[first:end], cores[i : i + end - first], i + end - first
+            self.n_ready -= len(ids)
+            if not queue:
+                self._start(tid, ids, given, slot, from_queue=False)
+                continue
+            for core, iid in zip(given, ids):
+                self.queues[core].append(iid)
+                self.queued[iid] = tid
+            self.sched_msg_count += len(ids)  # task-init messages, pre-allocated
+            if self.trace is not None:
+                self._trace(slot, "queue", ids, map("core={}".format, given))
+        return cores[i:]
 
     def _push_next(self, inst: _Instance) -> None:
-        """Queue the instance's next milestone: its next access, else completion.
+        """Queue a lone instance's next milestone: its next access, else completion.
 
         Accesses to uncontended variables are granted here, in bulk: each
         would be granted in its arrival slot with no stall and no draw from
@@ -369,7 +422,7 @@ class _Simulation:
             if self.trace is not None:
                 for k in range(granted, granted + jump):
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls
-                    self._event(slot, "access", inst.tid, "var=%s waited=0", inst.vars[k % size])
+                    self._trace(slot, "access", [inst.tid], [f"var={inst.vars[k % size]} waited=0"])
             granted = inst.granted = granted + jump
             self.mem_access_count += jump
         if granted < inst.n_access:
@@ -381,47 +434,73 @@ class _Simulation:
 
     def _dispatch(self, slot: int) -> None:
         """Feed idle cores, then fill pre-allocation queues, FIFO over ready
-        tasks; the lowest core index goes first."""
-        while self.ready:
-            if self.idle:
-                core_idx = heapq.heappop(self.idle)
-            elif len(self.cores) < self.cfg.m:
-                core_idx = len(self.cores)
-                self.cores.append(_Core())
-                if self.cfg.prealloc_depth:
-                    heapq.heappush(self.room, core_idx)
-            else:
-                break
-            _, item = heapq.heappop(self.ready)
-            self._start(core_idx, item, slot, from_queue=False)
-        # Past the first loop either nothing is ready or all m cores exist and
-        # are busy.
-        while self.ready and self.room:
-            core_idx = self.room[0]
-            queue = self.cores[core_idx].queue
-            _, item = heapq.heappop(self.ready)
-            queue.append(item)
-            if len(queue) == self.cfg.prealloc_depth:
-                heapq.heappop(self.room)
-            self.sched_msg_count += 1  # task-init message, pre-allocated
-            self._event(slot, "queue", item[0], "core=%d", core_idx)
+        instances; the lowest core index goes first."""
+        cores = self.idle[: self.n_ready]
+        del self.idle[: self.n_ready]
+        if len(cores) < self.n_ready and len(self.busy) < self.cfg.m:
+            new = range(len(self.busy), min(len(self.busy) + self.n_ready - len(cores), self.cfg.m))
+            self.busy += [0] * len(new)
+            self.queues += [[] for _ in new]
+            self.room += new if self.depth else ()  # above every used core
+            cores += new
+        if cores:
+            self._fill(cores, slot, queue=False)
+        # Now nothing is ready, or all m cores exist and are busy.
+        if self.ready and self.room:
+            room = self.room[: self.n_ready]  # each has room for one at least
+            del self.room[: self.n_ready]
+            if self.depth > 1:
+                room = [core for core in room for _ in range(self.depth - len(self.queues[core]))]
+            left = self._fill(room, slot, queue=True)
+            self.room[:0] = dict.fromkeys(left) if left else ()  # untouched or part-filled
 
     def _complete(self, inst: _Instance, slot: int) -> None:
-        core = self.cores[inst.core]
-        core.busy_slots += inst.n + inst.stalls
-        core.current = None
-        self.sched_msg_count += 1  # task-completion message
+        """End a cohort's members as if one at a time, in id order.  Each but
+        the last frees no task, so its core starts its queued instance or idles,
+        then takes the next ready one into a queue that was full, or onto
+        itself if idle: done in bulk.  The cohort is split before another
+        entry of this slot that sorts inside it, and into single members
+        while an instance of no instruction, which ends as it starts, waits."""
+        ids, cores = inst.ids, inst.cores
+        if len(ids) > 1:
+            top = self.heap[0] if self.heap else None
+            cut = bisect_left(ids, top[2]) if top and top[:2] == (slot, _COMPLETE) else len(ids)
+            cut, step = (1, 1) if self.zero_waiting else (cut, len(ids))
+            for i in range(cut, len(ids), step):
+                rest = _Instance(ids[i : i + step], cores[i : i + step], self.g._tasks[inst.task], inst.start)
+                heapq.heappush(self.heap, (slot, _COMPLETE, rest.tid, rest))
+            ids, cores = ids[:cut], cores[:cut]
+            queues = list(map(self.queues.__getitem__, cores[:-1]))
+            lengths = list(map(len, queues))
+            full = list(compress(cores, map(self.depth.__eq__, lengths))) if self.depth else []
+            heads = list(map(list.pop, compress(queues, lengths), repeat(0)))
+            started, i = list(compress(cores, lengths)), 0
+            for tid, run in groupby(map(self.queued.pop, heads)):  # a run of one task's queued instances
+                k = i + len(list(run))
+                self._start(tid, heads[i:k], started[i:k], slot, from_queue=True)
+                i = k
+            self.room = sorted(self.room + self._fill(full, slot, queue=True))
+            idle = list(compress(cores, map((0).__eq__, lengths)))
+            self.idle = sorted(self.idle + self._fill(idle, slot, queue=False))
+        busy, per_core = inst.n + inst.stalls, self.busy
+        for core in cores:
+            per_core[core] += busy
+        self.sched_msg_count += len(ids)  # task-completion messages
         self.last_boundary = max(self.last_boundary, slot)
-        self._event(slot, "complete", inst.tid, "core=%d", inst.core)
-        freed = self._count_down(self.succs[inst.task])
+        if self.trace is not None:
+            self._trace(slot, "complete", ids, map("core={}".format, cores))
+        freed = self._count_down(self.succs[inst.task], len(ids))
         if freed:
             self._release(freed, slot)
-        if core.queue:
-            if len(core.queue) == self.cfg.prealloc_depth:
-                heapq.heappush(self.room, inst.core)
-            self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
+        core = cores[-1]
+        queue = self.queues[core]
+        if queue:
+            if len(queue) == self.depth:
+                insort(self.room, core)
+            iid = queue.pop(0)
+            self._start(self.queued.pop(iid), [iid], [core], slot, from_queue=True)
         else:
-            heapq.heappush(self.idle, inst.core)
+            insort(self.idle, core)
         if self.ready:
             self._dispatch(slot)
 
@@ -456,7 +535,7 @@ class _Simulation:
                 inst.granted += 1
                 self.mem_access_count += 1
                 if self.trace is not None:
-                    self._event(slot, "access", inst.tid, f"var={var} waited={stalls}")
+                    self._trace(slot, "access", [inst.tid], [f"var={var} waited={stalls}"])
                 self._push_next(inst)
 
     # -- main loop ----------------------------------------------------------
@@ -464,7 +543,7 @@ class _Simulation:
     def execute(self) -> None:
         # Snapshot the roots first: resolving a root control task releases its
         # successors, which must not be made ready a second time.
-        self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
+        self._release([t for t in sorted(self.g._tasks) if self.pred_left[t] == 0], 0)
         self._dispatch(0)
         slot = 0
         # A grant queues its instance's next milestone at a later slot, so
@@ -500,9 +579,9 @@ class _Simulation:
             sched_energy = 0.0
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
-        busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
+        busy = tuple(b * self.slot_dt for b in self.busy)
         events = () if self.trace is None else tuple(
-            sorted(self.trace, key=lambda e: (e.time, _TRACE_KINDS.index(e.kind), e.task))
+            sorted(self.trace, key=lambda e: (e.time, _RANK[e.kind], e.task))
         )
         return SimReport(
             m=self.cfg.m,

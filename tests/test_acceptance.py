@@ -161,7 +161,9 @@ def test_criterion_4_cross_model_consistency():
 def test_criterion_5_simulator_tracks_model():
     with criterion(5, "measured speedup and energy vs model"):
         start = time.perf_counter()
-        for m in (1, 4, 16, 64):
+        # d = 4m instances of 1000 instructions, up to the paper's m = 16384;
+        # the m = 1 reference runs each instance alone, 65536 at the top.
+        for m in (1, 4, 16, 64, 256, 1024, 4096, 16384):
             d = 4 * m
             graph = parallel_workload(d, 1000)
             chip = ChipSpec(area=1e6, work=d * 1000)

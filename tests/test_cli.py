@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -725,9 +726,10 @@ class TestSimulate:
             assert call_main(argv) == fresh
 
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
-        # The CREW warnings and the run share one index, which holds each
-        # instance's footprint: traced or not, each is computed once.  The
-        # DAG check, the index and the run share one successor map and one
+        # The CREW warnings and the run share one index, which expands no
+        # instance footprint of this clean graph: only a traced run computes
+        # each instance's footprint, once, to name its accesses.  The DAG
+        # check, the index and the run share one successor map and one
         # depth-first search, and so do validate's DAG check and CREW check.
         built, successor_maps, searches, footprints = [], [], [], Counter()
         real_build, real_footprint = graph_module._build_footprint, graph_module._instance_footprint
@@ -745,9 +747,9 @@ class TestSimulate:
             searches.append(len(succ))
             return real_search(succ)
 
-        def counting_footprint(task, number):
-            footprints[task.id, number] += 1
-            return real_footprint(task, number)
+        def counting_footprint(task, number, *names):
+            footprints[task.id, int(number)] += 1
+            return real_footprint(task, number, *names)
 
         monkeypatch.setattr(graph_module, "_build_footprint", counting)
         monkeypatch.setattr(graph_module, "_instance_footprint", counting_footprint)
@@ -766,7 +768,8 @@ class TestSimulate:
             assert built == [1]
             assert successor_maps == [1]
             assert searches == [1]
-            assert footprints == Counter(("work", k) for k in range(64))
+            traced = "--emit-events" in command
+            assert footprints == Counter(("work", k) for k in range(64 if traced else 0))
 
 
 class TestDumpReport:
@@ -888,6 +891,28 @@ class TestValidate:
         assert code == 0
         assert "1 CREW violation(s)" in out
         assert "write-write" in err
+
+    def test_huge_d_with_instance_names_is_validated_from_its_authored_names(self, tmp_path):
+        # Every name of the 10**400 instances holds "#", so no two instances
+        # share a variable and the footprint index expands none of them.  A
+        # task named like one of the instances is still refused.
+        doc = {
+            "tasks": [
+                {"id": "w", "kind": "duplicable", "d": 10**400, "instructions": 5,
+                 "reads": ["in[#]"], "writes": ["out[#]"]},
+                {"id": "sum", "kind": "singular", "instructions": 5, "reads": ["out[0]"], "writes": ["total"]},
+            ],
+            "edges": [["w", "sum"]],
+        }
+        start = time.perf_counter()
+        ok = (0, "ok: 2 tasks, 1 edges, 0 CREW violation(s)\n", "")
+        assert run_plural(["validate", write_graph(tmp_path, doc)]) == ok
+        clash = f"w#{10**400 - 1}"
+        doc["tasks"][1]["id"] = clash
+        doc["edges"] = [["w", clash]]
+        code, out, err = run_plural(["validate", write_graph(tmp_path, doc)])
+        assert (code, out, err) == (2, "", f"error: duplicate task id {clash!r}\n")
+        assert time.perf_counter() - start < 10
 
     def test_cycle_rejected_with_witness(self, capsys, tmp_path):
         doc = {

@@ -423,6 +423,82 @@ class TestPrivateVariables:
         assert outcome == crew_outcome(crew_variables(pairwise_check_crew), g)
 
 
+# Names whose runs of digits and "#" line up in many ways: "s#[1]" and
+# "s1[#]" meet at "s1[1]", "x#1" and "x1#" at "x11" (instances 1 and 1, or
+# 11 and 1), "v[#]" meets "v[0]" and "v[10]", and a literal with "#" meets
+# only itself.
+MEET_VARS = ["v[#]", "v[0]", "v[10]", "s#[1]", "s1[#]", "s0[#]", "s1[1]", "x#1", "x1#", "x11", "#", "1#", "11"]
+
+
+@st.composite
+def meeting_graphs(draw):
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, min_size=1, max_size=4))
+    footprint = st.frozensets(st.sampled_from(MEET_VARS), max_size=3)
+    tasks = []
+    for tid in ids:
+        if draw(st.booleans()):
+            tasks.append(duplicable(tid, draw(st.integers(1, 12)), draw(footprint), draw(footprint)))
+        else:
+            tasks.append(singular(tid, draw(footprint), draw(footprint)))
+    index = st.integers(0, len(ids) - 1)
+    return TaskGraph(tasks, {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=4)) if i < j})
+
+
+# Ids that spell instance numbers of "w" or "v", or nearly: "w#05" and "w#+1"
+# are not how str() spells a number, nor is an Arabic-Indic digit.
+CLASH_IDS = ["w", "w#0", "w#05", "w#11", "w#12", "w#1", "w#1#0", "w#\u0663", "w#+1", "v", "v#0"]
+
+
+def expanded_id_clash(g):
+    """The first id that the expanded graph would hold twice, tasks ascending."""
+    seen = set()
+    for tid, task in sorted(g.tasks.items()):
+        ids = [f"{tid}#{k}" for k in range(task.instances)] if task.kind is TaskKind.DUPLICABLE else [tid]
+        clash = next((iid for iid in ids if iid in seen), None)
+        if clash is not None:
+            return clash
+        seen.update(ids)
+    return None
+
+
+class TestPerTaskFootprint:
+    """The footprint index reads authored names and expands only those that
+    may meet; the pairwise check on the expanded graph must still agree."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(meeting_graphs())
+    def test_same_result_as_pairwise_check(self, g):
+        assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
+        assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
+
+    def test_clean_graph_expands_no_instance(self, monkeypatch):
+        # Stage k reads "s{k}[#]" and writes "s{k+1}[#]": the names share a
+        # shape, but their fixed digits differ or their tasks are ordered.
+        def forbidden(*args):
+            raise AssertionError("an instance footprint was expanded")
+
+        monkeypatch.setattr(graph_module, "_instance_footprint", forbidden)
+        stages = [duplicable(f"st{k}", 10**400, {f"s{k}[#]"}, {f"s{k + 1}[#]"}) for k in range(4)]
+        chain = [("load", "st0"), ("st0", "st1"), ("st1", "st2"), ("st2", "st3")]
+        g = TaskGraph([singular("load", writes={"s0[#]"}), *stages], chain)
+        assert check_crew(g) == [] and g._contended == frozenset()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from(CLASH_IDS), unique=True), st.data())
+    def test_id_clash_is_the_expanded_graphs(self, ids, data):
+        # "w#1" is an instance id of "w" unless "w#1" is itself duplicable.
+        draw = data.draw
+        tasks = [duplicable(tid, draw(st.integers(1, 12))) if draw(st.booleans()) else singular(tid) for tid in ids]
+        g = TaskGraph(tasks)
+        clash = expanded_id_clash(g)
+        if clash is None:
+            check_crew(g)
+        else:
+            with pytest.raises(GraphStructureError) as caught:
+                check_crew(g)
+            assert str(caught.value) == f"duplicate task id {clash!r}"
+
+
 class TestExpandDuplicables:
     def test_fanout_inherits_edges(self):
         g = TaskGraph(

@@ -4,7 +4,9 @@ import heapq
 import json
 import math
 import random
-from collections import Counter
+import sys
+from bisect import insort
+from collections import Counter, defaultdict, deque
 from dataclasses import replace
 from unittest import mock
 
@@ -30,6 +32,7 @@ from plural import (
     expand_duplicables,
     run,
 )
+from plural import comm
 from plural import graph as graph_module
 from plural import sim as sim_module
 from plural.sim import report_as_dict
@@ -433,9 +436,8 @@ class TestMemoryConflicts:
         instances, grants = 64, traced.mem_access_count
         counts = pushes(sim_module._Simulation)
         assert counts["events"] == instances + grants
-        # the ready queue and the idle-core heap take at most one push per
-        # instance each; a core enters the heap of queues with room when it
-        # is first used or when its full queue starts an instance
+        # the ready heap takes at most one push per instance, and the cores
+        # with room or idle are sorted lists that take no heap push at all
         assert counts["other"] <= 2 * instances
         assert counts["room"] <= instances
         assert traced.mem_conflict_stalls > 10 * (instances + grants + len(contended_slots))
@@ -643,6 +645,329 @@ class TestSingleCoreReference:
         assert single.empirical_speedup == 1.0
 
 
+class OracleInstance:
+    """A core-executed task instance and its progress through its slots."""
+
+    def __init__(self, tid, task, vars_, n_reads, stride, skip, core, start):
+        self.tid = tid  # instance id
+        self.task = task.id
+        self.n = task.instruction_count
+        self.vars = vars_  # access targets, round-robin
+        self.n_reads = n_reads  # the targets before this one are reads
+        self.n_access = self.n // stride if vars_ else 0
+        self.skip = skip if self.n_access else None  # see _skip_table
+        self.core = core
+        self.start = start  # slot
+        self.stalls = 0
+        self.granted = 0
+        self.since = 0  # slot at which the pending access arrived
+        self.reading = False  # whether the pending access is a read
+
+
+class OracleCore:
+    def __init__(self):
+        self.current = None
+        self.queue = deque()  # (instance id, authored task id, access targets, reads)
+        self.busy_slots = 0
+
+
+class PerInstanceSimulation:
+    """The engine before cohorts, kept as the oracle: one heap entry per
+    instance milestone, one ready-heap entry per instance, and each
+    instance's targets from its own footprint, read from its task here."""
+
+    def __init__(self, g, cfg, record_events):
+        self.g = g
+        self.cfg = cfg
+        self.stride = cfg.mem_access_stride
+        self.contended = g._contended  # the only variables whose accesses can contend
+        # Access plans by which targets are contended: instances of one
+        # shape share one.  Kept per run, since ``contended`` is the graph's.
+        self.skips = {}
+        chip = cfg.chip
+        self.instr_energy = chip.area / sim_module._check_finite("m", cfg.m, positive=True)
+        self.core_freq = sim_module._check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
+        self.slot_dt = chip.cpi / self.core_freq
+        self.msg_energy = comm.sched_msg_energy(chip.area)
+        self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
+        self.rng = random.Random(cfg.seed)
+
+        g._footprint  # raises what building the index raises
+        self.instances = {
+            tid: [(iid, tid, (*targets[0], *targets[1]), len(targets[0]))
+                  for iid in instance_ids(task) for targets in [instance_targets(task, iid)]]
+            for tid, task in sorted(g.tasks.items())
+        }
+        # Each task's unfinished predecessor instances.
+        self.pred_left = dict.fromkeys(g._tasks, 0)
+        for pred, succ in g.edges:
+            self.pred_left[succ] += len(self.instances[pred])
+        self.succs = g._successors
+
+        # Cores are created on first use, lowest index first, so the cores
+        # never used are the indices from len(self.cores) up to m - 1.
+        self.cores = []
+        self.idle = []  # min-heap of used cores that are idle
+        # Min-heap of the cores whose pre-allocation queue has room: each
+        # core is in it exactly while len(queue) < prealloc_depth.
+        self.room = []
+        self.ready = []  # (ready slot, instance)
+        # Entries are (slot, kind, instance id, instance), one per instance
+        # milestone: its next access or its completion.  Each started instance
+        # has one pending entry at a time and starts at most once, so
+        # (slot, kind, id) is unique and heapq never compares the instance.
+        self.heap = []
+        # Contenders per variable, sorted by instance id, and how many of
+        # them write; an emptied wait set is dropped.
+        self.waiting = defaultdict(list)
+        self.writes = defaultdict(int)
+        self.started = set()
+
+        self.total_instructions = 0
+        self.sched_msg_count = 0
+        self.mem_access_count = 0
+        self.mem_conflict_stalls = 0
+        self.last_boundary = 0
+
+        self.trace = [] if record_events else None
+
+    # -- event helpers ------------------------------------------------------
+
+    def _event(self, slot, kind, task, detail="", *args):
+        """Trace an event; its detail, ``detail % args``, is formatted only when tracing."""
+        if self.trace is not None:
+            self.trace.append(sim_module.SimEvent(slot * self.slot_dt, kind, task, detail % args if args else detail))
+
+    def _instances(self, tids):
+        return [item for tid in tids for item in self.instances[tid]]
+
+    def _count_down(self, followers):
+        """Count one finished instance off each follower; return the instances
+        of those left with none."""
+        freed = []
+        for s in followers:
+            self.pred_left[s] -= 1
+            if not self.pred_left[s]:
+                freed += self.instances[s]
+        return freed
+
+    # -- scheduler ----------------------------------------------------------
+
+    def _release(self, freed, slot):
+        """Make the ``freed`` instances ready.  A control task among them
+        resolves at once and appends the instances it frees.  The ``ready``
+        heap's key, not this order, decides dispatch."""
+        for item in freed:
+            iid, t = item[0], item[1]
+            task = self.g._tasks[t]
+            if task.kind is not TaskKind.CONTROL:
+                heapq.heappush(self.ready, (slot, item))
+                self._event(slot, "ready", iid)
+                continue
+            self.last_boundary = max(self.last_boundary, slot)
+            if task.control_kind is ControlKind.CONDITIONAL:
+                chosen = self.cfg.conditional_outcomes.get(t)
+                if chosen is None:
+                    raise SimConfigError(
+                        f"conditional control task {t!r} was reached but has no "
+                        "configured outcome"
+                    )
+                # The chosen task's instances go by number, not by id.
+                followers, order = [chosen], list
+            else:
+                followers, order = self.succs[t], sorted
+            if self.trace is not None:
+                forwards = ",".join(item[0] for item in order(self._instances(followers)))
+                self._event(slot, "control", t, f"forwards={forwards}")
+            freed.extend(self._count_down(followers))
+
+    def _start(self, core_idx, item, slot, from_queue):
+        iid, tid, vars_, n_reads = item
+        if iid in self.started:
+            raise RuntimeError(f"task instance {iid!r} started twice")
+        self.started.add(iid)
+        mask = tuple(map(self.contended.__contains__, vars_))
+        try:
+            skip = self.skips[mask]
+        except KeyError:
+            skip = self.skips[mask] = sim_module._skip_table(mask)
+        inst = OracleInstance(iid, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
+        self.total_instructions += inst.n
+        if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
+            sim_module._check_finite("total_instructions", self.total_instructions)
+        self.cores[core_idx].current = inst
+        if not from_queue:
+            self.sched_msg_count += 1  # task-init message
+        self._event(slot, "start", iid, "core=%d", core_idx)
+        self._push_next(inst)
+
+    def _push_next(self, inst):
+        """Queue the instance's next milestone: its next access, else completion.
+
+        Accesses to uncontended variables are granted here, in bulk: each
+        would be granted in its arrival slot with no stall and no draw from
+        the generator.
+        """
+        stride, granted = self.stride, inst.granted
+        if inst.skip is not None:
+            size = len(inst.vars)
+            jump = min(inst.skip[granted % size], inst.n_access - granted)
+            if self.trace is not None:
+                for k in range(granted, granted + jump):
+                    slot = inst.start + (k + 1) * stride - 1 + inst.stalls
+                    self._event(slot, "access", inst.tid, "var=%s waited=0", inst.vars[k % size])
+            granted = inst.granted = granted + jump
+            self.mem_access_count += jump
+        if granted < inst.n_access:
+            slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
+            heapq.heappush(self.heap, (slot, sim_module._ACCESS, inst.tid, inst))
+        else:
+            slot = inst.start + inst.n + inst.stalls
+            heapq.heappush(self.heap, (slot, sim_module._COMPLETE, inst.tid, inst))
+
+    def _dispatch(self, slot):
+        """Feed idle cores, then fill pre-allocation queues, FIFO over ready
+        tasks; the lowest core index goes first."""
+        while self.ready:
+            if self.idle:
+                core_idx = heapq.heappop(self.idle)
+            elif len(self.cores) < self.cfg.m:
+                core_idx = len(self.cores)
+                self.cores.append(OracleCore())
+                if self.cfg.prealloc_depth:
+                    heapq.heappush(self.room, core_idx)
+            else:
+                break
+            _, item = heapq.heappop(self.ready)
+            self._start(core_idx, item, slot, from_queue=False)
+        # Past the first loop either nothing is ready or all m cores exist and
+        # are busy.
+        while self.ready and self.room:
+            core_idx = self.room[0]
+            queue = self.cores[core_idx].queue
+            _, item = heapq.heappop(self.ready)
+            queue.append(item)
+            if len(queue) == self.cfg.prealloc_depth:
+                heapq.heappop(self.room)
+            self.sched_msg_count += 1  # task-init message, pre-allocated
+            self._event(slot, "queue", item[0], "core=%d", core_idx)
+
+    def _complete(self, inst, slot):
+        core = self.cores[inst.core]
+        core.busy_slots += inst.n + inst.stalls
+        core.current = None
+        self.sched_msg_count += 1  # task-completion message
+        self.last_boundary = max(self.last_boundary, slot)
+        self._event(slot, "complete", inst.tid, "core=%d", inst.core)
+        freed = self._count_down(self.succs[inst.task])
+        if freed:
+            self._release(freed, slot)
+        if core.queue:
+            if len(core.queue) == self.cfg.prealloc_depth:
+                heapq.heappush(self.room, inst.core)
+            self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
+        else:
+            heapq.heappush(self.idle, inst.core)
+        if self.ready:
+            self._dispatch(slot)
+
+    def _arbitrate(self, slot):
+        """Grant each contended variable's waiting accesses in ``slot`` by the CREW rule.
+
+        A variable's contenders are its wait set: losers of earlier slots
+        and the slot's arrivals, kept sorted by instance id.  With no write
+        among them, every read is granted and nothing is drawn.  Otherwise
+        one draw of ``randrange(len(group))`` picks a contender uniformly, a
+        group of one drawing nothing: a writer that wins is granted alone, a
+        reader takes every waiting reader with it.  The others stay in the
+        wait set, in id order, which keeps the main loop on the next slot;
+        an emptied set is dropped.  A stall is charged once, at the grant:
+        the slots since the arrival.
+        """
+        for var in sorted(self.waiting):
+            group = self.waiting[var]
+            k = self.rng.randrange(len(group)) if self.writes[var] and len(group) > 1 else 0
+            if group[k].reading:  # with no write waiting, group[0] reads
+                granted = [inst for inst in group if inst.reading]
+                group[:] = [inst for inst in group if not inst.reading]
+            else:
+                granted = [group.pop(k)]
+                self.writes[var] -= 1
+            if not group:
+                del self.waiting[var], self.writes[var]
+            for inst in granted:
+                stalls = slot - inst.since
+                inst.stalls += stalls
+                self.mem_conflict_stalls += stalls
+                inst.granted += 1
+                self.mem_access_count += 1
+                if self.trace is not None:
+                    self._event(slot, "access", inst.tid, f"var={var} waited={stalls}")
+                self._push_next(inst)
+
+    # -- main loop ----------------------------------------------------------
+
+    def execute(self):
+        # Snapshot the roots first: resolving a root control task releases its
+        # successors, which must not be made ready a second time.
+        self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
+        self._dispatch(0)
+        slot = 0
+        # A grant queues its instance's next milestone at a later slot, so
+        # once a slot is arbitrated the heap holds nothing before slot + 1,
+        # where any waiting loser contends again.
+        while self.heap or self.waiting:
+            slot = slot + 1 if self.waiting else self.heap[0][0]
+            while self.heap and self.heap[0][0] == slot:
+                _, kind, _, inst = heapq.heappop(self.heap)
+                if kind == sim_module._COMPLETE:
+                    self._complete(inst, slot)
+                else:
+                    inst.since = slot
+                    target = inst.granted % len(inst.vars)
+                    inst.reading = target < inst.n_reads
+                    var = inst.vars[target]
+                    insort(self.waiting[var], inst, key=sim_module._TID)
+                    self.writes[var] += not inst.reading
+            if self.waiting:
+                self._arbitrate(slot)
+
+    @property
+    def makespan(self):
+        return self.last_boundary * self.slot_dt
+
+    def report(self, empirical_speedup):
+        makespan = self.makespan
+        compute_energy = self.total_instructions * self.instr_energy
+        if self.cfg.comm_costs_enabled:
+            sched_energy = self.sched_msg_count * self.msg_energy
+            mem_energy = self.mem_access_count * self.access_energy
+        else:
+            sched_energy = 0.0
+            mem_energy = 0.0
+        total_energy = compute_energy + sched_energy + mem_energy
+        busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
+        events = () if self.trace is None else tuple(
+            sorted(self.trace, key=lambda e: (e.time, sim_module._RANK[e.kind], e.task))
+        )
+        return sim_module.SimReport(
+            m=self.cfg.m,
+            makespan=makespan,
+            total_instructions=self.total_instructions,
+            compute_energy=compute_energy,
+            sched_msg_energy_total=sched_energy,
+            mem_msg_energy_total=mem_energy,
+            avg_power=total_energy / makespan,
+            per_core_busy_time=busy,
+            utilization=tuple(b / makespan for b in busy),
+            sched_msg_count=self.sched_msg_count,
+            mem_access_count=self.mem_access_count,
+            mem_conflict_stalls=self.mem_conflict_stalls,
+            empirical_speedup=empirical_speedup,
+            events=events,
+        )
+
+
 class Everything:
     """A container holding every variable name."""
 
@@ -650,7 +975,7 @@ class Everything:
         return True
 
 
-class PerStallSimulation(sim_module._Simulation):
+class PerStallSimulation(PerInstanceSimulation):
     """The simulator before per-variable wait sets, kept as the oracle.
 
     It takes every access through its own loop, as if every variable could
@@ -670,7 +995,7 @@ class PerStallSimulation(sim_module._Simulation):
     def __init__(self, g, cfg, record_events):
         super().__init__(g, cfg, record_events)
         self.contended = Everything()  # no access is granted by arithmetic
-        self.cores = [sim_module._Core() for _ in range(self.cfg.m)]
+        self.cores = [OracleCore() for _ in range(self.cfg.m)]
         self.used = 0  # one past the highest core that started an instance
         self.lost = Counter()  # slots each instance's pending access has lost
         self.n_reads = {}  # instance id -> its reads, counted from its task
@@ -789,19 +1114,54 @@ def contention_cases(draw):
     return TaskGraph(tasks, edges), cfg
 
 
+# Task ids that sort among instance ids: "w#05" between "w#0" and "w#1", and
+# the instances of "w#1x" between "w#1" and "w#10".
+COHORT_IDS = ["w", "w#05", "w#1x", "w#3!", "x", "x#0z", "y"]
+
+
+@st.composite
+def cohort_cases(draw):
+    """Graphs whose duplicables run as cohorts that must split, join and
+    reorder: ids that sort among other tasks' instance ids, instruction
+    counts from {0, 2, 4} so that cohorts and other entries end in one slot,
+    tasks of no instruction, small m and every queue depth.  A task that
+    writes "acc" runs its instances alone."""
+    ids = draw(st.lists(st.sampled_from(COHORT_IDS), unique=True, min_size=2, max_size=6))
+    index = st.integers(0, len(ids) - 1)
+    edges = {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=len(ids))) if i < j}
+    tasks = []
+    for k, tid in enumerate(ids):
+        n = draw(st.sampled_from([0, 2, 4]))
+        writes = {"acc"} if draw(st.integers(0, 6)) == 0 else {f"o{k}[#]"}
+        if draw(st.integers(0, 2)):
+            tasks.append(duplicable(tid, draw(st.integers(1, 14)), n, {f"i{k}[#]"}, writes))
+        else:
+            tasks.append(singular(tid, n, {f"s{k}"}, writes))
+    cfg = SimConfig(
+        chip=ChipSpec(area=draw(st.sampled_from([7.3, 1e6])), work=1),
+        m=draw(st.integers(1, 6)),
+        mem_access_stride=draw(st.integers(1, 3)),
+        prealloc_depth=draw(st.integers(0, 3)),
+        comm_costs_enabled=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return TaskGraph(tasks, edges), cfg
+
+
 def assert_matches_per_stall(g, cfg):
-    """The traced run equals the per-stall engine's and keeps the trace
-    invariants."""
+    """The traced run equals the per-stall and per-instance engines' and
+    keeps the trace invariants."""
     report = run_outcome(g, cfg, sim_module._Simulation)
     assert report == run_outcome(g, cfg, PerStallSimulation)
+    assert report == run_outcome(g, cfg, PerInstanceSimulation)
     if not isinstance(report, tuple):
         assert_trace_invariants(g, cfg, report)
 
 
 class TestPerStallReference:
-    """Wait sets and the idle-core heap change the simulator's cost, not its
-    reports: the per-stall engine must give the same traced report, and
-    that report must keep the trace invariants."""
+    """Wait sets, cohorts and the sorted idle cores change the simulator's
+    cost, not its reports: the per-stall engine must give the same traced
+    report, and that report must keep the trace invariants."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(contention_cases())
@@ -814,43 +1174,35 @@ class TestPerStallReference:
         assert_matches_per_stall(*case)
 
 
-def event_calls(g, cfg, record_events):
-    """A run's outcome and each ``_event`` call it made, as (slot, kind, task,
-    detail, args)."""
+def trace_calls(g, cfg, record_events):
+    """A run's outcome and the (slot, kind) of each ``_trace`` call it made."""
     calls = []
-    real_event = sim_module._Simulation._event
+    real_trace = sim_module._Simulation._trace
 
-    def recording(self, slot, kind, task, detail="", *args):
-        calls.append((slot, kind, task, detail, args))
-        return real_event(self, slot, kind, task, detail, *args)
+    def recording(self, slot, kind, ids, details):
+        calls.append((slot, kind))
+        return real_trace(self, slot, kind, ids, details)
 
-    with mock.patch.object(sim_module._Simulation, "_event", recording):
+    with mock.patch.object(sim_module._Simulation, "_trace", recording):
         return run_outcome(g, cfg, sim_module._Simulation, record_events), calls
 
 
 class TestUntracedRunsFormatNoDetail:
-    """An untraced run passes each event's detail to ``_event`` as a ``%``
-    template and its arguments, which only a traced run formats."""
+    """An untraced run never calls the tracer, so it builds no event and
+    formats no detail: the cost of a trace falls on traced runs alone."""
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(st.one_of(sim_cases(), contention_cases()))
+    @given(st.one_of(sim_cases(), contention_cases(), cohort_cases()))
     def test_details_stay_templates(self, case):
         g, cfg = case
-        untraced, calls = event_calls(g, cfg, record_events=False)
-        # A formatted detail names a core or a stall count by its digits.
-        assert not [call for call in calls if any(ch.isdigit() for ch in call[3])]
-        traced, traced_calls = event_calls(g, cfg, record_events=True)
+        untraced, calls = trace_calls(g, cfg, record_events=False)
+        assert calls == []
+        traced, traced_calls = trace_calls(g, cfg, record_events=True)
         if isinstance(traced, tuple):
             assert untraced == traced
             return
-        # Formatting the untraced templates gives the traced details, whose
-        # events are the trace's events.
-        kinds = {call[1] for call in calls}
-        formatted = [(s, k, t, d % a if a else d) for s, k, t, d, a in traced_calls if k in kinds]
-        assert formatted == [(s, k, t, d % a if a else d) for s, k, t, d, a in calls]
-        assert sorted(e.detail for e in traced.events if e.kind in kinds) == sorted(
-            call[3] for call in formatted
-        )
+        assert untraced == replace(traced, events=())
+        assert {kind for _, kind in traced_calls} == {e.kind for e in traced.events}
         assert_matches_per_stall(g, cfg)
 
 
@@ -897,8 +1249,9 @@ def mixed_footprint_cases(draw):
 
 class TestUntracedMatchesTraced:
     """Traced and untraced runs grant uncontended accesses by arithmetic;
-    the per-stall engine takes every access through its event loop.  All
-    three must give the same report, or the same error."""
+    the per-stall engine takes every access through its event loop, and the
+    per-instance engine runs no cohort.  All four must give the same report,
+    or the same error."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
@@ -911,6 +1264,52 @@ class TestUntracedMatchesTraced:
         else:
             assert untraced == replace(traced, events=())
         assert untraced == run_outcome(g, cfg, PerStallSimulation, record_events=False)
+        assert untraced == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
+
+
+class TestCohortsMatchPerInstance:
+    """Cohorts change the engine's cost, not its reports: on graphs built to
+    split, join and reorder cohorts, each run, traced or not, equals the
+    per-instance engine's."""
+
+    @settings(max_examples=1200, derandomize=True, database=None, deadline=None)
+    @given(cohort_cases())
+    def test_reports_match(self, case):
+        g, cfg = case
+        for record_events in (True, False):
+            assert run_outcome(g, cfg, sim_module._Simulation, record_events) == run_outcome(
+                g, cfg, PerInstanceSimulation, record_events
+            )
+
+
+def fork_join(d):
+    """A loader writes "x", d instances read it, and a reduce reads it last: CREW-clean."""
+    return TaskGraph(
+        [
+            singular("load", 40, writes={"x"}),
+            duplicable("read", d, 200, reads={"x"}, writes={"out[#]"}),
+            singular("reduce", 50, reads={"x"}, writes={"result"}),
+        ],
+        [("load", "read"), ("read", "reduce")],
+    )
+
+
+class TestCohortCost:
+    """On a CREW-clean graph the event loop's work grows with the authored
+    tasks and the waves of instances, not with the instances."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_heap_pushes_follow_tasks_and_waves(self, monkeypatch, depth):
+        # d = 4m: the read instances run in 4 waves, whatever m.
+        pushes = []
+        for m in (64, 1024):
+            g, cfg = fork_join(4 * m), SimConfig(chip=CHIP, m=m, prealloc_depth=depth)
+            _, pushed = TestPrivateAccesses.event_pushes(monkeypatch, g, cfg)
+            pushes.append(len(pushed))
+            assert len(pushed) <= len(g) * 4
+            assert len(pushed) == 1 + 4 + 1  # the loader, one cohort per wave, the reduce
+            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
+        assert pushes[0] == pushes[1]
 
 
 class TestPrivateAccesses:
@@ -944,7 +1343,9 @@ class TestPrivateAccesses:
 
         monkeypatch.setattr(sim_module._Simulation, "_arbitrate", forbidden)
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
-        assert len(pushed) == 4 * d  # one completion per instance
+        # One completion per stage: a stage's d instances start in one slot
+        # and end in one slot, a cohort.
+        assert [(kind, tid) for _, kind, tid, _ in pushed] == [(sim_module._COMPLETE, f"st{k}#0") for k in range(4)]
         assert sim.mem_access_count == d * sum(n // 5 for n in sizes)
         assert sim.mem_conflict_stalls == 0
 
@@ -975,12 +1376,13 @@ class TestPrivateAccesses:
         sim = sim_module._Simulation(self.PLANS, SimConfig(chip=CHIP, m=2), False)
         sim.execute()
         # Targets are sorted reads, then sorted writes: ("x[k]", "out[k]", "s").
+        # "solo" can contend nowhere, so it runs as a cohort and needs no plan.
         assert sim.skips == {
             (True, False, True): (0, 1, 0),
             (False, False, True): (2, 1, 0),
             (True,): None,
-            (False,): (math.inf,),
         }
+        assert sim.alone == {"work", "other"}
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     @pytest.mark.parametrize("stride", [1, 2, 3, 7])
@@ -1208,8 +1610,9 @@ def width(g):
 
 
 class TestRoomHeapMatchesLinearScan:
-    """Pre-allocation takes the lowest core with queue room from a heap; the
-    per-stall engine's scan over every core must give the same traced report.
+    """Pre-allocation takes the lowest cores with queue room from a sorted
+    list; the per-stall engine's scan over every core must give the same
+    traced report.
     m is drawn below the graph's width, so that every core gets busy and
     queues fill."""
 
@@ -1324,9 +1727,9 @@ class TestCrewRule:
         assert math.isclose(report.empirical_speedup / math.sqrt(m), w / (m * t), rel_tol=1e-12, abs_tol=0)
 
 
-class KeptSimulation(sim_module._Simulation):
-    """The simulator, keeping its last instance so a test can read its
-    integer slot counts."""
+class KeptSimulation(PerInstanceSimulation):
+    """The per-instance engine, keeping its last instance so a test can read
+    its integer slot counts."""
 
     last = None
 
@@ -1373,6 +1776,8 @@ class TestListSchedulingBounds:
                 except (DegenerateWorkloadError, GraphStructureError):
                     return
             simulation = KeptSimulation.last
+            # The cohort engine's report is the per-instance engine's.
+            assert run(g, replace(cfg, prealloc_depth=depth)) == report
             t = simulation.last_boundary
             w, s = report.total_instructions, report.mem_conflict_stalls
             assert sum(core.busy_slots for core in simulation.cores) == w + s
@@ -1585,6 +1990,13 @@ class TestErrors:
         assert str(caught.value) == (
             "the simulator charges no static power, so chip.static_power_enabled must be False"
         )
+
+    def test_a_task_starts_at_most_its_instances(self):
+        # The guard behind "every instance runs exactly once".
+        sim = sim_module._Simulation(parallel_workload(2, 10), SimConfig(chip=CHIP, m=2), False)
+        sim._start("work", ["work#0", "work#1"], [0, 1], 0, from_queue=False)
+        with pytest.raises(RuntimeError, match="started more than its 2 instances"):
+            sim._start("work", ["work#1"], [1], 0, from_queue=False)
 
     def test_seed_must_be_an_integer(self):
         # A seed of None would seed from the operating system, and runs of
