@@ -238,11 +238,13 @@ def _dump_report(doc: dict) -> str:
     pure-Python encoder, which is slow on long lists, so these are written
     by hand:
 
-    * A per-core tuple, never empty: the C encoder writes its values,
-      re-indented (both encoders spell a float as ``float.__repr__`` does,
+    * A per-core tuple, never empty: the C encoder spells each distinct
+      value once (both encoders spell a float as ``float.__repr__`` does,
       or as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds
-      ", "), and the cores never used follow as one repeated string, so the
-      cost grows with the cores used, not m.
+      ", "), the spellings are joined in order, and the cores never used
+      follow as one repeated string, so the cost grows with the cores used,
+      not m.  The values are floats of at least +0.0, so no two distinct
+      spellings are equal as keys.
     * ``events`` is written one ``%`` template per event: the C string
       escaper for the strings and ``float.__repr__``, ``json``'s spelling
       of a finite float, for the time.
@@ -252,7 +254,9 @@ def _dump_report(doc: dict) -> str:
     items = []
     for key, value in doc.items():
         if isinstance(value, tuple) and value:
-            floats = json.dumps(value)[1:-1].replace(", ", ",\n    ")
+            distinct = list(dict.fromkeys(value))
+            spelled = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
+            floats = ",\n    ".join(map(spelled.__getitem__, value))
             text = "[\n    " + floats + ",\n    0.0" * (doc["m"] - len(value)) + "\n  ]"
         elif key == "events" and value:
             text = "[\n    " + ",\n    ".join(

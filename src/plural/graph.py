@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -67,7 +68,7 @@ class ControlKind(Enum):
     CONDITIONAL = "conditional"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Task:
     """One node of a task graph.
 
@@ -87,53 +88,46 @@ class Task:
     write_set: frozenset[str] = frozenset()
     instance_number: int | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"task id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "read_set", frozenset(self.read_set))
-        object.__setattr__(self, "write_set", frozenset(self.write_set))
-        if not _is_count(self.instruction_count, 0):
+    def __init__(self, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
+                 control_kind: ControlKind | None = None, entry_point: str | None = None,
+                 instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
+                 write_set: Iterable[str] = frozenset(), instance_number: int | None = None) -> None:
+        if not isinstance(id, str) or not id:
+            raise ValidationError(f"task id must be a non-empty string, got {id!r}")
+        # One update of the instance dict sets every field of the frozen task,
+        # where the generated __init__ would call object.__setattr__ per field.
+        vars(self).update(
+            id=id, kind=kind, instances=instances, control_kind=control_kind,
+            # The entry point is an opaque code label; it defaults to the id.
+            entry_point=id if entry_point is None and kind is not TaskKind.CONTROL else entry_point,
+            instruction_count=instruction_count, read_set=frozenset(read_set), write_set=frozenset(write_set),
+            instance_number=instance_number,
+        )
+        if not _is_count(instruction_count, 0):
             raise ValidationError(
-                f"task {self.id!r}: instruction_count must be a nonnegative "
-                f"integer, got {self.instruction_count!r}"
+                f"task {id!r}: instruction_count must be a nonnegative "
+                f"integer, got {instruction_count!r}"
             )
-        if self.kind is TaskKind.CONTROL:
-            if self.control_kind is None:
-                raise ValidationError(
-                    f"task {self.id!r}: control tasks need a control_kind"
-                )
-            if self.entry_point is not None:
-                raise ValidationError(
-                    f"task {self.id!r}: control tasks carry no entry point"
-                )
-            if self.instruction_count != 0:
-                raise ValidationError(
-                    f"task {self.id!r}: control tasks execute no instructions"
-                )
-            if self.read_set or self.write_set:
-                raise ValidationError(
-                    f"task {self.id!r}: control tasks access no shared variables"
-                )
-            if self.instances != 1:
-                raise ValidationError(f"task {self.id!r}: control tasks are not duplicable")
-        else:
-            if self.control_kind is not None:
-                raise ValidationError(
-                    f"task {self.id!r}: control_kind is only valid on control tasks"
-                )
-            if self.kind is TaskKind.DUPLICABLE:
-                if not _is_count(self.instances, 1):
-                    raise ValidationError(
-                        f"task {self.id!r}: duplicable instance count must be a "
-                        f"positive integer, got {self.instances!r}"
-                    )
-            elif self.instances != 1:
-                raise ValidationError(
-                    f"task {self.id!r}: only duplicable tasks have multiple instances"
-                )
-            if self.entry_point is None:
-                # The entry point is an opaque code label; default it to the id.
-                object.__setattr__(self, "entry_point", self.id)
+        if kind is TaskKind.CONTROL:
+            if control_kind is None:
+                raise ValidationError(f"task {id!r}: control tasks need a control_kind")
+            if entry_point is not None:
+                raise ValidationError(f"task {id!r}: control tasks carry no entry point")
+            if instruction_count != 0:
+                raise ValidationError(f"task {id!r}: control tasks execute no instructions")
+            if read_set or write_set:
+                raise ValidationError(f"task {id!r}: control tasks access no shared variables")
+            if instances != 1:
+                raise ValidationError(f"task {id!r}: control tasks are not duplicable")
+        elif control_kind is not None:
+            raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
+        elif kind is TaskKind.DUPLICABLE and not _is_count(instances, 1):
+            raise ValidationError(
+                f"task {id!r}: duplicable instance count must be a "
+                f"positive integer, got {instances!r}"
+            )
+        elif kind is not TaskKind.DUPLICABLE and instances != 1:
+            raise ValidationError(f"task {id!r}: only duplicable tasks have multiple instances")
 
 
 class TaskGraph:
@@ -151,12 +145,10 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edge_set = frozenset((str(p), str(s)) for p, s in edges)
-        for pred, succ in sorted((p, s) for p, s in edge_set if p not in task_map or s not in task_map):
-            for endpoint in (pred, succ):
-                if endpoint not in task_map:
-                    raise GraphStructureError(
-                        f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}"
-                    )
+        if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
+            pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
+            endpoint = pred if pred not in task_map else succ
+            raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
         self._tasks = task_map
         self._edges = edge_set
 
@@ -361,7 +353,9 @@ def _meeting_names(g: TaskGraph, index: dict[str, int], desc: dict[str, int]) ->
     instance also touches, one of the two writing: maybe too many, never too
     few.  A duplicable's ``#`` name is a pattern whose runs with ``#`` spell
     any digits, and meets the names of its shape whose runs can equal its
-    own, not itself; literals meet by equal text, a duplicable's its own."""
+    own, not itself; literals meet by equal text, a duplicable's its own.
+    So a literal that one task of one instance alone touches can meet only
+    a pattern's spelling, which starts with the pattern's head."""
     literals: dict[str, list[tuple[str, bool]]] = {}  # name -> (task, writes?)
     shapes: dict[str, list[tuple[str, str, bool, list]]] = {}  # shape -> (task, name, writes?, runs)
     for tid, task in g._tasks.items():
@@ -371,6 +365,7 @@ def _meeting_names(g: TaskGraph, index: dict[str, int], desc: dict[str, int]) ->
                 shapes.setdefault(_RUNS.sub("#", name), []).append((tid, name, name in task.write_set, runs))
             else:
                 literals.setdefault(name, []).append((tid, name in task.write_set))
+    heads = tuple({shape.partition("#")[0] for shape in shapes})
     found: dict[str, set[str]] = {}
 
     def meet(a: str, a_name: str, a_writes: bool, b: str, b_name: str, b_writes: bool) -> None:
@@ -380,10 +375,13 @@ def _meeting_names(g: TaskGraph, index: dict[str, int], desc: dict[str, int]) ->
 
     counts = {shape: len(spellings) for shape, spellings in shapes.items()}  # the patterns lead each list
     for name, entries in literals.items():
-        for i, (a, a_writes) in enumerate(entries):
-            for b, b_writes in entries[i if g._tasks[a].instances > 1 else i + 1 :]:
-                meet(a, name, a_writes, b, name, b_writes)
-        if counts and (spellings := shapes.get(_RUNS.sub("#", name))) is not None:
+        if len(entries) == 1 and g._tasks[entries[0][0]].instances == 1 and not name.startswith(heads):
+            continue
+        for a, a_writes in entries:  # a pair needs a writer, so readers alone cost nothing
+            for b, b_writes in entries if a_writes else ():
+                if b != a or g._tasks[a].instances > 1:
+                    meet(a, name, a_writes, b, name, b_writes)
+        if name.startswith(heads) and (spellings := shapes.get(_RUNS.sub("#", name))) is not None:
             spellings.extend((b, name, b_writes, _RUNS.findall(name)) for b, b_writes in entries)
     for shape, spellings in shapes.items():
         for i, (a, a_name, a_writes, a_runs) in enumerate(spellings[: counts[shape]]):
@@ -412,21 +410,13 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     what ``_build_footprint`` raises.
     """
     fp = g._footprint
-
-    # (instance a, instance b), a < b -> (write-write vars, read-write vars)
-    found: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-    for var, entries in fp.touchers.items():
-        for w_id, t_id, t_writes in _crew_pairs(fp, entries):
-            pair = (w_id, t_id) if w_id < t_id else (t_id, w_id)
-            both_write, read_write = found.setdefault(pair, ([], []))
-            (both_write if t_writes else read_write).append(var)
-
-    violations: list[CrewViolation] = []
-    for pair in sorted(found):
-        both_write, read_write = found[pair]
-        violations.extend(CrewViolation(*pair, var, WRITE_WRITE) for var in sorted(both_write))
-        violations.extend(CrewViolation(*pair, var, READ_WRITE) for var in sorted(read_write))
-    return violations
+    # (instance a, instance b, reads?, variable) with a < b: one sort gives the order.
+    found = sorted(
+        (min(w_id, t_id), max(w_id, t_id), not t_writes, var)
+        for var, entries in fp.touchers.items()
+        for w_id, t_id, t_writes in _crew_pairs(fp, entries)
+    )
+    return [CrewViolation(a, b, var, READ_WRITE if reads else WRITE_WRITE) for a, b, reads, var in found]
 
 
 def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterator[tuple[str, str, bool]]:

@@ -22,6 +22,7 @@ control tasks, ``entry`` defaults to the task id, ``instructions`` to 0, and
 from __future__ import annotations
 
 import json
+from itertools import chain, count, repeat
 from pathlib import Path
 
 from .errors import GraphFormatError, PluralError
@@ -54,11 +55,11 @@ def _member(members: dict, obj: dict, key: str, index: int):
         ) from None
 
 
-def _string_list(obj: dict, key: str, index: int) -> list[str]:
+def _check_string_list(obj: dict, key: str, index: int) -> None:
+    """Raise unless ``obj[key]``, if given, is a list of strings."""
     value = obj.get(key, [])
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
-    return value
 
 
 def _parse_task(obj: object, index: int) -> Task:
@@ -72,17 +73,13 @@ def _parse_task(obj: object, index: int) -> Task:
     if "d" in obj and kind is not TaskKind.DUPLICABLE:
         raise _format_error(f"{_where(obj, index)}: 'd' is only valid on duplicable tasks")
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
-    reads, writes = _string_list(obj, "reads", index), _string_list(obj, "writes", index)
-    try:
-        return Task(
-            id=obj["id"],
-            kind=kind,
-            instances=obj.get("d", 1),
-            control_kind=control_kind,
-            entry_point=obj.get("entry"),
-            instruction_count=obj.get("instructions", 0),
-            read_set=reads, write_set=writes,  # Task makes frozensets of them
-        )
+    reads, writes = obj.get("reads", []), obj.get("writes", [])
+    if not (isinstance(reads, list) and isinstance(writes, list) and all(map(isinstance, reads + writes, repeat(str)))):
+        for key in ("reads", "writes"):  # one raises, naming the first bad list
+            _check_string_list(obj, key, index)
+    try:  # Task checks the rest, and makes frozensets of the names
+        return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"), obj.get("instructions", 0),
+                    reads, writes)
     except PluralError as exc:
         raise _format_error(f"{_where(obj, index)}: {exc}") from None
 
@@ -107,13 +104,13 @@ def loads(text: str) -> TaskGraph:
         raise _format_error("'tasks' must be a list")
     if not isinstance(edges_obj, list):
         raise _format_error("'edges' must be a list")
-    tasks = [_parse_task(t, i) for i, t in enumerate(tasks_obj)]
-    for i, pair in enumerate(edges_obj):
-        if not (
-            isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str) and isinstance(pair[1], str)
-        ):
-            raise _format_error(f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}")
+    tasks = list(map(_parse_task, tasks_obj, count()))
+    # Every edge at once; the first bad one is looked for only to name it.
+    if not ({*map(type, edges_obj)} <= {list} and {*map(len, edges_obj)} <= {2}
+            and {*map(type, chain.from_iterable(edges_obj))} <= {str}):
+        i, pair = next((i, pair) for i, pair in enumerate(edges_obj) if not (
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)))
+        raise _format_error(f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}")
     return TaskGraph(tasks, edges_obj)
 
 

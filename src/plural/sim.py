@@ -29,11 +29,12 @@ Execution semantics:
   slot.
 * Only a variable that some CREW violation names (``check_crew``) can
   contend.  An access to any other never stalls and draws nothing from the
-  generator, so it is granted by arithmetic, without an event.  A task's
-  instances that touch no contended variable and start in one slot end in
-  one slot, so a run of such starts is one cohort: one heap entry, which
-  ends its members as if one at a time in id order.  Other instances run
-  alone.  Cohorts change no report.
+  generator, so it is granted by arithmetic, without an event.  Instances
+  that touch no contended variable and start in one slot with one
+  instruction count end in one slot, whatever their task, so they form one
+  cohort: one heap entry, which ends its members as if one at a time in id
+  order, cut after each run of a task's members that frees a follower.
+  Other instances run alone.  Cohorts change no report.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It is sorted by time, then kind in the order a slot processes
@@ -59,7 +60,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import compress, groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, not_, truediv
 from typing import Iterable, Mapping, NamedTuple
 
 from . import comm
@@ -211,20 +212,22 @@ def _targets(task: Task, iid: str) -> tuple[tuple[str, ...], int]:
 
 
 class _Instance:
-    """A cohort: instances of one task started in one slot, ascending by id,
-    each on its own core.  Two or more touch no contended variable; an
-    instance that can contend is alone and tracks its accesses."""
+    """A cohort: instances started in one slot with one instruction count,
+    whatever their task, ascending by id, each on its own core.  Two or more
+    touch no contended variable; an instance that can contend is alone and
+    tracks its accesses."""
 
-    __slots__ = ("tid", "ids", "cores", "task", "n", "vars", "n_reads", "n_access", "skip", "start", "stalls",
-                 "granted", "since", "reading")
+    __slots__ = ("tid", "ids", "cores", "runs", "first", "run", "n", "vars", "n_reads", "n_access", "skip",
+                 "start", "stalls", "granted", "since", "reading")
 
-    def __init__(self, ids: list[str], cores: list[int], task: Task, start: int, vars_: tuple[str, ...] = (),
+    def __init__(self, ids: list[str], cores: list[int], tid: str, n: int, start: int, vars_: tuple[str, ...] = (),
                  n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
-        self.tid = ids[0]  # the cohort's heap key
+        self.tid = ids[0]  # a lone instance's heap key
         self.ids = ids
         self.cores = cores  # each member's core
-        self.task = task.id
-        self.n = task.instruction_count
+        self.runs = [(tid, len(ids))]  # (task, end): members from the previous end up to end are of task
+        self.first = self.run = 0  # the members and runs before these have ended
+        self.n = n
         self.vars = vars_  # access targets, round-robin
         self.n_reads = n_reads  # the targets before this one are reads
         self.n_access = n_access
@@ -256,29 +259,34 @@ class _Simulation:
         self.rng = random.Random(cfg.seed)
 
         # Each task's unfinished predecessor instances, and its started ones.
-        self.pred_left = dict.fromkeys(g._tasks, 0)
-        for pred, succ in g.edges:
-            self.pred_left[succ] += g._tasks[pred].instances
+        self.pred_left = pred_left = dict.fromkeys(g._tasks, 0)
         self.succs = g._successors
+        for pred, followers in self.succs.items():
+            instances = g._tasks[pred].instances
+            for succ in followers:
+                pred_left[succ] += instances
         self.started = dict.fromkeys(g._tasks, 0)
+        self.longest = max(map(attrgetter("instruction_count"), g._tasks.values()), default=0)
 
         # Cores are used lowest index first, so the cores never used are the
         # indices from len(self.busy) up to m - 1.
         self.busy: list[int] = []  # busy slots per used core
         self.queues: list[list[str]] = []  # instance ids queued per used core
         self.queued: dict[str, str] = {}  # queued instance id -> its task
-        self.idle: list[int] = []  # used cores that are idle, ascending
-        self.room: list[int] = []  # used cores whose queue has room, ascending
-        # Per task with ready instances: (ready slot, next id, its place, the
-        # task's ids ascending, task), a heap that dispatch merges by id.
-        self.ready: list[tuple[int, str, int, list[str], str]] = []
+        self.idle: list[int] = []  # used cores that are idle, a min-heap
+        self.room: list[int] = []  # used cores whose queue has room, a min-heap
+        # Per run of instances made ready together: (ready slot, next id, its
+        # place, the ids ascending, their tasks), a heap that dispatch merges by id.
+        self.ready: list[tuple[int, str, int, list[str], list[str]]] = []
         self.n_ready = 0
         self.zero_waiting = 0  # ready or queued instances of no instruction, which end as they start
         # Entries are (slot, kind, first id, cohort): a completion, or a lone
         # instance's next access.  An instance is in one pending entry, so
         # (slot, kind, id) is unique and heapq never compares cohorts.
         self.heap: list[tuple[int, int, str, _Instance]] = []
-        self.last: _Instance | None = None  # the latest cohort started
+        # Instruction count -> the latest cohort started in slot cohorts_slot.
+        self.cohorts: dict[int, _Instance] = {}
+        self.cohorts_slot = 0
         # Contenders per variable, sorted by instance id, and how many of
         # them write; an emptied wait set is dropped.
         self.waiting: defaultdict[str, list[_Instance]] = defaultdict(list)
@@ -310,18 +318,15 @@ class _Simulation:
     # -- scheduler ----------------------------------------------------------
 
     def _release(self, freed: list[str], slot: int) -> None:
-        """Make the ``freed`` tasks' instances ready.  A control task among
-        them resolves at once and appends the tasks it frees.  The ready
-        heap's key, not this order, decides dispatch."""
+        """Make the ``freed`` tasks' instances ready, as one run sorted by id.
+        A control task among them resolves at once and appends the tasks it
+        frees.  The ready heap's key, not this order, decides dispatch."""
+        released = []
         for t in freed:
             task = self.g._tasks[t]
             if task.kind is not TaskKind.CONTROL:
-                ids = sorted(_instance_ids(task))
-                self.n_ready += len(ids)
-                self.zero_waiting += 0 if task.instruction_count else len(ids)
-                heapq.heappush(self.ready, (slot, ids[0], 0, ids, t))
-                if self.trace is not None:
-                    self._trace(slot, "ready", ids, repeat(""))
+                released.append(t)
+                self.zero_waiting += 0 if task.instruction_count else task.instances
                 continue
             self.last_boundary = max(self.last_boundary, slot)
             if task.control_kind is ControlKind.CONDITIONAL:
@@ -339,49 +344,75 @@ class _Simulation:
                 forwards = order([iid for s in followers for iid in _instance_ids(self.g._tasks[s])])
                 self._trace(slot, "control", [t], ["forwards=" + ",".join(forwards)])
             freed.extend(self._count_down(followers, 1))
+        if not released:
+            return
+        if len(released) == 1:  # one task: its ids need no map to their task
+            ids = sorted(_instance_ids(self.g._tasks[released[0]]))
+            tids = released * len(ids)
+        else:
+            owner = {iid: t for t in released for iid in _instance_ids(self.g._tasks[t])}
+            ids = sorted(owner)
+            tids = list(map(owner.__getitem__, ids))
+        self.n_ready += len(ids)
+        heapq.heappush(self.ready, (slot, ids[0], 0, ids, tids))
+        if self.trace is not None:
+            self._trace(slot, "ready", ids, repeat(""))
 
-    def _start(self, tid: str, ids: list[str], cores: list[int], slot: int, from_queue: bool) -> None:
-        """Start instances of one task on their cores: alone if the task can
-        contend, else as a cohort, which joins the latest cohort if that holds
-        the same task, started in this slot, and lower ids."""
-        task = self.g._tasks[tid]
-        k, n = len(ids), task.instruction_count
-        self.started[tid] += k
-        if self.started[tid] > task.instances:
-            raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
-        self.total_instructions += k * n
-        if self.total_instructions > sys.float_info.max:  # refused at the instance that made it too large
-            self.total_instructions -= (self.total_instructions - int(sys.float_info.max) - 1) // n * n
-            _check_finite("total_instructions", self.total_instructions)
-        self.zero_waiting -= 0 if n else k
-        self.sched_msg_count += 0 if from_queue else k  # task-init messages
+    def _start(self, tids: list[str], ids: list[str], cores: list[int], slot: int, from_queue: bool) -> None:
+        """Start instance ``ids[i]`` of task ``tids[i]`` on ``cores[i]``, for
+        each i.  In id order, a run of one task's instances runs alone if the
+        task can contend, else as a cohort, which joins the latest cohort of
+        its instruction count if that started in this slot and holds lower ids."""
+        if self.total_instructions + len(ids) * self.longest > sys.float_info.max:
+            total = self.total_instructions  # refused at the instance that makes it too large, in start order
+            for tid in tids:
+                total += self.g._tasks[tid].instruction_count
+                _check_finite("total_instructions", total)
+        self.sched_msg_count += 0 if from_queue else len(ids)  # task-init messages
         if self.trace is not None:
             self._trace(slot, "start", ids, map("core={}".format, cores))
-        n_access = n // self.stride if task.read_set or task.write_set else 0
-        if tid in self.alone:
-            self.last = None
-            for iid, core in zip(ids, cores):
-                vars_, n_reads = _targets(task, iid)
-                mask = tuple(map(self.contended.__contains__, vars_))
-                if mask not in self.skips:
-                    self.skips[mask] = _skip_table(mask)
-                skip = self.skips[mask] if n_access else None
-                self._push_next(_Instance([iid], [core], task, slot, vars_, n_reads, n_access, skip))
-            return
-        self.mem_access_count += k * n_access  # none can contend: each is granted as it arrives
-        for iid in ids if self.trace is not None and n_access else ():
-            vars_ = _targets(task, iid)[0]
-            for j in range(n_access):
-                detail = f"var={vars_[j % len(vars_)]} waited=0"
-                self._trace(slot + (j + 1) * self.stride - 1, "access", [iid], [detail])
-        if k > 1 and ids != sorted(ids):  # queued instances can leave their cores out of id order
-            ids, cores = map(list, zip(*sorted(zip(ids, cores))))
-        if self.last and self.last.task == tid and self.last.start == slot and n and self.last.ids[-1] < ids[0]:
-            self.last.ids += ids
-            self.last.cores += cores
-        else:
-            self.last = _Instance(ids, cores, task, slot)
-            heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[0], self.last))
+        if from_queue and len(ids) > 1 and ids != sorted(ids):  # queues can hold their heads out of id order
+            ids, tids, cores = map(list, zip(*sorted(zip(ids, tids, cores))))
+        if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
+            self.cohorts, self.cohorts_slot = {}, slot
+        tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
+        tracing, end, accesses = self.trace is not None, 0, 0
+        for tid, run in groupby(tids):
+            task, begin = tasks[tid], end
+            end += len(list(run))
+            started[tid] += end - begin
+            if started[tid] > task.instances:
+                raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
+            n = task.instruction_count
+            self.total_instructions += (end - begin) * n
+            self.zero_waiting -= 0 if n else end - begin
+            n_access = n // self.stride if task.read_set or task.write_set else 0
+            if tid in alone:
+                for iid, core in zip(ids[begin:end], cores[begin:end]):
+                    vars_, n_reads = _targets(task, iid)
+                    mask = tuple(map(self.contended.__contains__, vars_))
+                    if mask not in self.skips:
+                        self.skips[mask] = _skip_table(mask)
+                    skip = self.skips[mask] if n_access else None
+                    self._push_next(_Instance([iid], [core], tid, n, slot, vars_, n_reads, n_access, skip))
+                continue
+            accesses += (end - begin) * n_access  # none can contend: each is granted as it arrives
+            for iid in ids[begin:end] if tracing and n_access else ():
+                vars_ = _targets(task, iid)[0]
+                for j in range(n_access):
+                    detail = f"var={vars_[j % len(vars_)]} waited=0"
+                    self._trace(slot + (j + 1) * self.stride - 1, "access", [iid], [detail])
+            cohort = cohorts.get(n)
+            if cohort and cohort.ids[-1] < ids[begin]:
+                cohort.ids += ids[begin:end]
+                cohort.cores += cores[begin:end]
+                cohort.runs.append((tid, len(cohort.ids)))
+            else:
+                cohort = _Instance(ids[begin:end], cores[begin:end], tid, n, slot)
+                heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[begin], cohort))
+                if n:  # a cohort of no instruction ends in this slot, so it takes no later start
+                    cohorts[n] = cohort
+        self.mem_access_count += accesses
 
     def _fill(self, cores: list[int], slot: int, queue: bool) -> list[int]:
         """Give each core, in order, the next ready instance while any is
@@ -389,20 +420,20 @@ class _Simulation:
         the cores left."""
         i = 0
         while i < len(cores) and self.ready:
-            ready, _, first, ids, tid = heapq.heappop(self.ready)
+            ready, _, first, ids, tids = heapq.heappop(self.ready)
             end = min(first + len(cores) - i, len(ids))
-            if self.ready and self.ready[0][0] == ready:  # up to the next task's first id
+            if self.ready and self.ready[0][0] == ready:  # up to the next run's first id
                 end = bisect_left(ids, self.ready[0][1], first, end)
             if end < len(ids):
-                heapq.heappush(self.ready, (ready, ids[end], end, ids, tid))
-            ids, given, i = ids[first:end], cores[i : i + end - first], i + end - first
+                heapq.heappush(self.ready, (ready, ids[end], end, ids, tids))
+            ids, tids, given, i = ids[first:end], tids[first:end], cores[i : i + end - first], i + end - first
             self.n_ready -= len(ids)
             if not queue:
-                self._start(tid, ids, given, slot, from_queue=False)
+                self._start(tids, ids, given, slot, from_queue=False)
                 continue
+            self.queued.update(zip(ids, tids))
             for core, iid in zip(given, ids):
                 self.queues[core].append(iid)
-                self.queued[iid] = tid
             self.sched_msg_count += len(ids)  # task-init messages, pre-allocated
             if self.trace is not None:
                 self._trace(slot, "queue", ids, map("core={}".format, given))
@@ -435,72 +466,81 @@ class _Simulation:
     def _dispatch(self, slot: int) -> None:
         """Feed idle cores, then fill pre-allocation queues, FIFO over ready
         instances; the lowest core index goes first."""
-        cores = self.idle[: self.n_ready]
-        del self.idle[: self.n_ready]
+        cores = list(map(heapq.heappop, repeat(self.idle, min(self.n_ready, len(self.idle)))))
         if len(cores) < self.n_ready and len(self.busy) < self.cfg.m:
             new = range(len(self.busy), min(len(self.busy) + self.n_ready - len(cores), self.cfg.m))
             self.busy += [0] * len(new)
             self.queues += [[] for _ in new]
-            self.room += new if self.depth else ()  # above every used core
+            self.room += new if self.depth else ()  # above every used core, so still a heap
             cores += new
         if cores:
             self._fill(cores, slot, queue=False)
         # Now nothing is ready, or all m cores exist and are busy.
         if self.ready and self.room:
-            room = self.room[: self.n_ready]  # each has room for one at least
-            del self.room[: self.n_ready]
+            room = list(map(heapq.heappop, repeat(self.room, min(self.n_ready, len(self.room)))))
             if self.depth > 1:
                 room = [core for core in room for _ in range(self.depth - len(self.queues[core]))]
-            left = self._fill(room, slot, queue=True)
-            self.room[:0] = dict.fromkeys(left) if left else ()  # untouched or part-filled
+            for core in dict.fromkeys(self._fill(room, slot, queue=True)):  # untouched or part-filled
+                heapq.heappush(self.room, core)
 
     def _complete(self, inst: _Instance, slot: int) -> None:
-        """End a cohort's members as if one at a time, in id order.  Each but
-        the last frees no task, so its core starts its queued instance or idles,
-        then takes the next ready one into a queue that was full, or onto
-        itself if idle: done in bulk.  The cohort is split before another
-        entry of this slot that sorts inside it, and into single members
-        while an instance of no instruction, which ends as it starts, waits."""
-        ids, cores = inst.ids, inst.cores
-        if len(ids) > 1:
-            top = self.heap[0] if self.heap else None
-            cut = bisect_left(ids, top[2]) if top and top[:2] == (slot, _COMPLETE) else len(ids)
-            cut, step = (1, 1) if self.zero_waiting else (cut, len(ids))
-            for i in range(cut, len(ids), step):
-                rest = _Instance(ids[i : i + step], cores[i : i + step], self.g._tasks[inst.task], inst.start)
-                heapq.heappush(self.heap, (slot, _COMPLETE, rest.tid, rest))
-            ids, cores = ids[:cut], cores[:cut]
+        """End a cohort's members as if one at a time, in id order, counting
+        them off their tasks' followers one run of a task at a time.  The
+        cohort is cut after the first run that frees a task, before another
+        entry of this slot that sorts inside it, and after each member while
+        an instance of no instruction, which ends as it starts, waits; the
+        rest goes back on the heap.  So each member but the last frees no
+        task: its core starts its queued instance or idles, then takes the
+        next ready one into a queue that was full, or onto itself if idle,
+        done in bulk."""
+        ids, first, cut = inst.ids, inst.first, len(inst.ids)
+        if cut - first > 1 and self.zero_waiting:
+            cut = first + 1
+        elif cut - first > 1 and self.heap and self.heap[0][:2] == (slot, _COMPLETE):
+            cut = bisect_left(ids, self.heap[0][2], first, cut)
+        done, freed = first, None
+        while done < cut and not freed:
+            tid, end = inst.runs[inst.run]
+            if end <= cut:
+                inst.run += 1
+            freed = self._count_down(self.succs[tid], min(end, cut) - done)
+            done = min(end, cut)
+        if done < len(ids):
+            inst.first = done
+            heapq.heappush(self.heap, (slot, _COMPLETE, ids[done], inst))
+        cores = inst.cores[first:done]
+        if len(cores) > 1 and not (self.queued or self.ready):  # nothing to start: the cores idle
+            for core in cores[:-1]:
+                heapq.heappush(self.idle, core)
+        elif len(cores) > 1:
             queues = list(map(self.queues.__getitem__, cores[:-1]))
             lengths = list(map(len, queues))
             full = list(compress(cores, map(self.depth.__eq__, lengths))) if self.depth else []
             heads = list(map(list.pop, compress(queues, lengths), repeat(0)))
-            started, i = list(compress(cores, lengths)), 0
-            for tid, run in groupby(map(self.queued.pop, heads)):  # a run of one task's queued instances
-                k = i + len(list(run))
-                self._start(tid, heads[i:k], started[i:k], slot, from_queue=True)
-                i = k
-            self.room = sorted(self.room + self._fill(full, slot, queue=True))
-            idle = list(compress(cores, map((0).__eq__, lengths)))
-            self.idle = sorted(self.idle + self._fill(idle, slot, queue=False))
+            if heads:
+                self._start(list(map(self.queued.pop, heads)), heads, list(compress(cores, lengths)), slot, True)
+            for core in self._fill(full, slot, queue=True):
+                heapq.heappush(self.room, core)
+            for core in self._fill(list(compress(cores, map((0).__eq__, lengths))), slot, queue=False):
+                heapq.heappush(self.idle, core)
         busy, per_core = inst.n + inst.stalls, self.busy
         for core in cores:
             per_core[core] += busy
-        self.sched_msg_count += len(ids)  # task-completion messages
+        self.sched_msg_count += len(cores)  # task-completion messages
         self.last_boundary = max(self.last_boundary, slot)
         if self.trace is not None:
-            self._trace(slot, "complete", ids, map("core={}".format, cores))
-        freed = self._count_down(self.succs[inst.task], len(ids))
+            self._trace(slot, "complete", ids[first:done], map("core={}".format, cores))
         if freed:
             self._release(freed, slot)
         core = cores[-1]
         queue = self.queues[core]
         if queue:
             if len(queue) == self.depth:
-                insort(self.room, core)
+                heapq.heappush(self.room, core)
             iid = queue.pop(0)
-            self._start(self.queued.pop(iid), [iid], [core], slot, from_queue=True)
+            self._start([self.queued.pop(iid)], [iid], [core], slot, from_queue=True)
         else:
-            insort(self.idle, core)
+            heapq.heappush(self.idle, core)
         if self.ready:
             self._dispatch(slot)
 
@@ -543,7 +583,7 @@ class _Simulation:
     def execute(self) -> None:
         # Snapshot the roots first: resolving a root control task releases its
         # successors, which must not be made ready a second time.
-        self._release([t for t in sorted(self.g._tasks) if self.pred_left[t] == 0], 0)
+        self._release(sorted(compress(self.pred_left, map(not_, self.pred_left.values()))), 0)
         self._dispatch(0)
         slot = 0
         # A grant queues its instance's next milestone at a later slot, so
@@ -592,7 +632,7 @@ class _Simulation:
             mem_msg_energy_total=mem_energy,
             avg_power=total_energy / makespan,
             per_core_busy_time=busy,
-            utilization=tuple(b / makespan for b in busy),
+            utilization=tuple(map(truediv, busy, repeat(makespan))),
             sched_msg_count=self.sched_msg_count,
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,

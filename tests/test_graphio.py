@@ -5,6 +5,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graph import meeting_graphs
+from test_sim import cohort_cases, contention_cases, mixed_footprint_cases, sim_cases
 
 from plural import ControlKind, GraphFormatError, GraphStructureError, Task, TaskGraph, TaskKind, cli
 from plural.graphio import dump, dumps, load, loads
@@ -44,6 +48,18 @@ def test_defaults_applied():
 def test_round_trip():
     g = loads(DOC)
     assert loads(dumps(g)) == g
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.tuples(meeting_graphs()), sim_cases(), contention_cases(), cohort_cases(), mixed_footprint_cases()
+))
+def test_generated_graphs_round_trip(case):
+    # The loader checks each field once and builds each task once; whatever
+    # the shared strategies generate comes back equal, and dumps the same.
+    g = case[0]
+    assert loads(dumps(g)) == g
+    assert dumps(loads(dumps(g))) == dumps(g)
 
 
 def test_file_round_trip(tmp_path):

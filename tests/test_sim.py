@@ -1117,15 +1117,20 @@ def contention_cases(draw):
 # Task ids that sort among instance ids: "w#05" between "w#0" and "w#1", and
 # the instances of "w#1x" between "w#1" and "w#10".
 COHORT_IDS = ["w", "w#05", "w#1x", "w#3!", "x", "x#0z", "y"]
+# Sibling ids that sort among the instance ids of "w" and "x" too.
+SIBLING_IDS = ["w#0!", "w#07", "w#2y", "w#9z", "x#1!"]
 
 
 @st.composite
 def cohort_cases(draw):
-    """Graphs whose duplicables run as cohorts that must split, join and
-    reorder: ids that sort among other tasks' instance ids, instruction
-    counts from {0, 2, 4} so that cohorts and other entries end in one slot,
-    tasks of no instruction, small m and every queue depth.  A task that
-    writes "acc" runs its instances alone."""
+    """Graphs whose tasks run as cohorts that must split, join and reorder:
+    ids that sort among other tasks' instance ids, instruction counts from
+    {0, 2, 4} so that cohorts and other entries end in one slot, tasks of no
+    instruction, small m and every queue depth.  A task that writes "acc"
+    runs its instances alone.  Sibling singular tasks of one length are
+    roots, so they are ready in one slot with their ids among the
+    duplicables' instance ids and share cohorts; a follower of a middle
+    sibling is freed by a member inside its cohort, which is cut there."""
     ids = draw(st.lists(st.sampled_from(COHORT_IDS), unique=True, min_size=2, max_size=6))
     index = st.integers(0, len(ids) - 1)
     edges = {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=len(ids))) if i < j}
@@ -1137,6 +1142,12 @@ def cohort_cases(draw):
             tasks.append(duplicable(tid, draw(st.integers(1, 14)), n, {f"i{k}[#]"}, writes))
         else:
             tasks.append(singular(tid, n, {f"s{k}"}, writes))
+    siblings = sorted(draw(st.lists(st.sampled_from(SIBLING_IDS), unique=True, max_size=5)))
+    n = draw(st.sampled_from([0, 2, 4]))
+    tasks += [singular(tid, n, {f"r{k}"}, {f"q{k}"}) for k, tid in enumerate(siblings)]
+    if len(siblings) > 2 and draw(st.booleans()):
+        tasks.append(singular("z", draw(st.sampled_from([0, 2, 4])), {"z"}, {"o[#]"}))
+        edges.add((siblings[len(siblings) // 2], "z"))
     cfg = SimConfig(
         chip=ChipSpec(area=draw(st.sampled_from([7.3, 1e6])), work=1),
         m=draw(st.integers(1, 6)),
@@ -1297,6 +1308,21 @@ def fork_join(d):
 class TestCohortCost:
     """On a CREW-clean graph the event loop's work grows with the authored
     tasks and the waves of instances, not with the instances."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_sibling_tasks_of_one_length_share_a_cohort(self, monkeypatch, depth):
+        # A fork of N singular tasks with L = 3 distinct lengths, at m = N:
+        # the root, one cohort per length and the join, whatever N.
+        for n in (12, 300):
+            siblings = [singular(f"s{k:03d}", 10 + k % 3, reads={"x"}, writes={f"o{k}"}) for k in range(n)]
+            g = TaskGraph(
+                [singular("root", 5, writes={"x"}), *siblings, singular("join", 5, reads={"x"})],
+                [("root", s.id) for s in siblings] + [(s.id, "join") for s in siblings],
+            )
+            cfg = SimConfig(chip=CHIP, m=n, prealloc_depth=depth)
+            _, pushed = TestPrivateAccesses.event_pushes(monkeypatch, g, cfg)
+            assert len(pushed) == 3 + 2
+            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_heap_pushes_follow_tasks_and_waves(self, monkeypatch, depth):
@@ -1994,9 +2020,9 @@ class TestErrors:
     def test_a_task_starts_at_most_its_instances(self):
         # The guard behind "every instance runs exactly once".
         sim = sim_module._Simulation(parallel_workload(2, 10), SimConfig(chip=CHIP, m=2), False)
-        sim._start("work", ["work#0", "work#1"], [0, 1], 0, from_queue=False)
+        sim._start(["work", "work"], ["work#0", "work#1"], [0, 1], 0, from_queue=False)
         with pytest.raises(RuntimeError, match="started more than its 2 instances"):
-            sim._start("work", ["work#1"], [1], 0, from_queue=False)
+            sim._start(["work"], ["work#1"], [1], 0, from_queue=False)
 
     def test_seed_must_be_an_integer(self):
         # A seed of None would seed from the operating system, and runs of
