@@ -55,7 +55,7 @@ from .graph import (
 from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, single_metrics, sweep
 from .sim import ModelDeviation, SimConfig, SimEvent, SimReport, compare_to_model, run
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ChipSpec",

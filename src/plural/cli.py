@@ -26,7 +26,7 @@ from dataclasses import asdict, fields
 from operator import attrgetter
 
 from . import comm, et2, graphio, scaling, sim
-from .errors import PluralError
+from .errors import DomainError, PluralError
 from .graph import CrewViolation, check_crew, validate_dag
 
 __all__ = ["main"]
@@ -223,9 +223,7 @@ def _warn_crew(g) -> list[CrewViolation]:
     return violations
 
 
-# One trace event as ``json.dumps`` writes it inside the report's "events".
-_EVENT = '{\n      "time": %r,\n      "kind": %s,\n      "task": %s,\n      "detail": %s\n    }'
-_json_str = json.encoder.encode_basestring_ascii
+JSON_MAX_M = 2**20  # cores a JSON report may list: 9 bytes per core per list, 19 MB in all
 
 
 def _dump_report(doc: dict) -> str:
@@ -235,21 +233,14 @@ def _dump_report(doc: dict) -> str:
 
     A report lists the cores a run used, and the printed report all m: this
     is the one place that pads.  With an indent, ``json`` falls back to its
-    pure-Python encoder, which is slow on long lists, so these are written
-    by hand:
-
-    * A per-core tuple, never empty: the C encoder spells each distinct
-      value once (both encoders spell a float as ``float.__repr__`` does,
-      or as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds
-      ", "), the spellings are joined in order, and the cores never used
-      follow as one repeated string, so the cost grows with the cores used,
-      not m.  The values are floats of at least +0.0, so no two distinct
-      spellings are equal as keys.
-    * ``events`` is written one ``%`` template per event: the C string
-      escaper for the strings and ``float.__repr__``, ``json``'s spelling
-      of a finite float, for the time.
-
-    Other containers keep the indenting encoder.
+    pure-Python encoder, which is slow on long lists, so a per-core tuple,
+    never empty, is written by hand: the C encoder spells each distinct
+    value once (both encoders spell a float as ``float.__repr__`` does, or
+    as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", "), the
+    spellings are joined in order, and the cores never used follow as one
+    repeated string, so the cost grows with the cores used, not m.  The
+    values are floats of at least +0.0, so no two distinct spellings are
+    equal as keys.  Other containers keep the indenting encoder.
     """
     items = []
     for key, value in doc.items():
@@ -258,11 +249,6 @@ def _dump_report(doc: dict) -> str:
             spelled = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
             floats = ",\n    ".join(map(spelled.__getitem__, value))
             text = "[\n    " + floats + ",\n    0.0" * (doc["m"] - len(value)) + "\n  ]"
-        elif key == "events" and value:
-            text = "[\n    " + ",\n    ".join(
-                _EVENT % (e["time"], _json_str(e["kind"]), _json_str(e["task"]), _json_str(e["detail"]))
-                for e in value
-            ) + "\n  ]"
         elif isinstance(value, (dict, list, tuple)):
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         else:
@@ -283,11 +269,18 @@ def cmd_simulate(args, out) -> int:
         seed=args.seed,
         conditional_outcomes=_outcomes_from_args(args.outcome),
     )
-    report = sim.run(g, cfg, record_events=args.emit_events and not args.csv)
+    if args.events is None:
+        report = sim.run(g, cfg)
+    else:
+        with open(args.events, "w", encoding="utf-8") as trace:  # opened before the run, so a bad path costs none
+            report = sim.run(g, cfg, events=lambda event: trace.write(json.dumps(event._asdict()) + "\n"))
     if args.csv:
         header, row = REPORT_CSV
         mean_utilization = sum(report.utilization) / cfg.m  # unused cores add +0.0 each
         out.write(header + row % (*_report_values(report), mean_utilization))
+    elif cfg.m > JSON_MAX_M:
+        message = f"a JSON report lists each of the m cores, so m must be at most {JSON_MAX_M}, got {cfg.m}"
+        raise DomainError(message + "; --csv takes any m")
     else:
         doc = sim.report_as_dict(report)
         if args.check_model:
@@ -358,7 +351,7 @@ def build_parser() -> _Parser:
         help="chosen successor of a conditional control task (repeatable)",
     )
     p.add_argument("--check-model", action="store_true", help="append deviations from the closed-form model")
-    p.add_argument("--emit-events", action="store_true", help="include the event log in the report")
+    p.add_argument("--events", metavar="FILE", help="write the event trace to FILE, one JSON object per line")
     p.add_argument("--csv", action="store_true", help="emit the report as one CSV row")
     p.set_defaults(func=cmd_simulate)
 

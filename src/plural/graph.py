@@ -73,9 +73,8 @@ class Task:
     """One node of a task graph.
 
     ``instruction_count`` is the work of a single instance.  For duplicable
-    tasks ``instances`` is the duplication count d; expanded instances carry
-    their index in ``instance_number``.  Control tasks have no entry point,
-    no instructions, and no shared-variable footprint.
+    tasks ``instances`` is the duplication count d.  Control tasks have no
+    entry point, no instructions, and no shared-variable footprint.
     """
 
     id: str
@@ -86,12 +85,11 @@ class Task:
     instruction_count: int = 0
     read_set: frozenset[str] = frozenset()
     write_set: frozenset[str] = frozenset()
-    instance_number: int | None = None
 
     def __init__(self, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
                  control_kind: ControlKind | None = None, entry_point: str | None = None,
                  instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
-                 write_set: Iterable[str] = frozenset(), instance_number: int | None = None) -> None:
+                 write_set: Iterable[str] = frozenset()) -> None:
         if not isinstance(id, str) or not id:
             raise ValidationError(f"task id must be a non-empty string, got {id!r}")
         # One update of the instance dict sets every field of the frozen task,
@@ -101,7 +99,6 @@ class Task:
             # The entry point is an opaque code label; it defaults to the id.
             entry_point=id if entry_point is None and kind is not TaskKind.CONTROL else entry_point,
             instruction_count=instruction_count, read_set=frozenset(read_set), write_set=frozenset(write_set),
-            instance_number=instance_number,
         )
         if not _is_count(instruction_count, 0):
             raise ValidationError(
@@ -324,17 +321,12 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     the bitsets of the authored graph decide every instance pair.
 
     Raises ``GraphStructureError`` when an instance id collides with another
-    task's id and ``CycleError``, with ``validate_dag``'s witness on the
-    expanded graph, when the graph has a cycle.  A search with each duplicable
-    renamed to its first instance finds it: any other instance has the same
-    edges and is reached only after the first finished, so it finds nothing.
+    task's id and ``CycleError``, with ``validate_dag``'s witness, when the
+    graph has a cycle.
     """
     _check_instance_ids(g)
     if g._search[1] is not None:
-        first = {tid: tid + INSTANCE_SEP + "0" if task.kind is TaskKind.DUPLICABLE else tid
-                 for tid, task in g._tasks.items()}
-        renamed = {first[t]: sorted(first[s] for s in succ) for t, succ in g._successors.items()}
-        raise CycleError(_search(renamed)[1])
+        raise CycleError(g._search[1])
     index, desc = _descendant_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
     for tid, names in _meeting_names(g, index, desc).items():
@@ -396,9 +388,9 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     """Report every CREW violation among concurrent tasks.
 
     Violations are reported between expanded task instances, as if the check
-    ran on ``expand_duplicables(g)`` (already-expanded input is taken as
-    is), so instances of a duplicable task that write a shared variable
-    without instance-disjoint naming conflict with each other.  A variable
+    ran on ``expand_duplicables(g)``, so instances of a duplicable task that
+    write a shared variable without instance-disjoint naming conflict with
+    each other.  A variable
     written by both tasks of a pair is one write-write violation; written by
     one and read by the other, a read-write violation.  Concurrent reads are
     legal and never reported.  The list is sorted by task pair, with a
@@ -473,8 +465,8 @@ def _check_instance_ids(g: TaskGraph) -> None:
 def expand_duplicables(g: TaskGraph) -> TaskGraph:
     """Replace each duplicable task by its d instance tasks.
 
-    Instances share the original entry point, carry instance numbers 0..d-1,
-    inherit the per-instance instruction count, substitute the instance
+    Instances share the original entry point, are named by instance numbers
+    0..d-1, inherit the per-instance instruction count, substitute the instance
     number into ``#`` placeholders in the shared-variable footprint, and each
     inherit every incoming and outgoing edge of the original.  Expansion is
     idempotent and preserves acyclicity.
@@ -497,7 +489,6 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
                     instruction_count=task.instruction_count,
                     read_set=reads,
                     write_set=writes,
-                    instance_number=k,
                 )
             )
     edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}

@@ -37,8 +37,9 @@ Execution semantics:
   Other instances run alone.  Cohorts change no report.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
-  stall.  It is sorted by time, then kind in the order a slot processes
-  them (complete, control, ready, start, queue, access), then id.
+  stall.  It streams to a sink, a slot's events as the run leaves the
+  slot, sorted by time, then kind in the order a slot processes them
+  (complete, control, ready, start, queue, access), then id.
 * Energy ledger: an executed instruction costs A/m.  With communication
   costs enabled, each scheduler message (one init and one completion per
   core-executed instance) costs sqrt(A) and each memory access costs
@@ -61,7 +62,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import compress, groupby, repeat
 from operator import attrgetter, not_, truediv
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import comm
 from .errors import (
@@ -123,7 +124,7 @@ class SimConfig:
 
 
 class SimEvent(NamedTuple):
-    """One entry of the optional event trace."""
+    """One event of a run's trace, as ``run`` hands it to its sink."""
 
     time: float
     kind: str  # complete | control | ready | start | queue | access
@@ -155,7 +156,6 @@ class SimReport:
     mem_access_count: int
     mem_conflict_stalls: int
     empirical_speedup: float
-    events: tuple[SimEvent, ...] = ()
 
     @property
     def total_energy(self) -> float:
@@ -240,7 +240,7 @@ class _Instance:
 
 
 class _Simulation:
-    def __init__(self, g: TaskGraph, cfg: SimConfig, record_events: bool):
+    def __init__(self, g: TaskGraph, cfg: SimConfig, events: Callable[[SimEvent], object] | None):
         self.g = g
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
@@ -298,13 +298,23 @@ class _Simulation:
         self.mem_conflict_stalls = 0
         self.last_boundary = 0
 
-        self.trace: list[SimEvent] | None = [] if record_events else None
+        self.sink = events  # None when untraced
+        self.pending: list[tuple[int, int, str, str]] = []  # events of slots not left, a heap
 
     # -- event helpers ------------------------------------------------------
 
     def _trace(self, slot: int, kind: str, ids: Iterable[str], details: Iterable[str]) -> None:
-        """Record one event per instance id; called only when tracing."""
-        self.trace.extend(SimEvent(slot * self.slot_dt, kind, iid, detail) for iid, detail in zip(ids, details))
+        """Queue one event per instance id for the sink; called only when tracing."""
+        rank, pending = _RANK[kind], self.pending
+        for iid, detail in zip(ids, details):
+            heapq.heappush(pending, (slot, rank, iid, detail))
+
+    def _flush(self, before: float) -> None:
+        """Hand the sink each pending event of a slot before ``before``, in trace order."""
+        pending, sink, slot_dt = self.pending, self.sink, self.slot_dt
+        while pending and pending[0][0] < before:
+            slot, rank, iid, detail = heapq.heappop(pending)
+            sink(SimEvent(slot * slot_dt, _TRACE_KINDS[rank], iid, detail))
 
     def _count_down(self, followers: list[str], k: int) -> list[str]:
         """Count k finished instances off each follower; return those left with none."""
@@ -336,12 +346,11 @@ class _Simulation:
                         f"conditional control task {t!r} was reached but has no "
                         "configured outcome"
                     )
-                # The chosen task's instances go by number, not by id.
-                followers, order = [chosen], list
+                followers = [chosen]
             else:
-                followers, order = self.succs[t], sorted
-            if self.trace is not None:
-                forwards = order([iid for s in followers for iid in _instance_ids(self.g._tasks[s])])
+                followers = self.succs[t]
+            if self.sink is not None:
+                forwards = sorted(iid for s in followers for iid in _instance_ids(self.g._tasks[s]))
                 self._trace(slot, "control", [t], ["forwards=" + ",".join(forwards)])
             freed.extend(self._count_down(followers, 1))
         if not released:
@@ -355,7 +364,7 @@ class _Simulation:
             tids = list(map(owner.__getitem__, ids))
         self.n_ready += len(ids)
         heapq.heappush(self.ready, (slot, ids[0], 0, ids, tids))
-        if self.trace is not None:
+        if self.sink is not None:
             self._trace(slot, "ready", ids, repeat(""))
 
     def _start(self, tids: list[str], ids: list[str], cores: list[int], slot: int, from_queue: bool) -> None:
@@ -369,14 +378,14 @@ class _Simulation:
                 total += self.g._tasks[tid].instruction_count
                 _check_finite("total_instructions", total)
         self.sched_msg_count += 0 if from_queue else len(ids)  # task-init messages
-        if self.trace is not None:
+        if self.sink is not None:
             self._trace(slot, "start", ids, map("core={}".format, cores))
         if from_queue and len(ids) > 1 and ids != sorted(ids):  # queues can hold their heads out of id order
             ids, tids, cores = map(list, zip(*sorted(zip(ids, tids, cores))))
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
         tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
-        tracing, end, accesses = self.trace is not None, 0, 0
+        tracing, end, accesses = self.sink is not None, 0, 0
         for tid, run in groupby(tids):
             task, begin = tasks[tid], end
             end += len(list(run))
@@ -435,7 +444,7 @@ class _Simulation:
             for core, iid in zip(given, ids):
                 self.queues[core].append(iid)
             self.sched_msg_count += len(ids)  # task-init messages, pre-allocated
-            if self.trace is not None:
+            if self.sink is not None:
                 self._trace(slot, "queue", ids, map("core={}".format, given))
         return cores[i:]
 
@@ -450,7 +459,7 @@ class _Simulation:
         if inst.skip is not None:
             size = len(inst.vars)
             jump = min(inst.skip[granted % size], inst.n_access - granted)
-            if self.trace is not None:
+            if self.sink is not None:
                 for k in range(granted, granted + jump):
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls
                     self._trace(slot, "access", [inst.tid], [f"var={inst.vars[k % size]} waited=0"])
@@ -528,7 +537,7 @@ class _Simulation:
             per_core[core] += busy
         self.sched_msg_count += len(cores)  # task-completion messages
         self.last_boundary = max(self.last_boundary, slot)
-        if self.trace is not None:
+        if self.sink is not None:
             self._trace(slot, "complete", ids[first:done], map("core={}".format, cores))
         if freed:
             self._release(freed, slot)
@@ -574,7 +583,7 @@ class _Simulation:
                 self.mem_conflict_stalls += stalls
                 inst.granted += 1
                 self.mem_access_count += 1
-                if self.trace is not None:
+                if self.sink is not None:
                     self._trace(slot, "access", [inst.tid], [f"var={var} waited={stalls}"])
                 self._push_next(inst)
 
@@ -585,12 +594,15 @@ class _Simulation:
         # successors, which must not be made ready a second time.
         self._release(sorted(compress(self.pred_left, map(not_, self.pred_left.values()))), 0)
         self._dispatch(0)
-        slot = 0
+        slot, tracing = 0, self.sink is not None
         # A grant queues its instance's next milestone at a later slot, so
         # once a slot is arbitrated the heap holds nothing before slot + 1,
-        # where any waiting loser contends again.
+        # where any waiting loser contends again.  No event is traced for a
+        # slot left: each is, in its slot or before it as a future access.
         while self.heap or self.waiting:
             slot = slot + 1 if self.waiting else self.heap[0][0]
+            if tracing:
+                self._flush(slot)
             while self.heap and self.heap[0][0] == slot:
                 _, kind, _, inst = heapq.heappop(self.heap)
                 if kind == _COMPLETE:
@@ -604,6 +616,8 @@ class _Simulation:
                     self.writes[var] += not inst.reading
             if self.waiting:
                 self._arbitrate(slot)
+        if tracing:
+            self._flush(math.inf)
 
     @property
     def makespan(self) -> float:
@@ -620,9 +634,6 @@ class _Simulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(b * self.slot_dt for b in self.busy)
-        events = () if self.trace is None else tuple(
-            sorted(self.trace, key=lambda e: (e.time, _RANK[e.kind], e.task))
-        )
         return SimReport(
             m=self.cfg.m,
             makespan=makespan,
@@ -637,7 +648,6 @@ class _Simulation:
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,
             empirical_speedup=empirical_speedup,
-            events=events,
         )
 
 
@@ -658,7 +668,7 @@ def _check_outcomes(g: TaskGraph, cfg: SimConfig) -> None:
             )
 
 
-def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimReport:
+def run(g: TaskGraph, cfg: SimConfig, *, events: Callable[[SimEvent], object] | None = None) -> SimReport:
     """Simulate a task graph and return its measurements.
 
     The graph must be acyclic; a duplicable task runs as its d instances.
@@ -667,12 +677,16 @@ def run(g: TaskGraph, cfg: SimConfig, *, record_events: bool = False) -> SimRepo
     that leaves float range, or an m or an instruction total too large for
     a float, raises ``DomainError`` naming the value; the instruction total
     is refused as the instance that makes it too large starts.
+
+    ``events``, if given, is called once per ``SimEvent`` of the trace, in
+    trace order, as the run leaves the event's slot; it changes no report.
+    A run that raises may have handed it some events first.
     """
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
     _check_outcomes(g, cfg)
-    sim = _Simulation(g, cfg, record_events)
+    sim = _Simulation(g, cfg, events)
     sim.execute()
     if sim.total_instructions == 0:
         raise DegenerateWorkloadError(
@@ -742,11 +756,6 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 def report_as_dict(report: SimReport) -> dict:
     """Plain-dict form of a report, for JSON output.
 
-    The per-core values stay the report's own tuples, one float per core
-    used; ``events`` is there when the report has a trace, as a list of one
-    dict per event.
+    The per-core values stay the report's own tuples, one float per core used.
     """
-    out = {f.name: getattr(report, f.name) for f in fields(SimReport) if f.name != "events"}
-    if report.events:
-        out["events"] = [event._asdict() for event in report.events]
-    return out
+    return {f.name: getattr(report, f.name) for f in fields(SimReport)}

@@ -156,6 +156,11 @@ def write_graph(tmp_path, doc, name="graph.json"):
     return str(path)
 
 
+def read_events(path):
+    """The events of a ``--events`` file, one JSON object per line."""
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
 class TestSweep:
     def test_default_emits_fifteen_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep")
@@ -523,7 +528,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "task, flags, warning",
         [
-            pytest.param({"kind": "singular"}, ["--emit-events"], "", id="traced"),
+            pytest.param({"kind": "singular"}, ["--events", os.devnull], "", id="traced"),
             pytest.param(
                 {"kind": "duplicable", "d": 2, "writes": ["x"]}, ["--m", "2", "--csv"],
                 "WARNING: CREW violation: write-write conflict on 'x' between 'a#0' and 'a#1'\n",
@@ -566,6 +571,23 @@ class TestSimulate:
         assert run_plural(["simulate", path, "--m", str(m), "--csv"], memory=2**28) == (
             0, per_value_csv(REPORT_CSV_HEADER, [row]), ""
         )
+
+    def test_json_at_a_huge_core_count_is_refused(self, tmp_path):
+        # The JSON report lists all m cores: at m = 2**40 that is more
+        # memory than a host has, so the report is refused as an input
+        # error, in a process capped at 256 MB, and points to --csv.
+        doc = {"tasks": [{"id": "w", "kind": "duplicable", "d": 4, "instructions": 20,
+                          "writes": ["o[#]"]}]}
+        path = write_graph(tmp_path, doc)
+        limit = cli.JSON_MAX_M
+        for m in (2**40, limit + 1):
+            assert run_plural(["simulate", path, "--m", str(m)], memory=2**28) == (
+                2, "", f"error: a JSON report lists each of the m cores, so m must be at most {limit}, "
+                f"got {m}; --csv takes any m\n"
+            )
+        code, out, _ = call_main(["simulate", path, "--m", str(limit)])
+        assert code == 0
+        assert len(json.loads(out)["utilization"]) == limit
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.json"), "--m", "2")
@@ -625,35 +647,46 @@ class TestSimulate:
         assert len(rows) == 1
         assert rows[0]["m"] == "4"
 
-    def test_csv_records_no_events(self, tmp_path, monkeypatch):
-        # A CSV row holds no events, so --emit-events changes nothing there.
+    def test_events_with_csv(self, tmp_path):
+        # The trace goes to its own file, so --events leaves the CSV row as
+        # it is and writes the same trace as with the JSON report.
         path = write_graph(tmp_path, WIDE_GRAPH)
-        argv = ["simulate", str(path), "--m", "16384", "--csv"]
-        recorded = []
-        real_run = sim.run
-
-        def spy(g, cfg, *, record_events=False):
-            recorded.append(record_events)
-            return real_run(g, cfg, record_events=record_events)
-
-        monkeypatch.setattr(sim, "run", spy)
-        assert call_main(argv + ["--emit-events"]) == call_main(argv)
-        assert recorded == [False, False]
+        argv = ["simulate", str(path), "--m", "16384"]
+        csv_trace, json_trace = tmp_path / "csv.jsonl", tmp_path / "json.jsonl"
+        assert call_main(argv + ["--csv", "--events", str(csv_trace)]) == call_main(argv + ["--csv"])
+        assert call_main(argv + ["--events", str(json_trace)]) == call_main(argv)
+        assert csv_trace.read_bytes() == json_trace.read_bytes()
+        assert len(read_events(csv_trace)) > 300
 
     def test_emit_events(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)
-        code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--emit-events")
-        doc = json.loads(out)
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(capsys, "simulate", path, "--m", "4", "--events", str(trace))
         assert code == 0
+        assert out == run_cli(capsys, "simulate", path, "--m", "4")[1]
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        events = read_events(trace)
+        assert lines[0] == json.dumps({"time": 0.0, "kind": "ready", "task": "work#0", "detail": ""})
         # Slot 0 makes all 64 instances ready, then starts 4 and queues 4.
-        assert [e["kind"] for e in doc["events"][:65]] == ["ready"] * 64 + ["start"]
-        assert list(doc["events"][0]) == ["time", "kind", "task", "detail"]
-        keys = [(e["time"], TRACE_KINDS.index(e["kind"]), e["task"]) for e in doc["events"]]
+        assert [e["kind"] for e in events[:65]] == ["ready"] * 64 + ["start"]
+        assert list(events[0]) == ["time", "kind", "task", "detail"]
+        keys = [(e["time"], TRACE_KINDS.index(e["kind"]), e["task"]) for e in events]
         assert keys == sorted(keys)
+        assert len(events) == 4 * 64 - 4 + 64 * 1000 // 5  # ready, start, complete; queue but the first 4; access
+
+    def test_unwritable_events_file_is_refused_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim, "run", forbidden)
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, out, err = run_cli(capsys, "simulate", path, "--events", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and str(tmp_path) in err
 
     @pytest.mark.parametrize(
         "flags, extra_keys",
-        [((), []), (("--emit-events",), ["events"]), (("--check-model",), ["model_check"])],
+        [((), []), (("--events", os.devnull), []), (("--check-model",), ["model_check"])],
         ids=["plain", "emit-events", "check-model"],
     )
     def test_json_report_key_order(self, capsys, tmp_path, flags, extra_keys):
@@ -693,13 +726,14 @@ class TestSimulate:
         doc = json.loads(json.dumps(WIDE_GRAPH))
         doc["tasks"][1]["writes"] = ["acc"]
         path = write_graph(tmp_path, doc)
-        code, out, _ = run_cli(capsys, "simulate", path, "--m", "16384", "--emit-events")
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(capsys, "simulate", path, "--m", "16384", "--events", str(trace))
         assert code == 0
-        doc = json.loads(out)
+        doc, events = json.loads(out), read_events(trace)
         instances = 1 + 300 + 1
         assert doc["mem_access_count"] == 40 // 5 + 300 * (200 // 5) + 50 // 5
-        assert doc["mem_conflict_stalls"] > 10 * len(doc["events"])
-        assert Counter(e["kind"] for e in doc["events"]) == {
+        assert doc["mem_conflict_stalls"] > 10 * len(events)
+        assert Counter(e["kind"] for e in events) == {
             "ready": instances,
             "start": instances,
             "complete": instances,
@@ -719,11 +753,13 @@ class TestSimulate:
             ],
             "edges": [],
         })
+        fresh_trace, trace = str(tmp_path / "fresh.jsonl"), str(tmp_path / "trace.jsonl")
         for stride in ("1", "3", "1", "7"):
-            argv = ["simulate", path, "--m", "3", "--stride", stride, "--emit-events"]
-            fresh = run_plural(argv)
+            argv = ["simulate", path, "--m", "3", "--stride", stride]
+            fresh = run_plural(argv + ["--events", fresh_trace])
             assert fresh[0] == 0, fresh[2]
-            assert call_main(argv) == fresh
+            assert call_main(argv + ["--events", trace]) == fresh
+            assert read_events(trace) == read_events(fresh_trace)
 
     def test_footprint_index_built_once(self, capsys, tmp_path, monkeypatch):
         # The CREW warnings and the run share one index, which expands no
@@ -758,7 +794,7 @@ class TestSimulate:
         # A module that imports the function by name must use the counted one too.
         monkeypatch.setattr(sim, "_instance_footprint", counting_footprint, raising=False)
         path = write_graph(tmp_path, DEMO_GRAPH)
-        for command in (("simulate", "--m", "4"), ("simulate", "--m", "4", "--emit-events"), ("validate",)):
+        for command in (("simulate", "--m", "4"), ("simulate", "--m", "4", "--events", os.devnull), ("validate",)):
             built.clear()
             successor_maps.clear()
             searches.clear()
@@ -768,7 +804,7 @@ class TestSimulate:
             assert built == [1]
             assert successor_maps == [1]
             assert searches == [1]
-            traced = "--emit-events" in command
+            traced = "--events" in command
             assert footprints == Counter(("work", k) for k in range(64 if traced else 0))
 
 
@@ -827,14 +863,14 @@ class TestDumpReport:
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.one_of(sim_cases(), contention_cases()), st.booleans(), st.booleans())
-    def test_simulated_reports(self, case, emit_events, check_model):
+    def test_simulated_reports(self, case, traced, check_model):
         g, cfg = case
         try:
-            report = sim.run(g, cfg, record_events=emit_events)
+            report = sim.run(g, cfg, events=[].append if traced else None)
         except (DegenerateWorkloadError, GraphStructureError):
             return
         doc = sim.report_as_dict(report)
-        assert ("events" in doc) == emit_events
+        assert list(doc) == REPORT_KEYS
         if check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
         assert cli._dump_report(doc) == json.dumps(padded(doc), indent=2)
@@ -915,29 +951,30 @@ class TestValidate:
         assert time.perf_counter() - start < 10
 
     def test_cycle_rejected_with_witness(self, capsys, tmp_path):
-        doc = {
-            "tasks": [
-                {"id": "a", "kind": "singular"},
-                {"id": "b", "kind": "singular"},
-            ],
-            "edges": [["a", "b"], ["b", "a"]],
-        }
-        path = write_graph(tmp_path, doc)
-        code, _, err = run_cli(capsys, "validate", path)
-        assert code == 2
-        assert "a -> b -> a" in err
+        # simulate and validate name one witness, of authored ids, whether
+        # or not the cycle runs through a duplicable.
+        for kind in ("singular", "duplicable"):
+            doc = {
+                "tasks": [
+                    {"id": "a", "kind": kind},
+                    {"id": "b", "kind": "singular"},
+                ],
+                "edges": [["a", "b"], ["b", "a"]],
+            }
+            path = write_graph(tmp_path, doc)
+            assert run_cli(capsys, "validate", path) == (2, "", "cycle: a -> b -> a\n")
+            assert run_cli(capsys, "simulate", path) == (2, "", "error: task graph contains a cycle: a -> b -> a\n")
 
     def test_cycle_through_wide_duplicables(self, capsys, tmp_path):
-        # Expanded, this graph has 2 * 10**10 edges; the witness must come
-        # from the authored graph.  simulate names instance ids, validate
-        # authored ones.
+        # Expanded, this graph has 2 * 10**10 edges; the witness comes from
+        # the authored graph.
         doc = {
             "tasks": [{"id": tid, "kind": "duplicable", "d": 100_000} for tid in ("a", "b")],
             "edges": [["a", "b"], ["b", "a"]],
         }
         path = write_graph(tmp_path, doc)
         assert run_cli(capsys, "simulate", path, "--m", "2") == (
-            2, "", "error: task graph contains a cycle: a#0 -> b#0 -> a#0\n"
+            2, "", "error: task graph contains a cycle: a -> b -> a\n"
         )
         assert run_cli(capsys, "validate", path) == (2, "", "cycle: a -> b -> a\n")
 
@@ -1095,9 +1132,10 @@ SIMULATE_FLAGS = st.lists(
         st.tuples(st.just("--outcome"), st.sampled_from(["a=b", "b=c", "a=a#0", "c=zz", "a", "=b"])),
         st.tuples(
             st.sampled_from(
-                ["--comm-costs", "--check-model", "--emit-events", "--csv"]
+                ["--comm-costs", "--check-model", "--csv"]
             )
         ),
+        st.tuples(st.just("--events"), st.just(os.devnull)),
         st.tuples(st.sampled_from(["--m", "--bogus", "1.5", "x"])),
     ),
     max_size=6,

@@ -23,6 +23,7 @@ from plural import (
     GraphStructureError,
     SimConfig,
     SimConfigError,
+    SimReport,
     Task,
     TaskGraph,
     TaskKind,
@@ -92,6 +93,12 @@ def slot_dt(cfg):
     return cfg.chip.cpi / (cfg.chip.area / cfg.m) ** cfg.chip.pollack_exponent
 
 
+def traced_run(g, cfg):
+    """A traced run's report and its events, in the order the sink got them."""
+    events = []
+    return run(g, cfg, events=events.append), events
+
+
 # The documented order of one slot's events in a trace, spelled out.
 TRACE_KINDS = ["complete", "control", "ready", "start", "queue", "access"]
 
@@ -102,11 +109,11 @@ def access_fields(event):
     return var, int(waited)
 
 
-def contended(report, cfg):
+def contended(events, cfg):
     """The (slot, variable) pairs with two or more contenders: an access
     granted in slot s after waiting w slots lost slots s - w to s - 1."""
     pairs = set()
-    for e in report.events:
+    for e in events:
         if e.kind == "access":
             var, waited = access_fields(e)
             grant = round(e.time / slot_dt(cfg))
@@ -186,8 +193,8 @@ class TestScheduling:
         # 4 equal tasks on one core: with depth 1 the queue event appears and
         # each task still costs exactly one init and one completion message.
         g = parallel_workload(4, 20)
-        report = run(g, SimConfig(chip=CHIP, m=1, prealloc_depth=1), record_events=True)
-        kinds = [e.kind for e in report.events]
+        report, events = traced_run(g, SimConfig(chip=CHIP, m=1, prealloc_depth=1))
+        kinds = [e.kind for e in events]
         assert "queue" in kinds
         assert report.sched_msg_count == 8
         assert report.makespan == 80 * slot_dt(SimConfig(chip=CHIP, m=1))
@@ -201,8 +208,8 @@ class TestScheduling:
 
     def test_fifo_ties_by_task_id(self):
         g = TaskGraph([singular("b", 10, writes={"x1"}), singular("a", 10, writes={"x2"})])
-        report = run(g, SimConfig(chip=CHIP, m=1), record_events=True)
-        starts = [e.task for e in report.events if e.kind == "start"]
+        _, events = traced_run(g, SimConfig(chip=CHIP, m=1))
+        starts = [e.task for e in events if e.kind == "start"]
         assert starts == ["a", "b"]
 
     def test_precedence_safety_from_event_log(self):
@@ -214,9 +221,9 @@ class TestScheduling:
             ],
             [("src", "work"), ("work", "sink")],
         )
-        report = run(g, SimConfig(chip=CHIP, m=2), record_events=True)
-        started = {e.task: e.time for e in report.events if e.kind == "start"}
-        completed = {e.task: e.time for e in report.events if e.kind == "complete"}
+        _, events = traced_run(g, SimConfig(chip=CHIP, m=2))
+        started = {e.task: e.time for e in events if e.kind == "start"}
+        completed = {e.task: e.time for e in events if e.kind == "complete"}
         # all duplicable instances precede the sink
         for k in range(3):
             assert started[f"work#{k}"] >= completed["src"]
@@ -228,9 +235,9 @@ class TestScheduling:
             [("work", "sink")],
         )
         cfg = SimConfig(chip=CHIP, m=2)
-        report = run(g, cfg, record_events=True)
-        started = {e.task: e.time for e in report.events if e.kind == "start"}
-        completed = {e.task: e.time for e in report.events if e.kind == "complete"}
+        _, events = traced_run(g, cfg)
+        started = {e.task: e.time for e in events if e.kind == "start"}
+        completed = {e.task: e.time for e in events if e.kind == "complete"}
         assert started["sink"] == max(completed[f"work#{k}"] for k in range(5))
 
 
@@ -241,10 +248,10 @@ class TestControlTasks:
             [("a", "c1"), ("c1", "c2"), ("c2", "b")],
         )
         cfg = SimConfig(chip=CHIP, m=1)
-        report = run(g, cfg, record_events=True)
+        report, events = traced_run(g, cfg)
         assert report.makespan == 20 * slot_dt(cfg)
         assert report.sched_msg_count == 4  # only a and b touch a core
-        control_events = [e for e in report.events if e.kind == "control"]
+        control_events = [e for e in events if e.kind == "control"]
         assert [e.task for e in control_events] == ["c1", "c2"]
 
     def test_conditional_executes_only_chosen_branch(self):
@@ -320,10 +327,10 @@ class TestControlTasks:
         g = TaskGraph([control("a", kind), singular("b", 10)], [("a", "b")])
         outcomes = {"a": "b"} if kind is ControlKind.CONDITIONAL else {}
         cfg = SimConfig(chip=CHIP, m=m, conditional_outcomes=outcomes)
-        report = run(g, cfg, record_events=True)
+        report, events = traced_run(g, cfg)
         assert report.total_instructions == 10
         assert report.sched_msg_count == 2
-        assert [e.task for e in report.events if e.kind == "start"] == ["b"]
+        assert [e.task for e in events if e.kind == "start"] == ["b"]
 
 
 class TestMemoryConflicts:
@@ -345,8 +352,8 @@ class TestMemoryConflicts:
 
     def test_serialization_safety(self):
         g = TaskGraph([duplicable("w", 4, 20, writes={"hot"})])
-        report = run(g, SimConfig(chip=CHIP, m=4, seed=9), record_events=True)
-        slots = [(e.time, access_fields(e)[0]) for e in report.events if e.kind == "access"]
+        _, events = traced_run(g, SimConfig(chip=CHIP, m=4, seed=9))
+        slots = [(e.time, access_fields(e)[0]) for e in events if e.kind == "access"]
         assert len(slots) == len(set(slots))
 
     def test_single_core_never_conflicts(self):
@@ -370,14 +377,14 @@ class TestMemoryConflicts:
         )
         # area 3 over 3 cores gives frequency 1, so one slot lasts 1.0
         cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
-        report = run(g, cfg, record_events=True)
-        assert [(e.time, e.task, e.detail) for e in report.events if e.kind == "access"] == [
+        report, events = traced_run(g, cfg)
+        assert [(e.time, e.task, e.detail) for e in events if e.kind == "access"] == [
             (0.0, "b", "var=x waited=0"),
             (0.0, "c", "var=w waited=0"),
             (1.0, "c", "var=x waited=0"),
             (2.0, "a", "var=x waited=2"),
         ]
-        assert contended(report, cfg) == {(0, "x"), (1, "x")}
+        assert contended(events, cfg) == {(0, "x"), (1, "x")}
         assert report.mem_conflict_stalls == 2
         assert report.makespan == 3.0
         assert report.per_core_busy_time == (3.0, 1.0, 2.0)
@@ -394,14 +401,14 @@ class TestMemoryConflicts:
             ]
         )
         cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=0)
-        report = run(g, cfg, record_events=True)
-        assert [(e.time, e.task, e.detail) for e in report.events if e.kind == "access"] == [
+        report, events = traced_run(g, cfg)
+        assert [(e.time, e.task, e.detail) for e in events if e.kind == "access"] == [
             (0.0, "a", "var=w waited=0"),
             (0.0, "c", "var=x waited=0"),
             (1.0, "b", "var=x waited=1"),
             (2.0, "a", "var=x waited=1"),
         ]
-        assert contended(report, cfg) == {(0, "x"), (1, "x")}
+        assert contended(events, cfg) == {(0, "x"), (1, "x")}
         assert report.mem_conflict_stalls == 2
 
     def test_heap_pushes_follow_grants_not_stalls(self, monkeypatch):
@@ -409,12 +416,12 @@ class TestMemoryConflicts:
         # instance start or a grant.
         g = TaskGraph([duplicable("r", 64, 20, writes={"x"})])
         cfg = SimConfig(chip=CHIP, m=64, seed=5)
-        traced = run(g, cfg, record_events=True)
-        contended_slots = contended(traced, cfg)
+        traced, events = traced_run(g, cfg)
+        contended_slots = contended(events, cfg)
         assert contended_slots
 
         def pushes(simulation_class):
-            sim = simulation_class(g, cfg, False)
+            sim = simulation_class(g, cfg, None)
             counts = Counter()
             real_push = heapq.heappush
 
@@ -464,8 +471,8 @@ class TestMemoryConflicts:
 
         monkeypatch.setattr(random.Random, "randrange", counting_randrange)
         monkeypatch.setattr(random.Random, "shuffle", forbidden)
-        traced = run(g, cfg, record_events=True)
-        contended_slots = contended(traced, cfg)
+        traced, events = traced_run(g, cfg)
+        contended_slots = contended(events, cfg)
         assert calls["randrange"] == len(contended_slots) > 0
         assert traced.mem_access_count > 2 * len(contended_slots)
         calls.clear()
@@ -487,8 +494,8 @@ class TestMemoryConflicts:
         g = TaskGraph([duplicable("r", 4, 5, writes={"x"})])
         wins = Counter()
         for seed in range(4000):
-            report = run(g, SimConfig(chip=CHIP, m=4, seed=seed), record_events=True)
-            wins[next(e.task for e in report.events if e.kind == "access")] += 1
+            _, events = traced_run(g, SimConfig(chip=CHIP, m=4, seed=seed))
+            wins[next(e.task for e in events if e.kind == "access")] += 1
         assert sorted(wins) == instance_ids(g.tasks["r"])
         assert all(850 <= n <= 1150 for n in wins.values()), wins
 
@@ -513,9 +520,9 @@ class TestMemoryConflicts:
 
         monkeypatch.setattr(sim_module._Simulation, "_arbitrate", forbidden)
         monkeypatch.setattr(random.Random, "randrange", forbidden)
-        report = run(g, SimConfig(chip=CHIP, m=64, seed=5), record_events=True)
+        report, events = traced_run(g, SimConfig(chip=CHIP, m=64, seed=5))
         assert report.mem_conflict_stalls == 0
-        reads = Counter(e.time for e in report.events if e.kind == "access" and e.detail.startswith("var=x "))
+        reads = Counter(e.time for e in events if e.kind == "access" and e.detail.startswith("var=x "))
         assert sorted(reads.values()) == [1] * (20 // 5) + [64] * (20 // 5 // 2)
 
     def test_reader_that_wins_takes_every_reader(self):
@@ -529,8 +536,8 @@ class TestMemoryConflicts:
         outcomes = set()
         for seed in range(12):
             cfg = SimConfig(chip=ChipSpec(area=3, work=1), m=3, mem_access_stride=1, seed=seed)
-            report = run(g, cfg, record_events=True)
-            waited = {e.task: access_fields(e)[1] for e in report.events if e.kind == "access"}
+            report, events = traced_run(g, cfg)
+            waited = {e.task: access_fields(e)[1] for e in events if e.kind == "access"}
             writer_won = random.Random(seed).randrange(3) == 2
             assert waited == ({"w": 0, "r1": 1, "r2": 1} if writer_won else {"r1": 0, "r2": 0, "w": 1})
             assert report.mem_conflict_stalls == (2 if writer_won else 1)
@@ -674,9 +681,11 @@ class OracleCore:
 class PerInstanceSimulation:
     """The engine before cohorts, kept as the oracle: one heap entry per
     instance milestone, one ready-heap entry per instance, and each
-    instance's targets from its own footprint, read from its task here."""
+    instance's targets from its own footprint, read from its task here.
+    It keeps its whole trace in a list and hands it, sorted, to the sink
+    when the run reports."""
 
-    def __init__(self, g, cfg, record_events):
+    def __init__(self, g, cfg, events):
         self.g = g
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
@@ -729,7 +738,8 @@ class PerInstanceSimulation:
         self.mem_conflict_stalls = 0
         self.last_boundary = 0
 
-        self.trace = [] if record_events else None
+        self.sink = events
+        self.trace = None if events is None else []
 
     # -- event helpers ------------------------------------------------------
 
@@ -772,12 +782,11 @@ class PerInstanceSimulation:
                         f"conditional control task {t!r} was reached but has no "
                         "configured outcome"
                     )
-                # The chosen task's instances go by number, not by id.
-                followers, order = [chosen], list
+                followers = [chosen]
             else:
-                followers, order = self.succs[t], sorted
+                followers = self.succs[t]
             if self.trace is not None:
-                forwards = ",".join(item[0] for item in order(self._instances(followers)))
+                forwards = ",".join(sorted(item[0] for item in self._instances(followers)))
                 self._event(slot, "control", t, f"forwards={forwards}")
             freed.extend(self._count_down(followers))
 
@@ -947,9 +956,8 @@ class PerInstanceSimulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
-        events = () if self.trace is None else tuple(
-            sorted(self.trace, key=lambda e: (e.time, sim_module._RANK[e.kind], e.task))
-        )
+        for event in sorted(self.trace or (), key=lambda e: (e.time, sim_module._RANK[e.kind], e.task)):
+            self.sink(event)
         return sim_module.SimReport(
             m=self.cfg.m,
             makespan=makespan,
@@ -964,7 +972,6 @@ class PerInstanceSimulation:
             mem_access_count=self.mem_access_count,
             mem_conflict_stalls=self.mem_conflict_stalls,
             empirical_speedup=empirical_speedup,
-            events=events,
         )
 
 
@@ -992,8 +999,8 @@ class PerStallSimulation(PerInstanceSimulation):
     started an instance.
     """
 
-    def __init__(self, g, cfg, record_events):
-        super().__init__(g, cfg, record_events)
+    def __init__(self, g, cfg, events):
+        super().__init__(g, cfg, events)
         self.contended = Everything()  # no access is granted by arithmetic
         self.cores = [OracleCore() for _ in range(self.cfg.m)]
         self.used = 0  # one past the highest core that started an instance
@@ -1078,13 +1085,18 @@ class PerStallSimulation(PerInstanceSimulation):
                 self._arbitrate(accesses, slot)
 
 
-def run_outcome(g, cfg, simulation_class, record_events=True):
-    """The report of one run on ``simulation_class``, or its error."""
+def run_outcome(g, cfg, simulation_class, traced=True):
+    """(report, events) of one run on ``simulation_class``, the events None
+    if untraced, or (error type, message) of its error."""
     with mock.patch.object(sim_module, "_Simulation", simulation_class):
         try:
-            return run(g, cfg, record_events=record_events)
+            return traced_run(g, cfg) if traced else (run(g, cfg), None)
         except (DegenerateWorkloadError, DomainError, GraphStructureError) as exc:
             return type(exc), str(exc)
+
+
+def succeeded(outcome):
+    return isinstance(outcome[0], SimReport)
 
 
 @st.composite
@@ -1160,13 +1172,13 @@ def cohort_cases(draw):
 
 
 def assert_matches_per_stall(g, cfg):
-    """The traced run equals the per-stall and per-instance engines' and
-    keeps the trace invariants."""
-    report = run_outcome(g, cfg, sim_module._Simulation)
-    assert report == run_outcome(g, cfg, PerStallSimulation)
-    assert report == run_outcome(g, cfg, PerInstanceSimulation)
-    if not isinstance(report, tuple):
-        assert_trace_invariants(g, cfg, report)
+    """The traced run equals the per-stall and per-instance engines', events
+    included, and keeps the trace invariants."""
+    outcome = run_outcome(g, cfg, sim_module._Simulation)
+    assert outcome == run_outcome(g, cfg, PerStallSimulation)
+    assert outcome == run_outcome(g, cfg, PerInstanceSimulation)
+    if succeeded(outcome):
+        assert_trace_invariants(g, cfg, *outcome)
 
 
 class TestPerStallReference:
@@ -1185,7 +1197,7 @@ class TestPerStallReference:
         assert_matches_per_stall(*case)
 
 
-def trace_calls(g, cfg, record_events):
+def trace_calls(g, cfg, traced):
     """A run's outcome and the (slot, kind) of each ``_trace`` call it made."""
     calls = []
     real_trace = sim_module._Simulation._trace
@@ -1195,7 +1207,7 @@ def trace_calls(g, cfg, record_events):
         return real_trace(self, slot, kind, ids, details)
 
     with mock.patch.object(sim_module._Simulation, "_trace", recording):
-        return run_outcome(g, cfg, sim_module._Simulation, record_events), calls
+        return run_outcome(g, cfg, sim_module._Simulation, traced), calls
 
 
 class TestUntracedRunsFormatNoDetail:
@@ -1206,14 +1218,14 @@ class TestUntracedRunsFormatNoDetail:
     @given(st.one_of(sim_cases(), contention_cases(), cohort_cases()))
     def test_details_stay_templates(self, case):
         g, cfg = case
-        untraced, calls = trace_calls(g, cfg, record_events=False)
+        untraced, calls = trace_calls(g, cfg, traced=False)
         assert calls == []
-        traced, traced_calls = trace_calls(g, cfg, record_events=True)
-        if isinstance(traced, tuple):
+        traced, traced_calls = trace_calls(g, cfg, traced=True)
+        if not succeeded(traced):
             assert untraced == traced
             return
-        assert untraced == replace(traced, events=())
-        assert {kind for _, kind in traced_calls} == {e.kind for e in traced.events}
+        assert untraced[0] == traced[0]
+        assert {kind for _, kind in traced_calls} == {e.kind for e in traced[1]}
         assert_matches_per_stall(g, cfg)
 
 
@@ -1268,14 +1280,14 @@ class TestUntracedMatchesTraced:
     @given(st.one_of(contention_cases(), sim_cases(), mixed_footprint_cases()))
     def test_reports_match(self, case):
         g, cfg = case
-        untraced = run_outcome(g, cfg, sim_module._Simulation, record_events=False)
+        untraced = run_outcome(g, cfg, sim_module._Simulation, traced=False)
         traced = run_outcome(g, cfg, sim_module._Simulation)
-        if isinstance(traced, tuple):
-            assert untraced == traced
+        if succeeded(traced):
+            assert untraced == (traced[0], None)
         else:
-            assert untraced == replace(traced, events=())
-        assert untraced == run_outcome(g, cfg, PerStallSimulation, record_events=False)
-        assert untraced == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
+            assert untraced == traced
+        assert untraced == run_outcome(g, cfg, PerStallSimulation, traced=False)
+        assert untraced == run_outcome(g, cfg, PerInstanceSimulation, traced=False)
 
 
 class TestCohortsMatchPerInstance:
@@ -1287,9 +1299,9 @@ class TestCohortsMatchPerInstance:
     @given(cohort_cases())
     def test_reports_match(self, case):
         g, cfg = case
-        for record_events in (True, False):
-            assert run_outcome(g, cfg, sim_module._Simulation, record_events) == run_outcome(
-                g, cfg, PerInstanceSimulation, record_events
+        for traced in (True, False):
+            assert run_outcome(g, cfg, sim_module._Simulation, traced) == run_outcome(
+                g, cfg, PerInstanceSimulation, traced
             )
 
 
@@ -1322,7 +1334,7 @@ class TestCohortCost:
             cfg = SimConfig(chip=CHIP, m=n, prealloc_depth=depth)
             _, pushed = TestPrivateAccesses.event_pushes(monkeypatch, g, cfg)
             assert len(pushed) == 3 + 2
-            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
+            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, traced=False)[0]
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_heap_pushes_follow_tasks_and_waves(self, monkeypatch, depth):
@@ -1334,8 +1346,60 @@ class TestCohortCost:
             pushes.append(len(pushed))
             assert len(pushed) <= len(g) * 4
             assert len(pushed) == 1 + 4 + 1  # the loader, one cohort per wave, the reduce
-            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, record_events=False)
+            assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, traced=False)[0]
         assert pushes[0] == pushes[1]
+
+
+class TestStreamedTrace:
+    """A run hands its events to the sink in trace order as it leaves their
+    slots; it holds no other copy of its trace, and the sink changes no report."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(sim_cases(), contention_cases(), cohort_cases(), mixed_footprint_cases()))
+    def test_streamed_events_match_the_oracle(self, case):
+        g, cfg = case
+        traced = run_outcome(g, cfg, sim_module._Simulation)
+        assert traced == run_outcome(g, cfg, PerInstanceSimulation)
+        untraced = run_outcome(g, cfg, sim_module._Simulation, traced=False)
+        assert untraced == ((traced[0], None) if succeeded(traced) else traced)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_pending_events_are_of_unfinished_slots(self, monkeypatch, depth):
+        # A CREW-clean fork-join of d = waves * m: the loader frees all d
+        # instances in one slot, and each wave starts as one cohort, which
+        # traces its m * 40 accesses ahead.  No event is made for a slot
+        # the run has flushed, and on entering a slot only accesses are
+        # held for later ones.  Past the d ready events of the freeing
+        # slot, the run never holds more than one wave's events (per core,
+        # an instance's accesses, start and complete, and up to two queue
+        # events), whatever the number of waves.
+        m, accesses = 8, 200 // 5
+        real_trace, real_flush = sim_module._Simulation._trace, sim_module._Simulation._flush
+        left, held = [0], []
+
+        def trace(sim, slot, kind, ids, details):
+            assert slot >= left[-1], "an event for a slot the run has left"
+            real_trace(sim, slot, kind, ids, details)
+            held.append(len(sim.pending))
+
+        def flush(sim, before):
+            assert all(rank == sim_module._RANK["access"] for slot, rank, _, _ in sim.pending if slot >= before)
+            real_flush(sim, before)
+            left.append(before)
+
+        monkeypatch.setattr(sim_module._Simulation, "_trace", trace)
+        monkeypatch.setattr(sim_module._Simulation, "_flush", flush)
+        peaks = []
+        for waves in (4, 8):
+            d = waves * m
+            g, cfg = fork_join(d), SimConfig(chip=CHIP, m=m, prealloc_depth=depth)
+            left[:], held[:] = [0], []
+            report, events = traced_run(g, cfg)
+            assert (report, events) == run_outcome(g, cfg, PerInstanceSimulation)
+            peaks.append(max(held) - d)
+            assert peaks[-1] <= m * (accesses + 4)
+            assert max(held) < len(events) / 3
+        assert peaks[0] == peaks[1]
 
 
 class TestPrivateAccesses:
@@ -1345,7 +1409,7 @@ class TestPrivateAccesses:
     @staticmethod
     def event_pushes(monkeypatch, g, cfg):
         """Run ``g`` untraced; return the simulation and its event-heap pushes."""
-        sim = sim_module._Simulation(g, cfg, False)
+        sim = sim_module._Simulation(g, cfg, None)
         pushed = []
         real_push = heapq.heappush
 
@@ -1385,7 +1449,7 @@ class TestPrivateAccesses:
         kinds = Counter(kind for _, kind, tid, _ in pushed if tid == "m")
         assert kinds == {sim_module._ACCESS: 5, sim_module._COMPLETE: 1}
         assert sim.mem_access_count == 10 + 7
-        traced = run(g, cfg, record_events=True)
+        traced, _ = traced_run(g, cfg)
         assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
 
     # "work#0" reads "x[0]", which "other" writes and does not follow,
@@ -1399,7 +1463,7 @@ class TestPrivateAccesses:
     ])
 
     def test_one_plan_per_private_positions(self):
-        sim = sim_module._Simulation(self.PLANS, SimConfig(chip=CHIP, m=2), False)
+        sim = sim_module._Simulation(self.PLANS, SimConfig(chip=CHIP, m=2), None)
         sim.execute()
         # Targets are sorted reads, then sorted writes: ("x[k]", "out[k]", "s").
         # "solo" can contend nowhere, so it runs as a cohort and needs no plan.
@@ -1418,21 +1482,21 @@ class TestPrivateAccesses:
             assert_matches_per_stall(self.PLANS, cfg)
 
 
-def expanded_outcome(g, cfg, record_events):
-    """The report of a run of ``expand_duplicables(g)``, or the error that
-    expanding or running raises."""
+def expanded_outcome(g, cfg, traced):
+    """``run_outcome`` of ``expand_duplicables(g)``, or the error that expanding raises."""
     try:
-        return run(expand_duplicables(g), cfg, record_events=record_events)
-    except (DegenerateWorkloadError, DomainError, GraphStructureError) as exc:
+        expanded = expand_duplicables(g)
+    except GraphStructureError as exc:
         return type(exc), str(exc)
+    return run_outcome(expanded, cfg, sim_module._Simulation, traced)
 
 
-def ready_order(report):
-    return [(e.kind, e.task) for e in report.events if e.kind in ("ready", "control")]
+def ready_order(events):
+    return [(e.kind, e.task) for e in events if e.kind in ("ready", "control")]
 
 
-def start_order(report):
-    return [e.task for e in report.events if e.kind == "start"]
+def start_order(events):
+    return [e.task for e in events if e.kind == "start"]
 
 
 class TestAuthoredMatchesExpanded:
@@ -1446,10 +1510,8 @@ class TestAuthoredMatchesExpanded:
         # The expanded graph has no task of a duplicable's id to forward to.
         if any(g.tasks[s].kind is TaskKind.DUPLICABLE for s in cfg.conditional_outcomes.values()):
             return
-        for record_events in (True, False):
-            assert run_outcome(g, cfg, sim_module._Simulation, record_events) == expanded_outcome(
-                g, cfg, record_events
-            )
+        for traced in (True, False):
+            assert run_outcome(g, cfg, sim_module._Simulation, traced) == expanded_outcome(g, cfg, traced)
 
     @pytest.mark.parametrize("with_root", [True, False])
     def test_ties_go_by_instance_id_string(self, with_root):
@@ -1461,12 +1523,12 @@ class TestAuthoredMatchesExpanded:
             edges = [("p", "w"), ("p", "w!"), ("p", "w#05")]
         g = TaskGraph(tasks, edges)
         cfg = SimConfig(chip=CHIP, m=4)
-        report = run(g, cfg, record_events=True)
+        report, events = traced_run(g, cfg)
         ids = sorted(["w!", "w#05"] + [f"w#{k}" for k in range(12)])
         assert ids[:4] == ["w!", "w#0", "w#05", "w#1"]
         # All 14 are ready in one slot and m = 4: dispatch goes by id.
-        assert start_order(report) == ["p"] * with_root + ids
-        assert report == expanded_outcome(g, cfg, record_events=True)
+        assert start_order(events) == ["p"] * with_root + ids
+        assert (report, events) == expanded_outcome(g, cfg, traced=True)
 
     def test_control_frees_what_the_walk_has_passed(self):
         # "x" frees "c" and "d"; the merge "c" resolves at once and frees "e"
@@ -1476,13 +1538,15 @@ class TestAuthoredMatchesExpanded:
             [("x", "c"), ("x", "d"), ("x", "e"), ("c", "e"), ("c", "f")],
         )
         cfg = SimConfig(chip=CHIP, m=2)
-        report = run(g, cfg, record_events=True)
-        freed = {e.time for e in report.events if e.task != "x" and e.kind in ("ready", "control")}
+        report, events = traced_run(g, cfg)
+        freed = {e.time for e in events if e.task != "x" and e.kind in ("ready", "control")}
         assert freed == {3 * slot_dt(cfg)}
-        assert start_order(report) == ["x", "d", "e", "f"]
-        assert report == expanded_outcome(g, cfg, record_events=True)
+        assert start_order(events) == ["x", "d", "e", "f"]
+        assert (report, events) == expanded_outcome(g, cfg, traced=True)
 
-    def test_conditional_forwards_to_duplicable_by_number(self):
+    def test_conditional_forwards_to_duplicable_by_id(self):
+        # Like every other control task, a conditional lists the instances
+        # it forwards to by id, not by number: "w#10" before "w#2".
         g = TaskGraph(
             [
                 singular("p", 3),
@@ -1493,17 +1557,14 @@ class TestAuthoredMatchesExpanded:
             [("p", "c"), ("c", "w"), ("c", "x")],
         )
         cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"c": "w"})
-        report = run(g, cfg, record_events=True)
-        numbered = [f"w#{k}" for k in range(12)]
-        assert ready_order(report) == [
-            ("ready", "p"), ("control", "c"), *(("ready", iid) for iid in sorted(numbered))
-        ]
-        assert [e.detail for e in report.events if e.kind == "control"] == [
-            "forwards=" + ",".join(numbered)
-        ]
-        assert start_order(report) == ["p"] + sorted(numbered)
+        report, events = traced_run(g, cfg)
+        ids = sorted(f"w#{k}" for k in range(12))
+        assert ids[2:5] == ["w#10", "w#11", "w#2"]
+        assert ready_order(events) == [("ready", "p"), ("control", "c"), *(("ready", iid) for iid in ids)]
+        assert [e.detail for e in events if e.kind == "control"] == ["forwards=" + ",".join(ids)]
+        assert start_order(events) == ["p"] + ids
         assert report.total_instructions == 3 + 12 * 4
-        assert run(g, cfg) == replace(report, events=())
+        assert run(g, cfg) == report
 
     def test_conditional_frees_what_the_walk_has_passed(self):
         # "p" frees the conditional "w#05", which resolves at once and frees
@@ -1518,13 +1579,13 @@ class TestAuthoredMatchesExpanded:
             [("p", "w"), ("p", "w#05"), ("w#05", "w"), ("w#05", "y")],
         )
         cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"w#05": "w"})
-        report = run(g, cfg, record_events=True)
+        _, events = traced_run(g, cfg)
         numbered = sorted(f"w#{k}" for k in range(12))
-        assert ready_order(report) == [
+        assert ready_order(events) == [
             ("ready", "p"), ("control", "w#05"), *(("ready", iid) for iid in numbered)
         ]
-        assert {e.time for e in report.events if e.kind == "control"} == {3 * slot_dt(cfg)}
-        assert start_order(report) == ["p"] + numbered
+        assert {e.time for e in events if e.kind == "control"} == {3 * slot_dt(cfg)}
+        assert start_order(events) == ["p"] + numbered
 
     def test_run_builds_no_expanded_graph(self, monkeypatch):
         def forbidden(g):
@@ -1534,8 +1595,8 @@ class TestAuthoredMatchesExpanded:
         monkeypatch.setattr(sim_module, "expand_duplicables", forbidden)
         d, sizes = 32, [150, 211, 263, 300]
         g = stage_chain(d, sizes)
-        for record_events in (False, True):
-            report = run(g, SimConfig(chip=CHIP, m=32, seed=7), record_events=record_events)
+        cfg = SimConfig(chip=CHIP, m=32, seed=7)
+        for report in (run(g, cfg), traced_run(g, cfg)[0]):
             assert report.total_instructions == d * sum(sizes)
 
 
@@ -1576,9 +1637,8 @@ def assert_crew_grants(tasks, events):
     assert all(writes == 0 or (writes, reads) == (1, 0) for reads, writes in per_slot.values())
 
 
-def assert_trace_invariants(g, cfg, report):
+def assert_trace_invariants(g, cfg, report, events):
     """Check the North-star invariants against the trace of a traced run."""
-    events = report.events
     executed = executed_tasks(g, cfg)
     tasks = {iid: task for task in g for iid in instance_ids(task)}
     # Each executed instance starts once and completes once; each
@@ -1624,10 +1684,10 @@ class TestTraceInvariants:
     def test_invariants(self, case):
         g, cfg = case
         try:
-            report = run(g, cfg, record_events=True)
+            report, events = traced_run(g, cfg)
         except (DegenerateWorkloadError, GraphStructureError):
             return
-        assert_trace_invariants(g, cfg, report)
+        assert_trace_invariants(g, cfg, report, events)
 
 
 def width(g):
@@ -1658,10 +1718,10 @@ class TestRoomHeapMatchesLinearScan:
             {("load", "w")},
         )
         cfg = SimConfig(chip=CHIP, m=m, prealloc_depth=depth)
-        report = run_outcome(g, cfg, sim_module._Simulation)
-        assert report == run_outcome(g, cfg, PerStallSimulation)
+        outcome = run_outcome(g, cfg, sim_module._Simulation)
+        assert outcome == run_outcome(g, cfg, PerStallSimulation)
         # Past the first m, every instance waits in a queue when there are any.
-        queued = sum(e.kind == "queue" for e in report.events)
+        queued = sum(e.kind == "queue" for e in outcome[1])
         assert queued == (7 * m if depth else 0)
 
 
@@ -1711,12 +1771,12 @@ class TestCrewRule:
             if check_crew(g):
                 return
             with mock.patch.object(sim_module._Simulation, "_arbitrate", forbidden):
-                report = run(g, cfg, record_events=True)
-                other = run(g, replace(cfg, seed=seed), record_events=True)
+                report, events = traced_run(g, cfg)
+                other = traced_run(g, replace(cfg, seed=seed))
         except (DegenerateWorkloadError, GraphStructureError):
             return
         assert report.mem_conflict_stalls == 0
-        assert other == report
+        assert other == (report, events)
 
     def test_writers_of_one_name_list_no_violation(self, monkeypatch):
         # d writers of "acc" make d * (d - 1) / 2 violations; the run finds
@@ -1939,15 +1999,15 @@ class TestRandomizedGraphs:
                 conditional_outcomes=outcomes,
             )
             try:
-                report = run(g, cfg, record_events=True)
+                report, events = traced_run(g, cfg)
             except DegenerateWorkloadError:
                 continue
             expanded = expand_duplicables(g)
 
             # every instance runs exactly once: at most one start and one
             # completion each, and everything started also completed
-            start_counts = Counter(e.task for e in report.events if e.kind == "start")
-            complete_counts = Counter(e.task for e in report.events if e.kind == "complete")
+            start_counts = Counter(e.task for e in events if e.kind == "start")
+            complete_counts = Counter(e.task for e in events if e.kind == "complete")
             assert max(start_counts.values(), default=0) <= 1
             assert max(complete_counts.values(), default=0) <= 1
             assert set(start_counts) == set(complete_counts)
@@ -1957,20 +2017,20 @@ class TestRandomizedGraphs:
                 expanded.tasks[t].instruction_count for t in completed
             )
             # precedence safety
-            started = {e.task: e.time for e in report.events if e.kind == "start"}
-            done = {e.task: e.time for e in report.events if e.kind == "complete"}
+            started = {e.task: e.time for e in events if e.kind == "start"}
+            done = {e.task: e.time for e in events if e.kind == "complete"}
             for pred, succ in expanded.edges:
                 if succ in started and pred in done:
                     assert started[succ] >= done[pred]
             # per variable per slot, one write grant or only read grants
-            assert_crew_grants({iid: task for task in g for iid in instance_ids(task)}, report.events)
+            assert_crew_grants({iid: task for task in g for iid in instance_ids(task)}, events)
             # bounded utilization, consistent ledger
             assert all(0.0 <= u <= 1.0 + 1e-12 for u in report.utilization)
             assert math.isclose(
                 report.avg_power * report.makespan, report.total_energy, rel_tol=1e-9
             )
             # determinism
-            assert run(g, cfg, record_events=True) == report
+            assert traced_run(g, cfg) == (report, events)
 
 
 class TestErrors:
@@ -2019,7 +2079,7 @@ class TestErrors:
 
     def test_a_task_starts_at_most_its_instances(self):
         # The guard behind "every instance runs exactly once".
-        sim = sim_module._Simulation(parallel_workload(2, 10), SimConfig(chip=CHIP, m=2), False)
+        sim = sim_module._Simulation(parallel_workload(2, 10), SimConfig(chip=CHIP, m=2), None)
         sim._start(["work", "work"], ["work#0", "work#1"], [0, 1], 0, from_queue=False)
         with pytest.raises(RuntimeError, match="started more than its 2 instances"):
             sim._start(["work"], ["work#1"], [1], 0, from_queue=False)
