@@ -142,10 +142,10 @@ def cmd_sweep(args, out) -> int:
         if with_comm:
             values += _comm_values(comm.comm_metrics(spec, m, metrics))
         lines.append(row % values)
-    out.write("".join(lines))
-    if args.plot_script:
+    if args.plot_script:  # written before any row, so a bad path leaves stdout empty
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(PLOT_SCRIPT.format(name=f"{args.command}.csv"))
+    out.write("".join(lines))
     return EXIT_OK
 
 
@@ -350,9 +350,10 @@ def build_parser() -> _Parser:
         metavar="TASK=SUCCESSOR",
         help="chosen successor of a conditional control task (repeatable)",
     )
-    p.add_argument("--check-model", action="store_true", help="append deviations from the closed-form model")
     p.add_argument("--events", metavar="FILE", help="write the event trace to FILE, one JSON object per line")
-    p.add_argument("--csv", action="store_true", help="emit the report as one CSV row")
+    report = p.add_mutually_exclusive_group()  # a CSV row has no place for the model check
+    report.add_argument("--check-model", action="store_true", help="append deviations from the closed-form model")
+    report.add_argument("--csv", action="store_true", help="emit the report as one CSV row")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="check a task-graph file (structure, DAG, CREW)")

@@ -11,8 +11,10 @@ Shared-memory access follows the PRAM CREW discipline: concurrent tasks may
 all read a variable, but a variable written by a task must not be touched by
 any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
-the simulator; two tasks are concurrent when neither precedes the other
-through the edge relation.
+the simulator.  Two tasks are concurrent when neither precedes the other
+through the edge relation: each task holds the tasks ordered with it as one
+bitset, so finding the names that may meet costs one big-int test per
+authored footprint entry.
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -179,10 +181,7 @@ class TaskGraph:
         # arbitrates.  A variable's search stops at its first concurrent
         # pair, so no violation is listed: d writers of one name cost O(1).
         fp = self._footprint
-        return frozenset(
-            var for var, entries in fp.touchers.items()
-            if len(entries) > 1 and next(_crew_pairs(fp, entries), None)
-        )
+        return frozenset(var for var, entries in fp.touchers.items() if next(_crew_pairs(fp, entries), None))
 
     def __iter__(self) -> Iterator[Task]:
         return iter(self._tasks.values())
@@ -264,18 +263,24 @@ def validate_dag(g: TaskGraph) -> list[str] | None:
     return None if g._search[1] is None else list(g._search[1])  # a copy: the search is cached
 
 
-def _descendant_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
-    """Each task's bit, its place in the DAG's topological order, and its
-    descendants as an int bitset of those bits: O(V + E) bitset unions."""
+def _ordered_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """Each task's bit, its place in the DAG's topological order, and the
+    tasks ordered with it (itself, its descendants and its ancestors) as an
+    int bitset of those bits, in O(V + E) unions: two tasks are concurrent
+    when neither's bit is in the other's set."""
     succ, order = g._successors, g._search[0]
     index = {tid: i for i, tid in enumerate(order)}
-    desc: dict[str, int] = {}
+    ordered: dict[str, int] = {}
     for tid in reversed(order):
-        bits = 0
+        bits = 1 << index[tid]
         for s in succ[tid]:
-            bits |= desc[s] | 1 << index[s]
-        desc[tid] = bits
-    return index, desc
+            bits |= ordered[s]
+        ordered[tid] = bits
+    for i, tid in enumerate(order):  # once the walk reaches a task, its ancestors are the bits below its own
+        above = ordered[tid] & ((2 << i) - 1)
+        for s in succ[tid]:
+            ordered[s] |= above
+    return index, ordered
 
 
 def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
@@ -285,23 +290,16 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     DAG; instances of a duplicable task are mutually concurrent once the
     graph has been expanded.
     """
-    cycle = validate_dag(g)
-    if cycle is not None:
-        raise CycleError(cycle)
-    index, desc = _descendant_bits(g)
+    if g._search[1] is not None:
+        raise CycleError(g._search[1])
+    index, ordered = _ordered_bits(g)
     ids = sorted(g._tasks)
-    return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if _concurrent(index, desc, a, b)}
-
-
-def _concurrent(index: dict[str, int], desc: dict[str, int], a: str, b: str) -> bool:
-    """Whether instances of authored tasks ``a`` and ``b`` can run at once:
-    they are instances of one duplicable, or neither task descends from the other."""
-    return a == b or not (desc[a] >> index[b] & 1 or desc[b] >> index[a] & 1)
+    return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not ordered[a] >> index[b] & 1}
 
 
 class _Footprint(NamedTuple):
     index: dict[str, int]  # authored id -> its bit, its place in a topological order
-    desc: dict[str, int]  # authored id -> descendants as an int bitset
+    ordered: dict[str, int]  # authored id -> itself, its descendants and its ancestors as an int bitset
     touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
 
 
@@ -313,7 +311,7 @@ _RUNS = re.compile(r"[0-9#]+")
 def _build_footprint(g: TaskGraph) -> _Footprint:
     """Index each concrete variable (after ``#`` substitution) of the names
     that ``_meeting_names`` keeps to the instances that touch it, next to the
-    authored graph's descendant bitsets: O(V + E).  A clean graph expands no
+    authored graph's ordered-with bitsets.  A clean graph expands no
     instance, whatever its d.
 
     Two instances of one duplicable are always concurrent, and instances of
@@ -327,9 +325,9 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     _check_instance_ids(g)
     if g._search[1] is not None:
         raise CycleError(g._search[1])
-    index, desc = _descendant_bits(g)
+    index, ordered = _ordered_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
-    for tid, names in _meeting_names(g, index, desc).items():
+    for tid, names in _meeting_names(g, index, ordered).items():
         task = g._tasks[tid]
         for k, iid in enumerate(_instance_ids(task)):
             reads, writes = _instance_footprint(task, k, names)
@@ -337,50 +335,54 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
                 touchers.setdefault(var, []).append((iid, tid, False))
             for var in writes:
                 touchers.setdefault(var, []).append((iid, tid, True))
-    return _Footprint(index, desc, touchers)
+    return _Footprint(index, ordered, touchers)
 
 
-def _meeting_names(g: TaskGraph, index: dict[str, int], desc: dict[str, int]) -> dict[str, set[str]]:
+def _meeting_names(g: TaskGraph, index: dict[str, int], ordered: dict[str, int]) -> dict[str, set[str]]:
     """Per task, its names that may give a variable that a concurrent
     instance also touches, one of the two writing: maybe too many, never too
     few.  A duplicable's ``#`` name is a pattern whose runs with ``#`` spell
-    any digits, and meets the names of its shape whose runs can equal its
-    own, not itself; literals meet by equal text, a duplicable's its own.
-    So a literal that one task of one instance alone touches can meet only
-    a pattern's spelling, which starts with the pattern's head."""
-    literals: dict[str, list[tuple[str, bool]]] = {}  # name -> (task, writes?)
-    shapes: dict[str, list[tuple[str, str, bool, list]]] = {}  # shape -> (task, name, writes?, runs)
+    any digits.  Each text is grouped once with the touchers of the names of
+    its shape that it may equal, sought only where they agree on the runs no
+    pattern of the shape spells freely ("s3[#]" never meets "s7[#]"), and a
+    toucher costs one big-int test against its ordered-with bitset."""
+    literals, patterns = {}, {}  # name -> [(task, writes?)]
     for tid, task in g._tasks.items():
+        texts = patterns if task.kind is TaskKind.DUPLICABLE else literals
         for name in task.read_set | task.write_set:
-            if task.kind is TaskKind.DUPLICABLE and INSTANCE_PLACEHOLDER in name:
-                runs = [None if "#" in run else run for run in _RUNS.findall(name)]  # None spells any digits
-                shapes.setdefault(_RUNS.sub("#", name), []).append((tid, name, name in task.write_set, runs))
-            else:
-                literals.setdefault(name, []).append((tid, name in task.write_set))
-    heads = tuple({shape.partition("#")[0] for shape in shapes})
+            texts.setdefault(name, []).append((tid, name in task.write_set))
+    for name in [name for name in patterns if "#" not in name]:  # a duplicable's literals
+        literals.setdefault(name, []).extend(patterns.pop(name))
+    runs = {name: [None if "#" in run else run for run in _RUNS.findall(name)] for name in patterns}  # None: any digits
+    free: dict[str, set[int]] = {}  # shape -> the runs that some pattern of it spells freely
+    for name, name_runs in runs.items():
+        free.setdefault(_RUNS.sub("#", name), set()).update(i for i, run in enumerate(name_runs) if run is None)
+    heads = tuple({shape.partition("#")[0] for shape in free})
+    runs.update((name, _RUNS.findall(name)) for name in literals if name.startswith(heads) and "#" not in name)
+    buckets: dict[tuple[str | None, ...], list[str]] = {}  # patterns first, as runs holds them
+    for name, name_runs in runs.items():
+        if (loose := free.get(shape := _RUNS.sub("#", name))) is not None:
+            buckets.setdefault((shape, *(run for i, run in enumerate(name_runs) if i not in loose)), []).append(name)
+    spelled, partners = {}, {}  # literal, pattern -> the touchers of the other names that it may equal
+    for bucket in buckets.values():
+        for i, a in enumerate(bucket):
+            for b in bucket[i + 1 :] if "#" in a else ():  # two literals never meet here
+                if all(x == y or x is None or y is None for x, y in zip(runs[a], runs[b])):
+                    partners.setdefault(a, []).extend(patterns[b] if "#" in b else literals[b])
+                    (partners if "#" in b else spelled).setdefault(b, []).extend(patterns[a])
     found: dict[str, set[str]] = {}
-
-    def meet(a: str, a_name: str, a_writes: bool, b: str, b_name: str, b_writes: bool) -> None:
-        if (a_writes or b_writes) and _concurrent(index, desc, a, b):
-            found.setdefault(a, set()).add(a_name)
-            found.setdefault(b, set()).add(b_name)
-
-    counts = {shape: len(spellings) for shape, spellings in shapes.items()}  # the patterns lead each list
-    for name, entries in literals.items():
-        if len(entries) == 1 and g._tasks[entries[0][0]].instances == 1 and not name.startswith(heads):
-            continue
-        for a, a_writes in entries:  # a pair needs a writer, so readers alone cost nothing
-            for b, b_writes in entries if a_writes else ():
-                if b != a or g._tasks[a].instances > 1:
-                    meet(a, name, a_writes, b, name, b_writes)
-        if name.startswith(heads) and (spellings := shapes.get(_RUNS.sub("#", name))) is not None:
-            spellings.extend((b, name, b_writes, _RUNS.findall(name)) for b, b_writes in entries)
-    for shape, spellings in shapes.items():
-        for i, (a, a_name, a_writes, a_runs) in enumerate(spellings[: counts[shape]]):
-            for b, b_name, b_writes, b_runs in spellings[i + 1 :]:
-                if all(x == y or x is None and "#" not in y or y is None and "#" not in x
-                       for x, y in zip(a_runs, b_runs)):
-                    meet(a, a_name, a_writes, b, b_name, b_writes)
+    for texts, crossing in (literals, spelled), (patterns, partners):
+        for name, entries in texts.items():
+            if len(entries) > 1 or name in crossing or (
+                    entries[0][1] and texts is literals and g._tasks[entries[0][0]].instances > 1):
+                cross = crossing.get(name, ())
+                crossers = {tid for tid, _ in cross}
+                touch = sum(1 << index[tid] for tid in crossers.union(tid for tid, _ in entries))  # distinct bits
+                write = sum(1 << index[tid] for tid in {tid for tid, writes in chain(entries, cross) if writes})
+                for a, a_writes in entries:  # another task, or another instance: of a written literal or a crossing
+                    if (touch if a_writes else write) & ~ordered[a] or g._tasks[a].instances > 1 and (
+                            a_writes and texts is literals or a in crossers):
+                        found.setdefault(a, set()).add(name)
     return found
 
 
@@ -390,11 +392,11 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     Violations are reported between expanded task instances, as if the check
     ran on ``expand_duplicables(g)``, so instances of a duplicable task that
     write a shared variable without instance-disjoint naming conflict with
-    each other.  A variable
-    written by both tasks of a pair is one write-write violation; written by
-    one and read by the other, a read-write violation.  Concurrent reads are
-    legal and never reported.  The list is sorted by task pair, with a
-    pair's write-write variables before its read-write ones, each ascending.
+    each other.  A variable written by both tasks of a pair is one
+    write-write violation; written by one and read by the other, a
+    read-write violation.  Concurrent reads are legal and never reported.
+    The list is sorted by task pair, with a pair's write-write variables
+    before its read-write ones, each ascending.
 
     The expanded graph is never built: reachability and footprints come
     from the authored graph (see ``_build_footprint``), and only pairs that
@@ -403,25 +405,22 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     """
     fp = g._footprint
     # (instance a, instance b, reads?, variable) with a < b: one sort gives the order.
-    found = sorted(
-        (min(w_id, t_id), max(w_id, t_id), not t_writes, var)
-        for var, entries in fp.touchers.items()
-        for w_id, t_id, t_writes in _crew_pairs(fp, entries)
-    )
+    found = sorted((a, b, not writes, var) for var, entries in fp.touchers.items()
+                   for a, b, writes in _crew_pairs(fp, entries))
     return [CrewViolation(a, b, var, READ_WRITE if reads else WRITE_WRITE) for a, b, reads, var in found]
 
 
 def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterator[tuple[str, str, bool]]:
     """Each concurrent (writer, toucher) pair of instances among one
-    variable's touchers, as (writer id, toucher id, toucher writes?): the
-    pairs that break the CREW rule.  A writer pair is yielded once, from its
-    smaller id.  Lazy, so a caller may stop at the first."""
-    index, desc = fp.index, fp.desc
+    variable's touchers, once, as (smaller id, larger id, toucher writes?):
+    the pairs that break the CREW rule.  Lazy, so a caller may stop at the first."""
+    index, ordered = fp.index, fp.ordered
     for w_id, w_task, w_writes in entries:
         if w_writes:
+            others = ordered[w_task] ^ 1 << index[w_task]  # ordered with the writer: its own other instances are not
             for t_id, t_task, t_writes in entries:
-                if t_id != w_id and not (t_writes and t_id < w_id) and _concurrent(index, desc, w_task, t_task):
-                    yield w_id, t_id, t_writes
+                if t_id != w_id and not (t_writes and t_id < w_id) and not others >> index[t_task] & 1:
+                    yield (w_id, t_id, t_writes) if w_id < t_id else (t_id, w_id, t_writes)
 
 
 def _instance_footprint(
@@ -450,8 +449,8 @@ def _instance_ids(task: Task) -> list[str]:
 def _check_instance_ids(g: TaskGraph) -> None:
     """Raise the ``GraphStructureError`` that building the expanded graph
     would raise: the first task id, ascending, that is also an instance id
-    of a duplicable task.  O(V), whatever the d."""
-    for tid in sorted(g._tasks):
+    of a duplicable task.  Only ids holding the separator are sorted."""
+    for tid in sorted(tid for tid in g._tasks if INSTANCE_SEP in tid):
         name, _, k = tid.rpartition(INSTANCE_SEP)
         dup = g._tasks.get(name)
         if dup and dup.kind is TaskKind.DUPLICABLE and g._tasks[tid].kind is not TaskKind.DUPLICABLE and (

@@ -265,6 +265,12 @@ class TestSweep:
         assert code == 0
         assert "logscale" in script.read_text()
 
+    def test_unwritable_plot_script_prints_no_row(self, capsys, tmp_path):
+        # The stub is written before the CSV, so a bad path leaves stdout empty.
+        code, out, err = run_cli(capsys, "sweep", "--m", "1:4:x2", "--plot-script", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and str(tmp_path) in err
+
     def test_every_column_matches_library_value(self, capsys):
         from plural import ChipSpec, sweep
 
@@ -657,6 +663,15 @@ class TestSimulate:
         assert call_main(argv + ["--events", str(json_trace)]) == call_main(argv)
         assert csv_trace.read_bytes() == json_trace.read_bytes()
         assert len(read_events(csv_trace)) > 300
+
+    @pytest.mark.parametrize("flags", [["--csv", "--check-model"], ["--check-model", "--csv"]])
+    def test_csv_refuses_check_model(self, capsys, tmp_path, flags):
+        # A CSV row has no column for the model check, so the pair is a usage error.
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        code, out, err = run_cli(capsys, "simulate", path, "--m", "4", *flags)
+        assert (code, out) == (1, "")
+        first, second = (flag.lstrip("-") for flag in flags)
+        assert err == f"error: argument --{second}: not allowed with argument --{first}\n"
 
     def test_emit_events(self, capsys, tmp_path):
         path = write_graph(tmp_path, DEMO_GRAPH)

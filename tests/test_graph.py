@@ -1,5 +1,7 @@
 """Tests for task graphs, DAG validation, concurrency, and CREW checking."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -431,22 +433,30 @@ class TestPrivateVariables:
 # Names whose runs of digits and "#" line up in many ways: "s#[1]" and
 # "s1[#]" meet at "s1[1]", "x#1" and "x1#" at "x11" (instances 1 and 1, or
 # 11 and 1), "v[#]" meets "v[0]" and "v[10]", and a literal with "#" meets
-# only itself.
-MEET_VARS = ["v[#]", "v[0]", "v[10]", "s#[1]", "s1[#]", "s0[#]", "s1[1]", "x#1", "x1#", "x11", "#", "1#", "11"]
+# only itself.  "s0[#]" to "s3[#]" share a shape but not its fixed run.
+MEET_VARS = ["v[#]", "v[0]", "v[10]", "s#[1]", "s1[#]", "s0[#]", "s1[1]", "x#1", "x1#", "x11", "#", "1#", "11",
+             "s2[#]", "s3[#]"]
+# Names a task may both read and write: an accumulator, and an in-place update.
+UPDATED_VARS = ["acc", "x[#]", "s2[#]"]
 
 
 @st.composite
 def meeting_graphs(draw):
-    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, min_size=1, max_size=4))
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, min_size=1, max_size=8))
     footprint = st.frozensets(st.sampled_from(MEET_VARS), max_size=3)
     tasks = []
     for tid in ids:
+        updated = draw(st.frozensets(st.sampled_from(UPDATED_VARS), max_size=2))
+        reads, writes = draw(footprint) | updated, draw(footprint) | updated
         if draw(st.booleans()):
-            tasks.append(duplicable(tid, draw(st.integers(1, 12)), draw(footprint), draw(footprint)))
+            tasks.append(duplicable(tid, draw(st.integers(1, 12)), reads, writes))
         else:
-            tasks.append(singular(tid, draw(footprint), draw(footprint)))
+            tasks.append(singular(tid, reads, writes))
     index = st.integers(0, len(ids) - 1)
-    return TaskGraph(tasks, {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=4)) if i < j})
+    edges = {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=6)) if i < j}
+    if draw(st.booleans()):
+        edges |= set(zip(ids, ids[1:]))  # a chain through every task
+    return TaskGraph(tasks, edges)
 
 
 # Ids that spell instance numbers of "w" or "v", or nearly: "w#05" and "w#+1"
@@ -487,6 +497,25 @@ class TestPerTaskFootprint:
         chain = [("load", "st0"), ("st0", "st1"), ("st1", "st2"), ("st2", "st3")]
         g = TaskGraph([singular("load", writes={"s0[#]"}), *stages], chain)
         assert check_crew(g) == [] and g._contended == frozenset()
+
+    def test_clean_pipelines_cost_no_square(self, monkeypatch):
+        # Each task's names are tested against its ordered-with bitset once,
+        # so N chained tasks that share a name cost no N * N pair tests.
+        def forbidden(*args):
+            raise AssertionError("an instance footprint was expanded")
+
+        monkeypatch.setattr(graph_module, "_instance_footprint", forbidden)
+        ids = [f"t{k:04d}" for k in range(5000)]
+        pipelines = {
+            "accumulator": [singular(tid, {"acc"}, {"acc"}) for tid in ids],
+            "stages": [duplicable(tid, 64, {f"s{k}[#]"}, {f"s{k + 1}[#]"}) for k, tid in enumerate(ids)],
+            "in-place": [duplicable(tid, 64, {"x[#]"}, {"x[#]"}) for tid in ids],
+        }
+        for name, tasks in pipelines.items():
+            g = TaskGraph(tasks, zip(ids, ids[1:]))
+            start = time.perf_counter()
+            assert check_crew(g) == [] and g._contended == frozenset(), name
+            assert time.perf_counter() - start < 2, name
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.sampled_from(CLASH_IDS), unique=True), st.data())
