@@ -153,33 +153,32 @@ def _state_dict(state: et2.Et2State) -> dict:
     return {**asdict(state), "power": state.power}
 
 
+_TRANSFORMS = {
+    "stretch": (et2.stretch_time, float),
+    "shrink": (et2.shrink_work, float),
+    "iso-time": (et2.iso_time_energy, float),
+    "iso-energy": (et2.iso_energy_time, float),
+    "parallel": (et2.parallelize, int),
+}
+_CONSTRAINTS = {"E0": "energy", "T0": "time", "P0": "power"}  # constrain's keyword for each
+
+
 def _apply_transform(state: et2.Et2State, spec: str):
     name, _, arg = spec.partition(":")
     if not arg:
         raise _UsageError(f"transform {spec!r} needs an argument, e.g. stretch:2")
     try:
-        if name == "stretch":
-            return et2.stretch_time(state, float(arg))
-        if name == "shrink":
-            return et2.shrink_work(state, float(arg))
-        if name == "iso-time":
-            return et2.iso_time_energy(state, float(arg))
-        if name == "iso-energy":
-            return et2.iso_energy_time(state, float(arg))
-        if name == "parallel":
-            return et2.parallelize(state, int(arg))
+        if name in _TRANSFORMS:
+            transform, parse = _TRANSFORMS[name]
+            return transform(state, parse(arg))
         if name == "constrain":
             kind, _, value_s = arg.partition("=")
             if not value_s:
                 raise _UsageError("constrain needs E0=, T0=, or P0=, e.g. constrain:P0=4")
             value = float(value_s)
-            if kind == "E0":
-                return et2.constrain(state, energy=value)
-            if kind == "T0":
-                return et2.constrain(state, time=value)
-            if kind == "P0":
-                return et2.constrain(state, power=value)
-            raise _UsageError(f"unknown constraint {kind!r} (use E0, T0, or P0)")
+            if kind not in _CONSTRAINTS:
+                raise _UsageError(f"unknown constraint {kind!r} (use E0, T0, or P0)")
+            return et2.constrain(state, **{_CONSTRAINTS[kind]: value})
     except ValueError as exc:
         if isinstance(exc, PluralError):
             raise

@@ -94,6 +94,12 @@ class Task:
                  write_set: Iterable[str] = frozenset()) -> None:
         if not isinstance(id, str) or not id:
             raise ValidationError(f"task id must be a non-empty string, got {id!r}")
+        if not isinstance(kind, TaskKind):
+            raise ValidationError(f"task {id!r}: kind must be a TaskKind, got {kind!r}")
+        if not (control_kind is None or isinstance(control_kind, ControlKind)):
+            raise ValidationError(f"task {id!r}: control_kind must be None or a ControlKind, got {control_kind!r}")
+        if not (entry_point is None or isinstance(entry_point, str)):
+            raise ValidationError(f"task {id!r}: entry_point must be None or a string, got {entry_point!r}")
         # One update of the instance dict sets every field of the frozen task,
         # where the generated __init__ would call object.__setattr__ per field.
         vars(self).update(
@@ -102,6 +108,14 @@ class Task:
             entry_point=id if entry_point is None and kind is not TaskKind.CONTROL else entry_point,
             instruction_count=instruction_count, read_set=frozenset(read_set), write_set=frozenset(write_set),
         )
+        for field, names, found in (("read_set", read_set, self.read_set), ("write_set", write_set, self.write_set)):
+            if not isinstance(names, str):  # a str would give its letters
+                for name in found:  # a loop costs less than all() on a task's few names
+                    if not isinstance(name, str):
+                        break
+                else:
+                    continue
+            raise ValidationError(f"task {id!r}: {field} must be a collection of strings, got {names!r}")
         if not _is_count(instruction_count, 0):
             raise ValidationError(
                 f"task {id!r}: instruction_count must be a nonnegative "
@@ -114,19 +128,17 @@ class Task:
                 raise ValidationError(f"task {id!r}: control tasks carry no entry point")
             if instruction_count != 0:
                 raise ValidationError(f"task {id!r}: control tasks execute no instructions")
-            if read_set or write_set:
+            if self.read_set or self.write_set:
                 raise ValidationError(f"task {id!r}: control tasks access no shared variables")
-            if instances != 1:
-                raise ValidationError(f"task {id!r}: control tasks are not duplicable")
         elif control_kind is not None:
             raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
-        elif kind is TaskKind.DUPLICABLE and not _is_count(instances, 1):
+        if kind is TaskKind.DUPLICABLE and not _is_count(instances, 1):
             raise ValidationError(
                 f"task {id!r}: duplicable instance count must be a "
                 f"positive integer, got {instances!r}"
             )
-        elif kind is not TaskKind.DUPLICABLE and instances != 1:
-            raise ValidationError(f"task {id!r}: only duplicable tasks have multiple instances")
+        if kind is not TaskKind.DUPLICABLE and (type(instances) is not int or instances != 1):
+            raise ValidationError(f"task {id!r}: a {kind.value} task has one instance, got instances={instances!r}")
 
 
 class TaskGraph:
@@ -267,8 +279,10 @@ def _ordered_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
     """Each task's bit, its place in the DAG's topological order, and the
     tasks ordered with it (itself, its descendants and its ancestors) as an
     int bitset of those bits, in O(V + E) unions: two tasks are concurrent
-    when neither's bit is in the other's set."""
-    succ, order = g._successors, g._search[0]
+    when neither's bit is in the other's set.  A cycle raises ``CycleError``."""
+    succ, (order, cycle) = g._successors, g._search
+    if cycle is not None:
+        raise CycleError(cycle)
     index = {tid: i for i, tid in enumerate(order)}
     ordered: dict[str, int] = {}
     for tid in reversed(order):
@@ -290,8 +304,6 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
     DAG; instances of a duplicable task are mutually concurrent once the
     graph has been expanded.
     """
-    if g._search[1] is not None:
-        raise CycleError(g._search[1])
     index, ordered = _ordered_bits(g)
     ids = sorted(g._tasks)
     return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not ordered[a] >> index[b] & 1}
@@ -323,8 +335,6 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     graph has a cycle.
     """
     _check_instance_ids(g)
-    if g._search[1] is not None:
-        raise CycleError(g._search[1])
     index, ordered = _ordered_bits(g)
     touchers: dict[str, list[tuple[str, str, bool]]] = {}
     for tid, names in _meeting_names(g, index, ordered).items():

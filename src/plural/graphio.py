@@ -55,13 +55,6 @@ def _member(members: dict, obj: dict, key: str, index: int):
         ) from None
 
 
-def _check_string_list(obj: dict, key: str, index: int) -> None:
-    """Raise unless ``obj[key]``, if given, is a list of strings."""
-    value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
-
-
 def _parse_task(obj: object, index: int) -> Task:
     if not isinstance(obj, dict):
         raise _format_error(f"tasks[{index}] must be an object, got {obj!r}")
@@ -75,8 +68,9 @@ def _parse_task(obj: object, index: int) -> Task:
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
     reads, writes = obj.get("reads", []), obj.get("writes", [])
     if not (isinstance(reads, list) and isinstance(writes, list) and all(map(isinstance, reads + writes, repeat(str)))):
-        for key in ("reads", "writes"):  # one raises, naming the first bad list
-            _check_string_list(obj, key, index)
+        for key, value in (("reads", reads), ("writes", writes)):  # one raises, naming the first bad list
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
     try:  # Task checks the rest, and makes frozensets of the names
         return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"), obj.get("instructions", 0),
                     reads, writes)

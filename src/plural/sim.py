@@ -61,7 +61,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import compress, groupby, repeat
-from operator import attrgetter, not_, truediv
+from operator import attrgetter, mul, not_, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import comm
@@ -205,6 +205,11 @@ def _skip_table(contended: tuple[bool, ...]) -> _Skip:
     return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
 
 
+def _accesses(task: Task, stride: int) -> int:
+    """One instance's shared-memory accesses: every ``stride``-th instruction, if the task has a footprint."""
+    return task.instruction_count // stride if task.read_set or task.write_set else 0
+
+
 def _targets(task: Task, iid: str) -> tuple[tuple[str, ...], int]:
     """An instance's access targets, sorted reads then sorted writes, and its number of reads."""
     reads, writes = _instance_footprint(task, iid.rpartition(INSTANCE_SEP)[2])
@@ -293,9 +298,6 @@ class _Simulation:
         self.writes: defaultdict[str, int] = defaultdict(int)
 
         self.total_instructions = 0
-        self.sched_msg_count = 0
-        self.mem_access_count = 0
-        self.mem_conflict_stalls = 0
         self.last_boundary = 0
 
         self.sink = events  # None when untraced
@@ -377,7 +379,6 @@ class _Simulation:
             for tid in tids:
                 total += self.g._tasks[tid].instruction_count
                 _check_finite("total_instructions", total)
-        self.sched_msg_count += 0 if from_queue else len(ids)  # task-init messages
         if self.sink is not None:
             self._trace(slot, "start", ids, map("core={}".format, cores))
         if from_queue and len(ids) > 1 and ids != sorted(ids):  # queues can hold their heads out of id order
@@ -385,7 +386,7 @@ class _Simulation:
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
         tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
-        tracing, end, accesses = self.sink is not None, 0, 0
+        tracing, end = self.sink is not None, 0
         for tid, run in groupby(tids):
             task, begin = tasks[tid], end
             end += len(list(run))
@@ -395,7 +396,7 @@ class _Simulation:
             n = task.instruction_count
             self.total_instructions += (end - begin) * n
             self.zero_waiting -= 0 if n else end - begin
-            n_access = n // self.stride if task.read_set or task.write_set else 0
+            n_access = _accesses(task, self.stride)
             if tid in alone:
                 for iid, core in zip(ids[begin:end], cores[begin:end]):
                     vars_, n_reads = _targets(task, iid)
@@ -405,8 +406,7 @@ class _Simulation:
                     skip = self.skips[mask] if n_access else None
                     self._push_next(_Instance([iid], [core], tid, n, slot, vars_, n_reads, n_access, skip))
                 continue
-            accesses += (end - begin) * n_access  # none can contend: each is granted as it arrives
-            for iid in ids[begin:end] if tracing and n_access else ():
+            for iid in ids[begin:end] if tracing and n_access else ():  # none contends: granted on arrival
                 vars_ = _targets(task, iid)[0]
                 for j in range(n_access):
                     detail = f"var={vars_[j % len(vars_)]} waited=0"
@@ -421,7 +421,6 @@ class _Simulation:
                 heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[begin], cohort))
                 if n:  # a cohort of no instruction ends in this slot, so it takes no later start
                     cohorts[n] = cohort
-        self.mem_access_count += accesses
 
     def _fill(self, cores: list[int], slot: int, queue: bool) -> list[int]:
         """Give each core, in order, the next ready instance while any is
@@ -443,7 +442,6 @@ class _Simulation:
             self.queued.update(zip(ids, tids))
             for core, iid in zip(given, ids):
                 self.queues[core].append(iid)
-            self.sched_msg_count += len(ids)  # task-init messages, pre-allocated
             if self.sink is not None:
                 self._trace(slot, "queue", ids, map("core={}".format, given))
         return cores[i:]
@@ -464,7 +462,6 @@ class _Simulation:
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls
                     self._trace(slot, "access", [inst.tid], [f"var={inst.vars[k % size]} waited=0"])
             granted = inst.granted = granted + jump
-            self.mem_access_count += jump
         if granted < inst.n_access:
             slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
             heapq.heappush(self.heap, (slot, _ACCESS, inst.tid, inst))
@@ -535,7 +532,6 @@ class _Simulation:
         busy, per_core = inst.n + inst.stalls, self.busy
         for core in cores:
             per_core[core] += busy
-        self.sched_msg_count += len(cores)  # task-completion messages
         self.last_boundary = max(self.last_boundary, slot)
         if self.sink is not None:
             self._trace(slot, "complete", ids[first:done], map("core={}".format, cores))
@@ -580,9 +576,7 @@ class _Simulation:
             for inst in granted:
                 stalls = slot - inst.since
                 inst.stalls += stalls
-                self.mem_conflict_stalls += stalls
                 inst.granted += 1
-                self.mem_access_count += 1
                 if self.sink is not None:
                     self._trace(slot, "access", [inst.tid], [f"var={var} waited={stalls}"])
                 self._push_next(inst)
@@ -626,12 +620,14 @@ class _Simulation:
     def report(self, empirical_speedup: float) -> SimReport:
         makespan = self.makespan
         compute_energy = self.total_instructions * self.instr_energy
-        if self.cfg.comm_costs_enabled:
-            sched_energy = self.sched_msg_count * self.msg_energy
-            mem_energy = self.mem_access_count * self.access_energy
-        else:
-            sched_energy = 0.0
-            mem_energy = 0.0
+        # A started instance sends an init and a completion message and makes its
+        # task's accesses; a core's busy slots are its instances' instructions and stalls.
+        started, tasks = self.started, self.g._tasks
+        messages = 2 * sum(started.values())
+        accesses = sum(map(mul, started.values(), map(_accesses, map(tasks.__getitem__, started), repeat(self.stride))))
+        stalls = sum(self.busy) - self.total_instructions
+        sched_energy = messages * self.msg_energy if self.cfg.comm_costs_enabled else 0.0
+        mem_energy = accesses * self.access_energy if self.cfg.comm_costs_enabled else 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(b * self.slot_dt for b in self.busy)
         return SimReport(
@@ -644,9 +640,9 @@ class _Simulation:
             avg_power=total_energy / makespan,
             per_core_busy_time=busy,
             utilization=tuple(map(truediv, busy, repeat(makespan))),
-            sched_msg_count=self.sched_msg_count,
-            mem_access_count=self.mem_access_count,
-            mem_conflict_stalls=self.mem_conflict_stalls,
+            sched_msg_count=messages,
+            mem_access_count=accesses,
+            mem_conflict_stalls=stalls,
             empirical_speedup=empirical_speedup,
         )
 

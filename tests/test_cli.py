@@ -408,11 +408,45 @@ class TestEt2Command:
         assert doc["after"]["time"] == pytest.approx(2.0, rel=1e-12)
         assert doc["after"]["energy"] == pytest.approx(8.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "transform, after",
+        [
+            # Work halved in the same time: energy and theta fall by 0.5**3.
+            ("iso-time:0.5", {"energy": 1.0, "time": 2.0, "theta": 4.0, "power": 0.5}),
+            # Work quartered for the same energy: time falls by 0.25**1.5.
+            ("iso-energy:0.25", {"energy": 8.0, "time": 0.25, "theta": 0.5, "power": 32.0}),
+        ],
+    )
+    def test_iso_transforms(self, capsys, transform, after):
+        code, out, err = run_cli(capsys, "et2", "--e", "8", "--t", "2", transform)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["transform"] == transform
+        assert doc["after"] == pytest.approx(after, rel=1e-12)
+
     @pytest.mark.parametrize("bad", ["warp:2", "stretch", "constrain:Q0=4", "constrain:P0=", "parallel:x"])
     def test_unknown_transform_is_usage_error(self, capsys, bad):
         code, _, err = run_cli(capsys, "et2", "--e", "1", "--t", "1", bad)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "transform, message",
+        [
+            ("warp:2", "unknown transform 'warp'"),
+            ("warp:", "transform 'warp:' needs an argument, e.g. stretch:2"),
+            ("constrain:Q0=4", "unknown constraint 'Q0' (use E0, T0, or P0)"),
+            ("constrain:=4", "unknown constraint '' (use E0, T0, or P0)"),
+            # The value is parsed before the constraint's name is looked up.
+            ("constrain:Q0=x", "bad transform argument in 'constrain:Q0=x': could not convert string to float: 'x'"),
+            ("constrain:P0", "constrain needs E0=, T0=, or P0=, e.g. constrain:P0=4"),
+            ("iso-time:x", "bad transform argument in 'iso-time:x': could not convert string to float: 'x'"),
+            ("parallel:1.5", "bad transform argument in 'parallel:1.5': invalid literal for int() with base 10: '1.5'"),
+        ],
+    )
+    def test_usage_error_messages(self, capsys, transform, message):
+        code, out, err = run_cli(capsys, "et2", "--e", "8", "--t", "2", transform)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "t, transform, message",

@@ -24,12 +24,14 @@ from hypothesis import strategies as st
 import plural
 from plural import (
     ChipSpec,
+    ControlKind,
     Et2State,
     PluralError,
     SimConfig,
     Task,
     TaskGraph,
     TaskKind,
+    ValidationError,
     comm_metrics,
     constrain,
     ensemble_metrics,
@@ -148,4 +150,33 @@ def test_returns_finite_values_or_raises_plural_error(name, value):
         return
     assert not isinstance(value, (bool, str)), f"{name} accepted {value!r}"
     assert _finite(result), f"{name}({value!r}) returned {result!r}"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "bogus"}, "kind must be a TaskKind, got 'bogus'"),
+        ({"kind": "singular"}, "kind must be a TaskKind, got 'singular'"),
+        ({"kind": TaskKind.CONTROL, "control_kind": "merge"}, "control_kind must be None or a ControlKind, got 'merge'"),
+        ({"kind": TaskKind.CONTROL, "control_kind": TaskKind.CONTROL},
+         "control_kind must be None or a ControlKind, got <TaskKind.CONTROL: 'control'>"),
+        ({"read_set": "acc"}, "read_set must be a collection of strings, got 'acc'"),
+        ({"write_set": "acc"}, "write_set must be a collection of strings, got 'acc'"),
+        ({"read_set": [1, 2]}, "read_set must be a collection of strings, got [1, 2]"),
+        ({"write_set": ["o", None]}, "write_set must be a collection of strings, got ['o', None]"),
+        ({"entry_point": 5}, "entry_point must be None or a string, got 5"),
+        ({"entry_point": ["x"]}, "entry_point must be None or a string, got ['x']"),
+        ({"instances": True}, "a singular task has one instance, got instances=True"),
+        ({"instances": 1.0}, "a singular task has one instance, got instances=1.0"),
+        ({"kind": TaskKind.CONTROL, "control_kind": ControlKind.MERGE, "instances": True},
+         "a control task has one instance, got instances=True"),
+    ],
+)
+def test_task_checks_every_field_it_stores(fields, message):
+    # Each of these was stored as given: a bogus kind ran as singular, a str
+    # footprint became its letters, and a name that is not a str broke
+    # check_crew later.
+    with pytest.raises(ValidationError) as info:
+        Task(id="a", **fields)
+    assert str(info.value) == f"task 'a': {message}"
 

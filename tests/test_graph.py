@@ -148,6 +148,29 @@ class TestTask:
         with pytest.raises(ValidationError):
             Task(id="a", instruction_count=-1)
 
+    def test_control_task_footprint_is_checked_as_stored(self):
+        # An empty iterator is truthy, but the footprint it gives is empty.
+        t = Task(id="c", kind=TaskKind.CONTROL, control_kind=ControlKind.MERGE, read_set=iter(()), write_set=iter(()))
+        assert t.read_set == t.write_set == frozenset()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"id": ""}, "task id must be a non-empty string, got ''"),
+            ({"kind": TaskKind.CONTROL, "control_kind": ControlKind.MERGE, "entry_point": "x"},
+             "task 'c': control tasks carry no entry point"),
+            ({"kind": TaskKind.CONTROL, "control_kind": ControlKind.MERGE, "instances": 2},
+             "task 'c': a control task has one instance, got instances=2"),
+            ({"control_kind": ControlKind.MERGE}, "task 'c': control_kind is only valid on control tasks"),
+            ({"instances": 2}, "task 'c': a singular task has one instance, got instances=2"),
+        ],
+        ids=["empty-id", "control-entry-point", "control-duplicable", "control-kind-on-singular", "singular-d"],
+    )
+    def test_refusal_messages(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            Task(**{"id": "c", **fields})
+        assert str(info.value) == message
+
 
 class TestTaskGraph:
     def test_duplicate_ids_rejected(self):

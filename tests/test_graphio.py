@@ -199,11 +199,18 @@ def validate_file(tmp_path, doc):
         ({"tasks": [A], "edges": ["ab"]}, f"edges[0] {PAIR} 'ab'"),
         ({"tasks": [A], "edges": [["a"]]}, f"edges[0] {PAIR} ['a']"),
         ({"tasks": [A], "edges": [["a", "a"], ["a", 1]]}, f"edges[1] {PAIR} ['a', 1]"),
+        ({"tasks": [{**A, "entry": 5}]}, "tasks[0] ('a'): task 'a': entry_point must be None or a string, got 5"),
+        ({"tasks": [{**A, "entry": ["x"]}]},
+         "tasks[0] ('a'): task 'a': entry_point must be None or a string, got ['x']"),
+        ({"tasks": [A, 5]}, "tasks[1] must be an object, got 5"),
+        ({"tasks": {"a": A}}, "'tasks' must be a list"),
+        ({"tasks": [A], "edges": {"a": "a"}}, "'edges' must be a list"),
     ],
     ids=[
         "kind-string", "kind-number", "kind-list", "kind-dict", "control-kind",
         "control-kind-list", "d-on-singular", "reads-not-list", "writes-non-string",
         "task-validation", "edge-string", "edge-short", "edge-non-string",
+        "entry-number", "entry-list", "task-not-object", "tasks-not-list", "edges-not-list",
     ],
 )
 def test_malformed_document_messages(tmp_path, doc, message):

@@ -437,7 +437,7 @@ class TestMemoryConflicts:
             with monkeypatch.context() as patch:
                 patch.setattr(heapq, "heappush", counting_push)
                 sim.execute()
-            assert sim.mem_conflict_stalls == traced.mem_conflict_stalls
+            assert sim.report(1.0).mem_conflict_stalls == traced.mem_conflict_stalls
             return counts
 
         instances, grants = 64, traced.mem_access_count
@@ -1436,8 +1436,9 @@ class TestPrivateAccesses:
         # One completion per stage: a stage's d instances start in one slot
         # and end in one slot, a cohort.
         assert [(kind, tid) for _, kind, tid, _ in pushed] == [(sim_module._COMPLETE, f"st{k}#0") for k in range(4)]
-        assert sim.mem_access_count == d * sum(n // 5 for n in sizes)
-        assert sim.mem_conflict_stalls == 0
+        report = sim.report(1.0)
+        assert report.mem_access_count == d * sum(n // 5 for n in sizes)
+        assert report.mem_conflict_stalls == 0
 
     def test_mixed_instance_pushes_its_shared_accesses(self, monkeypatch):
         # "m" alternates uncontended "p" and contended "x", which "c" writes.
@@ -1448,9 +1449,10 @@ class TestPrivateAccesses:
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
         kinds = Counter(kind for _, kind, tid, _ in pushed if tid == "m")
         assert kinds == {sim_module._ACCESS: 5, sim_module._COMPLETE: 1}
-        assert sim.mem_access_count == 10 + 7
+        report = sim.report(1.0)
+        assert report.mem_access_count == 10 + 7
         traced, _ = traced_run(g, cfg)
-        assert sim.mem_conflict_stalls == traced.mem_conflict_stalls > 0
+        assert report.mem_conflict_stalls == traced.mem_conflict_stalls > 0
 
     # "work#0" reads "x[0]", which "other" writes and does not follow,
     # while "x[1]" to "x[3]" are uncontended; every instance writes "s".
