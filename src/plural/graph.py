@@ -13,8 +13,8 @@ any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
 the simulator.  Two tasks are concurrent when neither precedes the other
 through the edge relation: each task holds the tasks ordered with it as one
-bitset, so finding the names that may meet costs one big-int test per
-authored footprint entry.
+bitset: the names that may meet cost one big-int test per authored
+footprint entry, and a variable's violations O(touchers + violations).
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -98,16 +98,16 @@ class Task:
             raise ValidationError(f"task {id!r}: kind must be a TaskKind, got {kind!r}")
         if not (control_kind is None or isinstance(control_kind, ControlKind)):
             raise ValidationError(f"task {id!r}: control_kind must be None or a ControlKind, got {control_kind!r}")
-        if not (entry_point is None or isinstance(entry_point, str)):
-            raise ValidationError(f"task {id!r}: entry_point must be None or a string, got {entry_point!r}")
-        # One update of the instance dict sets every field of the frozen task,
-        # where the generated __init__ would call object.__setattr__ per field.
-        vars(self).update(
-            id=id, kind=kind, instances=instances, control_kind=control_kind,
-            # The entry point is an opaque code label; it defaults to the id.
-            entry_point=id if entry_point is None and kind is not TaskKind.CONTROL else entry_point,
-            instruction_count=instruction_count, read_set=frozenset(read_set), write_set=frozenset(write_set),
-        )
+        if not (entry_point is None or isinstance(entry_point, str) and entry_point):
+            empty = "non-empty " if entry_point == "" else ""
+            raise ValidationError(f"task {id!r}: entry_point must be None or a {empty}string, got {entry_point!r}")
+        # Set as items of the instance dict: the generated __init__ calls object.__setattr__ per field.
+        fields = vars(self)
+        fields["id"], fields["kind"], fields["instances"], fields["control_kind"] = id, kind, instances, control_kind
+        # The entry point is an opaque code label; it defaults to the id.
+        fields["entry_point"] = id if entry_point is None and kind is not _CONTROL else entry_point
+        fields["instruction_count"], fields["read_set"], fields["write_set"] = (
+            instruction_count, frozenset(read_set), frozenset(write_set))
         for field, names, found in (("read_set", read_set, self.read_set), ("write_set", write_set, self.write_set)):
             if not isinstance(names, str):  # a str would give its letters
                 for name in found:  # a loop costs less than all() on a task's few names
@@ -116,12 +116,12 @@ class Task:
                 else:
                     continue
             raise ValidationError(f"task {id!r}: {field} must be a collection of strings, got {names!r}")
-        if not _is_count(instruction_count, 0):
+        if not (type(instruction_count) is int and instruction_count >= 0 or _is_count(instruction_count, 0)):
             raise ValidationError(
                 f"task {id!r}: instruction_count must be a nonnegative "
                 f"integer, got {instruction_count!r}"
             )
-        if kind is TaskKind.CONTROL:
+        if kind is _CONTROL:
             if control_kind is None:
                 raise ValidationError(f"task {id!r}: control tasks need a control_kind")
             if entry_point is not None:
@@ -132,21 +132,21 @@ class Task:
                 raise ValidationError(f"task {id!r}: control tasks access no shared variables")
         elif control_kind is not None:
             raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
-        if kind is TaskKind.DUPLICABLE and not _is_count(instances, 1):
+        if kind is _DUPLICABLE and not _is_count(instances, 1):
             raise ValidationError(
                 f"task {id!r}: duplicable instance count must be a "
                 f"positive integer, got {instances!r}"
             )
-        if kind is not TaskKind.DUPLICABLE and (type(instances) is not int or instances != 1):
+        if kind is not _DUPLICABLE and (type(instances) is not int or instances != 1):
             raise ValidationError(f"task {id!r}: a {kind.value} task has one instance, got instances={instances!r}")
 
 
 class TaskGraph:
     """An immutable precedence graph over tasks.
 
-    Edges are (predecessor id, successor id) pairs; every endpoint must name
-    a task in the graph.  Acyclicity is checked by ``validate_dag``, not
-    assumed at construction.
+    Edges are (predecessor id, successor id) tuples or lists of two strings
+    naming tasks in the graph, checked as given, never coerced.  Acyclicity
+    is checked by ``validate_dag``, not assumed at construction.
     """
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[tuple[str, str]] = ()):
@@ -155,7 +155,11 @@ class TaskGraph:
             if task.id in task_map:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
-        edge_set = frozenset((str(p), str(s)) for p, s in edges)
+        edges = list(edges)  # checked, not coerced: every edge at once, and a walk only to name the first bad one
+        if {*map(type, edges)} - {tuple, list} or {*map(len, edges)} - {2} or {*map(type, chain(*edges))} - {str}:
+            bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or {*map(type, e)} - {str})
+            raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
+        edge_set = frozenset(map(tuple, edges))
         if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
             pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
@@ -210,7 +214,7 @@ class TaskGraph:
         return f"TaskGraph({len(self._tasks)} tasks, {len(self._edges)} edges)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrewViolation:
     """A shared variable accessed against the CREW rule by two concurrent tasks."""
 
@@ -218,6 +222,9 @@ class CrewViolation:
     task_b: str
     variable: str
     kind: str  # WRITE_WRITE or READ_WRITE
+
+    def __init__(self, task_a: str, task_b: str, variable: str, kind: str) -> None:
+        vars(self).update(task_a=task_a, task_b=task_b, variable=variable, kind=kind)  # as Task's, in one step
 
     def __str__(self) -> str:
         return (
@@ -251,18 +258,18 @@ def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] 
         stack = [(root, iter(succ[root]))]
         while stack:
             node, neighbors = stack[-1]
-            nxt = next(neighbors, None)
-            if nxt is None:
+            for nxt in neighbors:  # up to the first successor not yet seen
+                if color[nxt] == GRAY:
+                    path = [tid for tid, _ in stack]
+                    return None, path[path.index(nxt) :] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
                 color[node] = BLACK
                 postorder.append(node)
                 stack.pop()
-                continue
-            if color[nxt] == GRAY:
-                path = [tid for tid, _ in stack]
-                return None, path[path.index(nxt) :] + [nxt]
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, iter(succ[nxt])))
     return postorder[::-1], None
 
 
@@ -318,6 +325,7 @@ class _Footprint(NamedTuple):
 # A run of digits and placeholders.  A substituted number keeps each run in
 # place, so names can meet only if their text outside the runs is the same.
 _RUNS = re.compile(r"[0-9#]+")
+_DUPLICABLE, _CONTROL = TaskKind.DUPLICABLE, TaskKind.CONTROL  # per-task reads: an enum's class attribute is slow
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -358,9 +366,9 @@ def _meeting_names(g: TaskGraph, index: dict[str, int], ordered: dict[str, int])
     toucher costs one big-int test against its ordered-with bitset."""
     literals, patterns = {}, {}  # name -> [(task, writes?)]
     for tid, task in g._tasks.items():
-        texts = patterns if task.kind is TaskKind.DUPLICABLE else literals
-        for name in task.read_set | task.write_set:
-            texts.setdefault(name, []).append((tid, name in task.write_set))
+        texts, writes = patterns if task.kind is _DUPLICABLE else literals, task.write_set
+        for name in task.read_set | writes:
+            texts.setdefault(name, []).append((tid, name in writes))
     for name in [name for name in patterns if "#" not in name]:  # a duplicable's literals
         literals.setdefault(name, []).extend(patterns.pop(name))
     runs = {name: [None if "#" in run else run for run in _RUNS.findall(name)] for name in patterns}  # None: any digits
@@ -423,13 +431,21 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
 def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterator[tuple[str, str, bool]]:
     """Each concurrent (writer, toucher) pair of instances among one
     variable's touchers, once, as (smaller id, larger id, toucher writes?):
-    the pairs that break the CREW rule.  Lazy, so a caller may stop at the first."""
+    the pairs that break the CREW rule, in O(touchers + pairs): a writer meets
+    its task's other instances and concurrent tasks' touchers only.  Lazy."""
     index, ordered = fp.index, fp.ordered
+    by_task: dict[int, list[tuple[str, str, bool]]] = {}  # a toucher task's bit -> its touchers
+    for entry in entries:
+        by_task.setdefault(index[entry[1]], []).append(entry)
+    touch = sum(map((1).__lshift__, by_task))
     for w_id, w_task, w_writes in entries:
         if w_writes:
-            others = ordered[w_task] ^ 1 << index[w_task]  # ordered with the writer: its own other instances are not
-            for t_id, t_task, t_writes in entries:
-                if t_id != w_id and not (t_writes and t_id < w_id) and not others >> index[t_task] & 1:
+            partners, concurrent = [*by_task[index[w_task]]], touch & ~ordered[w_task]
+            while concurrent:  # each set bit, the lowest first
+                partners += by_task[(low := concurrent & -concurrent).bit_length() - 1]
+                concurrent ^= low
+            for t_id, _, t_writes in partners:
+                if t_id != w_id and not (t_writes and t_id < w_id):
                     yield (w_id, t_id, t_writes) if w_id < t_id else (t_id, w_id, t_writes)
 
 
@@ -440,7 +456,7 @@ def _instance_footprint(
     reads, writes = task.read_set, task.write_set
     if names is not None:
         reads, writes = reads & names, writes & names
-    if task.kind is not TaskKind.DUPLICABLE:
+    if task.kind is not _DUPLICABLE:
         return reads, writes
     k = str(number)
     return (
@@ -451,7 +467,7 @@ def _instance_footprint(
 
 def _instance_ids(task: Task) -> list[str]:
     """The task's ids in the expanded graph, by instance number."""
-    if task.kind is not TaskKind.DUPLICABLE:
+    if task.kind is not _DUPLICABLE:
         return [task.id]
     return [f"{task.id}{INSTANCE_SEP}{k}" for k in range(task.instances)]
 

@@ -22,10 +22,10 @@ control tasks, ``entry`` defaults to the task id, ``instructions`` to 0, and
 from __future__ import annotations
 
 import json
-from itertools import chain, count, repeat
+from itertools import count
 from pathlib import Path
 
-from .errors import GraphFormatError, PluralError
+from .errors import GraphFormatError, GraphStructureError, PluralError
 from .graph import ControlKind, Task, TaskGraph, TaskKind
 
 __all__ = ["loads", "load", "dumps", "dump"]
@@ -58,7 +58,7 @@ def _member(members: dict, obj: dict, key: str, index: int):
 def _parse_task(obj: object, index: int) -> Task:
     if not isinstance(obj, dict):
         raise _format_error(f"tasks[{index}] must be an object, got {obj!r}")
-    if not obj.keys() <= _TASK_KEYS:
+    if not _TASK_KEYS.issuperset(obj):
         raise _format_error(f"tasks[{index}] has unknown key(s) {sorted(obj.keys() - _TASK_KEYS)!r}")
     if "id" not in obj or "kind" not in obj:
         raise _format_error(f"tasks[{index}] needs both 'id' and 'kind'")
@@ -67,15 +67,16 @@ def _parse_task(obj: object, index: int) -> Task:
         raise _format_error(f"{_where(obj, index)}: 'd' is only valid on duplicable tasks")
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
     reads, writes = obj.get("reads", []), obj.get("writes", [])
-    if not (isinstance(reads, list) and isinstance(writes, list) and all(map(isinstance, reads + writes, repeat(str)))):
-        for key, value in (("reads", reads), ("writes", writes)):  # one raises, naming the first bad list
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
-    try:  # Task checks the rest, and makes frozensets of the names
-        return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"), obj.get("instructions", 0),
-                    reads, writes)
-    except PluralError as exc:
-        raise _format_error(f"{_where(obj, index)}: {exc}") from None
+    try:  # Task checks the names, once, and the rest, and makes frozensets of the names
+        if isinstance(reads, list) and isinstance(writes, list):
+            return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"),
+                        obj.get("instructions", 0), reads, writes)
+    except (PluralError, TypeError) as exc:  # TypeError: a name that is a list or an object
+        error = exc
+    for key, value in (("reads", reads), ("writes", writes)):  # a bad list is named before Task's error
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
+    raise _format_error(f"{_where(obj, index)}: {error}")
 
 
 def loads(text: str) -> TaskGraph:
@@ -99,13 +100,13 @@ def loads(text: str) -> TaskGraph:
     if not isinstance(edges_obj, list):
         raise _format_error("'edges' must be a list")
     tasks = list(map(_parse_task, tasks_obj, count()))
-    # Every edge at once; the first bad one is looked for only to name it.
-    if not ({*map(type, edges_obj)} <= {list} and {*map(len, edges_obj)} <= {2}
-            and {*map(type, chain.from_iterable(edges_obj))} <= {str}):
-        i, pair = next((i, pair) for i, pair in enumerate(edges_obj) if not (
-            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)))
-        raise _format_error(f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}")
-    return TaskGraph(tasks, edges_obj)
+    try:  # TaskGraph checks every edge at once; the loader names a bad one before any other structure error
+        return TaskGraph(tasks, edges_obj)
+    except GraphStructureError:
+        for i, pair in enumerate(edges_obj):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(e, str) for e in pair)):
+                raise _format_error(f"edges[{i}] must be a [predecessor, successor] id pair, got {pair!r}") from None
+        raise
 
 
 def load(path: str | Path) -> TaskGraph:

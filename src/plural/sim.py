@@ -33,8 +33,8 @@ Execution semantics:
   that touch no contended variable and start in one slot with one
   instruction count end in one slot, whatever their task, so they form one
   cohort: one heap entry, which ends its members as if one at a time in id
-  order, cut after each run of a task's members that frees a follower.
-  Other instances run alone.  Cohorts change no report.
+  order, cut after each run of members whose tasks share their followers
+  that frees one.  Other instances run alone.  Cohorts change no report.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It streams to a sink, a slot's events as the run leaves the
@@ -58,9 +58,9 @@ import math
 import random
 import sys
 from bisect import bisect_left, insort
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, mul, not_, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -225,12 +225,12 @@ class _Instance:
     __slots__ = ("tid", "ids", "cores", "runs", "first", "run", "n", "vars", "n_reads", "n_access", "skip",
                  "start", "stalls", "granted", "since", "reading")
 
-    def __init__(self, ids: list[str], cores: list[int], tid: str, n: int, start: int, vars_: tuple[str, ...] = (),
-                 n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
+    def __init__(self, ids: list[str], cores: list[int], followers: list[str], n: int, start: int,
+                 vars_: tuple[str, ...] = (), n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
         self.tid = ids[0]  # a lone instance's heap key
         self.ids = ids
         self.cores = cores  # each member's core
-        self.runs = [(tid, len(ids))]  # (task, end): members from the previous end up to end are of task
+        self.runs = [(followers, len(ids))]  # (followers, end): members up to end count down these followers
         self.first = self.run = 0  # the members and runs before these have ended
         self.n = n
         self.vars = vars_  # access targets, round-robin
@@ -264,12 +264,12 @@ class _Simulation:
         self.rng = random.Random(cfg.seed)
 
         # Each task's unfinished predecessor instances, and its started ones.
-        self.pred_left = pred_left = dict.fromkeys(g._tasks, 0)
         self.succs = g._successors
-        for pred, followers in self.succs.items():
-            instances = g._tasks[pred].instances
-            for succ in followers:
-                pred_left[succ] += instances
+        self.pred_left = pred_left = dict.fromkeys(g._tasks, 0)
+        pred_left.update(Counter(chain.from_iterable(self.succs.values())))  # one per predecessor, counted in C
+        for pred in [tid for tid, task in g._tasks.items() if task.instances > 1]:
+            for succ in self.succs[pred]:
+                pred_left[succ] += g._tasks[pred].instances - 1
         self.started = dict.fromkeys(g._tasks, 0)
         self.longest = max(map(attrgetter("instruction_count"), g._tasks.values()), default=0)
 
@@ -320,10 +320,10 @@ class _Simulation:
 
     def _count_down(self, followers: list[str], k: int) -> list[str]:
         """Count k finished instances off each follower; return those left with none."""
-        freed = []
+        freed, pred_left = [], self.pred_left
         for s in followers:
-            self.pred_left[s] -= k
-            if not self.pred_left[s]:
+            pred_left[s] -= k
+            if not pred_left[s]:
                 freed.append(s)
         return freed
 
@@ -333,10 +333,10 @@ class _Simulation:
         """Make the ``freed`` tasks' instances ready, as one run sorted by id.
         A control task among them resolves at once and appends the tasks it
         frees.  The ready heap's key, not this order, decides dispatch."""
-        released = []
+        released, tasks = [], self.g._tasks
         for t in freed:
-            task = self.g._tasks[t]
-            if task.kind is not TaskKind.CONTROL:
+            task = tasks[t]
+            if task.control_kind is None:  # not a control task, as Task checks
                 released.append(t)
                 self.zero_waiting += 0 if task.instruction_count else task.instances
                 continue
@@ -352,16 +352,16 @@ class _Simulation:
             else:
                 followers = self.succs[t]
             if self.sink is not None:
-                forwards = sorted(iid for s in followers for iid in _instance_ids(self.g._tasks[s]))
+                forwards = sorted(iid for s in followers for iid in _instance_ids(tasks[s]))
                 self._trace(slot, "control", [t], ["forwards=" + ",".join(forwards)])
             freed.extend(self._count_down(followers, 1))
         if not released:
             return
         if len(released) == 1:  # one task: its ids need no map to their task
-            ids = sorted(_instance_ids(self.g._tasks[released[0]]))
+            ids = sorted(_instance_ids(tasks[released[0]]))
             tids = released * len(ids)
         else:
-            owner = {iid: t for t in released for iid in _instance_ids(self.g._tasks[t])}
+            owner = {iid: t for t in released for iid in _instance_ids(tasks[t])}
             ids = sorted(owner)
             tids = list(map(owner.__getitem__, ids))
         self.n_ready += len(ids)
@@ -385,28 +385,28 @@ class _Simulation:
             ids, tids, cores = map(list, zip(*sorted(zip(ids, tids, cores))))
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
-        tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
+        tasks, started, cohorts, alone, succs = self.g._tasks, self.started, self.cohorts, self.alone, self.succs
         tracing, end = self.sink is not None, 0
         for tid, run in groupby(tids):
             task, begin = tasks[tid], end
-            end += len(list(run))
+            end += len([*run])
             started[tid] += end - begin
             if started[tid] > task.instances:
                 raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
             n = task.instruction_count
             self.total_instructions += (end - begin) * n
             self.zero_waiting -= 0 if n else end - begin
-            n_access = _accesses(task, self.stride)
             if tid in alone:
+                n_access = _accesses(task, self.stride)
                 for iid, core in zip(ids[begin:end], cores[begin:end]):
                     vars_, n_reads = _targets(task, iid)
                     mask = tuple(map(self.contended.__contains__, vars_))
                     if mask not in self.skips:
                         self.skips[mask] = _skip_table(mask)
                     skip = self.skips[mask] if n_access else None
-                    self._push_next(_Instance([iid], [core], tid, n, slot, vars_, n_reads, n_access, skip))
+                    self._push_next(_Instance([iid], [core], succs[tid], n, slot, vars_, n_reads, n_access, skip))
                 continue
-            for iid in ids[begin:end] if tracing and n_access else ():  # none contends: granted on arrival
+            for iid in ids[begin:end] if tracing and (n_access := _accesses(task, self.stride)) else ():  # on arrival
                 vars_ = _targets(task, iid)[0]
                 for j in range(n_access):
                     detail = f"var={vars_[j % len(vars_)]} waited=0"
@@ -415,9 +415,11 @@ class _Simulation:
             if cohort and cohort.ids[-1] < ids[begin]:
                 cohort.ids += ids[begin:end]
                 cohort.cores += cores[begin:end]
-                cohort.runs.append((tid, len(cohort.ids)))
+                if cohort.runs[-1][0] == succs[tid]:  # freed only at the end of both runs
+                    cohort.runs.pop()
+                cohort.runs.append((succs[tid], len(cohort.ids)))
             else:
-                cohort = _Instance(ids[begin:end], cores[begin:end], tid, n, slot)
+                cohort = _Instance(ids[begin:end], cores[begin:end], succs[tid], n, slot)
                 heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[begin], cohort))
                 if n:  # a cohort of no instruction ends in this slot, so it takes no later start
                     cohorts[n] = cohort
@@ -491,7 +493,7 @@ class _Simulation:
 
     def _complete(self, inst: _Instance, slot: int) -> None:
         """End a cohort's members as if one at a time, in id order, counting
-        them off their tasks' followers one run of a task at a time.  The
+        them off their tasks' followers one run of shared followers at a time.  The
         cohort is cut after the first run that frees a task, before another
         entry of this slot that sorts inside it, and after each member while
         an instance of no instruction, which ends as it starts, waits; the
@@ -506,10 +508,10 @@ class _Simulation:
             cut = bisect_left(ids, self.heap[0][2], first, cut)
         done, freed = first, None
         while done < cut and not freed:
-            tid, end = inst.runs[inst.run]
+            followers, end = inst.runs[inst.run]
             if end <= cut:
                 inst.run += 1
-            freed = self._count_down(self.succs[tid], min(end, cut) - done)
+            freed = self._count_down(followers, min(end, cut) - done)
             done = min(end, cut)
         if done < len(ids):
             inst.first = done
@@ -629,7 +631,7 @@ class _Simulation:
         sched_energy = messages * self.msg_energy if self.cfg.comm_costs_enabled else 0.0
         mem_energy = accesses * self.access_energy if self.cfg.comm_costs_enabled else 0.0
         total_energy = compute_energy + sched_energy + mem_energy
-        busy = tuple(b * self.slot_dt for b in self.busy)
+        busy = tuple(map(mul, self.busy, repeat(self.slot_dt)))
         return SimReport(
             m=self.cfg.m,
             makespan=makespan,

@@ -86,6 +86,31 @@ WIDE_GRAPH = {
     ],
     "edges": [["load", "work"], ["work", "join"], ["join", "reduce"]],
 }
+# The shape of the benchmark's wide-short workload, with fixed instruction
+# counts: a loader, then a 150-instance scatter, 150 singular tasks and a
+# 16-instance tally whose instances all write "acc" (120 CREW warnings and
+# some conflict stalls), then a merge and a reduce.
+_SINGLES = [f"w{k:03d}" for k in range(150)]
+WIDE_SHORT_GRAPH = {
+    "tasks": [
+        {"id": "load", "kind": "singular", "instructions": 40, "reads": ["cfg"], "writes": ["raw"]},
+        {"id": "scatter", "kind": "duplicable", "d": 150, "instructions": 20,
+         "reads": ["in[#]"], "writes": ["out[#]"]},
+        *({"id": tid, "kind": "singular", "instructions": 10 + k % 21, "reads": [f"a{k}"], "writes": [f"b{k}"]}
+          for k, tid in enumerate(_SINGLES)),
+        {"id": "tally", "kind": "duplicable", "d": 16, "instructions": 25, "reads": ["t[#]"], "writes": ["acc"]},
+        {"id": "merge", "kind": "control", "control_kind": "merge"},
+        {"id": "reduce", "kind": "singular", "instructions": 50, "reads": ["acc"], "writes": ["result"]},
+    ],
+    "edges": [["load", p] for p in ["scatter", *_SINGLES, "tally"]]
+    + [[p, "merge"] for p in ["scatter", *_SINGLES, "tally"]] + [["merge", "reduce"]],
+}
+# sha256 of the stdout and the stderr of `plural simulate WIDE_SHORT_GRAPH
+# --m 16384 --comm-costs --check-model --seed 7`.
+WIDE_SHORT_DIGESTS = {
+    "stdout": "f4c9e55fb02510edc71ea56613ba1f7a2c203b7642aed77476525462176f4cf3",
+    "stderr": "5bca5d24e0f3f9b692d4cbb60281cba5cbacf8a63dfa542c12eb61b593986366",
+}
 # sha256 of `plural simulate WIDE_GRAPH --m 16384` stdout, as printed by
 # `json.dumps(doc, indent=2)`, since 0.5.0 granted the readers of "x" together.
 WIDE_SIMULATE_DIGESTS = {
@@ -768,6 +793,16 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SIMULATE_DIGESTS[name]
 
+    def test_wide_short_report_matches_pinned_digests(self, capsys, tmp_path):
+        path = write_graph(tmp_path, WIDE_SHORT_GRAPH)
+        flags = ("--m", "16384", "--comm-costs", "--check-model", "--seed", "7")
+        code, out, err = run_cli(capsys, "simulate", path, *flags)
+        assert code == 0
+        assert err.count("\n") == 120  # one warning per pair of tally instances
+        assert json.loads(out)["mem_conflict_stalls"] > 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SHORT_DIGESTS["stdout"]
+        assert hashlib.sha256(err.encode()).hexdigest() == WIDE_SHORT_DIGESTS["stderr"]
+
     def test_wide_trace_grows_with_grants_not_stalls(self, capsys, tmp_path):
         # 300 instances write "acc" at once: hundreds of thousands of
         # stalls, but the trace holds one event per ready, start, complete
@@ -891,7 +926,7 @@ class TestDumpReport:
              "inner-zero-pair", "short-tuples", "event-strings"],
     )
     def test_hand_cases(self, doc):
-        assert cli._dump_report(doc) == json.dumps(padded(doc), indent=2)
+        assert "".join(cli._dump_report(doc)) == json.dumps(padded(doc), indent=2) + "\n"
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -908,7 +943,7 @@ class TestDumpReport:
         )
     )
     def test_generated_documents(self, doc):
-        assert cli._dump_report(doc) == json.dumps(doc, indent=2)
+        assert "".join(cli._dump_report(doc)) == json.dumps(doc, indent=2) + "\n"
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.one_of(sim_cases(), contention_cases()), st.booleans(), st.booleans())
@@ -922,7 +957,7 @@ class TestDumpReport:
         assert list(doc) == REPORT_KEYS
         if check_model:
             doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
-        assert cli._dump_report(doc) == json.dumps(padded(doc), indent=2)
+        assert "".join(cli._dump_report(doc)) == json.dumps(padded(doc), indent=2) + "\n"
 
     # The instances of "idle" run no instruction on cores 0 and 1 while "w"
     # keeps cores 2 to 4 busy: zeros inside the used cores, then m - 5

@@ -26,6 +26,7 @@ from plural import (
     ChipSpec,
     ControlKind,
     Et2State,
+    GraphStructureError,
     PluralError,
     SimConfig,
     Task,
@@ -170,6 +171,7 @@ def test_returns_finite_values_or_raises_plural_error(name, value):
         ({"instances": 1.0}, "a singular task has one instance, got instances=1.0"),
         ({"kind": TaskKind.CONTROL, "control_kind": ControlKind.MERGE, "instances": True},
          "a control task has one instance, got instances=True"),
+        ({"entry_point": ""}, "entry_point must be None or a non-empty string, got ''"),
     ],
 )
 def test_task_checks_every_field_it_stores(fields, message):
@@ -180,3 +182,13 @@ def test_task_checks_every_field_it_stores(fields, message):
         Task(id="a", **fields)
     assert str(info.value) == f"task 'a': {message}"
 
+
+
+@pytest.mark.parametrize("edge", [(None, None), (1, 2), (True, "a"), ("a", 1.5)], ids=["none", "ints", "bool", "float"])
+def test_task_graph_checks_every_edge_endpoint(edge):
+    # Endpoints were coerced with str(), so (None, None) was a self-loop of
+    # a task named 'None' and (1, 2) named tasks '1' and '2'.
+    tasks = [Task(id=tid) for tid in ("a", "None", "1", "2", "True", "1.5")]
+    with pytest.raises(GraphStructureError) as info:
+        TaskGraph(tasks, [edge])
+    assert str(info.value) == f"edge {edge!r} must be a (predecessor, successor) pair of task ids"

@@ -163,8 +163,11 @@ class TestTask:
              "task 'c': a control task has one instance, got instances=2"),
             ({"control_kind": ControlKind.MERGE}, "task 'c': control_kind is only valid on control tasks"),
             ({"instances": 2}, "task 'c': a singular task has one instance, got instances=2"),
+            # An empty entry point is refused as an empty id is; it was stored as ''.
+            ({"entry_point": ""}, "task 'c': entry_point must be None or a non-empty string, got ''"),
         ],
-        ids=["empty-id", "control-entry-point", "control-duplicable", "control-kind-on-singular", "singular-d"],
+        ids=["empty-id", "control-entry-point", "control-duplicable", "control-kind-on-singular", "singular-d",
+             "empty-entry-point"],
     )
     def test_refusal_messages(self, fields, message):
         with pytest.raises(ValidationError) as info:
@@ -180,6 +183,23 @@ class TestTaskGraph:
     def test_dangling_edge_names_missing_id(self):
         with pytest.raises(GraphStructureError, match="ghost"):
             TaskGraph([singular("a")], [("a", "ghost")])
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(None, None), (1, 2), ("a",), ("a", "b", "c"), "ab", 5, (["a"], "b"), ("a", None), ({"b": 1}, "b")],
+        ids=["none-pair", "int-pair", "short", "long", "string", "number", "list-endpoint", "none-endpoint", "dict"],
+    )
+    def test_bad_edge_is_refused_not_coerced(self, edge):
+        # Endpoints were coerced with str(): (None, None) became a self-loop
+        # of a task named 'None' and (1, 2) named tasks '1' and '2'.
+        tasks = [singular(tid) for tid in ("a", "b", "None", "1", "2", "['a']")]
+        with pytest.raises(GraphStructureError) as info:
+            TaskGraph(tasks, [("a", "b"), edge, ("b", "a")])
+        assert str(info.value) == f"edge {edge!r} must be a (predecessor, successor) pair of task ids"
+
+    def test_edges_may_be_lists_or_tuples_from_any_iterable(self):
+        g = TaskGraph([singular("a"), singular("b"), singular("c")], iter([["a", "b"], ("b", "c"), ("a", "b")]))
+        assert g.edges == frozenset({("a", "b"), ("b", "c")})
 
     def test_adjacency_helpers(self):
         g = TaskGraph([singular(t) for t in "abc"], [("a", "b"), ("a", "c")])
@@ -499,12 +519,20 @@ def expanded_id_clash(g):
     return None
 
 
+def writer_chain(n):
+    """A chain of ``n`` singular tasks that each read and write "x", and one
+    reader of "x" concurrent with all of them: ``n`` read-write violations."""
+    ids = [f"t{k:05d}" for k in range(n)]
+    return TaskGraph([*(singular(tid, {"x"}, {"x"}) for tid in ids), singular("r", {"x"})], zip(ids, ids[1:]))
+
+
 class TestPerTaskFootprint:
     """The footprint index reads authored names and expands only those that
     may meet; the pairwise check on the expanded graph must still agree."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(meeting_graphs())
+    @example(writer_chain(2000))
     def test_same_result_as_pairwise_check(self, g):
         assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
         assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
@@ -539,6 +567,17 @@ class TestPerTaskFootprint:
             start = time.perf_counter()
             assert check_crew(g) == [] and g._contended == frozenset(), name
             assert time.perf_counter() - start < 2, name
+
+    def test_writer_chain_costs_no_square(self):
+        # Each writer meets only the touchers of the tasks concurrent with it,
+        # so N chained writers and one concurrent reader cost O(N), not the
+        # N * N writer-toucher tests that took 2.2 s at N = 4000.
+        g = writer_chain(5000)
+        start = time.perf_counter()
+        violations = check_crew(g)
+        assert time.perf_counter() - start < 1
+        assert len(violations) == 5000 and g._contended == {"x"}
+        assert {(v.task_a, v.variable, v.kind) for v in violations} == {("r", "x", READ_WRITE)}
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.sampled_from(CLASH_IDS), unique=True), st.data())

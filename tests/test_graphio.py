@@ -202,6 +202,8 @@ def validate_file(tmp_path, doc):
         ({"tasks": [{**A, "entry": 5}]}, "tasks[0] ('a'): task 'a': entry_point must be None or a string, got 5"),
         ({"tasks": [{**A, "entry": ["x"]}]},
          "tasks[0] ('a'): task 'a': entry_point must be None or a string, got ['x']"),
+        ({"tasks": [{**A, "entry": ""}]},
+         "tasks[0] ('a'): task 'a': entry_point must be None or a non-empty string, got ''"),
         ({"tasks": [A, 5]}, "tasks[1] must be an object, got 5"),
         ({"tasks": {"a": A}}, "'tasks' must be a list"),
         ({"tasks": [A], "edges": {"a": "a"}}, "'edges' must be a list"),
@@ -210,7 +212,7 @@ def validate_file(tmp_path, doc):
         "kind-string", "kind-number", "kind-list", "kind-dict", "control-kind",
         "control-kind-list", "d-on-singular", "reads-not-list", "writes-non-string",
         "task-validation", "edge-string", "edge-short", "edge-non-string",
-        "entry-number", "entry-list", "task-not-object", "tasks-not-list", "edges-not-list",
+        "entry-number", "entry-list", "entry-empty", "task-not-object", "tasks-not-list", "edges-not-list",
     ],
 )
 def test_malformed_document_messages(tmp_path, doc, message):
