@@ -224,6 +224,12 @@ def _warn_crew(g) -> list[CrewViolation]:
 
 
 JSON_MAX_M = 2**20  # cores a JSON report may list: 9 bytes per core per list, 19 MB in all
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's spelling of a str
+
+
+def _json_scalar(value: object) -> str | None:
+    """``json.dumps(value)`` of an int or a finite float, by exact type (a bool may ``repr`` otherwise), else None."""
+    return repr(value) if type(value) in (int, float) and value - value == 0.0 else None  # not NaN or inf
 
 
 def _dump_report(doc: dict) -> Iterator[str]:
@@ -232,29 +238,32 @@ def _dump_report(doc: dict) -> Iterator[str]:
     ``model_check``, once each per-core tuple is padded with 0.0 to ``doc["m"]``.
 
     A report lists the cores a run used, and the printed report all m: this
-    is the one place that pads.  With an indent, ``json`` falls back to its
-    pure-Python encoder, which is slow on long lists, so a per-core tuple,
-    never empty, is written by hand: the C encoder spells each distinct
-    value once (both encoders spell a float as ``float.__repr__`` does, or
-    as ``NaN``/``Infinity``/``-Infinity``, and no spelling holds ", "), the
-    spellings are joined in order, and the cores never used follow as one
-    repeated string, so the cost grows with the cores used, not m.  The
-    values are floats of at least +0.0, so no two distinct spellings are
-    equal as keys.  Other containers keep the indenting encoder.  Written
-    piece by piece, the padding is never copied into a larger string.
+    is the one place that pads.  A str key, an int, a finite float and a flat
+    dict of these are spelled by the functions ``json`` calls for them.  A
+    per-core tuple, never empty, is written by hand too: the C encoder spells
+    each distinct value once (floats of at least +0.0, so equal values spell
+    alike; no spelling holds ", "), the spellings are joined in order, and
+    the cores never used follow as one repeated string, its own piece, so the
+    cost grows with the cores used, not m.  Any other value keeps ``json``.
     """
-    for i, (key, value) in enumerate(doc.items()):
-        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
-        if isinstance(value, tuple) and value:
+    text, lead = "", "{\n  "
+    for key, value in doc.items():
+        text += lead + (_quote(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
+        lead, spelled = ",\n  ", _json_scalar(value)
+        if spelled is not None:
+            text += spelled
+        elif isinstance(value, tuple) and value:
             distinct = list(dict.fromkeys(value))
             spelled = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
-            yield "[\n    " + ",\n    ".join(map(spelled.__getitem__, value))
-            yield from (",\n    0.0" * (doc["m"] - len(value)), "\n  ]")
-        elif isinstance(value, (dict, list, tuple)):
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            yield text + "[\n    " + ",\n    ".join(map(spelled.__getitem__, value))
+            yield ",\n    0.0" * (doc["m"] - len(value))
+            text = "\n  ]"
+        elif type(value) is dict and value and all(type(k) is str for k in value) and (
+                None not in (items := list(map(_json_scalar, value.values())))):
+            text += "{\n    " + ",\n    ".join(map("%s: %s".__mod__, zip(map(_quote, value), items))) + "\n  }"
         else:
-            yield json.dumps(value)
-    yield "\n}\n"
+            text += json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield text + "\n}\n"
 
 
 def cmd_simulate(args, out) -> int:
@@ -360,13 +369,16 @@ def build_parser() -> _Parser:
     p.add_argument("graph", help="task-graph JSON file")
     p.set_defaults(func=cmd_validate)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        sub = parser.commands.get(argv[0]) if argv else None  # the top-level parser would hand it the rest
+        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else parser.parse_args(argv)
         return args.func(args, sys.stdout)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -22,6 +22,7 @@ control tasks, ``entry`` defaults to the task id, ``instructions`` to 0, and
 from __future__ import annotations
 
 import json
+import os
 from itertools import count
 from pathlib import Path
 
@@ -34,6 +35,7 @@ _TASK_KEYS = {"id", "kind", "d", "control_kind", "entry", "instructions", "reads
 # Each enum's members by value: a lookup here is cheaper than calling the enum.
 _KINDS = {kind.value: kind for kind in TaskKind}
 _CONTROL_KINDS = {kind.value: kind for kind in ControlKind}
+_NO_NAMES: list[str] = []  # an absent footprint, shared: Task copies names into frozensets and never changes it
 
 
 def _format_error(message: str) -> GraphFormatError:
@@ -66,7 +68,7 @@ def _parse_task(obj: object, index: int) -> Task:
     if "d" in obj and kind is not TaskKind.DUPLICABLE:
         raise _format_error(f"{_where(obj, index)}: 'd' is only valid on duplicable tasks")
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
-    reads, writes = obj.get("reads", []), obj.get("writes", [])
+    reads, writes = obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)
     try:  # Task checks the names, once, and the rest, and makes frozensets of the names
         if isinstance(reads, list) and isinstance(writes, list):
             return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"),
@@ -112,10 +114,10 @@ def loads(text: str) -> TaskGraph:
 def load(path: str | Path) -> TaskGraph:
     """Read and parse a task-graph document from a file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        with open(os.fspath(path), encoding="utf-8") as fh:  # fspath refuses an int, as Path did
+            return loads(fh.read())
+    except UnicodeDecodeError as exc:  # loads takes a str, so only the read raises this
         raise GraphFormatError(f"task graph document is not UTF-8: {exc}") from None
-    return loads(text)
 
 
 def _task_to_obj(task: Task) -> dict:

@@ -29,12 +29,13 @@ Execution semantics:
   slot.
 * Only a variable that some CREW violation names (``check_crew``) can
   contend.  An access to any other never stalls and draws nothing from the
-  generator, so it is granted by arithmetic, without an event.  Instances
-  that touch no contended variable and start in one slot with one
-  instruction count end in one slot, whatever their task, so they form one
-  cohort: one heap entry, which ends its members as if one at a time in id
-  order, cut after each run of members whose tasks share their followers
-  that frees one.  Other instances run alone.  Cohorts change no report.
+  generator, so it is granted by arithmetic, without an event, and a run
+  with none seeds no generator.  Instances that touch no contended variable
+  and start in one slot with one instruction count end in one slot,
+  whatever their task, so they form one cohort: one heap entry, which ends
+  its members as if one at a time in id order, cut after each run of
+  members whose tasks share their followers that frees one.  Other
+  instances run alone.  Cohorts change no report.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It streams to a sink, a slot's events as the run leaves the
@@ -59,7 +60,7 @@ import random
 import sys
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, mul, not_, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -261,7 +262,7 @@ class _Simulation:
         self.slot_dt = chip.cpi / self.core_freq
         self.msg_energy = comm.sched_msg_energy(chip.area)
         self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
-        self.rng = random.Random(cfg.seed)
+        self.rng = random.Random(cfg.seed) if self.contended else None  # else the run never draws
 
         # Each task's unfinished predecessor instances, and its started ones.
         self.succs = g._successors
@@ -694,10 +695,9 @@ def run(g: TaskGraph, cfg: SimConfig, *, events: Callable[[SimEvent], object] | 
     chip = cfg.chip
     reference = sim.total_instructions * (chip.cpi / chip.area**chip.pollack_exponent)
     report = sim.report(empirical_speedup=reference / makespan)
+    # The message and access energies, counts times finite prices, are finite once avg_power is.
     for name in ("compute_energy", "avg_power", "empirical_speedup"):
         _check_finite(name, getattr(report, name), positive=True)
-    for name in ("sched_msg_energy_total", "mem_msg_energy_total"):
-        _check_finite(name, getattr(report, name))
     return report
 
 
@@ -746,8 +746,8 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
         powerdown_model=model.powerdown,
         powerdown_deviation=abs(powerdown / model.powerdown - 1.0),
     )
-    for f in fields(ModelDeviation):
-        _check_finite(f.name, getattr(deviation, f.name))
+    for name, value in vars(deviation).items():  # the fields, in order
+        _check_finite(name, value)
     return deviation
 
 
@@ -756,4 +756,4 @@ def report_as_dict(report: SimReport) -> dict:
 
     The per-core values stay the report's own tuples, one float per core used.
     """
-    return {f.name: getattr(report, f.name) for f in fields(SimReport)}
+    return dict(vars(report))  # the fields, in order: a dataclass's __init__ sets each once

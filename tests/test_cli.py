@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -892,6 +893,23 @@ class TestSimulate:
             assert footprints == Counter(("work", k) for k in range(64 if traced else 0))
 
 
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Tenths(float):
+    """A float whose ``repr`` is not ``json``'s spelling of it."""
+
+    def __repr__(self):
+        return f"Tenths({float(self)})"
+
+
+# Scalars that ``repr`` spells otherwise than ``json``, or that test the
+# float spelling's edges, at the top level and in a flat dict.
+EDGE_SCALARS = {"true": True, "false": False, "minus-zero": -0.0, "subnormal": 5e-324, "big": 1e16,
+                "wide-int": 2**64, "int-enum": Level.HIGH, "float-subclass": Tenths(0.5)}
+
+
 class TestDumpReport:
     """The report emitter must write exactly what ``json.dumps(doc, indent=2)``
     writes once each per-core tuple is padded to m entries."""
@@ -920,10 +938,16 @@ class TestDumpReport:
                 ],
                 "model_check": {"speedup_deviation": 1e-7, "nested": {"empty": {}, "list": []}},
             },
+            EDGE_SCALARS,
+            {"m": 2, "model_check": EDGE_SCALARS, "utilization": (0.5,)},
+            {"m": 1, "model_check": {"speedup_deviation": math.inf, "speedup_model": 2.0}},
+            {"m": 1, "model_check": {"zero": -0.0, "tiny": 5e-324, "big": 1e16, "wide": 2**64}},
+            {1: 2.0, 1.5: True, None: 0, "\u00e9": {7: 1.0, "x": 2}, -2: {"a": 1.0}},
         ],
         ids=["empty-lists", "signed-zero-subnormal", "exponents", "non-finite",
              "mixed-list", "zero-runs", "zero-runs-bool", "zero-tuples", "inner-zeros",
-             "inner-zero-pair", "short-tuples", "event-strings"],
+             "inner-zero-pair", "short-tuples", "event-strings", "edge-scalars",
+             "edge-scalars-flat", "non-finite-flat", "edges-flat", "non-str-keys"],
     )
     def test_hand_cases(self, doc):
         assert "".join(cli._dump_report(doc)) == json.dumps(padded(doc), indent=2) + "\n"
@@ -931,12 +955,14 @@ class TestDumpReport:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         st.dictionaries(
-            st.text(max_size=4),
+            st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none()),
             st.one_of(
-                st.floats(), st.integers(), st.text(max_size=6), st.none(),
+                st.floats(), st.integers(), st.booleans(), st.text(max_size=6), st.none(),
                 st.lists(st.floats(), max_size=6),
                 st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=3)), max_size=4),
                 st.dictionaries(st.text(max_size=3), st.floats(), max_size=3),
+                st.dictionaries(st.one_of(st.text(max_size=3), st.integers(), st.booleans()),
+                                st.one_of(st.floats(), st.integers(), st.booleans()), max_size=3),
             ),
             min_size=1,
             max_size=6,
@@ -1264,3 +1290,73 @@ class TestArgvFuzz:
     @example(b"{}", "directory", "validate")
     def test_malformed_graph(self, tmp_path_factory, content, where, command):
         self.check_exit_code(tmp_path_factory, content, where, [command])
+
+
+class TestDispatch:
+    """``main`` parses an argv that starts with a subcommand's name with that
+    subcommand's own parser: each argv must end in the same exit code,
+    stdout and stderr as through the top-level parser."""
+
+    @staticmethod
+    def call_main_or_help(argv):
+        """``call_main``, where help's ``SystemExit`` gives the code."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @classmethod
+    def check_same_as_top_level(cls, argv):
+        direct = cls.call_main_or_help(list(argv))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.build_parser(), "commands", {})  # no subcommand is dispatched directly
+            assert cls.call_main_or_help(list(argv)) == direct
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["--help"], ["frobnicate"], ["--", "simulate", "{graph}"], ["Simulate", "{graph}"],
+            ["simulate"], ["simulate", "{graph}", "--bogus"], ["simulate", "{graph}", "--h"],
+            ["simulate", "{graph}", "--m", "8", "--comm"], ["simulate", "{graph}", "--m", "8", "--check"],
+            ["simulate", "{graph}", "--m", "8", "--check-model", "--csv"], ["simulate", "--", "{graph}"],
+            ["simulate", "{graph}", "--help=x"], ["simulate", "{graph}", "--m", "-1"],
+            ["sweep", "--m"], ["sweep", "--m", "1,2", "x"], ["sweep", "-hx"], ["et2", "--e", "8"],
+            ["et2", "--e", "8", "--t", "2", "stretch:2"], ["validate", "{graph}", "{graph}"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-argv",
+    )
+    def test_hand_corpus(self, tmp_path, argv):
+        path = write_graph(tmp_path, CONDITIONAL_GRAPH)
+        self.check_same_as_top_level([arg.replace("{graph}", path) for arg in argv])
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(VALID_DOC, st.sampled_from(["simulate", "validate", "sweep", "comm-sweep", "et2"]), SIMULATE_FLAGS)
+    def test_generated_flags(self, tmp_path_factory, doc, command, flags):
+        path = tmp_path_factory.mktemp("dispatch") / "graph.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.check_same_as_top_level([command, str(path), *flags])
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(MALFORMED_BYTES, st.sampled_from(["file", "missing", "directory"]), st.sampled_from(["simulate", "validate"]))
+    def test_malformed_graph(self, tmp_path_factory, content, where, command):
+        path = tmp_path_factory.mktemp("dispatch") / "graph.json"
+        if where == "file":
+            path.write_bytes(content)
+        elif where == "directory":
+            path.mkdir()
+        self.check_same_as_top_level([command, str(path)])
+
+    def test_subcommand_never_runs_top_level_parser(self, monkeypatch, tmp_path):
+        parser, calls = cli.build_parser(), []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda *args: calls.append(args) or parse_args(*args))
+        path = write_graph(tmp_path, DEMO_GRAPH)
+        argvs = [["simulate", path, "--m", "4"], ["simulate", path, "--bogus"], ["validate", path],
+                 ["sweep", "--m", "1,2"], ["comm-sweep", "--m", "1"], ["et2", "--e", "8", "--t", "2", "stretch:2"]]
+        assert [call_main(argv)[0] for argv in argvs] == [0, 1, 0, 0, 0, 0]
+        assert calls == []
+        assert call_main(["frobnicate"])[0] == 1
+        assert len(calls) == 1

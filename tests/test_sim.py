@@ -525,6 +525,21 @@ class TestMemoryConflicts:
         reads = Counter(e.time for e in events if e.kind == "access" and e.detail.startswith("var=x "))
         assert sorted(reads.values()) == [1] * (20 // 5) + [64] * (20 // 5 // 2)
 
+    def test_clean_run_builds_no_generator(self, monkeypatch):
+        # A run with no contended variable never draws, so it builds no
+        # generator; a run with one builds it at set-up.
+        def forbidden(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(sim_module.random, "Random", forbidden)
+        g = TaskGraph(
+            [singular("load", 20, writes={"x"}), duplicable("r", 64, 20, reads={"x"}, writes={"out[#]"})],
+            [("load", "r")],
+        )
+        assert run(g, SimConfig(chip=CHIP, m=64, seed=5)).mem_conflict_stalls == 0
+        with pytest.raises(AssertionError, match="a generator was built"):
+            run(TaskGraph([duplicable("w", 2, 5, writes={"x"})]), SimConfig(chip=CHIP, m=2))
+
     def test_reader_that_wins_takes_every_reader(self):
         # Slot 0: "r1" and "r2" read "x" as "w" writes it, so one draw runs
         # over [r1, r2, w].  A reader that wins takes the other reader with
