@@ -52,15 +52,14 @@ from .graph import (
     expand_duplicables,
     validate_dag,
 )
-from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, single_metrics, sweep
+from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, sweep
 from .sim import ModelDeviation, SimConfig, SimEvent, SimReport, compare_to_model, run
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ChipSpec",
     "EnsembleMetrics",
-    "single_metrics",
     "ensemble_metrics",
     "sweep",
     "Et2State",

@@ -319,7 +319,7 @@ def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
 class _Footprint(NamedTuple):
     index: dict[str, int]  # authored id -> its bit, its place in a topological order
     ordered: dict[str, int]  # authored id -> itself, its descendants and its ancestors as an int bitset
-    touchers: dict[str, list[tuple[str, str, bool]]]  # var -> (instance, task, writes?)
+    touchers: dict[str, list[tuple[tuple, bool]]]  # var -> ((task, number, instance id), writes?)
 
 
 # A run of digits and placeholders.  A substituted number keeps each run in
@@ -344,15 +344,13 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
     """
     _check_instance_ids(g)
     index, ordered = _ordered_bits(g)
-    touchers: dict[str, list[tuple[str, str, bool]]] = {}
+    touchers: dict[str, list[tuple[tuple, bool]]] = {}
     for tid, names in _meeting_names(g, index, ordered).items():
         task = g._tasks[tid]
         for k, iid in enumerate(_instance_ids(task)):
             reads, writes = _instance_footprint(task, k, names)
-            for var in reads - writes:
-                touchers.setdefault(var, []).append((iid, tid, False))
-            for var in writes:
-                touchers.setdefault(var, []).append((iid, tid, True))
+            for var in reads | writes:
+                touchers.setdefault(var, []).append(((tid, k, iid), var in writes))
     return _Footprint(index, ordered, touchers)
 
 
@@ -413,8 +411,9 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     each other.  A variable written by both tasks of a pair is one
     write-write violation; written by one and read by the other, a
     read-write violation.  Concurrent reads are legal and never reported.
-    The list is sorted by task pair, with a pair's write-write variables
-    before its read-write ones, each ascending.
+    The list is sorted by instance pair, instances by (authored task id,
+    instance number) as the simulator orders them, with a pair's
+    write-write variables before its read-write ones, each ascending.
 
     The expanded graph is never built: reachability and footprints come
     from the authored graph (see ``_build_footprint``), and only pairs that
@@ -425,28 +424,28 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     # (instance a, instance b, reads?, variable) with a < b: one sort gives the order.
     found = sorted((a, b, not writes, var) for var, entries in fp.touchers.items()
                    for a, b, writes in _crew_pairs(fp, entries))
-    return [CrewViolation(a, b, var, READ_WRITE if reads else WRITE_WRITE) for a, b, reads, var in found]
+    return [CrewViolation(a[2], b[2], var, READ_WRITE if reads else WRITE_WRITE) for a, b, reads, var in found]
 
 
-def _crew_pairs(fp: _Footprint, entries: list[tuple[str, str, bool]]) -> Iterator[tuple[str, str, bool]]:
+def _crew_pairs(fp: _Footprint, entries: list[tuple[tuple, bool]]) -> Iterator[tuple[tuple, tuple, bool]]:
     """Each concurrent (writer, toucher) pair of instances among one
-    variable's touchers, once, as (smaller id, larger id, toucher writes?):
+    variable's touchers, once, as (smaller, larger, toucher writes?):
     the pairs that break the CREW rule, in O(touchers + pairs): a writer meets
     its task's other instances and concurrent tasks' touchers only.  Lazy."""
     index, ordered = fp.index, fp.ordered
-    by_task: dict[int, list[tuple[str, str, bool]]] = {}  # a toucher task's bit -> its touchers
+    by_task: dict[int, list[tuple[tuple, bool]]] = {}  # a toucher task's bit -> its touchers
     for entry in entries:
-        by_task.setdefault(index[entry[1]], []).append(entry)
+        by_task.setdefault(index[entry[0][0]], []).append(entry)
     touch = sum(map((1).__lshift__, by_task))
-    for w_id, w_task, w_writes in entries:
+    for w, w_writes in entries:
         if w_writes:
-            partners, concurrent = [*by_task[index[w_task]]], touch & ~ordered[w_task]
+            partners, concurrent = [*by_task[index[w[0]]]], touch & ~ordered[w[0]]
             while concurrent:  # each set bit, the lowest first
                 partners += by_task[(low := concurrent & -concurrent).bit_length() - 1]
                 concurrent ^= low
-            for t_id, _, t_writes in partners:
-                if t_id != w_id and not (t_writes and t_id < w_id):
-                    yield (w_id, t_id, t_writes) if w_id < t_id else (t_id, w_id, t_writes)
+            for t, t_writes in partners:
+                if t != w and not (t_writes and t < w):
+                    yield (w, t, t_writes) if w < t else (t, w, t_writes)
 
 
 def _instance_footprint(
@@ -465,11 +464,11 @@ def _instance_footprint(
     )
 
 
-def _instance_ids(task: Task) -> list[str]:
-    """The task's ids in the expanded graph, by instance number."""
+def _instance_ids(task: Task, numbers: Iterable[int] | None = None) -> list[str]:
+    """The task's ids in the expanded graph of the instance ``numbers``, by default all, in that order."""
     if task.kind is not _DUPLICABLE:
         return [task.id]
-    return [f"{task.id}{INSTANCE_SEP}{k}" for k in range(task.instances)]
+    return [f"{task.id}{INSTANCE_SEP}{k}" for k in (range(task.instances) if numbers is None else numbers)]
 
 
 def _check_instance_ids(g: TaskGraph) -> None:

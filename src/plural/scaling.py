@@ -18,7 +18,6 @@ from .errors import DomainError, ValidationError, _is_count, _is_real
 __all__ = [
     "ChipSpec",
     "EnsembleMetrics",
-    "single_metrics",
     "ensemble_metrics",
     "sweep",
 ]
@@ -156,11 +155,6 @@ def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
         es2=energydown * speedup**2,
         perf_per_power=ensemble_perf / power,
     )
-
-
-def single_metrics(spec: ChipSpec) -> EnsembleMetrics:
-    """Evaluate the single-processor baseline (the m=1 row)."""
-    return ensemble_metrics(spec, 1)
 
 
 def sweep(spec: ChipSpec, m_values: list[int]) -> list[EnsembleMetrics]:

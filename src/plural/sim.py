@@ -8,8 +8,8 @@ arbitration ties are exact and a run is a pure function of (graph, config).
 Execution semantics:
 
 * The scheduler dispatches ready instances FIFO by readiness time (ties by
-  ascending instance id string) to idle cores first, then into per-core
-  pre-allocation queues of configurable depth.  Dispatch and completion
+  authored task id, then instance index) to idle cores first, then into
+  per-core pre-allocation queues of configurable depth.  Dispatch and completion
   messages are instantaneous; the queue exists to keep cores from idling.
 * A duplicable task runs as its d instances; no expanded graph is built.  A
   task's instances are released when its last predecessor instance ends.
@@ -21,7 +21,7 @@ Execution semantics:
   sorted writes); an access that targets one of the sorted reads is a read.
   Memory is CREW (Fortune & Wyllie, 1978): each slot, a variable's waiting
   reads are all granted when no write waits.  Otherwise one draw of a seeded generator
-  picks a contender uniformly among them, sorted by instance id (a lone
+  picks a contender uniformly among them, sorted by (task, index) (a lone
   contender draws nothing): a writer that wins is granted alone, a reader
   takes every waiting reader with it.  The others wait in the variable's
   wait set and contend again next slot, their cores stalled meanwhile.  A
@@ -33,14 +33,15 @@ Execution semantics:
   with none seeds no generator.  Instances that touch no contended variable
   and start in one slot with one instruction count end in one slot,
   whatever their task, so they form one cohort: one heap entry, which ends
-  its members as if one at a time in id order, cut after each run of
-  members whose tasks share their followers that frees one.  Other
-  instances run alone.  Cohorts change no report.
+  its members as if one at a time in (task, index) order, cut after each
+  run of members whose tasks share their followers that frees one.  Other
+  instances run alone.  Cohorts change no report.  An instance id is
+  spelled only for the trace and the CREW warnings.
 * A trace holds each instance's milestones, each control task's
   resolution and one ``access`` event per grant, whose ``waited=`` is its
   stall.  It streams to a sink, a slot's events as the run leaves the
   slot, sorted by time, then kind in the order a slot processes them
-  (complete, control, ready, start, queue, access), then id.
+  (complete, control, ready, start, queue, access), then (task, index).
 * Energy ledger: an executed instruction costs A/m.  With communication
   costs enabled, each scheduler message (one init and one completion per
   core-executed instance) costs sqrt(A) and each memory access costs
@@ -61,9 +62,9 @@ import sys
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, repeat
-from operator import attrgetter, mul, not_, truediv
-from typing import Callable, Iterable, Mapping, NamedTuple
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import attrgetter, itemgetter, mul, not_, truediv
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import comm
 from .errors import (
@@ -76,7 +77,6 @@ from .errors import (
     _is_real,
 )
 from .graph import (
-    INSTANCE_SEP,
     ControlKind,
     Task,
     TaskGraph,
@@ -186,7 +186,7 @@ _ACCESS = 1
 _TRACE_KINDS = ("complete", "control", "ready", "start", "queue", "access")
 _RANK = {kind: rank for rank, kind in enumerate(_TRACE_KINDS)}
 
-_TID = attrgetter("tid")
+_KEY = attrgetter("key")
 
 
 _Skip = tuple[float, ...] | None
@@ -211,27 +211,28 @@ def _accesses(task: Task, stride: int) -> int:
     return task.instruction_count // stride if task.read_set or task.write_set else 0
 
 
-def _targets(task: Task, iid: str) -> tuple[tuple[str, ...], int]:
-    """An instance's access targets, sorted reads then sorted writes, and its number of reads."""
-    reads, writes = _instance_footprint(task, iid.rpartition(INSTANCE_SEP)[2])
+def _targets(task: Task, k: int) -> tuple[tuple[str, ...], int]:
+    """Instance k's access targets, sorted reads then sorted writes, and its number of reads."""
+    reads, writes = _instance_footprint(task, k)
     return (*sorted(reads), *sorted(writes)), len(reads)
 
 
 class _Instance:
     """A cohort: instances started in one slot with one instruction count,
-    whatever their task, ascending by id, each on its own core.  Two or more
-    touch no contended variable; an instance that can contend is alone and
-    tracks its accesses."""
+    whatever their task, ascending by (task, index), each on its own core.
+    Two or more touch no contended variable; an instance that can contend is
+    alone and tracks its accesses."""
 
-    __slots__ = ("tid", "ids", "cores", "runs", "first", "run", "n", "vars", "n_reads", "n_access", "skip",
+    __slots__ = ("key", "tids", "ks", "cores", "runs", "first", "run", "n", "vars", "n_reads", "n_access", "skip",
                  "start", "stalls", "granted", "since", "reading")
 
-    def __init__(self, ids: list[str], cores: list[int], followers: list[str], n: int, start: int,
+    def __init__(self, tid: str, ks: list[int], cores: list[int], followers: list[str], n: int, start: int,
                  vars_: tuple[str, ...] = (), n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
-        self.tid = ids[0]  # a lone instance's heap key
-        self.ids = ids
+        self.key = (tid, ks[0])  # a lone instance's heap key and place in a wait set
+        self.tids = [tid] * len(ks)  # each member's task
+        self.ks = ks  # each member's instance index
         self.cores = cores  # each member's core
-        self.runs = [(followers, len(ids))]  # (followers, end): members up to end count down these followers
+        self.runs = [(followers, len(ks))]  # (followers, end): members up to end count down these followers
         self.first = self.run = 0  # the members and runs before these have ended
         self.n = n
         self.vars = vars_  # access targets, round-robin
@@ -252,7 +253,7 @@ class _Simulation:
         self.stride = cfg.mem_access_stride
         self.depth = cfg.prealloc_depth
         self.contended = g._contended  # the only variables whose accesses can contend
-        self.alone = {tid for var in self.contended for _, tid, _ in g._footprint.touchers[var]}  # tasks that touch one
+        self.alone = {key[0] for var in self.contended for key, _ in g._footprint.touchers[var]}  # tasks that touch one
         # Access plans by which targets are contended: instances of one
         # shape share one.  Kept per run, since ``contended`` is the graph's.
         self.skips: dict[tuple[bool, ...], _Skip] = {}
@@ -277,23 +278,22 @@ class _Simulation:
         # Cores are used lowest index first, so the cores never used are the
         # indices from len(self.busy) up to m - 1.
         self.busy: list[int] = []  # busy slots per used core
-        self.queues: list[list[str]] = []  # instance ids queued per used core
-        self.queued: dict[str, str] = {}  # queued instance id -> its task
+        self.queues: list[list[tuple[str, int]]] = []  # (task, index) queued per used core
         self.idle: list[int] = []  # used cores that are idle, a min-heap
         self.room: list[int] = []  # used cores whose queue has room, a min-heap
-        # Per run of instances made ready together: (ready slot, next id, its
-        # place, the ids ascending, their tasks), a heap that dispatch merges by id.
-        self.ready: list[tuple[int, str, int, list[str], list[str]]] = []
+        # Per run of tasks made ready together: (ready slot, next task, its next index, its
+        # place, the run's task ids ascending), a heap that dispatch merges by (task, index).
+        self.ready: list[tuple[int, str, int, int, list[str]]] = []
         self.n_ready = 0
         self.zero_waiting = 0  # ready or queued instances of no instruction, which end as they start
-        # Entries are (slot, kind, first id, cohort): a completion, or a lone
-        # instance's next access.  An instance is in one pending entry, so
-        # (slot, kind, id) is unique and heapq never compares cohorts.
-        self.heap: list[tuple[int, int, str, _Instance]] = []
+        # Entries are (slot, kind, (task, index) of the first member, cohort):
+        # a completion, or a lone instance's next access.  An instance is in
+        # one pending entry, so the key is unique and heapq never compares cohorts.
+        self.heap: list[tuple[int, int, tuple[str, int], _Instance]] = []
         # Instruction count -> the latest cohort started in slot cohorts_slot.
         self.cohorts: dict[int, _Instance] = {}
         self.cohorts_slot = 0
-        # Contenders per variable, sorted by instance id, and how many of
+        # Contenders per variable, sorted by (task, index), and how many of
         # them write; an emptied wait set is dropped.
         self.waiting: defaultdict[str, list[_Instance]] = defaultdict(list)
         self.writes: defaultdict[str, int] = defaultdict(int)
@@ -302,21 +302,21 @@ class _Simulation:
         self.last_boundary = 0
 
         self.sink = events  # None when untraced
-        self.pending: list[tuple[int, int, str, str]] = []  # events of slots not left, a heap
+        self.pending: list[tuple[int, int, str, int, str, str]] = []  # events of slots not left, a heap
 
     # -- event helpers ------------------------------------------------------
 
-    def _trace(self, slot: int, kind: str, ids: Iterable[str], details: Iterable[str]) -> None:
-        """Queue one event per instance id for the sink; called only when tracing."""
+    def _trace(self, slot: int, kind: str, tid: str, numbers: Sequence[int], details: Iterable[str]) -> None:
+        """Queue one event per instance ``numbers`` of task ``tid`` for the sink; called only when tracing."""
         rank, pending = _RANK[kind], self.pending
-        for iid, detail in zip(ids, details):
-            heapq.heappush(pending, (slot, rank, iid, detail))
+        for k, iid, detail in zip(numbers, _instance_ids(self.g._tasks[tid], numbers), details):
+            heapq.heappush(pending, (slot, rank, tid, k, iid, detail))
 
     def _flush(self, before: float) -> None:
         """Hand the sink each pending event of a slot before ``before``, in trace order."""
         pending, sink, slot_dt = self.pending, self.sink, self.slot_dt
         while pending and pending[0][0] < before:
-            slot, rank, iid, detail = heapq.heappop(pending)
+            slot, rank, _, _, iid, detail = heapq.heappop(pending)
             sink(SimEvent(slot * slot_dt, _TRACE_KINDS[rank], iid, detail))
 
     def _count_down(self, followers: list[str], k: int) -> list[str]:
@@ -331,15 +331,18 @@ class _Simulation:
     # -- scheduler ----------------------------------------------------------
 
     def _release(self, freed: list[str], slot: int) -> None:
-        """Make the ``freed`` tasks' instances ready, as one run sorted by id.
-        A control task among them resolves at once and appends the tasks it
-        frees.  The ready heap's key, not this order, decides dispatch."""
-        released, tasks = [], self.g._tasks
+        """Make the ``freed`` tasks' instances ready, as one run of tasks by
+        id, each task one index range.  A control task among them resolves
+        at once and appends the tasks it frees."""
+        tasks, released = self.g._tasks, []
         for t in freed:
             task = tasks[t]
             if task.control_kind is None:  # not a control task, as Task checks
                 released.append(t)
+                self.n_ready += task.instances
                 self.zero_waiting += 0 if task.instruction_count else task.instances
+                if self.sink is not None:
+                    self._trace(slot, "ready", t, range(task.instances), repeat(""))
                 continue
             self.last_boundary = max(self.last_boundary, slot)
             if task.control_kind is ControlKind.CONDITIONAL:
@@ -352,101 +355,91 @@ class _Simulation:
                 followers = [chosen]
             else:
                 followers = self.succs[t]
-            if self.sink is not None:
-                forwards = sorted(iid for s in followers for iid in _instance_ids(tasks[s]))
-                self._trace(slot, "control", [t], ["forwards=" + ",".join(forwards)])
+            if self.sink is not None:  # followers ascend, so their instances go by (task, index)
+                forwards = ",".join(iid for s in followers for iid in _instance_ids(tasks[s]))
+                self._trace(slot, "control", t, (0,), ["forwards=" + forwards])
             freed.extend(self._count_down(followers, 1))
-        if not released:
-            return
-        if len(released) == 1:  # one task: its ids need no map to their task
-            ids = sorted(_instance_ids(tasks[released[0]]))
-            tids = released * len(ids)
-        else:
-            owner = {iid: t for t in released for iid in _instance_ids(tasks[t])}
-            ids = sorted(owner)
-            tids = list(map(owner.__getitem__, ids))
-        self.n_ready += len(ids)
-        heapq.heappush(self.ready, (slot, ids[0], 0, ids, tids))
-        if self.sink is not None:
-            self._trace(slot, "ready", ids, repeat(""))
+        if released:
+            heapq.heappush(self.ready, (slot, (run := sorted(released))[0], 0, 0, run))
 
-    def _start(self, tids: list[str], ids: list[str], cores: list[int], slot: int, from_queue: bool) -> None:
-        """Start instance ``ids[i]`` of task ``tids[i]`` on ``cores[i]``, for
-        each i.  In id order, a run of one task's instances runs alone if the
-        task can contend, else as a cohort, which joins the latest cohort of
-        its instruction count if that started in this slot and holds lower ids."""
-        if self.total_instructions + len(ids) * self.longest > sys.float_info.max:
-            total = self.total_instructions  # refused at the instance that makes it too large, in start order
-            for tid in tids:
-                total += self.g._tasks[tid].instruction_count
-                _check_finite("total_instructions", total)
-        if self.sink is not None:
-            self._trace(slot, "start", ids, map("core={}".format, cores))
-        if from_queue and len(ids) > 1 and ids != sorted(ids):  # queues can hold their heads out of id order
-            ids, tids, cores = map(list, zip(*sorted(zip(ids, tids, cores))))
+    def _start(self, starts: list[tuple[str, Sequence[int]]], cores: list[int], slot: int) -> None:
+        """Start each (task, ascending indices) of ``starts`` in turn on the
+        next cores.  A task that can contend runs each instance alone, else
+        as a cohort, which joins the latest cohort of its instruction count
+        if that started in this slot and its last member sorts before them."""
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
         tasks, started, cohorts, alone, succs = self.g._tasks, self.started, self.cohorts, self.alone, self.succs
+        if self.total_instructions + len(cores) * self.longest > sys.float_info.max:
+            counts = chain.from_iterable(repeat(tasks[tid].instruction_count, len(ks)) for tid, ks in starts)
+            for total in accumulate(counts, initial=self.total_instructions):  # each start's, in start order
+                _check_finite("total_instructions", total)
         tracing, end = self.sink is not None, 0
-        for tid, run in groupby(tids):
-            task, begin = tasks[tid], end
-            end += len([*run])
-            started[tid] += end - begin
+        for tid, ks in starts:
+            task, begin, count = tasks[tid], end, len(ks)
+            end += count
+            given = cores[begin:end]
+            started[tid] += count
             if started[tid] > task.instances:
                 raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
             n = task.instruction_count
-            self.total_instructions += (end - begin) * n
-            self.zero_waiting -= 0 if n else end - begin
+            self.total_instructions += count * n
+            self.zero_waiting -= 0 if n else count
+            if tracing:
+                self._trace(slot, "start", tid, ks, map("core={}".format, given))
             if tid in alone:
                 n_access = _accesses(task, self.stride)
-                for iid, core in zip(ids[begin:end], cores[begin:end]):
-                    vars_, n_reads = _targets(task, iid)
+                for k, core in zip(ks, given):
+                    vars_, n_reads = _targets(task, k)
                     mask = tuple(map(self.contended.__contains__, vars_))
                     if mask not in self.skips:
                         self.skips[mask] = _skip_table(mask)
                     skip = self.skips[mask] if n_access else None
-                    self._push_next(_Instance([iid], [core], succs[tid], n, slot, vars_, n_reads, n_access, skip))
+                    self._push_next(_Instance(tid, [k], [core], succs[tid], n, slot, vars_, n_reads, n_access, skip))
                 continue
-            for iid in ids[begin:end] if tracing and (n_access := _accesses(task, self.stride)) else ():  # on arrival
-                vars_ = _targets(task, iid)[0]
+            if tracing and (n_access := _accesses(task, self.stride)):  # each access on arrival
+                targets = [_targets(task, k)[0] for k in ks]
                 for j in range(n_access):
-                    detail = f"var={vars_[j % len(vars_)]} waited=0"
-                    self._trace(slot + (j + 1) * self.stride - 1, "access", [iid], [detail])
+                    details = [f"var={vars_[j % len(vars_)]} waited=0" for vars_ in targets]
+                    self._trace(slot + (j + 1) * self.stride - 1, "access", tid, ks, details)
             cohort = cohorts.get(n)
-            if cohort and cohort.ids[-1] < ids[begin]:
-                cohort.ids += ids[begin:end]
-                cohort.cores += cores[begin:end]
+            if cohort and (cohort.tids[-1], cohort.ks[-1]) < (tid, ks[0]):
+                cohort.tids += repeat(tid, count)
+                cohort.ks += ks
+                cohort.cores += given
                 if cohort.runs[-1][0] == succs[tid]:  # freed only at the end of both runs
                     cohort.runs.pop()
-                cohort.runs.append((succs[tid], len(cohort.ids)))
+                cohort.runs.append((succs[tid], len(cohort.ks)))
             else:
-                cohort = _Instance(ids[begin:end], cores[begin:end], succs[tid], n, slot)
-                heapq.heappush(self.heap, (slot + n, _COMPLETE, ids[begin], cohort))
+                cohort = _Instance(tid, list(ks), given, succs[tid], n, slot)
+                heapq.heappush(self.heap, (slot + n, _COMPLETE, cohort.key, cohort))
                 if n:  # a cohort of no instruction ends in this slot, so it takes no later start
                     cohorts[n] = cohort
 
     def _fill(self, cores: list[int], slot: int, queue: bool) -> list[int]:
         """Give each core, in order, the next ready instance while any is
-        ready, by (ready slot, id): started, or queued with ``queue``.  Return
-        the cores left."""
-        i = 0
-        while i < len(cores) and self.ready:
-            ready, _, first, ids, tids = heapq.heappop(self.ready)
-            end = min(first + len(cores) - i, len(ids))
-            if self.ready and self.ready[0][0] == ready:  # up to the next run's first id
-                end = bisect_left(ids, self.ready[0][1], first, end)
-            if end < len(ids):
-                heapq.heappush(self.ready, (ready, ids[end], end, ids, tids))
-            ids, tids, given, i = ids[first:end], tids[first:end], cores[i : i + end - first], i + end - first
-            self.n_ready -= len(ids)
-            if not queue:
-                self._start(tids, ids, given, slot, from_queue=False)
-                continue
-            self.queued.update(zip(ids, tids))
-            for core, iid in zip(given, ids):
-                self.queues[core].append(iid)
+        ready, by (ready slot, task, index): started, or queued with
+        ``queue``.  Return the cores left."""
+        i, n, starts, ready, tasks = 0, len(cores), [], self.ready, self.g._tasks
+        while i < n and ready:
+            at, _, lo, place, run = heapq.heappop(ready)
+            bound = ready[0][1] if ready and ready[0][0] == at else None  # the next run of this slot takes over there
+            while i < n and place < len(run) and (lo or bound is None or run[place] < bound):
+                tid = run[place]
+                d = tasks[tid].instances
+                hi = min(lo + n - i, d)
+                starts.append((tid, range(lo, hi)))
+                i, place, lo = i + hi - lo, place + (hi == d), hi % d  # on to the next task once this one is given
+            if place < len(run):
+                heapq.heappush(ready, (at, run[place], lo, place, run))
+        self.n_ready -= i
+        if not queue:
+            self._start(starts, cores[:i], slot)
+            return cores[i:]
+        for core, (tid, k) in zip(cores, ((tid, k) for tid, ks in starts for k in ks)):
+            self.queues[core].append((tid, k))
             if self.sink is not None:
-                self._trace(slot, "queue", ids, map("core={}".format, given))
+                self._trace(slot, "queue", tid, (k,), [f"core={core}"])
         return cores[i:]
 
     def _push_next(self, inst: _Instance) -> None:
@@ -463,14 +456,14 @@ class _Simulation:
             if self.sink is not None:
                 for k in range(granted, granted + jump):
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls
-                    self._trace(slot, "access", [inst.tid], [f"var={inst.vars[k % size]} waited=0"])
+                    self._trace(slot, "access", inst.key[0], inst.key[1:], [f"var={inst.vars[k % size]} waited=0"])
             granted = inst.granted = granted + jump
         if granted < inst.n_access:
             slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
-            heapq.heappush(self.heap, (slot, _ACCESS, inst.tid, inst))
+            heapq.heappush(self.heap, (slot, _ACCESS, inst.key, inst))
         else:
             slot = inst.start + inst.n + inst.stalls
-            heapq.heappush(self.heap, (slot, _COMPLETE, inst.tid, inst))
+            heapq.heappush(self.heap, (slot, _COMPLETE, inst.key, inst))
 
     def _dispatch(self, slot: int) -> None:
         """Feed idle cores, then fill pre-allocation queues, FIFO over ready
@@ -493,8 +486,8 @@ class _Simulation:
                 heapq.heappush(self.room, core)
 
     def _complete(self, inst: _Instance, slot: int) -> None:
-        """End a cohort's members as if one at a time, in id order, counting
-        them off their tasks' followers one run of shared followers at a time.  The
+        """End a cohort's members as if one at a time, in (task, index) order,
+        counting them off their tasks' followers one run of shared followers at a time.  The
         cohort is cut after the first run that frees a task, before another
         entry of this slot that sorts inside it, and after each member while
         an instance of no instruction, which ends as it starts, waits; the
@@ -502,11 +495,11 @@ class _Simulation:
         task: its core starts its queued instance or idles, then takes the
         next ready one into a queue that was full, or onto itself if idle,
         done in bulk."""
-        ids, first, cut = inst.ids, inst.first, len(inst.ids)
+        tids, ks, first, cut, heap = inst.tids, inst.ks, inst.first, len(inst.ks), self.heap
         if cut - first > 1 and self.zero_waiting:
             cut = first + 1
-        elif cut - first > 1 and self.heap and self.heap[0][:2] == (slot, _COMPLETE):
-            cut = bisect_left(ids, self.heap[0][2], first, cut)
+        elif cut - first > 1 and heap and heap[0][:2] == (slot, _COMPLETE):  # up to that entry's key
+            cut = bisect_left(range(cut), heap[0][2], first, key=lambda i: (tids[i], ks[i]))
         done, freed = first, None
         while done < cut and not freed:
             followers, end = inst.runs[inst.run]
@@ -514,20 +507,25 @@ class _Simulation:
                 inst.run += 1
             freed = self._count_down(followers, min(end, cut) - done)
             done = min(end, cut)
-        if done < len(ids):
+        if done < len(ks):
             inst.first = done
-            heapq.heappush(self.heap, (slot, _COMPLETE, ids[done], inst))
+            heapq.heappush(heap, (slot, _COMPLETE, (tids[done], ks[done]), inst))
+        for i in range(first, done) if self.sink is not None else ():
+            self._trace(slot, "complete", tids[i], ks[i : i + 1], [f"core={inst.cores[i]}"])
         cores = inst.cores[first:done]
-        if len(cores) > 1 and not (self.queued or self.ready):  # nothing to start: the cores idle
+        queues = list(map(self.queues.__getitem__, cores[:-1])) if len(cores) > 1 else []
+        if queues and not (self.ready or any(queues)):  # nothing to start: the cores idle
             for core in cores[:-1]:
                 heapq.heappush(self.idle, core)
-        elif len(cores) > 1:
-            queues = list(map(self.queues.__getitem__, cores[:-1]))
+        elif queues:
             lengths = list(map(len, queues))
             full = list(compress(cores, map(self.depth.__eq__, lengths))) if self.depth else []
             heads = list(map(list.pop, compress(queues, lengths), repeat(0)))
             if heads:
-                self._start(list(map(self.queued.pop, heads)), heads, list(compress(cores, lengths)), slot, True)
+                given = list(compress(cores, lengths))
+                if heads != sorted(heads):  # queues can hold their heads out of (task, index) order
+                    heads, given = map(list, zip(*sorted(zip(heads, given))))
+                self._start([(tid, [k for _, k in run]) for tid, run in groupby(heads, itemgetter(0))], given, slot)
             for core in self._fill(full, slot, queue=True):
                 heapq.heappush(self.room, core)
             for core in self._fill(list(compress(cores, map((0).__eq__, lengths))), slot, queue=False):
@@ -536,8 +534,6 @@ class _Simulation:
         for core in cores:
             per_core[core] += busy
         self.last_boundary = max(self.last_boundary, slot)
-        if self.sink is not None:
-            self._trace(slot, "complete", ids[first:done], map("core={}".format, cores))
         if freed:
             self._release(freed, slot)
         core = cores[-1]
@@ -545,8 +541,8 @@ class _Simulation:
         if queue:
             if len(queue) == self.depth:
                 heapq.heappush(self.room, core)
-            iid = queue.pop(0)
-            self._start([self.queued.pop(iid)], [iid], [core], slot, from_queue=True)
+            tid, k = queue.pop(0)
+            self._start([(tid, [k])], [core], slot)
         else:
             heapq.heappush(self.idle, core)
         if self.ready:
@@ -556,12 +552,12 @@ class _Simulation:
         """Grant each contended variable's waiting accesses in ``slot`` by the CREW rule.
 
         A variable's contenders are its wait set: losers of earlier slots
-        and the slot's arrivals, kept sorted by instance id.  With no write
+        and the slot's arrivals, kept sorted by (task, index).  With no write
         among them, every read is granted and nothing is drawn.  Otherwise
         one draw of ``randrange(len(group))`` picks a contender uniformly, a
         group of one drawing nothing: a writer that wins is granted alone, a
         reader takes every waiting reader with it.  The others stay in the
-        wait set, in id order, which keeps the main loop on the next slot;
+        wait set, in that order, which keeps the main loop on the next slot;
         an emptied set is dropped.  A stall is charged once, at the grant:
         the slots since the arrival.
         """
@@ -581,7 +577,7 @@ class _Simulation:
                 inst.stalls += stalls
                 inst.granted += 1
                 if self.sink is not None:
-                    self._trace(slot, "access", [inst.tid], [f"var={var} waited={stalls}"])
+                    self._trace(slot, "access", inst.key[0], inst.key[1:], [f"var={var} waited={stalls}"])
                 self._push_next(inst)
 
     # -- main loop ----------------------------------------------------------
@@ -589,7 +585,7 @@ class _Simulation:
     def execute(self) -> None:
         # Snapshot the roots first: resolving a root control task releases its
         # successors, which must not be made ready a second time.
-        self._release(sorted(compress(self.pred_left, map(not_, self.pred_left.values()))), 0)
+        self._release(list(compress(self.pred_left, map(not_, self.pred_left.values()))), 0)
         self._dispatch(0)
         slot, tracing = 0, self.sink is not None
         # A grant queues its instance's next milestone at a later slot, so
@@ -609,7 +605,7 @@ class _Simulation:
                     target = inst.granted % len(inst.vars)
                     inst.reading = target < inst.n_reads
                     var = inst.vars[target]
-                    insort(self.waiting[var], inst, key=_TID)
+                    insort(self.waiting[var], inst, key=_KEY)
                     self.writes[var] += not inst.reading
             if self.waiting:
                 self._arbitrate(slot)

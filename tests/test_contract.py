@@ -131,9 +131,8 @@ def test_every_callable_taking_a_number_is_covered():
     records = {"EnsembleMetrics", "CommMetrics", "Et2ParallelResult", "SimReport", "ModelDeviation",
                "SimEvent", "CrewViolation"}
     # These take a chip, a graph, a report or a configuration, or are enums.
-    no_number = {"single_metrics", "TaskGraph", "TaskKind", "ControlKind", "validate_dag",
-                 "concurrent_pairs", "check_crew", "expand_duplicables",
-                 "compare_to_model"}
+    no_number = {"TaskGraph", "TaskKind", "ControlKind", "validate_dag", "concurrent_pairs",
+                 "check_crew", "expand_duplicables", "compare_to_model"}
     callables = {name for name in plural.__all__ if not name.endswith("Error")}
     assert callables - covered - records - no_number == set()
 

@@ -16,7 +16,6 @@ from plural import (
     make_state,
     parallelize,
     shrink_work,
-    single_metrics,
     stretch_time,
 )
 
@@ -38,7 +37,7 @@ class TestMakeState:
     def test_from_chip_baseline(self):
         # E1 = A*W, t1 = W/sqrt(A); with A=1e6, W=1 the cost is
         # 1e6 * (1e-3)**2 = 1.0.
-        row = single_metrics(ChipSpec(area=1e6, work=1))
+        row = ensemble_metrics(ChipSpec(area=1e6, work=1), 1)
         s = make_state(row.energy, row.compute_time)
         assert isclose(s.theta, 1.0)
 
@@ -214,7 +213,7 @@ class TestParallelize:
                 work=10 ** rng.uniform(-1, 4),
                 cpi=rng.uniform(0.5, 2),
             )
-            base = single_metrics(spec)
+            base = ensemble_metrics(spec, 1)
             m = rng.choice([1, 2, 4, 16, 256, 4096])
             row = ensemble_metrics(spec, m)
             result = parallelize(make_state(base.energy, base.compute_time), m)

@@ -45,14 +45,19 @@ def control(tid, kind=ControlKind.MERGE):
 
 def pairwise_check_crew(g):
     """Reference CREW check: footprint intersections over every concurrent pair
-    of the expanded graph.  A cycle is named by ``validate_dag``'s witness on
-    the authored graph."""
+    of the expanded graph, each pair and the list ordered by the authored
+    (task, number) of its instances.  A cycle is named by ``validate_dag``'s
+    witness on the authored graph."""
     expanded = expand_duplicables(g)
     cycle = validate_dag(g)
     if cycle is not None:
         raise CycleError(cycle)
+    spelled = {(tid, k): f"{tid}#{k}" if task.kind is TaskKind.DUPLICABLE else tid
+               for tid, task in g.tasks.items() for k in range(task.instances)}
+    order = {iid: key for key, iid in spelled.items()}  # expanded id -> authored (task, number)
     violations = []
-    for a, b in sorted(concurrent_pairs(expanded)):
+    for pair in sorted(sorted(map(order.__getitem__, pair)) for pair in concurrent_pairs(expanded)):
+        a, b = map(spelled.__getitem__, pair)
         task_a = expanded.tasks[a]
         task_b = expanded.tasks[b]
         both_write = task_a.write_set & task_b.write_set

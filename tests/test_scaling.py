@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from plural import ChipSpec, DomainError, ValidationError, ensemble_metrics, single_metrics, sweep
+from plural import ChipSpec, DomainError, ValidationError, ensemble_metrics, sweep
 
 REL = 1e-12
 
@@ -45,14 +45,14 @@ class TestSingleProcessor:
     def test_demo_settings(self):
         # A=1e6, W=1: f1 = sqrt(A) = 1000, t1 = W/f1 = 1e-3, P1 = A*f1 = 1e9,
         # E1 = P1*t1 = A*W = 1e6.
-        row = single_metrics(ChipSpec(area=1e6, work=1))
+        row = ensemble_metrics(ChipSpec(area=1e6, work=1), 1)
         assert row.core_freq == 1000.0
         assert row.compute_time == 1e-3
         assert row.power == 1e9
         assert row.energy == 1e6
 
     def test_unit_inputs(self):
-        row = single_metrics(ChipSpec(area=1, work=1))
+        row = ensemble_metrics(ChipSpec(area=1, work=1), 1)
         assert row.core_freq == 1.0
         assert row.compute_time == 1.0
         assert row.power == 1.0
@@ -60,18 +60,18 @@ class TestSingleProcessor:
 
     def test_general_exponent(self):
         # (1e6)**0.25 = 10**1.5, evaluated independently.
-        row = single_metrics(ChipSpec(area=1e6, work=1, pollack_exponent=0.25))
+        row = ensemble_metrics(ChipSpec(area=1e6, work=1, pollack_exponent=0.25), 1)
         assert isclose(row.core_freq, 31.622776601683793)
         assert isclose(row.compute_time, 0.03162277660168379)
 
     def test_static_power_adds_area(self):
-        base = single_metrics(ChipSpec(area=1e6, work=1))
-        with_static = single_metrics(ChipSpec(area=1e6, work=1, static_power_enabled=True))
+        base = ensemble_metrics(ChipSpec(area=1e6, work=1), 1)
+        with_static = ensemble_metrics(ChipSpec(area=1e6, work=1, static_power_enabled=True), 1)
         assert with_static.power == base.power + 1e6
         assert isclose(with_static.energy, with_static.power * with_static.compute_time)
 
     def test_cpi_scales_perf_and_time(self):
-        row = single_metrics(ChipSpec(area=1e6, work=1, cpi=2.0))
+        row = ensemble_metrics(ChipSpec(area=1e6, work=1, cpi=2.0), 1)
         assert row.core_perf == 500.0
         assert row.compute_time == 2e-3
 
@@ -87,14 +87,6 @@ class TestEnsemble:
         assert row.energydown == 16.0
         assert row.powerdown == 4.0
         assert isclose(row.perf_per_power, 1.6e-5)
-
-    def test_m1_equals_single(self):
-        for spec in (
-            ChipSpec(area=1e6, work=1),
-            ChipSpec(area=123.5, work=7.25, cpi=1.5, pollack_exponent=0.3),
-            ChipSpec(area=50, work=2, static_power_enabled=True),
-        ):
-            assert ensemble_metrics(spec, 1) == single_metrics(spec)
 
     def test_m1_ratios_are_one(self):
         row = ensemble_metrics(ChipSpec(area=777.0, work=3.0), 1)
@@ -126,10 +118,6 @@ class TestSweep:
         rows = sweep(ChipSpec(area=1e6, work=1), [1, 4, 16])
         assert [r.m for r in rows] == [1, 4, 16]
         assert [r.speedup for r in rows] == [1.0, 2.0, 4.0]
-
-    def test_single_entry_equals_single_metrics(self):
-        spec = ChipSpec(area=1e6, work=1)
-        assert sweep(spec, [1]) == [single_metrics(spec)]
 
     def test_large_m(self):
         row = sweep(ChipSpec(area=1e6, work=1), [16384])[0]

@@ -11,7 +11,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plural import (
@@ -78,6 +78,12 @@ def instance_ids(task):
     if task.kind is TaskKind.DUPLICABLE:
         return [f"{task.id}#{k}" for k in range(task.instances)]
     return [task.id]
+
+
+def instance_order(g):
+    """Each instance id of ``g`` -> its (authored task id, instance number),
+    the order in which the simulator breaks ties."""
+    return {iid: (tid, k) for tid, task in g.tasks.items() for k, iid in enumerate(instance_ids(task))}
 
 
 def instance_targets(task, iid):
@@ -670,8 +676,9 @@ class TestSingleCoreReference:
 class OracleInstance:
     """A core-executed task instance and its progress through its slots."""
 
-    def __init__(self, tid, task, vars_, n_reads, stride, skip, core, start):
+    def __init__(self, tid, k, task, vars_, n_reads, stride, skip, core, start):
         self.tid = tid  # instance id
+        self.key = (task.id, k)  # its place in the event heap and in a wait set
         self.task = task.id
         self.n = task.instruction_count
         self.vars = vars_  # access targets, round-robin
@@ -689,7 +696,7 @@ class OracleInstance:
 class OracleCore:
     def __init__(self):
         self.current = None
-        self.queue = deque()  # (instance id, authored task id, access targets, reads)
+        self.queue = deque()  # (authored task id, instance number, instance id, access targets, reads)
         self.busy_slots = 0
 
 
@@ -697,6 +704,7 @@ class PerInstanceSimulation:
     """The engine before cohorts, kept as the oracle: one heap entry per
     instance milestone, one ready-heap entry per instance, and each
     instance's targets from its own footprint, read from its task here.
+    Instances go by (authored task id, instance number) wherever they tie.
     It keeps its whole trace in a list and hands it, sorted, to the sink
     when the run reports."""
 
@@ -718,10 +726,11 @@ class PerInstanceSimulation:
 
         g._footprint  # raises what building the index raises
         self.instances = {
-            tid: [(iid, tid, (*targets[0], *targets[1]), len(targets[0]))
-                  for iid in instance_ids(task) for targets in [instance_targets(task, iid)]]
+            tid: [(tid, k, iid, (*targets[0], *targets[1]), len(targets[0]))
+                  for k, iid in enumerate(instance_ids(task)) for targets in [instance_targets(task, iid)]]
             for tid, task in sorted(g.tasks.items())
         }
+        self.order = instance_order(g)
         # Each task's unfinished predecessor instances.
         self.pred_left = dict.fromkeys(g._tasks, 0)
         for pred, succ in g.edges:
@@ -735,13 +744,13 @@ class PerInstanceSimulation:
         # Min-heap of the cores whose pre-allocation queue has room: each
         # core is in it exactly while len(queue) < prealloc_depth.
         self.room = []
-        self.ready = []  # (ready slot, instance)
-        # Entries are (slot, kind, instance id, instance), one per instance
+        self.ready = []  # (ready slot, instance), by (slot, task, number)
+        # Entries are (slot, kind, (task, number), instance), one per instance
         # milestone: its next access or its completion.  Each started instance
         # has one pending entry at a time and starts at most once, so
-        # (slot, kind, id) is unique and heapq never compares the instance.
+        # (slot, kind, key) is unique and heapq never compares the instance.
         self.heap = []
-        # Contenders per variable, sorted by instance id, and how many of
+        # Contenders per variable, sorted by (task, number), and how many of
         # them write; an emptied wait set is dropped.
         self.waiting = defaultdict(list)
         self.writes = defaultdict(int)
@@ -783,7 +792,7 @@ class PerInstanceSimulation:
         resolves at once and appends the instances it frees.  The ``ready``
         heap's key, not this order, decides dispatch."""
         for item in freed:
-            iid, t = item[0], item[1]
+            t, iid = item[0], item[2]
             task = self.g._tasks[t]
             if task.kind is not TaskKind.CONTROL:
                 heapq.heappush(self.ready, (slot, item))
@@ -801,12 +810,12 @@ class PerInstanceSimulation:
             else:
                 followers = self.succs[t]
             if self.trace is not None:
-                forwards = ",".join(sorted(item[0] for item in self._instances(followers)))
+                forwards = ",".join(item[2] for item in self._instances(followers))
                 self._event(slot, "control", t, f"forwards={forwards}")
             freed.extend(self._count_down(followers))
 
     def _start(self, core_idx, item, slot, from_queue):
-        iid, tid, vars_, n_reads = item
+        tid, k, iid, vars_, n_reads = item
         if iid in self.started:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
@@ -815,7 +824,7 @@ class PerInstanceSimulation:
             skip = self.skips[mask]
         except KeyError:
             skip = self.skips[mask] = sim_module._skip_table(mask)
-        inst = OracleInstance(iid, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
+        inst = OracleInstance(iid, k, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
         self.total_instructions += inst.n
         if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
             sim_module._check_finite("total_instructions", self.total_instructions)
@@ -844,10 +853,10 @@ class PerInstanceSimulation:
             self.mem_access_count += jump
         if granted < inst.n_access:
             slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
-            heapq.heappush(self.heap, (slot, sim_module._ACCESS, inst.tid, inst))
+            heapq.heappush(self.heap, (slot, sim_module._ACCESS, inst.key, inst))
         else:
             slot = inst.start + inst.n + inst.stalls
-            heapq.heappush(self.heap, (slot, sim_module._COMPLETE, inst.tid, inst))
+            heapq.heappush(self.heap, (slot, sim_module._COMPLETE, inst.key, inst))
 
     def _dispatch(self, slot):
         """Feed idle cores, then fill pre-allocation queues, FIFO over ready
@@ -874,7 +883,7 @@ class PerInstanceSimulation:
             if len(queue) == self.cfg.prealloc_depth:
                 heapq.heappop(self.room)
             self.sched_msg_count += 1  # task-init message, pre-allocated
-            self._event(slot, "queue", item[0], "core=%d", core_idx)
+            self._event(slot, "queue", item[2], "core=%d", core_idx)
 
     def _complete(self, inst, slot):
         core = self.cores[inst.core]
@@ -899,12 +908,12 @@ class PerInstanceSimulation:
         """Grant each contended variable's waiting accesses in ``slot`` by the CREW rule.
 
         A variable's contenders are its wait set: losers of earlier slots
-        and the slot's arrivals, kept sorted by instance id.  With no write
+        and the slot's arrivals, kept sorted by (task, number).  With no write
         among them, every read is granted and nothing is drawn.  Otherwise
         one draw of ``randrange(len(group))`` picks a contender uniformly, a
         group of one drawing nothing: a writer that wins is granted alone, a
         reader takes every waiting reader with it.  The others stay in the
-        wait set, in id order, which keeps the main loop on the next slot;
+        wait set, in that order, which keeps the main loop on the next slot;
         an emptied set is dropped.  A stall is charged once, at the grant:
         the slots since the arrival.
         """
@@ -951,7 +960,7 @@ class PerInstanceSimulation:
                     target = inst.granted % len(inst.vars)
                     inst.reading = target < inst.n_reads
                     var = inst.vars[target]
-                    insort(self.waiting[var], inst, key=sim_module._TID)
+                    insort(self.waiting[var], inst, key=sim_module._KEY)
                     self.writes[var] += not inst.reading
             if self.waiting:
                 self._arbitrate(slot)
@@ -971,7 +980,7 @@ class PerInstanceSimulation:
             mem_energy = 0.0
         total_energy = compute_energy + sched_energy + mem_energy
         busy = tuple(core.busy_slots * self.slot_dt for core in self.cores)
-        for event in sorted(self.trace or (), key=lambda e: (e.time, sim_module._RANK[e.kind], e.task)):
+        for event in sorted(self.trace or (), key=lambda e: (e.time, sim_module._RANK[e.kind], self.order[e.task])):
             self.sink(event)
         return sim_module.SimReport(
             m=self.cfg.m,
@@ -1003,7 +1012,7 @@ class PerStallSimulation(PerInstanceSimulation):
     It takes every access through its own loop, as if every variable could
     contend, and applies the CREW rule itself, written from the footprints
     rather than read from the engine.  Each slot it groups the arriving
-    accesses by variable and sorts a group by instance id.  With no write
+    accesses by variable and sorts a group by (task, number).  With no write
     in a group every read is granted; otherwise one draw picks a member (a
     group of one draws nothing): a writer alone, or a reader with every
     reader.  Every loser goes back into the event heap for the next slot and
@@ -1057,7 +1066,7 @@ class PerStallSimulation(PerInstanceSimulation):
             _, item = heapq.heappop(self.ready)
             self.cores[core_idx].queue.append(item)
             self.sched_msg_count += 1
-            self._event(slot, "queue", item[0], f"core={core_idx}")
+            self._event(slot, "queue", item[2], f"core={core_idx}")
 
     def _arbitrate(self, accesses, slot):
         groups = {}
@@ -1065,7 +1074,7 @@ class PerStallSimulation(PerInstanceSimulation):
             var = inst.vars[inst.granted % len(inst.vars)]
             groups.setdefault(var, []).append(inst)
         for var in sorted(groups):
-            group = sorted(groups[var], key=lambda i: i.tid)
+            group = sorted(groups[var], key=sim_module._KEY)
             readers = [i for i in group if i.granted % len(i.vars) < self.n_reads[i.tid]]
             winners = readers
             if len(readers) < len(group):
@@ -1082,7 +1091,7 @@ class PerStallSimulation(PerInstanceSimulation):
                     inst.stalls += 1
                     self.mem_conflict_stalls += 1
                     self.lost[inst.tid] += 1
-                    heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.tid, inst))
+                    heapq.heappush(self.heap, (slot + 1, sim_module._ACCESS, inst.key, inst))
 
     def execute(self):
         self._release(self._instances(t for t in self.instances if self.pred_left[t] == 0), 0)
@@ -1217,9 +1226,9 @@ def trace_calls(g, cfg, traced):
     calls = []
     real_trace = sim_module._Simulation._trace
 
-    def recording(self, slot, kind, ids, details):
+    def recording(self, slot, kind, tid, numbers, details):
         calls.append((slot, kind))
-        return real_trace(self, slot, kind, ids, details)
+        return real_trace(self, slot, kind, tid, numbers, details)
 
     with mock.patch.object(sim_module._Simulation, "_trace", recording):
         return run_outcome(g, cfg, sim_module._Simulation, traced), calls
@@ -1305,6 +1314,26 @@ class TestUntracedMatchesTraced:
         assert untraced == run_outcome(g, cfg, PerInstanceSimulation, traced=False)
 
 
+def two_runs_in_one_slot():
+    """At m = 4 with no queue, two cohorts end in slot 4: "t2" frees "t11"
+    and "t9", then "t3" frees "t7", while older ready instances take every
+    core.  The two runs of ready tasks wait together, and the four cores
+    freed in slot 6 must take "t7" between "t11" and "t9"."""
+    tasks = [duplicable("t0", 2, 2), singular("t1", 4), singular("t2", 4), singular("t3", 2), singular("t4", 2),
+             duplicable("t5", 3, 2), singular("t6", 2), singular("t7", 2), singular("t9", 2), singular("t11", 2)]
+    g = TaskGraph(tasks, [("t2", "t11"), ("t2", "t9"), ("t3", "t7")])
+    return g, SimConfig(chip=CHIP, m=4, prealloc_depth=0)
+
+
+def queue_heads_out_of_order():
+    """Roots of lengths 2 and 4 at m = 4 with queues of two: the cores of a
+    cohort that ends hold queue heads out of (task, index) order, which
+    start as cohorts only once sorted."""
+    tasks = [duplicable("t0", 2, 4), duplicable("t1", 3, 2), duplicable("t2", 5, 4), duplicable("t3", 6, 4),
+             singular("t7", 2), duplicable("t8", 8, 2)]
+    return TaskGraph(tasks), SimConfig(chip=CHIP, m=4, prealloc_depth=2)
+
+
 class TestCohortsMatchPerInstance:
     """Cohorts change the engine's cost, not its reports: on graphs built to
     split, join and reorder cohorts, each run, traced or not, equals the
@@ -1312,6 +1341,8 @@ class TestCohortsMatchPerInstance:
 
     @settings(max_examples=1200, derandomize=True, database=None, deadline=None)
     @given(cohort_cases())
+    @example(two_runs_in_one_slot())
+    @example(queue_heads_out_of_order())
     def test_reports_match(self, case):
         g, cfg = case
         for traced in (True, False):
@@ -1392,13 +1423,13 @@ class TestStreamedTrace:
         real_trace, real_flush = sim_module._Simulation._trace, sim_module._Simulation._flush
         left, held = [0], []
 
-        def trace(sim, slot, kind, ids, details):
+        def trace(sim, slot, kind, tid, numbers, details):
             assert slot >= left[-1], "an event for a slot the run has left"
-            real_trace(sim, slot, kind, ids, details)
+            real_trace(sim, slot, kind, tid, numbers, details)
             held.append(len(sim.pending))
 
         def flush(sim, before):
-            assert all(rank == sim_module._RANK["access"] for slot, rank, _, _ in sim.pending if slot >= before)
+            assert all(rank == sim_module._RANK["access"] for slot, rank, *_ in sim.pending if slot >= before)
             real_flush(sim, before)
             left.append(before)
 
@@ -1450,7 +1481,7 @@ class TestPrivateAccesses:
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
         # One completion per stage: a stage's d instances start in one slot
         # and end in one slot, a cohort.
-        assert [(kind, tid) for _, kind, tid, _ in pushed] == [(sim_module._COMPLETE, f"st{k}#0") for k in range(4)]
+        assert [(kind, key) for _, kind, key, _ in pushed] == [(sim_module._COMPLETE, (f"st{k}", 0)) for k in range(4)]
         report = sim.report(1.0)
         assert report.mem_access_count == d * sum(n // 5 for n in sizes)
         assert report.mem_conflict_stalls == 0
@@ -1462,7 +1493,7 @@ class TestPrivateAccesses:
         )
         cfg = SimConfig(chip=CHIP, m=2, mem_access_stride=1, seed=3)
         sim, pushed = self.event_pushes(monkeypatch, g, cfg)
-        kinds = Counter(kind for _, kind, tid, _ in pushed if tid == "m")
+        kinds = Counter(kind for _, kind, key, _ in pushed if key == ("m", 0))
         assert kinds == {sim_module._ACCESS: 5, sim_module._COMPLETE: 1}
         report = sim.report(1.0)
         assert report.mem_access_count == 10 + 7
@@ -1500,12 +1531,37 @@ class TestPrivateAccesses:
 
 
 def expanded_outcome(g, cfg, traced):
-    """``run_outcome`` of ``expand_duplicables(g)``, or the error that expanding raises."""
+    """``run_outcome`` of ``expand_duplicables(g)``, or the error that expanding raises.
+
+    In the expanded graph every instance is a singular task, whose ties go
+    by its id.  So each id there is a str that compares as the authored
+    (task, number) it came from, and equals and hashes as the plain id:
+    the expanded run breaks ties as ``run`` on ``g`` does."""
     try:
         expanded = expand_duplicables(g)
     except GraphStructureError as exc:
         return type(exc), str(exc)
-    return run_outcome(expanded, cfg, sim_module._Simulation, traced)
+    order = instance_order(g)
+
+    class Authored(str):
+        def __lt__(a, b):
+            return order[a] < order[b]
+
+        def __le__(a, b):
+            return order[a] <= order[b]
+
+        def __gt__(a, b):
+            return order[a] > order[b]
+
+        def __ge__(a, b):
+            return order[a] >= order[b]
+
+    ids = {tid: Authored(tid) for tid in expanded.tasks}
+    ordered = TaskGraph.__new__(TaskGraph)  # TaskGraph refuses edge ids that are not exactly str
+    ordered._tasks = {ids[tid]: replace(task, id=ids[tid]) for tid, task in expanded.tasks.items()}
+    ordered._edges = frozenset((ids[p], ids[s]) for p, s in expanded.edges)
+    outcomes = {ids[t]: ids[s] for t, s in cfg.conditional_outcomes.items()}
+    return run_outcome(ordered, replace(cfg, conditional_outcomes=outcomes), sim_module._Simulation, traced)
 
 
 def ready_order(events):
@@ -1531,8 +1587,10 @@ class TestAuthoredMatchesExpanded:
             assert run_outcome(g, cfg, sim_module._Simulation, traced) == expanded_outcome(g, cfg, traced)
 
     @pytest.mark.parametrize("with_root", [True, False])
-    def test_ties_go_by_instance_id_string(self, with_root):
-        # "w!" sorts before "w#0", and "w#05" between "w#0" and "w#1".
+    def test_ties_go_by_task_then_index(self, with_root):
+        # As id strings, "w!" sorts before "w#0", "w#05" between "w#0" and
+        # "w#1", and "w#10" before "w#2".  Ties go by authored task id, then
+        # by instance index: "w" < "w!" < "w#05", and w#0, w#1, ..., w#11.
         tasks = [duplicable("w", 12, 4, writes={"o[#]"}), singular("w!", 4), singular("w#05", 4)]
         edges = []
         if with_root:
@@ -1541,10 +1599,10 @@ class TestAuthoredMatchesExpanded:
         g = TaskGraph(tasks, edges)
         cfg = SimConfig(chip=CHIP, m=4)
         report, events = traced_run(g, cfg)
-        ids = sorted(["w!", "w#05"] + [f"w#{k}" for k in range(12)])
-        assert ids[:4] == ["w!", "w#0", "w#05", "w#1"]
-        # All 14 are ready in one slot and m = 4: dispatch goes by id.
+        ids = [f"w#{k}" for k in range(12)] + ["w!", "w#05"]
+        # All 14 are ready in one slot and m = 4: dispatch goes by (task, index).
         assert start_order(events) == ["p"] * with_root + ids
+        assert [e.task for e in events if e.kind == "ready"] == ["p"] * with_root + ids
         assert (report, events) == expanded_outcome(g, cfg, traced=True)
 
     def test_control_frees_what_the_walk_has_passed(self):
@@ -1561,9 +1619,9 @@ class TestAuthoredMatchesExpanded:
         assert start_order(events) == ["x", "d", "e", "f"]
         assert (report, events) == expanded_outcome(g, cfg, traced=True)
 
-    def test_conditional_forwards_to_duplicable_by_id(self):
+    def test_conditional_forwards_to_duplicable_by_index(self):
         # Like every other control task, a conditional lists the instances
-        # it forwards to by id, not by number: "w#10" before "w#2".
+        # it forwards to by (task, index): "w#2" before "w#10".
         g = TaskGraph(
             [
                 singular("p", 3),
@@ -1575,8 +1633,7 @@ class TestAuthoredMatchesExpanded:
         )
         cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"c": "w"})
         report, events = traced_run(g, cfg)
-        ids = sorted(f"w#{k}" for k in range(12))
-        assert ids[2:5] == ["w#10", "w#11", "w#2"]
+        ids = [f"w#{k}" for k in range(12)]
         assert ready_order(events) == [("ready", "p"), ("control", "c"), *(("ready", iid) for iid in ids)]
         assert [e.detail for e in events if e.kind == "control"] == ["forwards=" + ",".join(ids)]
         assert start_order(events) == ["p"] + ids
@@ -1585,7 +1642,7 @@ class TestAuthoredMatchesExpanded:
 
     def test_conditional_frees_what_the_walk_has_passed(self):
         # "p" frees the conditional "w#05", which resolves at once and frees
-        # all of "w" in "p"'s completion slot; they start by id.
+        # all of "w" in "p"'s completion slot; they start by index.
         g = TaskGraph(
             [
                 singular("p", 3),
@@ -1597,7 +1654,7 @@ class TestAuthoredMatchesExpanded:
         )
         cfg = SimConfig(chip=CHIP, m=12, conditional_outcomes={"w#05": "w"})
         _, events = traced_run(g, cfg)
-        numbered = sorted(f"w#{k}" for k in range(12))
+        numbered = [f"w#{k}" for k in range(12)]
         assert ready_order(events) == [
             ("ready", "p"), ("control", "w#05"), *(("ready", iid) for iid in numbered)
         ]
@@ -1615,6 +1672,36 @@ class TestAuthoredMatchesExpanded:
         cfg = SimConfig(chip=CHIP, m=32, seed=7)
         for report in (run(g, cfg), traced_run(g, cfg)[0]):
             assert report.total_instructions == d * sum(sizes)
+
+
+class TestInstanceOrder:
+    """Ready instances go by (task, index), so the engine carries index
+    ranges: an id is spelled only for the trace and the CREW warnings."""
+
+    def test_untraced_clean_run_spells_no_instance_ids(self, monkeypatch):
+        real = graph_module._instance_ids
+
+        def spelled(task, *numbers):
+            if task.instances > 1:
+                raise AssertionError(f"the instance ids of {task.id!r} were spelled")
+            return real(task, *numbers)
+
+        monkeypatch.setattr(graph_module, "_instance_ids", spelled)
+        monkeypatch.setattr(sim_module, "_instance_ids", spelled)
+        d, cfg = 4096, SimConfig(chip=CHIP, m=64)
+        assert run(fork_join(d), cfg).total_instructions == 40 + d * 200 + 50
+        # A trace names every instance.
+        with pytest.raises(AssertionError, match="of 'read' were spelled"):
+            traced_run(fork_join(d), cfg)
+        # The CREW check of instances that all write "acc" names them too.
+        with pytest.raises(AssertionError, match="of 'w' were spelled"):
+            run(TaskGraph([duplicable("w", 8, 10, writes={"acc"})]), cfg)
+
+    def test_one_core_starts_instances_by_index(self):
+        # As id strings, "w#10" and "w#11" would go before "w#2".
+        g = TaskGraph([duplicable("w", 12, 4, writes={"o[#]"})])
+        _, events = traced_run(g, SimConfig(chip=CHIP, m=1))
+        assert start_order(events) == [f"w#{k}" for k in range(12)]
 
 
 def executed_tasks(g, cfg):
@@ -1681,7 +1768,8 @@ def assert_trace_invariants(g, cfg, report, events):
     # an access's wait: one access event per grant, the waits summing to
     # the stall count.
     assert {e.kind for e in events} <= set(TRACE_KINDS)  # no "stall" kind
-    keys = [(e.time, TRACE_KINDS.index(e.kind), e.task) for e in events]
+    order = instance_order(g)
+    keys = [(e.time, TRACE_KINDS.index(e.kind), order[e.task]) for e in events]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     accesses = [(e.time, *access_fields(e)) for e in events if e.kind == "access"]
     assert len(accesses) == report.mem_access_count
@@ -2046,8 +2134,9 @@ class TestRandomizedGraphs:
             assert math.isclose(
                 report.avg_power * report.makespan, report.total_energy, rel_tol=1e-9
             )
-            # determinism
+            # determinism, and the per-instance oracle's order
             assert traced_run(g, cfg) == (report, events)
+            assert run_outcome(g, cfg, PerInstanceSimulation) == (report, events)
 
 
 class TestErrors:
@@ -2097,9 +2186,9 @@ class TestErrors:
     def test_a_task_starts_at_most_its_instances(self):
         # The guard behind "every instance runs exactly once".
         sim = sim_module._Simulation(parallel_workload(2, 10), SimConfig(chip=CHIP, m=2), None)
-        sim._start(["work", "work"], ["work#0", "work#1"], [0, 1], 0, from_queue=False)
+        sim._start([("work", range(2))], [0, 1], 0)
         with pytest.raises(RuntimeError, match="started more than its 2 instances"):
-            sim._start(["work"], ["work#1"], [1], 0, from_queue=False)
+            sim._start([("work", [1])], [1], 0)
 
     def test_seed_must_be_an_integer(self):
         # A seed of None would seed from the operating system, and runs of
