@@ -10,94 +10,41 @@ The package has three layers:
 * measurement: ``sim`` (a deterministic discrete-event simulator whose
   reports are compared back against the closed-form predictions) and ``cli``
   (the ``plural`` command).
+
+Each name of ``__all__`` is imported from its module on first use (PEP 562),
+so ``import plural`` loads none of these modules, and a name loads only its
+own module and what that module imports.
 """
 
-from .comm import (
-    CommMetrics,
-    comm_metrics,
-    mem_access_energy,
-    mem_power,
-    sched_msg_energy,
-    sched_power,
-)
-from .errors import (
-    CycleError,
-    DegenerateWorkloadError,
-    DomainError,
-    GraphFormatError,
-    GraphStructureError,
-    PluralError,
-    SimConfigError,
-    ValidationError,
-)
-from .et2 import (
-    Et2ParallelResult,
-    Et2State,
-    constrain,
-    iso_energy_time,
-    iso_time_energy,
-    make_state,
-    parallelize,
-    shrink_work,
-    stretch_time,
-)
-from .graph import (
-    ControlKind,
-    CrewViolation,
-    Task,
-    TaskGraph,
-    TaskKind,
-    check_crew,
-    concurrent_pairs,
-    expand_duplicables,
-    validate_dag,
-)
-from .scaling import ChipSpec, EnsembleMetrics, ensemble_metrics, sweep
-from .sim import ModelDeviation, SimConfig, SimEvent, SimReport, compare_to_model, run
+import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
-__all__ = [
-    "ChipSpec",
-    "EnsembleMetrics",
-    "ensemble_metrics",
-    "sweep",
-    "Et2State",
-    "Et2ParallelResult",
-    "make_state",
-    "stretch_time",
-    "shrink_work",
-    "iso_time_energy",
-    "iso_energy_time",
-    "parallelize",
-    "constrain",
-    "CommMetrics",
-    "sched_msg_energy",
-    "sched_power",
-    "mem_access_energy",
-    "mem_power",
-    "comm_metrics",
-    "Task",
-    "TaskKind",
-    "ControlKind",
-    "TaskGraph",
-    "CrewViolation",
-    "validate_dag",
-    "concurrent_pairs",
-    "check_crew",
-    "expand_duplicables",
-    "SimConfig",
-    "SimReport",
-    "SimEvent",
-    "ModelDeviation",
-    "run",
-    "compare_to_model",
-    "PluralError",
-    "ValidationError",
-    "DomainError",
-    "GraphStructureError",
-    "CycleError",
-    "GraphFormatError",
-    "SimConfigError",
-    "DegenerateWorkloadError",
-]
+_EXPORTS = {  # module -> the names it exports here, in the order of __all__
+    "scaling": ("ChipSpec", "EnsembleMetrics", "ensemble_metrics", "sweep"),
+    "et2": ("Et2State", "Et2ParallelResult", "make_state", "stretch_time", "shrink_work", "iso_time_energy",
+            "iso_energy_time", "parallelize", "constrain"),
+    "comm": ("CommMetrics", "sched_msg_energy", "sched_power", "mem_access_energy", "mem_power", "comm_metrics"),
+    "graph": ("Task", "TaskKind", "ControlKind", "TaskGraph", "CrewViolation", "validate_dag", "concurrent_pairs",
+              "check_crew", "expand_duplicables"),
+    "sim": ("SimConfig", "SimReport", "SimEvent", "ModelDeviation", "run", "compare_to_model"),
+    "errors": ("PluralError", "ValidationError", "DomainError", "GraphStructureError", "CycleError",
+               "GraphFormatError", "SimConfigError", "DegenerateWorkloadError"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """On first use, import a module of ``_EXPORTS`` (as ``import plural`` did before 0.8.0) or a name one exports."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,22 +13,24 @@ Exit codes: 0 success, 1 usage error, 2 input or validation error,
 powers of two) emit the model's standard demonstration data with no flags.
 
 ``main(argv)`` may be called any number of times in one process: the
-argument parser is built once, on the first call, and reused.
+argument parser is built once, on the first call, and reused.  Each
+subcommand imports the modules it uses when it runs, so a call loads only
+what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import asdict, fields
-from operator import attrgetter
-from typing import Iterator
+from itertools import compress
+from typing import TYPE_CHECKING, Iterator, get_type_hints
 
-from . import comm, et2, graphio, scaling, sim
 from .errors import DomainError, PluralError
 from .graph import CrewViolation, check_crew, validate_dag
+
+if TYPE_CHECKING:
+    from . import et2, scaling
 
 __all__ = ["main"]
 
@@ -38,29 +40,37 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _csv_layout(columns: list[tuple[str, str]]) -> tuple[str, str]:
+def _csv_layout(columns: list[tuple[str, type]]) -> tuple[str, str]:
     """The header line and the ``%`` row format of a CSV over (name, type) columns.
 
     ``%d`` spells an int as ``str`` does and ``%.12g`` a float as
     ``format(value, ".12g")`` does, so one ``%`` writes a whole row.
     """
     header = ",".join(name for name, _ in columns)
-    row = ",".join("%d" if kind == "int" else "%.12g" for _, kind in columns)
+    row = ",".join("%d" if kind is int else "%.12g" for _, kind in columns)
     return header + "\n", row + "\n"
 
 
-_SWEEP_FIELDS = [(f.name, f.type) for f in fields(scaling.EnsembleMetrics)]
-_COMM_FIELDS = [(f.name, f.type) for f in fields(comm.CommMetrics) if f.name != "m"]
-_REPORT_FIELDS = [(f.name, f.type) for f in fields(sim.SimReport) if f.type in ("int", "float")]
+@functools.cache
+def _sweep_csv(with_comm: bool) -> tuple[str, str]:
+    """The ``sweep`` layout, built on first use from the field types: a row's
+    fields; for ``comm-sweep`` the traffic row's fields but m follow."""
+    from . import comm, scaling
 
-SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
-SWEEP_CSV = _csv_layout(_SWEEP_FIELDS)
-COMM_SWEEP_CSV = _csv_layout(_SWEEP_FIELDS + _COMM_FIELDS)
-REPORT_CSV = _csv_layout(_REPORT_FIELDS + [("mean_utilization", "float")])
+    columns = [*get_type_hints(scaling.EnsembleMetrics).items()]
+    return _csv_layout(columns + [*get_type_hints(comm.CommMetrics).items()][1:] if with_comm else columns)
 
-_sweep_values = attrgetter(*SWEEP_COLUMNS)
-_comm_values = attrgetter(*(name for name, _ in _COMM_FIELDS))
-_report_values = attrgetter(*(name for name, _ in _REPORT_FIELDS))
+
+@functools.cache
+def _report_csv() -> tuple[str, str, list[bool]]:
+    """The ``simulate --csv`` layout, built on first use from the field types: the
+    report's int and float fields, then the mean utilization; and which fields they are."""
+    from . import sim
+
+    columns = [*get_type_hints(sim.SimReport).items()]
+    spelled = [kind in (int, float) for _, kind in columns]
+    return (*_csv_layout([*compress(columns, spelled), ("mean_utilization", float)]), spelled)
+
 
 PLOT_SCRIPT = """\
 # gnuplot stub: save the sweep CSV next to this script and adjust `datafile`.
@@ -116,6 +126,8 @@ def parse_core_counts(text: str) -> list[int]:
 
 def _chip_from_args(args, work: float = 1.0, static_power: bool = False) -> scaling.ChipSpec:
     # Only the sweeps take a work and static power: a run's work is its graph's.
+    from . import scaling
+
     return scaling.ChipSpec(
         area=args.area,
         work=work,
@@ -133,16 +145,17 @@ def _add_chip_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_sweep(args, out) -> int:
     """``sweep``, and ``comm-sweep``: the same rows with the traffic columns."""
+    from . import comm, scaling
+
     spec = _chip_from_args(args, args.work, args.static_power)
     with_comm = args.command == "comm-sweep"
-    header, row = COMM_SWEEP_CSV if with_comm else SWEEP_CSV
+    header, row = _sweep_csv(with_comm)
     lines = [header]
     for m in parse_core_counts(args.m):
         metrics = scaling.ensemble_metrics(spec, m)
-        values = _sweep_values(metrics)
-        if with_comm:
-            values += _comm_values(comm.comm_metrics(spec, m, metrics))
-        lines.append(row % values)
+        if with_comm:  # the traffic row's m is the ensemble row's
+            metrics = (*metrics, *comm.comm_metrics(spec, m, metrics)[1:])
+        lines.append(row % metrics)
     if args.plot_script:  # written before any row, so a bad path leaves stdout empty
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(PLOT_SCRIPT.format(name=f"{args.command}.csv"))
@@ -151,27 +164,29 @@ def cmd_sweep(args, out) -> int:
 
 
 def _state_dict(state: et2.Et2State) -> dict:
-    return {**asdict(state), "power": state.power}
+    return {**state._asdict(), "power": state.power}
 
 
-_TRANSFORMS = {
-    "stretch": (et2.stretch_time, float),
-    "shrink": (et2.shrink_work, float),
-    "iso-time": (et2.iso_time_energy, float),
-    "iso-energy": (et2.iso_energy_time, float),
-    "parallel": (et2.parallelize, int),
+_TRANSFORMS = {  # each transform's function in et2, and the type of its argument
+    "stretch": ("stretch_time", float),
+    "shrink": ("shrink_work", float),
+    "iso-time": ("iso_time_energy", float),
+    "iso-energy": ("iso_energy_time", float),
+    "parallel": ("parallelize", int),
 }
 _CONSTRAINTS = {"E0": "energy", "T0": "time", "P0": "power"}  # constrain's keyword for each
 
 
 def _apply_transform(state: et2.Et2State, spec: str):
+    from . import et2
+
     name, _, arg = spec.partition(":")
     if not arg:
         raise _UsageError(f"transform {spec!r} needs an argument, e.g. stretch:2")
     try:
         if name in _TRANSFORMS:
             transform, parse = _TRANSFORMS[name]
-            return transform(state, parse(arg))
+            return getattr(et2, transform)(state, parse(arg))
         if name == "constrain":
             kind, _, value_s = arg.partition("=")
             if not value_s:
@@ -188,6 +203,9 @@ def _apply_transform(state: et2.Et2State, spec: str):
 
 
 def cmd_et2(args, out) -> int:
+    import json
+    from . import et2
+
     state = et2.make_state(args.e, args.t)
     result = _apply_transform(state, args.transform)
     if isinstance(result, et2.Et2ParallelResult):
@@ -224,7 +242,6 @@ def _warn_crew(g) -> list[CrewViolation]:
 
 
 JSON_MAX_M = 2**20  # cores a JSON report may list: 9 bytes per core per list, 19 MB in all
-_quote = json.encoder.encode_basestring_ascii  # json.dumps's spelling of a str
 
 
 def _json_scalar(value: object) -> str | None:
@@ -246,9 +263,12 @@ def _dump_report(doc: dict) -> Iterator[str]:
     the cores never used follow as one repeated string, its own piece, so the
     cost grows with the cores used, not m.  Any other value keeps ``json``.
     """
+    import json
+
+    quote = json.encoder.encode_basestring_ascii  # json.dumps's spelling of a str
     text, lead = "", "{\n  "
     for key, value in doc.items():
-        text += lead + (_quote(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
+        text += lead + (quote(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
         lead, spelled = ",\n  ", _json_scalar(value)
         if spelled is not None:
             text += spelled
@@ -260,13 +280,16 @@ def _dump_report(doc: dict) -> Iterator[str]:
             text = "\n  ]"
         elif type(value) is dict and value and all(type(k) is str for k in value) and (
                 None not in (items := list(map(_json_scalar, value.values())))):
-            text += "{\n    " + ",\n    ".join(map("%s: %s".__mod__, zip(map(_quote, value), items))) + "\n  }"
+            text += "{\n    " + ",\n    ".join(map("%s: %s".__mod__, zip(map(quote, value), items))) + "\n  }"
         else:
             text += json.dumps(value, indent=2).replace("\n", "\n  ")
     yield text + "\n}\n"
 
 
 def cmd_simulate(args, out) -> int:
+    import json
+    from . import graphio, sim
+
     g = graphio.load(args.graph)
     _warn_crew(g)
     cfg = sim.SimConfig(
@@ -284,21 +307,23 @@ def cmd_simulate(args, out) -> int:
         with open(args.events, "w", encoding="utf-8") as trace:  # opened before the run, so a bad path costs none
             report = sim.run(g, cfg, events=lambda event: trace.write(json.dumps(event._asdict()) + "\n"))
     if args.csv:
-        header, row = REPORT_CSV
+        header, row, spelled = _report_csv()
         mean_utilization = sum(report.utilization) / cfg.m  # unused cores add +0.0 each
-        out.write(header + row % (*_report_values(report), mean_utilization))
+        out.write(header + row % (*compress(report, spelled), mean_utilization))
     elif cfg.m > JSON_MAX_M:
         message = f"a JSON report lists each of the m cores, so m must be at most {JSON_MAX_M}, got {cfg.m}"
         raise DomainError(message + "; --csv takes any m")
     else:
         doc = sim.report_as_dict(report)
         if args.check_model:
-            doc["model_check"] = dict(vars(sim.compare_to_model(report, cfg)))  # flat: asdict's deep copy costs 20x
+            doc["model_check"] = sim.compare_to_model(report, cfg)._asdict()
         out.writelines(_dump_report(doc))
     return EXIT_OK
 
 
 def cmd_validate(args, out) -> int:
+    from . import graphio
+
     g = graphio.load(args.graph)
     cycle = validate_dag(g)
     if cycle is not None:

@@ -13,7 +13,7 @@ performance/power ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, _is_real
 from .scaling import (
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommMetrics:
+class CommMetrics(NamedTuple):
     """Power breakdown at core count m: compute, scheduler, and memory traffic."""
 
     m: int
@@ -48,11 +47,25 @@ class CommMetrics:
     perf_per_total_power: float
 
 
-def sched_msg_energy(area: float) -> float:
-    """Energy of one fixed-size scheduler message crossing the chip: sqrt(A)."""
+def _check_area(area: float) -> None:
     if not _is_real(area, 0):
         raise DomainError(f"area must be positive and finite, got {area!r}")
+
+
+def _msg_energy(area: float) -> float:
+    """``sched_msg_energy`` of an area already checked, such as a ``ChipSpec``'s."""
     return math.sqrt(area)
+
+
+def _access_energy(area: float, m: int) -> float:
+    """``mem_access_energy`` of an area and an m already checked."""
+    return _msg_energy(area) + math.log2(m)
+
+
+def sched_msg_energy(area: float) -> float:
+    """Energy of one fixed-size scheduler message crossing the chip: sqrt(A)."""
+    _check_area(area)
+    return _msg_energy(area)
 
 
 def _rate(area: float, m: int) -> float:
@@ -74,9 +87,9 @@ def mem_access_energy(area: float, m: int) -> float:
     An m-endpoint log-depth switching network has log2(m) stages; with a
     single core there are no switch stages and only the wire term remains.
     """
-    wire = sched_msg_energy(area)
+    _check_area(area)
     _check_core_count(m)
-    return wire + math.log2(m)
+    return _access_energy(area, m)
 
 
 def mem_power(area: float, m: int) -> float:
@@ -95,10 +108,11 @@ def comm_metrics(
     figure of merit divides the ensemble performance by the summed power.  A
     row that leaves float range raises ``DomainError``.
     """
+    _check_core_count(m)  # ``spec`` checked its area
     if ensemble is None:
         ensemble = ensemble_metrics(spec, m)
-    sched_e = sched_msg_energy(spec.area)
-    mem_e = mem_access_energy(spec.area, m)
+    sched_e = _msg_energy(spec.area)
+    mem_e = _access_energy(spec.area, m)
     rate = math.sqrt(m * spec.area)
     sched_p = sched_e * rate
     mem_p = mem_e * rate

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the count and real-number checks behind them."""
+"""Exception types shared across the package, the count and real-number checks
+behind them, and the base of the named tuples whose constructor checks them."""
 
 import sys
 
@@ -12,6 +13,18 @@ def _is_real(value: object, least: float, most: float = sys.float_info.max) -> b
     """Whether ``value`` is an int or a float, not a bool, with ``least < value <= most``;
     ``most`` defaults to the largest float, so an int too large for a float fails like inf."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and least < value <= most
+
+
+class _Checked:
+    """Put before a named tuple in the bases of a class whose ``__new__``
+    checks its fields: ``_make``, with which ``_replace`` builds, calls the
+    class, so a copy is checked as the original was."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class PluralError(Exception):

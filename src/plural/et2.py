@@ -21,9 +21,9 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, _is_real
+from .errors import DomainError, _Checked, _is_real
 from .scaling import _check_core_count
 
 __all__ = [
@@ -48,27 +48,27 @@ def _theta(energy: float, time: float) -> float:
     return energy * time**2 if _is_real(energy, 0) and _is_real(time, 0, _ROOT_MAX) else math.inf
 
 
-@dataclass(frozen=True)
-class Et2State:
-    """A point (energy, time) with its cost theta = energy * time**2."""
-
+class _Et2Fields(NamedTuple):
     energy: float
     time: float
     theta: float
 
-    def __post_init__(self) -> None:
-        for name in ("energy", "time", "theta"):
-            value = getattr(self, name)
+
+class Et2State(_Checked, _Et2Fields):
+    """A point (energy, time) with its cost theta = energy * time**2."""
+
+    __slots__ = ()
+
+    def __new__(cls, energy: float, time: float, theta: float) -> Et2State:
+        for name, value in (("energy", energy), ("time", time), ("theta", theta)):
             if not _is_real(value, 0, math.inf):
                 raise DomainError(f"{name} must be positive, got {value!r}")
-        reference = _theta(self.energy, self.time)
+        reference = _theta(energy, time)
         if not _is_real(reference, -math.inf):
             raise DomainError("energy * time**2 overflows a float")
-        if not _is_real(self.theta, 0) or abs(self.theta - reference) > _THETA_RTOL * reference:
-            raise DomainError(
-                f"theta {self.theta!r} is inconsistent with "
-                f"energy * time**2 = {reference!r}"
-            )
+        if not _is_real(theta, 0) or abs(theta - reference) > _THETA_RTOL * reference:
+            raise DomainError(f"theta {theta!r} is inconsistent with energy * time**2 = {reference!r}")
+        return tuple.__new__(cls, (energy, time, theta))
 
     @property
     def power(self) -> float:
@@ -76,8 +76,7 @@ class Et2State:
         return self.energy / self.time
 
 
-@dataclass(frozen=True)
-class Et2ParallelResult:
+class Et2ParallelResult(NamedTuple):
     """Per-core and ensemble view of a parallelized computation.
 
     All m cores finish together, so the ensemble time equals the per-core

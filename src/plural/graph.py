@@ -26,14 +26,13 @@ each other.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import CycleError, GraphStructureError, ValidationError, _is_count
+from .errors import CycleError, GraphStructureError, ValidationError, _Checked, _is_count
 
 __all__ = [
     "TaskKind",
@@ -70,8 +69,18 @@ class ControlKind(Enum):
     CONDITIONAL = "conditional"
 
 
-@dataclass(frozen=True, init=False)
-class Task:
+class _TaskFields(NamedTuple):
+    id: str
+    kind: TaskKind
+    instances: int
+    control_kind: ControlKind | None
+    entry_point: str | None
+    instruction_count: int
+    read_set: frozenset[str]
+    write_set: frozenset[str]
+
+
+class Task(_Checked, _TaskFields):
     """One node of a task graph.
 
     ``instruction_count`` is the work of a single instance.  For duplicable
@@ -79,19 +88,12 @@ class Task:
     entry point, no instructions, and no shared-variable footprint.
     """
 
-    id: str
-    kind: TaskKind = TaskKind.SINGULAR
-    instances: int = 1
-    control_kind: ControlKind | None = None
-    entry_point: str | None = None
-    instruction_count: int = 0
-    read_set: frozenset[str] = frozenset()
-    write_set: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __init__(self, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
-                 control_kind: ControlKind | None = None, entry_point: str | None = None,
-                 instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
-                 write_set: Iterable[str] = frozenset()) -> None:
+    def __new__(cls, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
+                control_kind: ControlKind | None = None, entry_point: str | None = None,
+                instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
+                write_set: Iterable[str] = frozenset()) -> Task:
         if not isinstance(id, str) or not id:
             raise ValidationError(f"task id must be a non-empty string, got {id!r}")
         if not isinstance(kind, TaskKind):
@@ -101,14 +103,8 @@ class Task:
         if not (entry_point is None or isinstance(entry_point, str) and entry_point):
             empty = "non-empty " if entry_point == "" else ""
             raise ValidationError(f"task {id!r}: entry_point must be None or a {empty}string, got {entry_point!r}")
-        # Set as items of the instance dict: the generated __init__ calls object.__setattr__ per field.
-        fields = vars(self)
-        fields["id"], fields["kind"], fields["instances"], fields["control_kind"] = id, kind, instances, control_kind
-        # The entry point is an opaque code label; it defaults to the id.
-        fields["entry_point"] = id if entry_point is None and kind is not _CONTROL else entry_point
-        fields["instruction_count"], fields["read_set"], fields["write_set"] = (
-            instruction_count, frozenset(read_set), frozenset(write_set))
-        for field, names, found in (("read_set", read_set, self.read_set), ("write_set", write_set, self.write_set)):
+        reads, writes = frozenset(read_set), frozenset(write_set)
+        for field, names, found in (("read_set", read_set, reads), ("write_set", write_set, writes)):
             if not isinstance(names, str):  # a str would give its letters
                 for name in found:  # a loop costs less than all() on a task's few names
                     if not isinstance(name, str):
@@ -128,7 +124,7 @@ class Task:
                 raise ValidationError(f"task {id!r}: control tasks carry no entry point")
             if instruction_count != 0:
                 raise ValidationError(f"task {id!r}: control tasks execute no instructions")
-            if self.read_set or self.write_set:
+            if reads or writes:
                 raise ValidationError(f"task {id!r}: control tasks access no shared variables")
         elif control_kind is not None:
             raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
@@ -139,6 +135,9 @@ class Task:
             )
         if kind is not _DUPLICABLE and (type(instances) is not int or instances != 1):
             raise ValidationError(f"task {id!r}: a {kind.value} task has one instance, got instances={instances!r}")
+        # The entry point is an opaque code label; it defaults to the id.
+        entry = id if entry_point is None and kind is not _CONTROL else entry_point
+        return tuple.__new__(cls, (id, kind, instances, control_kind, entry, instruction_count, reads, writes))
 
 
 class TaskGraph:
@@ -156,8 +155,10 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edges = list(edges)  # checked, not coerced: every edge at once, and a walk only to name the first bad one
-        if {*map(type, edges)} - {tuple, list} or {*map(len, edges)} - {2} or {*map(type, chain(*edges))} - {str}:
-            bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or {*map(type, e)} - {str})
+        if {*map(type, edges)} - {tuple, list} or {*map(len, edges)} - {2} or not all(
+                issubclass(kind, str) for kind in {*map(type, chain(*edges))}):  # each distinct endpoint type once
+            bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or not all(
+                isinstance(tid, str) for tid in e))
             raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
         edge_set = frozenset(map(tuple, edges))
         if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
@@ -214,17 +215,13 @@ class TaskGraph:
         return f"TaskGraph({len(self._tasks)} tasks, {len(self._edges)} edges)"
 
 
-@dataclass(frozen=True, init=False)
-class CrewViolation:
+class CrewViolation(NamedTuple):
     """A shared variable accessed against the CREW rule by two concurrent tasks."""
 
     task_a: str
     task_b: str
     variable: str
     kind: str  # WRITE_WRITE or READ_WRITE
-
-    def __init__(self, task_a: str, task_b: str, variable: str, kind: str) -> None:
-        vars(self).update(task_a=task_a, task_b=task_b, variable=variable, kind=kind)  # as Task's, in one step
 
     def __str__(self) -> str:
         return (

@@ -11,9 +11,9 @@ ES, ES2) compare the m-core ensemble against the single-processor baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, ValidationError, _is_count, _is_real
+from .errors import DomainError, ValidationError, _Checked, _is_count, _is_real
 
 __all__ = [
     "ChipSpec",
@@ -23,34 +23,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChipSpec:
+class _ChipFields(NamedTuple):
+    area: float
+    work: float
+    cpi: float
+    pollack_exponent: float
+    static_power_enabled: bool
+
+
+class ChipSpec(_Checked, _ChipFields):
     """Fixed chip-level parameters: total area and the workload it executes.
 
     Units are abstract (dimensionless model): ``area`` in area units, ``work``
     in instructions, frequencies in instructions per time unit.
     """
 
-    area: float
-    work: float
-    cpi: float = 1.0
-    pollack_exponent: float = 0.5
-    static_power_enabled: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("area", "work", "cpi"):
-            value = getattr(self, name)
+    def __new__(cls, area: float, work: float, cpi: float = 1.0, pollack_exponent: float = 0.5,
+                static_power_enabled: bool = False) -> ChipSpec:
+        for name, value in (("area", area), ("work", work), ("cpi", cpi)):
             if not _is_real(value, 0):
                 word = "finite" if _is_real(value, 0, math.inf) else "positive"
                 raise ValidationError(f"{name} must be {word}, got {value!r}")
-        if not (_is_real(self.pollack_exponent, 0) and self.pollack_exponent < 1):
-            raise ValidationError(
-                f"pollack_exponent must lie in (0, 1), got {self.pollack_exponent!r}"
-            )
+        if not (_is_real(pollack_exponent, 0) and pollack_exponent < 1):
+            raise ValidationError(f"pollack_exponent must lie in (0, 1), got {pollack_exponent!r}")
+        return tuple.__new__(cls, (area, work, cpi, pollack_exponent, static_power_enabled))
 
 
-@dataclass(frozen=True)
-class EnsembleMetrics:
+class EnsembleMetrics(NamedTuple):
     """One row of the scaling model: an m-core ensemble next to the 1-core baseline.
 
     ``power * compute_time == energy`` holds by construction, and at m=1 every
@@ -87,7 +88,7 @@ def _check_core_count(m: int) -> None:
 def _check_in_range(row, m: int):
     """Return ``row`` if it was computed (not None) and every value in it is
     finite and positive; otherwise raise ``DomainError`` naming ``m``."""
-    if row is None or not all(0 < value < math.inf for value in vars(row).values()):
+    if row is None or not all(0 < value < math.inf for value in row):
         raise DomainError(f"model values at m={m} fall outside float range")
     return row
 

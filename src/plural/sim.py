@@ -61,9 +61,9 @@ import random
 import sys
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import attrgetter, itemgetter, mul, not_, truediv
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import comm
@@ -73,6 +73,7 @@ from .errors import (
     DomainError,
     SimConfigError,
     ValidationError,
+    _Checked,
     _is_count,
     _is_real,
 )
@@ -99,29 +100,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Knobs for one simulator run."""
-
+class _ConfigFields(NamedTuple):
     chip: ChipSpec
     m: int
-    mem_access_stride: int = 5
-    prealloc_depth: int = 1
-    comm_costs_enabled: bool = False
-    seed: int = 0
-    conditional_outcomes: Mapping[str, str] = field(default_factory=dict)
+    mem_access_stride: int
+    prealloc_depth: int
+    comm_costs_enabled: bool
+    seed: int
+    conditional_outcomes: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        for name, least, word in (("m", 1, "a positive"), ("mem_access_stride", 1, "a positive"),
-                                  ("prealloc_depth", 0, "a nonnegative"), ("seed", -math.inf, "an")):
-            value = getattr(self, name)
+
+class SimConfig(_Checked, _ConfigFields):
+    """Knobs for one simulator run."""
+
+    __slots__ = ()
+
+    def __new__(cls, chip: ChipSpec, m: int, mem_access_stride: int = 5, prealloc_depth: int = 1,
+                comm_costs_enabled: bool = False, seed: int = 0,
+                conditional_outcomes: Mapping[str, str] = MappingProxyType({})) -> SimConfig:
+        counts = (("m", m, 1, "a positive"), ("mem_access_stride", mem_access_stride, 1, "a positive"),
+                  ("prealloc_depth", prealloc_depth, 0, "a nonnegative"), ("seed", seed, -math.inf, "an"))
+        for name, value, least, word in counts:
             if not _is_count(value, least):
                 raise ValidationError(f"{name} must be {word} integer, got {value!r}")
-        if self.chip.static_power_enabled:
-            raise ValidationError(
-                "the simulator charges no static power, so chip.static_power_enabled must be False"
-            )
-        object.__setattr__(self, "conditional_outcomes", dict(self.conditional_outcomes))
+        if chip.static_power_enabled:
+            raise ValidationError("the simulator charges no static power, so chip.static_power_enabled must be False")
+        fields = (chip, m, mem_access_stride, prealloc_depth, comm_costs_enabled, seed, dict(conditional_outcomes))
+        return tuple.__new__(cls, fields)
 
 
 class SimEvent(NamedTuple):
@@ -133,8 +138,7 @@ class SimEvent(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Measurements from one simulator run.
 
     ``per_core_busy_time`` and ``utilization`` hold one float per core the
@@ -163,8 +167,7 @@ class SimReport:
         return self.compute_energy + self.sched_msg_energy_total + self.mem_msg_energy_total
 
 
-@dataclass(frozen=True)
-class ModelDeviation:
+class ModelDeviation(NamedTuple):
     """Measured vs. closed-form ratios for one run, as relative deviations."""
 
     speedup_measured: float
@@ -261,8 +264,8 @@ class _Simulation:
         self.instr_energy = chip.area / _check_finite("m", cfg.m, positive=True)  # A/m, a core's area
         self.core_freq = _check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
         self.slot_dt = chip.cpi / self.core_freq
-        self.msg_energy = comm.sched_msg_energy(chip.area)
-        self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
+        self.msg_energy = comm._msg_energy(chip.area)  # the chip and m are checked
+        self.access_energy = comm._access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed) if self.contended else None  # else the run never draws
 
         # Each task's unfinished predecessor instances, and its started ones.
@@ -724,7 +727,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
     ref_compute = report.total_instructions * area
     if cfg.comm_costs_enabled:
         messages = report.sched_msg_count + report.mem_access_count
-        ref_total = ref_compute + messages * comm.sched_msg_energy(area)
+        ref_total = ref_compute + messages * comm._msg_energy(area)
     else:
         ref_total = ref_compute
     ref_makespan = report.empirical_speedup * report.makespan
@@ -742,7 +745,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
         powerdown_model=model.powerdown,
         powerdown_deviation=abs(powerdown / model.powerdown - 1.0),
     )
-    for name, value in vars(deviation).items():  # the fields, in order
+    for name, value in zip(deviation._fields, deviation):
         _check_finite(name, value)
     return deviation
 
@@ -752,4 +755,4 @@ def report_as_dict(report: SimReport) -> dict:
 
     The per-core values stay the report's own tuples, one float per core used.
     """
-    return dict(vars(report))  # the fields, in order: a dataclass's __init__ sets each once
+    return report._asdict()

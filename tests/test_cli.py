@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -47,7 +46,7 @@ CONDITIONAL_GRAPH = {
 
 
 # The output contract, spelled out: the column lists in cli.py are derived
-# from dataclass fields, so comparing against them would compare a value
+# from the records' fields, so comparing against them would compare a value
 # with itself.
 SWEEP_HEADER = [
     "m", "core_area", "core_freq", "single_freq", "core_perf", "ensemble_perf",
@@ -305,7 +304,7 @@ class TestSweep:
         _, rows = csv_rows(out)
         for row, metrics in zip(rows, sweep(ChipSpec(area=3e4, work=7), [1, 3, 10])):
             assert row["m"] == str(metrics.m)
-            for col in cli.SWEEP_COLUMNS[1:]:
+            for col in metrics._fields[1:]:
                 assert row[col] == format(getattr(metrics, col), ".12g")
 
 
@@ -365,7 +364,7 @@ CORE_COUNTS = st.lists(st.integers(1, 2**62), min_size=1, max_size=6, unique=Tru
 
 class TestCsvRowsMatchPerValueWriter:
     """Sweep and ``simulate --csv`` rows come from one ``%`` format per row,
-    built from the row dataclasses' field types; they must be the bytes the
+    built from the row records' field types; they must be the bytes the
     per-value writer gives."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -386,9 +385,9 @@ class TestCsvRowsMatchPerValueWriter:
             rows = []
             for m in core_counts:
                 metrics = scaling.ensemble_metrics(spec, m)
-                row = asdict(metrics)
+                row = metrics._asdict()
                 if command == "comm-sweep":
-                    row.update(asdict(comm.comm_metrics(spec, m, metrics)))
+                    row.update(comm.comm_metrics(spec, m, metrics)._asdict())
                 rows.append(row)
         except plural.PluralError as exc:
             assert call_main(argv) == (2, "", f"error: {exc}\n")
@@ -984,7 +983,7 @@ class TestDumpReport:
         doc = sim.report_as_dict(report)
         assert list(doc) == REPORT_KEYS
         if check_model:
-            doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
+            doc["model_check"] = sim.compare_to_model(report, cfg)._asdict()
         assert "".join(cli._dump_report(doc)) == json.dumps(padded(doc), indent=2) + "\n"
 
     # The instances of "idle" run no instruction on cores 0 and 1 while "w"
@@ -1004,7 +1003,7 @@ class TestDumpReport:
     )
     def test_simulate_stdout(self, tmp_path_factory, case, m):
         g, cfg = case
-        cfg = replace(cfg, m=m)
+        cfg = cfg._replace(m=m)
         try:
             report = sim.run(g, cfg)
         except (DegenerateWorkloadError, GraphStructureError):
@@ -1014,7 +1013,7 @@ class TestDumpReport:
         doc = padded(sim.report_as_dict(report))
         code, out, _ = call_main(simulate_argv(path, cfg))
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
-        doc["model_check"] = asdict(sim.compare_to_model(report, cfg))
+        doc["model_check"] = sim.compare_to_model(report, cfg)._asdict()
         code, out, _ = call_main(simulate_argv(path, cfg) + ["--check-model"])
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
 

@@ -13,7 +13,6 @@ and the callables whose arguments are a chip, a graph, a report or a
 configuration, which the cases build from drawn values.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -110,13 +109,11 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers(-8, 4096))
 
 
 def _finite(result) -> bool:
-    """Whether every number in ``result`` (nested records and tuples too) is finite."""
+    """Whether every number in ``result`` (nested records, which are named tuples, and tuples too) is finite."""
     if isinstance(result, float):
         return math.isfinite(result)
     if isinstance(result, (tuple, list)):
         return all(map(_finite, result))
-    if dataclasses.is_dataclass(result):
-        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
     return True
 
 

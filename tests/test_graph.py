@@ -206,6 +206,20 @@ class TestTaskGraph:
         g = TaskGraph([singular("a"), singular("b"), singular("c")], iter([["a", "b"], ("b", "c"), ("a", "b")]))
         assert g.edges == frozenset({("a", "b"), ("b", "c")})
 
+    def test_edge_endpoints_may_be_str_subclasses_as_task_ids_may(self):
+        # Task takes any str as its id, so an edge between two such tasks is
+        # accepted too; a non-str beside them is still refused by name.
+        class Label(str):
+            pass
+
+        a, b = Label("a"), Label("b")
+        g = TaskGraph([singular(a), singular(b), singular("c")], [(a, b), (b, "c")])
+        assert g.edges == frozenset({("a", "b"), ("b", "c")})
+        assert validate_dag(g) is None and concurrent_pairs(g) == set()
+        with pytest.raises(GraphStructureError) as info:
+            TaskGraph([singular(a), singular(b)], [(a, b), (b, 1)])
+        assert str(info.value) == "edge ('b', 1) must be a (predecessor, successor) pair of task ids"
+
     def test_adjacency_helpers(self):
         g = TaskGraph([singular(t) for t in "abc"], [("a", "b"), ("a", "c")])
         assert _successor_map(g) == {"a": ["b", "c"], "b": [], "c": []}

@@ -7,7 +7,6 @@ import random
 import sys
 from bisect import insort
 from collections import Counter, defaultdict, deque
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -273,7 +272,7 @@ class TestControlTasks:
         cfg = SimConfig(chip=CHIP, m=1, conditional_outcomes={"pick": "left"})
         report = run(g, cfg)
         assert report.total_instructions == 15
-        other = run(g, replace(cfg, conditional_outcomes={"pick": "right"}))
+        other = run(g, cfg._replace(conditional_outcomes={"pick": "right"}))
         assert other.total_instructions == 25
 
     def test_unresolved_conditional_rejected(self):
@@ -310,7 +309,7 @@ class TestControlTasks:
         cfg = SimConfig(chip=CHIP, m=2, conditional_outcomes={"pick": "wide"})
         report = run(g, cfg)
         assert report.total_instructions == 5 + 3 * 10
-        other = run(g, replace(cfg, conditional_outcomes={"pick": "narrow"}))
+        other = run(g, cfg._replace(conditional_outcomes={"pick": "narrow"}))
         assert other.total_instructions == 15
 
     def test_conditional_choosing_control_task_cascades(self):
@@ -663,7 +662,7 @@ class TestSingleCoreReference:
             report = run(g, cfg)
         except (DegenerateWorkloadError, GraphStructureError):
             return
-        single = run(g, replace(cfg, m=1))
+        single = run(g, cfg._replace(m=1))
         assert report.empirical_speedup == single.makespan / report.makespan
         # One core never contends and never idles: its last slot is the
         # instruction count.
@@ -1557,11 +1556,10 @@ def expanded_outcome(g, cfg, traced):
             return order[a] >= order[b]
 
     ids = {tid: Authored(tid) for tid in expanded.tasks}
-    ordered = TaskGraph.__new__(TaskGraph)  # TaskGraph refuses edge ids that are not exactly str
-    ordered._tasks = {ids[tid]: replace(task, id=ids[tid]) for tid, task in expanded.tasks.items()}
-    ordered._edges = frozenset((ids[p], ids[s]) for p, s in expanded.edges)
+    ordered = TaskGraph([task._replace(id=ids[tid]) for tid, task in expanded.tasks.items()],
+                        [(ids[p], ids[s]) for p, s in expanded.edges])
     outcomes = {ids[t]: ids[s] for t, s in cfg.conditional_outcomes.items()}
-    return run_outcome(ordered, replace(cfg, conditional_outcomes=outcomes), sim_module._Simulation, traced)
+    return run_outcome(ordered, cfg._replace(conditional_outcomes=outcomes), sim_module._Simulation, traced)
 
 
 def ready_order(events):
@@ -1812,7 +1810,7 @@ class TestRoomHeapMatchesLinearScan:
     def test_traced_reports_match(self, case, depth, data):
         g, cfg = case
         m = data.draw(st.integers(1, max(1, width(g) - 1)))
-        assert_matches_per_stall(g, replace(cfg, m=m, prealloc_depth=depth))
+        assert_matches_per_stall(g, cfg._replace(m=m, prealloc_depth=depth))
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_deep_backlog(self, depth):
@@ -1850,7 +1848,7 @@ class TestSeedIndependence:
             first = run(g, cfg)
         except (DegenerateWorkloadError, GraphStructureError):
             return
-        other = run(g, replace(cfg, seed=seed))
+        other = run(g, cfg._replace(seed=seed))
         for name in self.FIXED:
             assert getattr(other, name) == getattr(first, name), name
 
@@ -1877,7 +1875,7 @@ class TestCrewRule:
                 return
             with mock.patch.object(sim_module._Simulation, "_arbitrate", forbidden):
                 report, events = traced_run(g, cfg)
-                other = traced_run(g, replace(cfg, seed=seed))
+                other = traced_run(g, cfg._replace(seed=seed))
         except (DegenerateWorkloadError, GraphStructureError):
             return
         assert report.mem_conflict_stalls == 0
@@ -1963,12 +1961,12 @@ class TestListSchedulingBounds:
         for depth in {cfg.prealloc_depth, 0}:
             with mock.patch.object(sim_module, "_Simulation", KeptSimulation):
                 try:
-                    report = run(g, replace(cfg, prealloc_depth=depth))
+                    report = run(g, cfg._replace(prealloc_depth=depth))
                 except (DegenerateWorkloadError, GraphStructureError):
                     return
             simulation = KeptSimulation.last
             # The cohort engine's report is the per-instance engine's.
-            assert run(g, replace(cfg, prealloc_depth=depth)) == report
+            assert run(g, cfg._replace(prealloc_depth=depth)) == report
             t = simulation.last_boundary
             w, s = report.total_instructions, report.mem_conflict_stalls
             assert sum(core.busy_slots for core in simulation.cores) == w + s
@@ -2176,7 +2174,7 @@ class TestErrors:
     def test_static_power_refused(self):
         # The simulator charges no static power, so a chip that has it
         # would skew only the model side of compare_to_model.
-        chip = replace(CHIP, static_power_enabled=True)
+        chip = CHIP._replace(static_power_enabled=True)
         with pytest.raises(ValidationError) as caught:
             SimConfig(chip=chip, m=4)
         assert str(caught.value) == (
