@@ -16,8 +16,6 @@ so ``import plural`` loads none of these modules, and a name loads only its
 own module and what that module imports.
 """
 
-import importlib
-
 __version__ = "0.8.0"
 
 _EXPORTS = {  # module -> the names it exports here, in the order of __all__
@@ -38,6 +36,8 @@ __all__ = list(_HOME)
 
 def __getattr__(name: str):
     """On first use, import a module of ``_EXPORTS`` (as ``import plural`` did before 0.8.0) or a name one exports."""
+    import importlib
+
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:

@@ -15,22 +15,26 @@ powers of two) emit the model's standard demonstration data with no flags.
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built once, on the first call, and reused.  Each
 subcommand imports the modules it uses when it runs, so a call loads only
-what it needs.
+what it needs: only ``simulate`` and ``validate`` load ``graph``.
+``check_crew`` is a name of this module all the same, imported from
+``graph`` the first time it is read (PEP 562), and ``simulate`` and
+``validate`` look it up here each time they call it, so a function put in
+its place is the one they call.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
 import sys
 from itertools import compress
-from typing import TYPE_CHECKING, Iterator, get_type_hints
 
 from .errors import DomainError, PluralError
-from .graph import CrewViolation, check_crew, validate_dag
 
+TYPE_CHECKING = False  # what type checkers read as typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
+    from typing import Iterator
+
     from . import et2, scaling
+    from .graph import CrewViolation
 
 __all__ = ["main"]
 
@@ -38,6 +42,18 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+_module = sys.modules[__name__]  # where _warn_crew looks up check_crew
+
+
+def __getattr__(name: str):
+    """``check_crew``, imported from ``graph`` and bound here the first time it is read."""
+    if name != "check_crew":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .graph import check_crew
+
+    globals()[name] = check_crew
+    return check_crew
 
 
 def _csv_layout(columns: list[tuple[str, type]]) -> tuple[str, str]:
@@ -55,6 +71,8 @@ def _csv_layout(columns: list[tuple[str, type]]) -> tuple[str, str]:
 def _sweep_csv(with_comm: bool) -> tuple[str, str]:
     """The ``sweep`` layout, built on first use from the field types: a row's
     fields; for ``comm-sweep`` the traffic row's fields but m follow."""
+    from typing import get_type_hints
+
     from . import comm, scaling
 
     columns = [*get_type_hints(scaling.EnsembleMetrics).items()]
@@ -65,6 +83,8 @@ def _sweep_csv(with_comm: bool) -> tuple[str, str]:
 def _report_csv() -> tuple[str, str, list[bool]]:
     """The ``simulate --csv`` layout, built on first use from the field types: the
     report's int and float fields, then the mean utilization; and which fields they are."""
+    from typing import get_type_hints
+
     from . import sim
 
     columns = [*get_type_hints(sim.SimReport).items()]
@@ -124,7 +144,7 @@ def parse_core_counts(text: str) -> list[int]:
         raise _UsageError(f"bad m-range {text!r}: {exc}") from None
 
 
-def _chip_from_args(args, work: float = 1.0, static_power: bool = False) -> scaling.ChipSpec:
+def _chip_from_args(args, work: float = 1.0, static_power: bool = False) -> "scaling.ChipSpec":
     # Only the sweeps take a work and static power: a run's work is its graph's.
     from . import scaling
 
@@ -163,7 +183,7 @@ def cmd_sweep(args, out) -> int:
     return EXIT_OK
 
 
-def _state_dict(state: et2.Et2State) -> dict:
+def _state_dict(state: "et2.Et2State") -> dict:
     return {**state._asdict(), "power": state.power}
 
 
@@ -177,7 +197,7 @@ _TRANSFORMS = {  # each transform's function in et2, and the type of its argumen
 _CONSTRAINTS = {"E0": "energy", "T0": "time", "P0": "power"}  # constrain's keyword for each
 
 
-def _apply_transform(state: et2.Et2State, spec: str):
+def _apply_transform(state: "et2.Et2State", spec: str):
     from . import et2
 
     name, _, arg = spec.partition(":")
@@ -234,9 +254,9 @@ def _outcomes_from_args(pairs: list[str]) -> dict[str, str]:
     return outcomes
 
 
-def _warn_crew(g) -> list[CrewViolation]:
+def _warn_crew(g) -> "list[CrewViolation]":
     """Warn of each CREW violation on stderr; return the violations."""
-    violations = check_crew(g)
+    violations = _module.check_crew(g)  # through the module, so a replaced check_crew is the one called
     sys.stderr.write(("WARNING: CREW violation: %s\n" * len(violations)) % tuple(violations))
     return violations
 
@@ -249,7 +269,7 @@ def _json_scalar(value: object) -> str | None:
     return repr(value) if type(value) in (int, float) and value - value == 0.0 else None  # not NaN or inf
 
 
-def _dump_report(doc: dict) -> Iterator[str]:
+def _dump_report(doc: dict) -> "Iterator[str]":
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, in pieces,
     for a report dict from ``sim.report_as_dict``, with or without
     ``model_check``, once each per-core tuple is padded with 0.0 to ``doc["m"]``.
@@ -323,6 +343,7 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_validate(args, out) -> int:
     from . import graphio
+    from .graph import validate_dag
 
     g = graphio.load(args.graph)
     cycle = validate_dag(g)

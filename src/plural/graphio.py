@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 from itertools import count
-from pathlib import Path
 
 from .errors import GraphFormatError, GraphStructureError, PluralError
 from .graph import ControlKind, Task, TaskGraph, TaskKind
@@ -111,7 +110,7 @@ def loads(text: str) -> TaskGraph:
         raise
 
 
-def load(path: str | Path) -> TaskGraph:
+def load(path: str | os.PathLike) -> TaskGraph:
     """Read and parse a task-graph document from a file."""
     try:
         with open(os.fspath(path), encoding="utf-8") as fh:  # fspath refuses an int, as Path did
@@ -143,6 +142,7 @@ def dumps(g: TaskGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def dump(g: TaskGraph, path: str | Path) -> None:
+def dump(g: TaskGraph, path: str | os.PathLike) -> None:
     """Write a task graph to a file in the JSON document format."""
-    Path(path).write_text(dumps(g), encoding="utf-8")
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:  # fspath refuses an int, as Path did
+        fh.write(dumps(g))

@@ -61,7 +61,7 @@ import random
 import sys
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import attrgetter, itemgetter, mul, not_, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -483,9 +483,13 @@ class _Simulation:
         # Now nothing is ready, or all m cores exist and are busy.
         if self.ready and self.room:
             room = list(map(heapq.heappop, repeat(self.room, min(self.n_ready, len(self.room)))))
-            if self.depth > 1:
-                room = [core for core in room for _ in range(self.depth - len(self.queues[core]))]
-            for core in dict.fromkeys(self._fill(room, slot, queue=True)):  # untouched or part-filled
+            if self.depth > 1:  # a core per free place, up to as many places as instances are ready
+                free = (repeat(core, min(self.depth - len(self.queues[core]), self.n_ready)) for core in room)
+                self._fill(list(islice(chain.from_iterable(free), self.n_ready)), slot, queue=True)
+                room = [core for core in room if len(self.queues[core]) < self.depth]  # past the cut too
+            else:
+                room = self._fill(room, slot, queue=True)
+            for core in room:  # untouched or part-filled
                 heapq.heappush(self.room, core)
 
     def _complete(self, inst: _Instance, slot: int) -> None:

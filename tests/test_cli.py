@@ -655,6 +655,21 @@ class TestSimulate:
         assert code == 0
         assert len(json.loads(out)["utilization"]) == limit
 
+    def test_csv_at_a_huge_queue_depth(self, tmp_path):
+        # A dispatch fills no more queue places than instances are ready, so
+        # queues of 2**62 places report what queues of the d = 4 instances
+        # do, at once and in a process capped at 256 MB.
+        doc = {"tasks": [{"id": "w", "kind": "duplicable", "d": 4, "instructions": 20,
+                          "writes": ["o[#]"]}]}
+        path = write_graph(tmp_path, doc)
+        argv = ["simulate", path, "--m", "1", "--csv", "--prealloc-depth"]
+        expected = call_main(argv + ["4"])
+        assert expected[0] == 0
+        start = time.perf_counter()
+        assert call_main(argv + [str(2**62)]) == expected
+        assert time.perf_counter() - start < 1.0
+        assert run_plural(argv + [str(2**62)], memory=2**28) == expected
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.json"), "--m", "2")
         assert code == 2
@@ -1232,12 +1247,15 @@ MALFORMED_BYTES = st.one_of(
     st.binary(max_size=24),
 )
 NUMBER = st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "1e300", "5e-324"]))
+# Queues of any depth, far deeper than any graph's instances: a dispatch fills
+# no more places than instances are ready.
+PREALLOC_DEPTH = st.one_of(st.integers(-1, 4), st.sampled_from([2**62, 10**30]))
 # --m stays at most 4096: the JSON output holds two m-long lists.
 SIMULATE_FLAGS = st.lists(
     st.one_of(
         st.tuples(st.just("--m"), st.integers(-1, 4096).map(str)),
         st.tuples(st.just("--stride"), st.integers(-1, 8).map(str)),
-        st.tuples(st.just("--prealloc-depth"), st.integers(-1, 4).map(str)),
+        st.tuples(st.just("--prealloc-depth"), PREALLOC_DEPTH.map(str)),
         st.tuples(st.just("--seed"), st.integers().map(str)),
         st.tuples(st.sampled_from(["--area", "--alpha", "--cpi"]), NUMBER),
         st.tuples(st.just("--outcome"), st.sampled_from(["a=b", "b=c", "a=a#0", "c=zz", "a", "=b"])),

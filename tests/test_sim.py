@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import time
 from bisect import insort
 from collections import Counter, defaultdict, deque
 from unittest import mock
@@ -1826,6 +1827,22 @@ class TestRoomHeapMatchesLinearScan:
         # Past the first m, every instance waits in a queue when there are any.
         queued = sum(e.kind == "queue" for e in outcome[1])
         assert queued == (7 * m if depth else 0)
+
+    def test_huge_depth_acts_as_the_depth_of_the_instances(self):
+        # A dispatch fills no more places than instances are ready, so a
+        # depth of 2**62 costs what a depth of the instances costs.
+        m = 4
+        g = TaskGraph(
+            [singular("load", 20, writes={"in[0]"}), duplicable("w", 8 * m, 20, {"in[#]"}, {"out[#]"})],
+            {("load", "w")},
+        )
+        cfg = SimConfig(chip=CHIP, m=m, prealloc_depth=2**62)
+        start = time.perf_counter()
+        outcome = run_outcome(g, cfg, sim_module._Simulation)
+        assert time.perf_counter() - start < 1.0
+        assert outcome == run_outcome(g, cfg._replace(prealloc_depth=width(g)), sim_module._Simulation)
+        assert outcome == run_outcome(g, cfg, PerInstanceSimulation)
+        assert sum(e.kind == "queue" for e in outcome[1]) == 7 * m
 
 
 class TestSeedIndependence:
