@@ -170,12 +170,10 @@ def cmd_sweep(args, out) -> int:
     spec = _chip_from_args(args, args.work, args.static_power)
     with_comm = args.command == "comm-sweep"
     header, row = _sweep_csv(with_comm)
-    lines = [header]
-    for m in parse_core_counts(args.m):
-        metrics = scaling.ensemble_metrics(spec, m)
-        if with_comm:  # the traffic row's m is the ensemble row's
-            metrics = (*metrics, *comm.comm_metrics(spec, m, metrics)[1:])
-        lines.append(row % metrics)
+    rows = scaling.sweep(spec, parse_core_counts(args.m))
+    if with_comm:  # the traffic row's m is the ensemble row's
+        rows = [(*metrics, *comm.comm_metrics(spec, metrics.m, metrics)[1:]) for metrics in rows]
+    lines = [header] + [row % metrics for metrics in rows]
     if args.plot_script:  # written before any row, so a bad path leaves stdout empty
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(PLOT_SCRIPT.format(name=f"{args.command}.csv"))

@@ -105,26 +105,22 @@ def comm_metrics(
     Compute power comes from the scaling model (``ensemble``, when the
     caller already holds ``ensemble_metrics(spec, m)``); scheduler and
     memory power from the message model above.  The communications-adjusted
-    figure of merit divides the ensemble performance by the summed power.  A
-    row that leaves float range raises ``DomainError``.
+    figure of merit divides the ensemble performance by the summed power.  An
+    ``ensemble`` row made at another core count, or a row that leaves float
+    range, raises ``DomainError``.
     """
     _check_core_count(m)  # ``spec`` checked its area
     if ensemble is None:
         ensemble = ensemble_metrics(spec, m)
-    sched_e = _msg_energy(spec.area)
-    mem_e = _access_energy(spec.area, m)
-    rate = math.sqrt(m * spec.area)
+    elif ensemble.m != m:
+        raise DomainError(f"ensemble row was computed for m={ensemble.m}, not for m={m}")
+    area = spec.area
+    sched_e = _msg_energy(area)
+    mem_e = _access_energy(area, m)
+    rate = math.sqrt(m * area)
     sched_p = sched_e * rate
     mem_p = mem_e * rate
-    total = ensemble.power + sched_p + mem_p
-    row = CommMetrics(
-        m=m,
-        sched_msg_energy=sched_e,
-        sched_power=sched_p,
-        mem_access_energy=mem_e,
-        mem_power=mem_p,
-        compute_power=ensemble.power,
-        total_power=total,
-        perf_per_total_power=ensemble.ensemble_perf / total,
-    )
+    compute_p = ensemble.power
+    total = compute_p + sched_p + mem_p
+    row = CommMetrics(m, sched_e, sched_p, mem_e, mem_p, compute_p, total, ensemble.ensemble_perf / total)
     return _check_in_range(row, m)

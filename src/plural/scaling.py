@@ -79,6 +79,8 @@ class EnsembleMetrics(NamedTuple):
 
 
 def _check_core_count(m: int) -> None:
+    if type(m) is int and m >= 1:  # the common case, before the checks that name the fault
+        return
     if not _is_count(m, -math.inf):
         raise DomainError(f"core count m must be an integer, got {m!r}")
     if m < 1:
@@ -87,10 +89,18 @@ def _check_core_count(m: int) -> None:
 
 def _check_in_range(row, m: int):
     """Return ``row`` if it was computed (not None) and every value in it is
-    finite and positive; otherwise raise ``DomainError`` naming ``m``."""
-    if row is None or not all(0 < value < math.inf for value in row):
-        raise DomainError(f"model values at m={m} fall outside float range")
-    return row
+    finite and positive; otherwise raise ``DomainError`` naming ``m``.
+
+    The check stops at the first value outside ``0 < value < math.inf``, so
+    it accepts exactly the rows that ``all()`` over that test accepts.
+    """
+    if row is not None:
+        for value in row:
+            if not 0 < value < math.inf:
+                break
+        else:
+            return row
+    raise DomainError(f"model values at m={m} fall outside float range")
 
 
 def ensemble_metrics(spec: ChipSpec, m: int) -> EnsembleMetrics:
@@ -111,21 +121,20 @@ def ensemble_metrics(spec: ChipSpec, m: int) -> EnsembleMetrics:
 
 
 def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
-    area = spec.area
-    alpha = spec.pollack_exponent
+    area, work, cpi, alpha, static = spec
 
     core_area = area / m
     core_freq = core_area**alpha
     single_freq = area**alpha
-    core_perf = core_freq / spec.cpi
+    core_perf = core_freq / cpi
     ensemble_perf = m * core_perf
 
-    compute_time = (spec.work / m) * spec.cpi / core_freq
-    single_time = spec.work * spec.cpi / single_freq
+    compute_time = (work / m) * cpi / core_freq
+    single_time = work * cpi / single_freq
 
     power = area * core_freq
     single_power = area * single_freq
-    if spec.static_power_enabled:
+    if static:
         # Static power is proportional to the total powered area, A, for the
         # single processor and for the whole ensemble alike.
         power += area
@@ -135,26 +144,16 @@ def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
 
     speedup = single_time / compute_time
     energydown = single_energy / energy
+    powerdown = single_power / power
+    es = energydown * speedup
+    es2 = energydown * speedup**2
+    perf_per_power = ensemble_perf / power
 
+    # Positional, in field order: each argument bears its field's name.
     return EnsembleMetrics(
-        m=m,
-        core_area=core_area,
-        core_freq=core_freq,
-        single_freq=single_freq,
-        core_perf=core_perf,
-        ensemble_perf=ensemble_perf,
-        compute_time=compute_time,
-        single_time=single_time,
-        power=power,
-        single_power=single_power,
-        energy=energy,
-        single_energy=single_energy,
-        speedup=speedup,
-        energydown=energydown,
-        powerdown=single_power / power,
-        es=energydown * speedup,
-        es2=energydown * speedup**2,
-        perf_per_power=ensemble_perf / power,
+        m, core_area, core_freq, single_freq, core_perf, ensemble_perf,
+        compute_time, single_time, power, single_power, energy, single_energy,
+        speedup, energydown, powerdown, es, es2, perf_per_power,
     )
 
 

@@ -8,6 +8,7 @@ from plural import (
     ChipSpec,
     DomainError,
     comm_metrics,
+    ensemble_metrics,
     mem_access_energy,
     mem_power,
     sched_msg_energy,
@@ -116,3 +117,38 @@ class TestCommMetrics:
                 assert scaled.mem_power <= k * base.mem_power * (1 + REL)
                 ratio = scaled.total_power / base.total_power
                 assert k * (1 - REL) <= ratio <= k**1.5 * (1 + REL)
+
+    def test_refuses_ensemble_row_of_another_core_count(self):
+        # The m = 16 row's power is 2.5e8, where the m = 4 row's is 5e8.
+        spec = ChipSpec(area=1e6, work=1)
+        with pytest.raises(DomainError, match=r"m=16, not for m=4"):
+            comm_metrics(spec, 4, ensemble_metrics(spec, 16))
+        assert comm_metrics(spec, 4, ensemble_metrics(spec, 4)) == comm_metrics(spec, 4)
+
+
+class TestFieldsByName:
+    """Each field against its defining formula, off the default chip; at m = 1
+    the two energies and the two traffic powers coincide, at m = 3 and 64 none do."""
+
+    @pytest.mark.parametrize("static", [False, True])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_each_field(self, m, static):
+        area = 1e6
+        spec = ChipSpec(area, 7.0, 2.0, 0.3, static)
+        ensemble = ensemble_metrics(spec, m)
+        row = comm_metrics(spec, m)
+        sched_power = area * math.sqrt(m)
+        mem_power = (math.sqrt(area) + math.log2(m)) * math.sqrt(m * area)
+        total = ensemble.power + sched_power + mem_power
+        assert type(row.m) is int and row.m == m
+        assert isclose(row.sched_msg_energy, math.sqrt(area))
+        assert isclose(row.sched_power, sched_power)
+        assert isclose(row.mem_access_energy, math.sqrt(area) + math.log2(m))
+        assert isclose(row.mem_power, mem_power)
+        assert row.compute_power == ensemble.power
+        assert isclose(row.total_power, total)
+        assert isclose(row.perf_per_total_power, ensemble.ensemble_perf / total)
+        if m > 1:  # no two floats alike, so a swap of any two fails a check above
+            floats = row[1:]
+            assert all(type(value) is float for value in floats)
+            assert len(set(floats)) == len(floats)

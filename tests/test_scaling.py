@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plural import ChipSpec, DomainError, ValidationError, ensemble_metrics, sweep
+from plural.scaling import _check_in_range
 
 REL = 1e-12
 
@@ -111,6 +114,72 @@ class TestEnsemble:
             ensemble_metrics(spec, 2.0)
         with pytest.raises(DomainError, match="integer"):
             ensemble_metrics(spec, True)
+
+
+class TestFieldsByName:
+    """Each field against its defining formula, at a chip where no two of them
+    coincide (m = 3, 64) as they do at the default chip: there speedup and
+    powerdown are both sqrt(m), and core_freq equals core_perf since cpi = 1."""
+
+    @pytest.mark.parametrize("static", [False, True])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_each_field(self, m, static):
+        area, work, cpi, alpha = 1e6, 7.0, 2.0, 0.3
+        row = ensemble_metrics(ChipSpec(area, work, cpi, alpha, static), m)
+        extra = area if static else 0.0
+        core_freq = (area / m) ** alpha
+        single_freq = area**alpha
+        power = area * core_freq + extra
+        single_power = area * single_freq + extra
+        compute_time = work * cpi / (m * core_freq)
+        single_time = work * cpi / single_freq
+        speedup = single_time / compute_time
+        energydown = (single_power * single_time) / (power * compute_time)
+        assert type(row.m) is int and row.m == m
+        assert isclose(row.core_area, area / m)
+        assert isclose(row.core_freq, core_freq)
+        assert isclose(row.single_freq, single_freq)
+        assert isclose(row.core_perf, core_freq / cpi)
+        assert isclose(row.ensemble_perf, m * core_freq / cpi)
+        assert isclose(row.compute_time, compute_time)
+        assert isclose(row.single_time, single_time)
+        assert isclose(row.power, power)
+        assert isclose(row.single_power, single_power)
+        assert isclose(row.energy, power * compute_time)
+        assert isclose(row.single_energy, single_power * single_time)
+        assert isclose(row.speedup, speedup)
+        assert isclose(row.energydown, energydown)
+        assert isclose(row.powerdown, single_power / power)
+        assert isclose(row.es, energydown * speedup)
+        assert isclose(row.es2, energydown * speedup**2)
+        assert isclose(row.perf_per_power, m * core_freq / cpi / power)
+        if m > 1:  # no two floats alike, so a swap of any two fails a check above
+            floats = row[1:]
+            assert all(type(value) is float for value in floats)
+            assert len(set(floats)) == len(floats)
+
+
+# Values at and beyond each edge of 0 < value < inf, ints beyond float range among them.
+_EDGE_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, -1.0, -1, 0, 1, 2.5,
+     1.7976931348623157e308, 10**400, -(10**400)]
+)
+_ROW_VALUES = st.one_of(_EDGE_VALUES, st.floats(), st.integers(), st.integers(min_value=10**308))
+
+
+class TestCheckInRange:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        row=st.none() | st.lists(_ROW_VALUES, max_size=20).map(tuple),
+        m=st.integers(min_value=1),
+    )
+    def test_accepts_what_all_accepts(self, row, m):
+        if row is not None and all(0 < value < math.inf for value in row):
+            assert _check_in_range(row, m) is row
+        else:
+            with pytest.raises(DomainError) as caught:
+                _check_in_range(row, m)
+            assert str(caught.value) == f"model values at m={m} fall outside float range"
 
 
 class TestSweep:
