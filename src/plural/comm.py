@@ -21,6 +21,7 @@ from .scaling import (
     EnsembleMetrics,
     _check_core_count,
     _check_in_range,
+    _ensemble_power,
     ensemble_metrics,
 )
 
@@ -106,15 +107,20 @@ def comm_metrics(
     caller already holds ``ensemble_metrics(spec, m)``); scheduler and
     memory power from the message model above.  The communications-adjusted
     figure of merit divides the ensemble performance by the summed power.  An
-    ``ensemble`` row made at another core count, or a row that leaves float
+    ``ensemble`` row made at another core count, one whose power or ensemble
+    performance is not ``spec``'s at ``m`` (made for a chip of another area,
+    cpi, Pollack exponent or static-power flag), or a row that leaves float
     range, raises ``DomainError``.
     """
     _check_core_count(m)  # ``spec`` checked its area
+    area, _, cpi, alpha, static = spec
     if ensemble is None:
         ensemble = ensemble_metrics(spec, m)
     elif ensemble.m != m:
         raise DomainError(f"ensemble row was computed for m={ensemble.m}, not for m={m}")
-    area = spec.area
+    elif (ensemble.ensemble_perf, ensemble.power) != _ensemble_power(area, cpi, alpha, static, m)[3:]:
+        raise DomainError(f"ensemble row was computed for another chip, not for area={area!r}, cpi={cpi!r}, "
+                          f"pollack_exponent={alpha!r}, static_power_enabled={static!r}")
     sched_e = _msg_energy(area)
     mem_e = _access_energy(area, m)
     rate = math.sqrt(m * area)

@@ -120,24 +120,31 @@ def ensemble_metrics(spec: ChipSpec, m: int) -> EnsembleMetrics:
     return _check_in_range(row, m)
 
 
-def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
-    area, work, cpi, alpha, static = spec
-
+def _ensemble_power(area: float, cpi: float, alpha: float, static: bool, m: int) -> tuple[float, ...]:
+    """The terms of a chip's row at m that do not depend on the work: core
+    area, core frequency, core performance, ensemble performance and power.
+    ``comm.comm_metrics`` checks a row it is given against the last two."""
     core_area = area / m
     core_freq = core_area**alpha
-    single_freq = area**alpha
     core_perf = core_freq / cpi
-    ensemble_perf = m * core_perf
-
-    compute_time = (work / m) * cpi / core_freq
-    single_time = work * cpi / single_freq
-
     power = area * core_freq
-    single_power = area * single_freq
     if static:
         # Static power is proportional to the total powered area, A, for the
         # single processor and for the whole ensemble alike.
         power += area
+    return core_area, core_freq, core_perf, m * core_perf, power
+
+
+def _ensemble_row(spec: ChipSpec, m: int) -> EnsembleMetrics:
+    area, work, cpi, alpha, static = spec
+    core_area, core_freq, core_perf, ensemble_perf, power = _ensemble_power(area, cpi, alpha, static, m)
+    single_freq = area**alpha
+
+    compute_time = (work / m) * cpi / core_freq
+    single_time = work * cpi / single_freq
+
+    single_power = area * single_freq
+    if static:
         single_power += area
     energy = power * compute_time
     single_energy = single_power * single_time

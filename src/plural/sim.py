@@ -11,6 +11,10 @@ Execution semantics:
   authored task id, then instance index) to idle cores first, then into
   per-core pre-allocation queues of configurable depth.  Dispatch and completion
   messages are instantaneous; the queue exists to keep cores from idling.
+* Instances that end in one slot end together: each core they free starts
+  its queue's head or idles, the tasks they free are made ready, and
+  dispatch then feeds the idle cores and the queues with room.  An instance
+  of no instruction ends in a further round of the slot it starts in.
 * A duplicable task runs as its d instances; no expanded graph is built.  A
   task's instances are released when its last predecessor instance ends.
 * Control tasks run on the scheduler itself in zero time and never occupy a
@@ -32,9 +36,7 @@ Execution semantics:
   generator, so it is granted by arithmetic, without an event, and a run
   with none seeds no generator.  Instances that touch no contended variable
   and start in one slot with one instruction count end in one slot,
-  whatever their task, so they form one cohort: one heap entry, which ends
-  its members as if one at a time in (task, index) order, cut after each
-  run of members whose tasks share their followers that frees one.  Other
+  whatever their task, so they form one cohort: one heap entry.  Other
   instances run alone.  Cohorts change no report.  An instance id is
   spelled only for the trace and the CREW warnings.
 * A trace holds each instance's milestones, each control task's
@@ -59,10 +61,10 @@ import heapq
 import math
 import random
 import sys
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import attrgetter, itemgetter, mul, not_, truediv
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import attrgetter, gt, itemgetter, mul, not_, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -209,6 +211,14 @@ def _skip_table(contended: tuple[bool, ...]) -> _Skip:
     return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
 
 
+def _pop_least(heap: list[int], k: int) -> list[int]:
+    """Pop the ``k`` least items of ``heap``, ascending; all of them, as at a wave's end, by one sort."""
+    if k < len(heap):
+        return list(map(heapq.heappop, repeat(heap, k)))
+    least, heap[:] = sorted(heap), []
+    return least
+
+
 def _accesses(task: Task, stride: int) -> int:
     """One instance's shared-memory accesses: every ``stride``-th instruction, if the task has a footprint."""
     return task.instruction_count // stride if task.read_set or task.write_set else 0
@@ -222,21 +232,18 @@ def _targets(task: Task, k: int) -> tuple[tuple[str, ...], int]:
 
 class _Instance:
     """A cohort: instances started in one slot with one instruction count,
-    whatever their task, ascending by (task, index), each on its own core.
-    Two or more touch no contended variable; an instance that can contend is
-    alone and tracks its accesses."""
+    whatever their task, each on its own core, which end together.  Two or
+    more touch no contended variable; an instance that can contend is alone
+    and tracks its accesses."""
 
-    __slots__ = ("key", "tids", "ks", "cores", "runs", "first", "run", "n", "vars", "n_reads", "n_access", "skip",
-                 "start", "stalls", "granted", "since", "reading")
+    __slots__ = ("key", "parts", "cores", "n", "vars", "n_reads", "n_access", "skip", "start", "stalls", "granted",
+                 "since", "reading")
 
-    def __init__(self, tid: str, ks: list[int], cores: list[int], followers: list[str], n: int, start: int,
+    def __init__(self, tid: str, ks: Sequence[int], cores: list[int], n: int, start: int,
                  vars_: tuple[str, ...] = (), n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
         self.key = (tid, ks[0])  # a lone instance's heap key and place in a wait set
-        self.tids = [tid] * len(ks)  # each member's task
-        self.ks = ks  # each member's instance index
-        self.cores = cores  # each member's core
-        self.runs = [(followers, len(ks))]  # (followers, end): members up to end count down these followers
-        self.first = self.run = 0  # the members and runs before these have ended
+        self.parts = [(tid, ks)]  # (task, indices) per start joined; ``cores`` holds their cores in turn
+        self.cores = cores
         self.n = n
         self.vars = vars_  # access targets, round-robin
         self.n_reads = n_reads  # the targets before this one are reads
@@ -254,7 +261,7 @@ class _Simulation:
         self.g = g
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
-        self.depth = cfg.prealloc_depth
+        self.depth = min(cfg.prealloc_depth, sys.maxsize)  # a list never holds more, so no deeper queue fills
         self.contended = g._contended  # the only variables whose accesses can contend
         self.alone = {key[0] for var in self.contended for key, _ in g._footprint.touchers[var]}  # tasks that touch one
         # Access plans by which targets are contended: instances of one
@@ -288,12 +295,11 @@ class _Simulation:
         # place, the run's task ids ascending), a heap that dispatch merges by (task, index).
         self.ready: list[tuple[int, str, int, int, list[str]]] = []
         self.n_ready = 0
-        self.zero_waiting = 0  # ready or queued instances of no instruction, which end as they start
         # Entries are (slot, kind, (task, index) of the first member, cohort):
         # a completion, or a lone instance's next access.  An instance is in
         # one pending entry, so the key is unique and heapq never compares cohorts.
         self.heap: list[tuple[int, int, tuple[str, int], _Instance]] = []
-        # Instruction count -> the latest cohort started in slot cohorts_slot.
+        # Instruction count -> a cohort started in slot cohorts_slot.
         self.cohorts: dict[int, _Instance] = {}
         self.cohorts_slot = 0
         # Contenders per variable, sorted by (task, index), and how many of
@@ -343,7 +349,6 @@ class _Simulation:
             if task.control_kind is None:  # not a control task, as Task checks
                 released.append(t)
                 self.n_ready += task.instances
-                self.zero_waiting += 0 if task.instruction_count else task.instances
                 if self.sink is not None:
                     self._trace(slot, "ready", t, range(task.instances), repeat(""))
                 continue
@@ -366,13 +371,12 @@ class _Simulation:
             heapq.heappush(self.ready, (slot, (run := sorted(released))[0], 0, 0, run))
 
     def _start(self, starts: list[tuple[str, Sequence[int]]], cores: list[int], slot: int) -> None:
-        """Start each (task, ascending indices) of ``starts`` in turn on the
-        next cores.  A task that can contend runs each instance alone, else
-        as a cohort, which joins the latest cohort of its instruction count
-        if that started in this slot and its last member sorts before them."""
+        """Start each (task, indices) of ``starts`` in turn on the next cores.
+        A task that can contend runs each instance alone, else as a cohort,
+        which joins a cohort of its instruction count started in this slot."""
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
-        tasks, started, cohorts, alone, succs = self.g._tasks, self.started, self.cohorts, self.alone, self.succs
+        tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
         if self.total_instructions + len(cores) * self.longest > sys.float_info.max:
             counts = chain.from_iterable(repeat(tasks[tid].instruction_count, len(ks)) for tid, ks in starts)
             for total in accumulate(counts, initial=self.total_instructions):  # each start's, in start order
@@ -387,7 +391,6 @@ class _Simulation:
                 raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
             n = task.instruction_count
             self.total_instructions += count * n
-            self.zero_waiting -= 0 if n else count
             if tracing:
                 self._trace(slot, "start", tid, ks, map("core={}".format, given))
             if tid in alone:
@@ -398,7 +401,7 @@ class _Simulation:
                     if mask not in self.skips:
                         self.skips[mask] = _skip_table(mask)
                     skip = self.skips[mask] if n_access else None
-                    self._push_next(_Instance(tid, [k], [core], succs[tid], n, slot, vars_, n_reads, n_access, skip))
+                    self._push_next(_Instance(tid, [k], [core], n, slot, vars_, n_reads, n_access, skip))
                 continue
             if tracing and (n_access := _accesses(task, self.stride)):  # each access on arrival
                 targets = [_targets(task, k)[0] for k in ks]
@@ -406,25 +409,21 @@ class _Simulation:
                     details = [f"var={vars_[j % len(vars_)]} waited=0" for vars_ in targets]
                     self._trace(slot + (j + 1) * self.stride - 1, "access", tid, ks, details)
             cohort = cohorts.get(n)
-            if cohort and (cohort.tids[-1], cohort.ks[-1]) < (tid, ks[0]):
-                cohort.tids += repeat(tid, count)
-                cohort.ks += ks
+            if cohort:
+                cohort.parts.append((tid, ks))
                 cohort.cores += given
-                if cohort.runs[-1][0] == succs[tid]:  # freed only at the end of both runs
-                    cohort.runs.pop()
-                cohort.runs.append((succs[tid], len(cohort.ks)))
             else:
-                cohort = _Instance(tid, list(ks), given, succs[tid], n, slot)
+                cohort = _Instance(tid, ks, given, n, slot)
                 heapq.heappush(self.heap, (slot + n, _COMPLETE, cohort.key, cohort))
                 if n:  # a cohort of no instruction ends in this slot, so it takes no later start
                     cohorts[n] = cohort
 
-    def _fill(self, cores: list[int], slot: int, queue: bool) -> list[int]:
-        """Give each core, in order, the next ready instance while any is
-        ready, by (ready slot, task, index): started, or queued with
-        ``queue``.  Return the cores left."""
-        i, n, starts, ready, tasks = 0, len(cores), [], self.ready, self.g._tasks
-        while i < n and ready:
+    def _fill(self, cores: Iterable[int], n: int, slot: int, queue: bool) -> None:
+        """Give each of the next ``n`` cores, in order, the next ready
+        instance by (ready slot, task, index): started, or queued with
+        ``queue``.  At least ``n`` instances are ready."""
+        i, starts, ready, tasks = 0, [], self.ready, self.g._tasks
+        while i < n:
             at, _, lo, place, run = heapq.heappop(ready)
             bound = ready[0][1] if ready and ready[0][0] == at else None  # the next run of this slot takes over there
             while i < n and place < len(run) and (lo or bound is None or run[place] < bound):
@@ -435,15 +434,16 @@ class _Simulation:
                 i, place, lo = i + hi - lo, place + (hi == d), hi % d  # on to the next task once this one is given
             if place < len(run):
                 heapq.heappush(ready, (at, run[place], lo, place, run))
-        self.n_ready -= i
+        self.n_ready -= n
         if not queue:
-            self._start(starts, cores[:i], slot)
-            return cores[i:]
-        for core, (tid, k) in zip(cores, ((tid, k) for tid, ks in starts for k in ks)):
-            self.queues[core].append((tid, k))
-            if self.sink is not None:
-                self._trace(slot, "queue", tid, (k,), [f"core={core}"])
-        return cores[i:]
+            self._start(starts, cores, slot)
+            return
+        places, queues, tracing = iter(cores), self.queues, self.sink is not None
+        for tid, ks in starts:
+            for k, core in zip(ks, places):  # ks first, so no place is taken past its last index
+                queues[core].append((tid, k))
+                if tracing:
+                    self._trace(slot, "queue", tid, (k,), [f"core={core}"])
 
     def _push_next(self, inst: _Instance) -> None:
         """Queue a lone instance's next milestone: its next access, else completion.
@@ -471,7 +471,7 @@ class _Simulation:
     def _dispatch(self, slot: int) -> None:
         """Feed idle cores, then fill pre-allocation queues, FIFO over ready
         instances; the lowest core index goes first."""
-        cores = list(map(heapq.heappop, repeat(self.idle, min(self.n_ready, len(self.idle)))))
+        cores = _pop_least(self.idle, min(self.n_ready, len(self.idle)))
         if len(cores) < self.n_ready and len(self.busy) < self.cfg.m:
             new = range(len(self.busy), min(len(self.busy) + self.n_ready - len(cores), self.cfg.m))
             self.busy += [0] * len(new)
@@ -479,79 +479,51 @@ class _Simulation:
             self.room += new if self.depth else ()  # above every used core, so still a heap
             cores += new
         if cores:
-            self._fill(cores, slot, queue=False)
-        # Now nothing is ready, or all m cores exist and are busy.
+            self._fill(cores, len(cores), slot, queue=False)
+        # Now nothing is ready, or all m cores exist and are busy: each core
+        # with room, lowest first, takes its free places while instances are left.
         if self.ready and self.room:
-            room = list(map(heapq.heappop, repeat(self.room, min(self.n_ready, len(self.room)))))
-            if self.depth > 1:  # a core per free place, up to as many places as instances are ready
-                free = (repeat(core, min(self.depth - len(self.queues[core]), self.n_ready)) for core in room)
-                self._fill(list(islice(chain.from_iterable(free), self.n_ready)), slot, queue=True)
-                room = [core for core in room if len(self.queues[core]) < self.depth]  # past the cut too
-            else:
-                room = self._fill(room, slot, queue=True)
-            for core in room:  # untouched or part-filled
-                heapq.heappush(self.room, core)
+            room = _pop_least(self.room, min(self.n_ready, len(self.room)))
+            free = [self.depth - len(self.queues[core]) for core in room]
+            total = sum(free)
+            places = room if total == len(room) else chain.from_iterable(map(repeat, room, free))  # core by core
+            n = min(total, self.n_ready)
+            self._fill(places, n, slot, queue=True)
+            if n < total:  # instances ran out: the untouched and part-filled cores keep room
+                for core in compress(room, map(gt, accumulate(free), repeat(n))):
+                    heapq.heappush(self.room, core)
 
-    def _complete(self, inst: _Instance, slot: int) -> None:
-        """End a cohort's members as if one at a time, in (task, index) order,
-        counting them off their tasks' followers one run of shared followers at a time.  The
-        cohort is cut after the first run that frees a task, before another
-        entry of this slot that sorts inside it, and after each member while
-        an instance of no instruction, which ends as it starts, waits; the
-        rest goes back on the heap.  So each member but the last frees no
-        task: its core starts its queued instance or idles, then takes the
-        next ready one into a queue that was full, or onto itself if idle,
-        done in bulk."""
-        tids, ks, first, cut, heap = inst.tids, inst.ks, inst.first, len(inst.ks), self.heap
-        if cut - first > 1 and self.zero_waiting:
-            cut = first + 1
-        elif cut - first > 1 and heap and heap[0][:2] == (slot, _COMPLETE):  # up to that entry's key
-            cut = bisect_left(range(cut), heap[0][2], first, key=lambda i: (tids[i], ks[i]))
-        done, freed = first, None
-        while done < cut and not freed:
-            followers, end = inst.runs[inst.run]
-            if end <= cut:
-                inst.run += 1
-            freed = self._count_down(followers, min(end, cut) - done)
-            done = min(end, cut)
-        if done < len(ks):
-            inst.first = done
-            heapq.heappush(heap, (slot, _COMPLETE, (tids[done], ks[done]), inst))
-        for i in range(first, done) if self.sink is not None else ():
-            self._trace(slot, "complete", tids[i], ks[i : i + 1], [f"core={inst.cores[i]}"])
-        cores = inst.cores[first:done]
-        queues = list(map(self.queues.__getitem__, cores[:-1])) if len(cores) > 1 else []
-        if queues and not (self.ready or any(queues)):  # nothing to start: the cores idle
-            for core in cores[:-1]:
-                heapq.heappush(self.idle, core)
-        elif queues:
+    def _complete(self, done: list[_Instance], slot: int) -> None:
+        """End the cohorts ``done``, every completion of ``slot`` not yet
+        ended, together: each member adds its busy slots to its core and
+        counts off its task's followers; each freed core starts its queue's
+        head, or idles; the freed tasks are released, and ``_dispatch``
+        feeds the idle cores and the queues with room."""
+        per_core, succs, tracing, freed, cores = self.busy, self.succs, self.sink is not None, [], []
+        for inst in done:
+            busy = inst.n + inst.stalls
+            for core in inst.cores:
+                per_core[core] += busy
+            end = len(cores)
+            cores += inst.cores
+            for tid, ks in inst.parts:
+                freed += self._count_down(succs[tid], len(ks))
+                if tracing:
+                    self._trace(slot, "complete", tid, ks, map("core={}".format, cores[end : end + len(ks)]))
+                end += len(ks)
+        self.last_boundary = slot
+        queues = list(map(self.queues.__getitem__, cores))
+        if any(queues):
             lengths = list(map(len, queues))
-            full = list(compress(cores, map(self.depth.__eq__, lengths))) if self.depth else []
+            for core in compress(cores, map(self.depth.__eq__, lengths)):  # a full queue has room again
+                heapq.heappush(self.room, core)
             heads = list(map(list.pop, compress(queues, lengths), repeat(0)))
-            if heads:
-                given = list(compress(cores, lengths))
-                if heads != sorted(heads):  # queues can hold their heads out of (task, index) order
-                    heads, given = map(list, zip(*sorted(zip(heads, given))))
-                self._start([(tid, [k for _, k in run]) for tid, run in groupby(heads, itemgetter(0))], given, slot)
-            for core in self._fill(full, slot, queue=True):
-                heapq.heappush(self.room, core)
-            for core in self._fill(list(compress(cores, map((0).__eq__, lengths))), slot, queue=False):
-                heapq.heappush(self.idle, core)
-        busy, per_core = inst.n + inst.stalls, self.busy
+            self._start([(tid, [k for _, k in run]) for tid, run in groupby(heads, itemgetter(0))],
+                        list(compress(cores, lengths)), slot)
+            cores = compress(cores, map(not_, lengths))
         for core in cores:
-            per_core[core] += busy
-        self.last_boundary = max(self.last_boundary, slot)
-        if freed:
-            self._release(freed, slot)
-        core = cores[-1]
-        queue = self.queues[core]
-        if queue:
-            if len(queue) == self.depth:
-                heapq.heappush(self.room, core)
-            tid, k = queue.pop(0)
-            self._start([(tid, [k])], [core], slot)
-        else:
             heapq.heappush(self.idle, core)
+        self._release(freed, slot)
         if self.ready:
             self._dispatch(slot)
 
@@ -605,8 +577,11 @@ class _Simulation:
                 self._flush(slot)
             while self.heap and self.heap[0][0] == slot:
                 _, kind, _, inst = heapq.heappop(self.heap)
-                if kind == _COMPLETE:
-                    self._complete(inst, slot)
+                if kind == _COMPLETE:  # with the slot's other completions, which sort before its accesses
+                    done = [inst]
+                    while self.heap and self.heap[0][:2] == (slot, _COMPLETE):
+                        done.append(heapq.heappop(self.heap)[3])
+                    self._complete(done, slot)
                 else:
                     inst.since = slot
                     target = inst.granted % len(inst.vars)

@@ -125,6 +125,33 @@ class TestCommMetrics:
             comm_metrics(spec, 4, ensemble_metrics(spec, 16))
         assert comm_metrics(spec, 4, ensemble_metrics(spec, 4)) == comm_metrics(spec, 4)
 
+    # Each differs from the default chip in one of the four inputs a row is made from.
+    OTHER_CHIPS = [
+        ChipSpec(area=4e6, work=1),
+        ChipSpec(area=1e6, work=1, cpi=2.0),
+        ChipSpec(area=1e6, work=1, pollack_exponent=0.3),
+        ChipSpec(area=1e6, work=1, static_power_enabled=True),
+    ]
+
+    @pytest.mark.parametrize("spec, other", [(ChipSpec(area=1e6, work=1), chip) for chip in OTHER_CHIPS] + [
+        # At area 1 the exponent shows only in the per-core terms.
+        (ChipSpec(area=1.0, work=1), ChipSpec(area=1.0, work=1, pollack_exponent=0.3)),
+    ])
+    def test_refuses_ensemble_row_of_another_chip(self, spec, other):
+        # The 4e6 chip's m = 4 row has compute power 4e9, where the 1e6
+        # chip's is 5e8; a cpi of 2 halves perf_per_total_power, and static
+        # power adds 1e6.
+        for chip, row_chip in ((spec, other), (other, spec)):
+            with pytest.raises(DomainError, match="another chip, not for area="):
+                comm_metrics(chip, 4, ensemble_metrics(row_chip, 4))
+        # A row does not read the work.
+        assert comm_metrics(other, 4, ensemble_metrics(other._replace(work=7.0), 4)) == comm_metrics(other, 4)
+
+    @pytest.mark.parametrize("m", [1, 3, 64, 16384])
+    def test_accepts_the_row_of_its_own_chip(self, m):
+        for spec in [ChipSpec(area=7.3, work=1, cpi=1.7, pollack_exponent=0.9), *self.OTHER_CHIPS]:
+            assert comm_metrics(spec, m, ensemble_metrics(spec, m)) == comm_metrics(spec, m)
+
 
 class TestFieldsByName:
     """Each field against its defining formula, off the default chip; at m = 1

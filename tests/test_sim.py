@@ -212,6 +212,24 @@ class TestScheduling:
         assert without.makespan == with_queue.makespan
         assert without.sched_msg_count == with_queue.sched_msg_count
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_instances_ending_in_one_slot_end_together(self, depth):
+        # "b" (4) and "c" (2) start at slot 0; "a" (2) follows "c" on core 1
+        # and "x" (2) follows "a".  "a" and "b" end together at slot 4, so
+        # both cores are idle when "x" is released, and it takes core 0.
+        # Ended one at a time in (task, index) order, as before 0.9.0, "a"
+        # would free "x" while core 1 alone was idle.
+        g = TaskGraph(
+            [singular("b", 4), singular("c", 2), singular("a", 2), singular("x", 2)],
+            [("c", "a"), ("a", "x")],
+        )
+        cfg = SimConfig(chip=ChipSpec(area=1, work=1), m=2, prealloc_depth=depth)
+        report, events = traced_run(g, cfg)
+        dt = slot_dt(cfg)
+        assert [(e.time, e.detail) for e in events if e.kind == "start" and e.task == "x"] == [(4 * dt, "core=0")]
+        assert report.per_core_busy_time == (6 * dt, 4 * dt)
+        assert (report, events) == run_outcome(g, cfg, PerInstanceSimulation)
+
     def test_fifo_ties_by_task_id(self):
         g = TaskGraph([singular("b", 10, writes={"x1"}), singular("a", 10, writes={"x2"})])
         _, events = traced_run(g, SimConfig(chip=CHIP, m=1))
@@ -705,8 +723,12 @@ class PerInstanceSimulation:
     instance milestone, one ready-heap entry per instance, and each
     instance's targets from its own footprint, read from its task here.
     Instances go by (authored task id, instance number) wherever they tie.
-    It keeps its whole trace in a list and hands it, sorted, to the sink
-    when the run reports."""
+    The instances that end in one slot end together: each is counted off
+    its followers, then each freed core starts its queue's head or idles,
+    the freed instances are made ready, and dispatch runs once.  An instance
+    of no instruction ends in a further round of its slot.  It keeps its
+    whole trace in a list and hands it, sorted, to the sink when the run
+    reports."""
 
     def __init__(self, g, cfg, events):
         self.g = g
@@ -885,24 +907,35 @@ class PerInstanceSimulation:
             self.sched_msg_count += 1  # task-init message, pre-allocated
             self._event(slot, "queue", item[2], "core=%d", core_idx)
 
-    def _complete(self, inst, slot):
-        core = self.cores[inst.core]
-        core.busy_slots += inst.n + inst.stalls
-        core.current = None
-        self.sched_msg_count += 1  # task-completion message
-        self.last_boundary = max(self.last_boundary, slot)
-        self._event(slot, "complete", inst.tid, "core=%d", inst.core)
-        freed = self._count_down(self.succs[inst.task])
-        if freed:
-            self._release(freed, slot)
-        if core.queue:
-            if len(core.queue) == self.cfg.prealloc_depth:
-                heapq.heappush(self.room, inst.core)
-            self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
-        else:
-            heapq.heappush(self.idle, inst.core)
-        if self.ready:
-            self._dispatch(slot)
+    def _complete(self, done, slot):
+        """The instances ``done`` end together: all of them are counted off
+        their followers before any freed core or freed instance moves."""
+        freed = []
+        for inst in done:
+            core = self.cores[inst.core]
+            core.busy_slots += inst.n + inst.stalls
+            core.current = None
+            self.sched_msg_count += 1  # task-completion message
+            self.last_boundary = max(self.last_boundary, slot)
+            self._event(slot, "complete", inst.tid, "core=%d", inst.core)
+            freed += self._count_down(self.succs[inst.task])
+        for inst in done:
+            core = self.cores[inst.core]
+            if core.queue:
+                if len(core.queue) == self.cfg.prealloc_depth:
+                    heapq.heappush(self.room, inst.core)
+                self._start(inst.core, core.queue.popleft(), slot, from_queue=True)
+            else:
+                heapq.heappush(self.idle, inst.core)
+        self._release(freed, slot)
+        self._dispatch(slot)
+
+    def _completions(self, slot):
+        """Pop every completion of ``slot`` in the heap: they end together."""
+        done = []
+        while self.heap and self.heap[0][:2] == (slot, sim_module._COMPLETE):
+            done.append(heapq.heappop(self.heap)[3])
+        return done
 
     def _arbitrate(self, slot):
         """Grant each contended variable's waiting accesses in ``slot`` by the CREW rule.
@@ -949,13 +982,16 @@ class PerInstanceSimulation:
         # A grant queues its instance's next milestone at a later slot, so
         # once a slot is arbitrated the heap holds nothing before slot + 1,
         # where any waiting loser contends again.
+        # Completions sort before accesses: the slot's completions end in
+        # one round, and an instance of no instruction started in a round
+        # ends in a further one.
         while self.heap or self.waiting:
             slot = slot + 1 if self.waiting else self.heap[0][0]
             while self.heap and self.heap[0][0] == slot:
-                _, kind, _, inst = heapq.heappop(self.heap)
-                if kind == sim_module._COMPLETE:
-                    self._complete(inst, slot)
+                if done := self._completions(slot):
+                    self._complete(done, slot)
                 else:
+                    _, _, _, inst = heapq.heappop(self.heap)
                     inst.since = slot
                     target = inst.granted % len(inst.vars)
                     inst.reading = target < inst.n_reads
@@ -1100,11 +1136,10 @@ class PerStallSimulation(PerInstanceSimulation):
             slot = self.heap[0][0]
             accesses = []
             while self.heap and self.heap[0][0] == slot:
-                _, etype, _, inst = heapq.heappop(self.heap)
-                if etype == sim_module._COMPLETE:
-                    self._complete(inst, slot)
+                if done := self._completions(slot):
+                    self._complete(done, slot)
                 else:
-                    accesses.append(inst)
+                    accesses.append(heapq.heappop(self.heap)[3])
             if accesses:
                 self._arbitrate(accesses, slot)
 
@@ -1159,14 +1194,14 @@ SIBLING_IDS = ["w#0!", "w#07", "w#2y", "w#9z", "x#1!"]
 
 @st.composite
 def cohort_cases(draw):
-    """Graphs whose tasks run as cohorts that must split, join and reorder:
-    ids that sort among other tasks' instance ids, instruction counts from
-    {0, 2, 4} so that cohorts and other entries end in one slot, tasks of no
-    instruction, small m and every queue depth.  A task that writes "acc"
-    runs its instances alone.  Sibling singular tasks of one length are
-    roots, so they are ready in one slot with their ids among the
-    duplicables' instance ids and share cohorts; a follower of a middle
-    sibling is freed by a member inside its cohort, which is cut there."""
+    """Graphs whose tasks run as cohorts that join across tasks and end in
+    one slot with other entries: ids that sort among other tasks' instance
+    ids, instruction counts from {0, 2, 4}, tasks of no instruction, small m
+    and every queue depth.  A task that writes "acc" runs its instances
+    alone.  Sibling singular tasks of one length are roots, so they are
+    ready in one slot with their ids among the duplicables' instance ids
+    and share cohorts; a follower of a middle sibling is freed by a member
+    inside its cohort."""
     ids = draw(st.lists(st.sampled_from(COHORT_IDS), unique=True, min_size=2, max_size=6))
     index = st.integers(0, len(ids) - 1)
     edges = {(ids[i], ids[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=len(ids))) if i < j}
@@ -1316,9 +1351,9 @@ class TestUntracedMatchesTraced:
 
 def two_runs_in_one_slot():
     """At m = 4 with no queue, two cohorts end in slot 4: "t2" frees "t11"
-    and "t9", then "t3" frees "t7", while older ready instances take every
-    core.  The two runs of ready tasks wait together, and the four cores
-    freed in slot 6 must take "t7" between "t11" and "t9"."""
+    and "t9", and "t3" frees "t7", while older ready instances take every
+    core.  The three wait as one run, and the cores freed in slot 6 must
+    take "t7" between "t11" and "t9"."""
     tasks = [duplicable("t0", 2, 2), singular("t1", 4), singular("t2", 4), singular("t3", 2), singular("t4", 2),
              duplicable("t5", 3, 2), singular("t6", 2), singular("t7", 2), singular("t9", 2), singular("t11", 2)]
     g = TaskGraph(tasks, [("t2", "t11"), ("t2", "t9"), ("t3", "t7")])
@@ -1326,9 +1361,9 @@ def two_runs_in_one_slot():
 
 
 def queue_heads_out_of_order():
-    """Roots of lengths 2 and 4 at m = 4 with queues of two: the cores of a
-    cohort that ends hold queue heads out of (task, index) order, which
-    start as cohorts only once sorted."""
+    """Roots of lengths 2 and 4 at m = 4 with queues of two: the cores of
+    the cohorts that end in slot 10 hold queue heads out of (task, index)
+    order, which start as one cohort in core order."""
     tasks = [duplicable("t0", 2, 4), duplicable("t1", 3, 2), duplicable("t2", 5, 4), duplicable("t3", 6, 4),
              singular("t7", 2), duplicable("t8", 8, 2)]
     return TaskGraph(tasks), SimConfig(chip=CHIP, m=4, prealloc_depth=2)
@@ -1336,8 +1371,8 @@ def queue_heads_out_of_order():
 
 class TestCohortsMatchPerInstance:
     """Cohorts change the engine's cost, not its reports: on graphs built to
-    split, join and reorder cohorts, each run, traced or not, equals the
-    per-instance engine's."""
+    join cohorts across tasks and end them with other entries of their slot,
+    each run, traced or not, equals the per-instance engine's."""
 
     @settings(max_examples=1200, derandomize=True, database=None, deadline=None)
     @given(cohort_cases())
@@ -1394,6 +1429,23 @@ class TestCohortCost:
             assert len(pushed) == 1 + 4 + 1  # the loader, one cohort per wave, the reduce
             assert run(g, cfg) == run_outcome(g, cfg, PerInstanceSimulation, traced=False)[0]
         assert pushes[0] == pushes[1]
+
+    def test_queue_heads_start_grouped_by_task(self, monkeypatch):
+        # d = 4m at depth 1: every wave refills every queue, so the heads of
+        # waves 2 to 4 start as one (task, indices) entry each, not one per
+        # core.  With the loader, wave 1 and the reduce: 6 entries, whatever m.
+        entries = []
+        real_start = sim_module._Simulation._start
+
+        def recording(sim, starts, cores, slot):
+            entries.extend(tid for tid, _ in starts)
+            return real_start(sim, starts, cores, slot)
+
+        monkeypatch.setattr(sim_module._Simulation, "_start", recording)
+        for m in (64, 1024):
+            entries.clear()
+            run(fork_join(4 * m), SimConfig(chip=CHIP, m=m, prealloc_depth=1))
+            assert entries == ["load"] + ["read"] * 4 + ["reduce"]
 
 
 class TestStreamedTrace:
@@ -1827,6 +1879,18 @@ class TestRoomHeapMatchesLinearScan:
         # Past the first m, every instance waits in a queue when there are any.
         queued = sum(e.kind == "queue" for e in outcome[1])
         assert queued == (7 * m if depth else 0)
+
+    def test_queues_fill_from_a_duplicable_of_any_size(self):
+        # One dispatch of d = 10**30 ready instances at m = 16 and depth 2
+        # starts 16 and queues 2 on each core; the run itself takes d / m
+        # waves (ROADMAP item 6), so only the first dispatch is driven here.
+        g = TaskGraph([duplicable("w", 10**30, 4, writes={"v[#]"})])
+        sim = sim_module._Simulation(g, SimConfig(chip=CHIP, m=16, prealloc_depth=2), None)
+        sim._release(["w"], 0)
+        sim._dispatch(0)
+        assert [len(queue) for queue in sim.queues] == [2] * 16
+        assert sim.n_ready == 10**30 - 16 * 3
+        assert sim.room == []
 
     def test_huge_depth_acts_as_the_depth_of_the_instances(self):
         # A dispatch fills no more places than instances are ready, so a
