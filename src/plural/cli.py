@@ -171,8 +171,8 @@ def cmd_sweep(args, out) -> int:
     with_comm = args.command == "comm-sweep"
     header, row = _sweep_csv(with_comm)
     rows = scaling.sweep(spec, parse_core_counts(args.m))
-    if with_comm:  # the traffic row's m is the ensemble row's
-        rows = [(*metrics, *comm.comm_metrics(spec, metrics.m, metrics)[1:]) for metrics in rows]
+    if with_comm:
+        rows = [(*metrics, *comm.comm_metrics(spec, metrics.m)[1:]) for metrics in rows]
     lines = [header] + [row % metrics for metrics in rows]
     if args.plot_script:  # written before any row, so a bad path leaves stdout empty
         with open(args.plot_script, "w", encoding="utf-8") as fh:

@@ -6,7 +6,8 @@ traffic (task initiation and completion) and shared-memory traffic both run
 at the ensemble's combined instruction rate sqrt(m * A); memory messages
 additionally pass through log2(m) switch stages of a log-depth network,
 adding log2(m) switch energy each.  Composing these with the computing power
-of the scaling model gives the total power and the communications-adjusted
+and ensemble performance of the scaling model, which depend on the chip and
+m but not on the work, gives the total power and the communications-adjusted
 performance/power ratio.
 """
 
@@ -16,14 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, _is_real
-from .scaling import (
-    ChipSpec,
-    EnsembleMetrics,
-    _check_core_count,
-    _check_in_range,
-    _ensemble_power,
-    ensemble_metrics,
-)
+from .scaling import ChipSpec, _check_core_count, _check_in_range, _ensemble_power
 
 __all__ = [
     "CommMetrics",
@@ -98,35 +92,26 @@ def mem_power(area: float, m: int) -> float:
     return mem_access_energy(area, m) * _rate(area, m)
 
 
-def comm_metrics(
-    spec: ChipSpec, m: int, ensemble: EnsembleMetrics | None = None
-) -> CommMetrics:
+def comm_metrics(spec: ChipSpec, m: int) -> CommMetrics:
     """Assemble the full power breakdown for ``m`` cores on ``spec``.
 
-    Compute power comes from the scaling model (``ensemble``, when the
-    caller already holds ``ensemble_metrics(spec, m)``); scheduler and
-    memory power from the message model above.  The communications-adjusted
-    figure of merit divides the ensemble performance by the summed power.  An
-    ``ensemble`` row made at another core count, one whose power or ensemble
-    performance is not ``spec``'s at ``m`` (made for a chip of another area,
-    cpi, Pollack exponent or static-power flag), or a row that leaves float
-    range, raises ``DomainError``.
+    Compute power and ensemble performance come from the scaling model's
+    chip terms, which do not read ``spec.work``; scheduler and memory power
+    from the message model above.  The communications-adjusted figure of
+    merit divides the ensemble performance by the summed power.  A row that
+    leaves float range raises ``DomainError``.
     """
     _check_core_count(m)  # ``spec`` checked its area
     area, _, cpi, alpha, static = spec
-    if ensemble is None:
-        ensemble = ensemble_metrics(spec, m)
-    elif ensemble.m != m:
-        raise DomainError(f"ensemble row was computed for m={ensemble.m}, not for m={m}")
-    elif (ensemble.ensemble_perf, ensemble.power) != _ensemble_power(area, cpi, alpha, static, m)[3:]:
-        raise DomainError(f"ensemble row was computed for another chip, not for area={area!r}, cpi={cpi!r}, "
-                          f"pollack_exponent={alpha!r}, static_power_enabled={static!r}")
-    sched_e = _msg_energy(area)
-    mem_e = _access_energy(area, m)
-    rate = math.sqrt(m * area)
-    sched_p = sched_e * rate
-    mem_p = mem_e * rate
-    compute_p = ensemble.power
-    total = compute_p + sched_p + mem_p
-    row = CommMetrics(m, sched_e, sched_p, mem_e, mem_p, compute_p, total, ensemble.ensemble_perf / total)
+    try:
+        ensemble_perf, compute_p = _ensemble_power(area, cpi, alpha, static, m)[3:]
+        sched_e = _msg_energy(area)
+        mem_e = _access_energy(area, m)
+        rate = math.sqrt(m * area)
+        sched_p = sched_e * rate
+        mem_p = mem_e * rate
+        total = compute_p + sched_p + mem_p
+        row = CommMetrics(m, sched_e, sched_p, mem_e, mem_p, compute_p, total, ensemble_perf / total)
+    except ArithmeticError:  # a zero divisor, or a power or an m too large for a float
+        row = None
     return _check_in_range(row, m)

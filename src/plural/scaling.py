@@ -122,8 +122,7 @@ def ensemble_metrics(spec: ChipSpec, m: int) -> EnsembleMetrics:
 
 def _ensemble_power(area: float, cpi: float, alpha: float, static: bool, m: int) -> tuple[float, ...]:
     """The terms of a chip's row at m that do not depend on the work: core
-    area, core frequency, core performance, ensemble performance and power.
-    ``comm.comm_metrics`` checks a row it is given against the last two."""
+    area, core frequency, core performance, ensemble performance and power."""
     core_area = area / m
     core_freq = core_area**alpha
     core_perf = core_freq / cpi

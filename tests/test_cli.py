@@ -338,7 +338,6 @@ class TestCommSweep:
             return real(spec, m)
 
         monkeypatch.setattr(scaling, "ensemble_metrics", counting)
-        monkeypatch.setattr(comm, "ensemble_metrics", counting)
         code, out, _ = run_cli(capsys, "comm-sweep")
         assert code == 0
         _, rows = csv_rows(out)
@@ -387,7 +386,7 @@ class TestCsvRowsMatchPerValueWriter:
                 metrics = scaling.ensemble_metrics(spec, m)
                 row = metrics._asdict()
                 if command == "comm-sweep":
-                    row.update(comm.comm_metrics(spec, m, metrics)._asdict())
+                    row.update(comm.comm_metrics(spec, m)._asdict())
                 rows.append(row)
         except plural.PluralError as exc:
             assert call_main(argv) == (2, "", f"error: {exc}\n")

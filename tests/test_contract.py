@@ -1,5 +1,8 @@
-"""The library's error contract: every public callable that takes a real
-number or a count returns finite values or raises a ``PluralError``.
+"""The two contracts: the library's error contract, and the bytes of a
+fixed corpus of ``plural`` calls.
+
+Every public callable that takes a real number or a count returns finite
+values or raises a ``PluralError``.
 
 Each case below calls one callable of ``plural.__all__`` with one drawn
 argument, every other argument valid.  The arguments cover finite numbers,
@@ -13,7 +16,13 @@ and the callables whose arguments are a chip, a graph, a report or a
 configuration, which the cases build from drawn values.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import math
+import os
+import random
 import warnings
 
 import pytest
@@ -32,6 +41,7 @@ from plural import (
     TaskGraph,
     TaskKind,
     ValidationError,
+    cli,
     comm_metrics,
     constrain,
     ensemble_metrics,
@@ -188,3 +198,98 @@ def test_task_graph_checks_every_edge_endpoint(edge):
     with pytest.raises(GraphStructureError) as info:
         TaskGraph(tasks, [edge])
     assert str(info.value) == f"edge {edge!r} must be a (predecessor, successor) pair of task ids"
+
+
+# The output corpus: every byte that a fixed, seeded set of calls writes
+# (exit code, stdout, stderr, and the --events file) hashed into one digest.
+# A change that keeps each output byte keeps the digest; one that changes a
+# documented output re-pins it and says so in CHANGES.md.  The graphs are
+# drawn with randint, choice, sample and random alone, which give the same
+# draws on every supported Python.
+CORPUS_SEED = 31
+CORPUS_GRAPHS = 300
+CORPUS_DIGEST = "2aa14931c9117dc2079fb429b8b0693c5c18656dc436979adc1b130b25c4e578"
+NAMES = ["x", "y", "v[#]", "w"]  # shared across the tasks of a graph
+TASK_IDS = ["a", "b", "c", "d", "e", "f", "g", "h"]
+
+
+def _random_graph(rng):
+    """A small graph document and the --outcome flags that drive its conditionals."""
+    ids = rng.sample(TASK_IDS, rng.randint(1, 6))  # edges go forward in this order, so no cycle
+    edges = [[a, b] for k, a in enumerate(ids) for b in ids[k + 1:] if rng.random() < 0.35]
+    tasks, outcomes = [], []
+    for tid in ids:
+        kind = rng.choice(["singular", "singular", "duplicable", "duplicable", "control"])
+        task = {"id": tid, "kind": kind}
+        if kind == "control":
+            task["control_kind"] = rng.choice(["branch", "merge", "conditional"])
+            successors = [b for a, b in edges if a == tid]
+            if task["control_kind"] == "conditional" and successors:
+                outcomes += ["--outcome", f"{tid}={rng.choice(successors)}"]
+        else:
+            if kind == "duplicable":
+                task["d"] = rng.randint(1, 12)
+            task["instructions"] = rng.randint(0, 40)
+            task["reads"] = rng.sample(NAMES, rng.randint(0, 2))
+            task["writes"] = rng.sample(NAMES, rng.randint(0, 2))
+        tasks.append(task)
+    return json.dumps({"tasks": tasks, "edges": edges}), outcomes
+
+
+# Fixed cases beside the drawn ones: a conditional whose outcome picks the
+# branch that runs, a graph of no instruction (exit 2), a cycle (exit 2) and
+# a malformed document (exit 2).
+CORPUS_SPECIALS = [
+    (json.dumps({"tasks": [
+        {"id": "c", "kind": "control", "control_kind": "conditional"},
+        {"id": "l", "kind": "duplicable", "d": 5, "instructions": 12, "reads": ["x"], "writes": ["v[#]"]},
+        {"id": "r", "kind": "singular", "instructions": 30, "writes": ["x"]},
+    ], "edges": [["c", "l"], ["c", "r"]]}), outcome)
+    for outcome in (["--outcome", "c=l"], ["--outcome", "c=r"])
+] + [
+    (json.dumps({"tasks": [{"id": "a", "kind": "singular"}, {"id": "b", "kind": "duplicable", "d": 3}],
+                 "edges": [["a", "b"]]}), []),
+    (json.dumps({"tasks": [{"id": t, "kind": "singular", "instructions": 5} for t in "abc"],
+                 "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}), []),
+    ('{"tasks": [{"id": "a", "kind": "singular", "instructions": 5}', []),
+]
+
+
+def corpus_calls():
+    """Each call of the corpus as (graph document or None, argv)."""
+    rng = random.Random(CORPUS_SEED)
+    yield None, ["sweep"]
+    yield None, ["comm-sweep"]
+    for doc, outcomes in CORPUS_SPECIALS + [_random_graph(rng) for _ in range(CORPUS_GRAPHS)]:
+        flags = ["--m", str(rng.randint(1, 6)), "--prealloc-depth", str(rng.randint(0, 3)),
+                 "--stride", str(rng.randint(1, 6)), "--seed", str(rng.randint(0, 3)), *outcomes]
+        yield doc, ["validate", "graph.json"]
+        yield doc, ["simulate", "graph.json", *flags, "--comm-costs", "--check-model"]
+        yield doc, ["simulate", "graph.json", *flags, "--csv", "--events", "events.jsonl"]
+
+
+def corpus_digest() -> str:
+    """sha256 of every call's argv, exit code, stdout, stderr and events
+    file, run in the current directory with relative file names, so that no
+    temporary path reaches the digest."""
+    digest = hashlib.sha256()
+    for doc, argv in corpus_calls():
+        if doc is not None:
+            with open("graph.json", "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove("events.jsonl")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        events = ""
+        if os.path.exists("events.jsonl"):
+            with open("events.jsonl", encoding="utf-8") as fh:
+                events = fh.read()
+        digest.update(repr((argv, code, out.getvalue(), err.getvalue(), events)).encode())
+    return digest.hexdigest()
+
+
+def test_output_corpus_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert corpus_digest() == CORPUS_DIGEST
