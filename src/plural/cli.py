@@ -262,45 +262,33 @@ def _warn_crew(g) -> "list[CrewViolation]":
 JSON_MAX_M = 2**20  # cores a JSON report may list: 9 bytes per core per list, 19 MB in all
 
 
-def _json_scalar(value: object) -> str | None:
-    """``json.dumps(value)`` of an int or a finite float, by exact type (a bool may ``repr`` otherwise), else None."""
-    return repr(value) if type(value) in (int, float) and value - value == 0.0 else None  # not NaN or inf
-
-
 def _dump_report(doc: dict) -> "Iterator[str]":
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, in pieces,
-    for a report dict from ``sim.report_as_dict``, with or without
-    ``model_check``, once each per-core tuple is padded with 0.0 to ``doc["m"]``.
+    once each per-core tuple is padded with 0.0 to ``doc["m"]``.
 
-    A report lists the cores a run used, and the printed report all m: this
-    is the one place that pads.  A str key, an int, a finite float and a flat
-    dict of these are spelled by the functions ``json`` calls for them.  A
-    per-core tuple, never empty, is written by hand too: the C encoder spells
-    each distinct value once (floats of at least +0.0, so equal values spell
-    alike; no spelling holds ", "), the spellings are joined in order, and
-    the cores never used follow as one repeated string, its own piece, so the
-    cost grows with the cores used, not m.  Any other value keeps ``json``.
+    ``doc`` must be a report dict from ``sim.report_as_dict``, with or
+    without ``model_check``: field-name keys; values that are ints, finite
+    floats of at least +0.0, non-empty tuples of such floats, or one flat
+    dict of finite floats.  A scalar is spelled by ``repr``, as ``json``
+    spells it.  A report lists the cores a run used, and the printed report
+    all m: this is the one place that pads.  A tuple's distinct values are
+    spelled once each (equal floats of at least +0.0 spell alike), and the
+    cores never used follow as one repeated string, its own piece, so the
+    cost grows with the cores used, not m.
     """
-    import json
-
-    quote = json.encoder.encode_basestring_ascii  # json.dumps's spelling of a str
     text, lead = "", "{\n  "
     for key, value in doc.items():
-        text += lead + (quote(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
-        lead, spelled = ",\n  ", _json_scalar(value)
-        if spelled is not None:
-            text += spelled
-        elif isinstance(value, tuple) and value:
-            distinct = list(dict.fromkeys(value))
-            spelled = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
+        text += lead + '"%s": ' % key
+        lead = ",\n  "
+        if type(value) is tuple:
+            spelled = {v: repr(v) for v in dict.fromkeys(value)}
             yield text + "[\n    " + ",\n    ".join(map(spelled.__getitem__, value))
             yield ",\n    0.0" * (doc["m"] - len(value))
             text = "\n  ]"
-        elif type(value) is dict and value and all(type(k) is str for k in value) and (
-                None not in (items := list(map(_json_scalar, value.values())))):
-            text += "{\n    " + ",\n    ".join(map("%s: %s".__mod__, zip(map(quote, value), items))) + "\n  }"
+        elif type(value) is dict:
+            text += "{\n    " + ",\n    ".join(map('"%s": %r'.__mod__, value.items())) + "\n  }"
         else:
-            text += json.dumps(value, indent=2).replace("\n", "\n  ")
+            text += repr(value)
     yield text + "\n}\n"
 
 

@@ -29,6 +29,7 @@ import re
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -144,7 +145,8 @@ class TaskGraph:
     """An immutable precedence graph over tasks.
 
     Edges are (predecessor id, successor id) tuples or lists of two strings
-    naming tasks in the graph, checked as given, never coerced.  Acyclicity
+    naming tasks in the graph, checked as given, never coerced.  A
+    conditional control task needs a successor to forward to.  Acyclicity
     is checked by ``validate_dag``, not assumed at construction.
     """
 
@@ -165,6 +167,11 @@ class TaskGraph:
             pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
+        if ControlKind.CONDITIONAL in map(attrgetter("control_kind"), task_map.values()):  # a pass in C
+            stuck = {tid for tid, task in task_map.items() if task.control_kind is ControlKind.CONDITIONAL}
+            stuck.difference_update(pred for pred, _ in edge_set)
+            if stuck:
+                raise GraphStructureError(f"conditional control task {min(stuck)!r} has no successor")
         self._tasks = task_map
         self._edges = edge_set
 

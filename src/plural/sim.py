@@ -61,7 +61,7 @@ import heapq
 import math
 import random
 import sys
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import attrgetter, gt, itemgetter, mul, not_, truediv
@@ -194,23 +194,6 @@ _RANK = {kind: rank for rank, kind in enumerate(_TRACE_KINDS)}
 _KEY = attrgetter("key")
 
 
-_Skip = tuple[float, ...] | None
-
-
-def _skip_table(contended: tuple[bool, ...]) -> _Skip:
-    """An access plan over targets that are contended where ``contended`` is true.
-
-    ``skip[r]`` counts the accesses from residue r that target uncontended
-    variables before one that does not, ``math.inf`` when none does; the
-    caller caps it at the accesses left.  None when every target is contended.
-    """
-    if all(contended):
-        return None
-    shared = [k for k, is_contended in enumerate(contended) if is_contended]
-    size = len(contended)
-    return tuple(min(((k - r) % size for k in shared), default=math.inf) for r in range(size))
-
-
 def _pop_least(heap: list[int], k: int) -> list[int]:
     """Pop the ``k`` least items of ``heap``, ascending; all of them, as at a wave's end, by one sort."""
     if k < len(heap):
@@ -236,11 +219,11 @@ class _Instance:
     more touch no contended variable; an instance that can contend is alone
     and tracks its accesses."""
 
-    __slots__ = ("key", "parts", "cores", "n", "vars", "n_reads", "n_access", "skip", "start", "stalls", "granted",
+    __slots__ = ("key", "parts", "cores", "n", "vars", "n_reads", "n_access", "hot", "start", "stalls", "granted",
                  "since", "reading")
 
     def __init__(self, tid: str, ks: Sequence[int], cores: list[int], n: int, start: int,
-                 vars_: tuple[str, ...] = (), n_reads: int = 0, n_access: int = 0, skip: _Skip = None):
+                 vars_: tuple[str, ...] = (), n_reads: int = 0, n_access: int = 0, hot: list[int] | None = None):
         self.key = (tid, ks[0])  # a lone instance's heap key and place in a wait set
         self.parts = [(tid, ks)]  # (task, indices) per start joined; ``cores`` holds their cores in turn
         self.cores = cores
@@ -248,7 +231,9 @@ class _Instance:
         self.vars = vars_  # access targets, round-robin
         self.n_reads = n_reads  # the targets before this one are reads
         self.n_access = n_access
-        self.skip = skip  # see _skip_table
+        # Places in ``vars`` of contended targets, then the first one round on
+        # (math.inf with none), for a bisection from any place; None when all are.
+        self.hot = hot
         self.start = start  # slot
         self.stalls = 0
         self.granted = 0
@@ -264,9 +249,6 @@ class _Simulation:
         self.depth = min(cfg.prealloc_depth, sys.maxsize)  # a list never holds more, so no deeper queue fills
         self.contended = g._contended  # the only variables whose accesses can contend
         self.alone = {key[0] for var in self.contended for key, _ in g._footprint.touchers[var]}  # tasks that touch one
-        # Access plans by which targets are contended: instances of one
-        # shape share one.  Kept per run, since ``contended`` is the graph's.
-        self.skips: dict[tuple[bool, ...], _Skip] = {}
         chip = cfg.chip
         self.instr_energy = chip.area / _check_finite("m", cfg.m, positive=True)  # A/m, a core's area
         self.core_freq = _check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
@@ -352,7 +334,6 @@ class _Simulation:
                 if self.sink is not None:
                     self._trace(slot, "ready", t, range(task.instances), repeat(""))
                 continue
-            self.last_boundary = max(self.last_boundary, slot)
             if task.control_kind is ControlKind.CONDITIONAL:
                 chosen = self.cfg.conditional_outcomes.get(t)
                 if chosen is None:
@@ -376,7 +357,7 @@ class _Simulation:
         which joins a cohort of its instruction count started in this slot."""
         if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
             self.cohorts, self.cohorts_slot = {}, slot
-        tasks, started, cohorts, alone = self.g._tasks, self.started, self.cohorts, self.alone
+        tasks, started, cohorts, alone, contended = self.g._tasks, self.started, self.cohorts, self.alone, self.contended
         if self.total_instructions + len(cores) * self.longest > sys.float_info.max:
             counts = chain.from_iterable(repeat(tasks[tid].instruction_count, len(ks)) for tid, ks in starts)
             for total in accumulate(counts, initial=self.total_instructions):  # each start's, in start order
@@ -397,11 +378,9 @@ class _Simulation:
                 n_access = _accesses(task, self.stride)
                 for k, core in zip(ks, given):
                     vars_, n_reads = _targets(task, k)
-                    mask = tuple(map(self.contended.__contains__, vars_))
-                    if mask not in self.skips:
-                        self.skips[mask] = _skip_table(mask)
-                    skip = self.skips[mask] if n_access else None
-                    self._push_next(_Instance(tid, [k], [core], n, slot, vars_, n_reads, n_access, skip))
+                    hot = [*compress(range(len(vars_)), map(contended.__contains__, vars_))]
+                    hot = None if len(hot) == len(vars_) else hot + [hot[0] + len(vars_) if hot else math.inf]
+                    self._push_next(_Instance(tid, [k], [core], n, slot, vars_, n_reads, n_access, hot))
                 continue
             if tracing and (n_access := _accesses(task, self.stride)):  # each access on arrival
                 targets = [_targets(task, k)[0] for k in ks]
@@ -448,14 +427,15 @@ class _Simulation:
     def _push_next(self, inst: _Instance) -> None:
         """Queue a lone instance's next milestone: its next access, else completion.
 
-        Accesses to uncontended variables are granted here, in bulk: each
-        would be granted in its arrival slot with no stall and no draw from
-        the generator.
+        Accesses to uncontended variables are granted here, in bulk up to
+        the next contended target: each would be granted in its arrival slot
+        with no stall and no draw from the generator.
         """
         stride, granted = self.stride, inst.granted
-        if inst.skip is not None:
+        if inst.hot is not None:
             size = len(inst.vars)
-            jump = min(inst.skip[granted % size], inst.n_access - granted)
+            r = granted % size
+            jump = min(inst.hot[bisect_left(inst.hot, r)] - r, inst.n_access - granted)
             if self.sink is not None:
                 for k in range(granted, granted + jump):
                     slot = inst.start + (k + 1) * stride - 1 + inst.stalls

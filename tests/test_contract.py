@@ -208,7 +208,7 @@ def test_task_graph_checks_every_edge_endpoint(edge):
 # draws on every supported Python.
 CORPUS_SEED = 31
 CORPUS_GRAPHS = 300
-CORPUS_DIGEST = "2aa14931c9117dc2079fb429b8b0693c5c18656dc436979adc1b130b25c4e578"
+CORPUS_DIGEST = "ab3ad74594324bf00afb66942c967fa1d958e5a8ac4e164f358ffd221d407dd0"
 NAMES = ["x", "y", "v[#]", "w"]  # shared across the tasks of a graph
 TASK_IDS = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
@@ -224,8 +224,11 @@ def _random_graph(rng):
         if kind == "control":
             task["control_kind"] = rng.choice(["branch", "merge", "conditional"])
             successors = [b for a, b in edges if a == tid]
-            if task["control_kind"] == "conditional" and successors:
-                outcomes += ["--outcome", f"{tid}={rng.choice(successors)}"]
+            if task["control_kind"] == "conditional":  # it needs a successor, so one with none is a merge
+                if successors:
+                    outcomes += ["--outcome", f"{tid}={rng.choice(successors)}"]
+                else:
+                    task["control_kind"] = "merge"
         else:
             if kind == "duplicable":
                 task["d"] = rng.randint(1, 12)
@@ -253,6 +256,13 @@ CORPUS_SPECIALS = [
                  "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}), []),
     ('{"tasks": [{"id": "a", "kind": "singular", "instructions": 5}', []),
 ]
+# Fixed cases added after the corpus was first pinned.  They follow the
+# drawn graphs, so every earlier case keeps the flags drawn for it.  A
+# conditional with no successor is refused (exit 2).
+CORPUS_APPENDED = [
+    (json.dumps({"tasks": [{"id": "c", "kind": "control", "control_kind": "conditional"},
+                           {"id": "a", "kind": "singular", "instructions": 5}]}), []),
+]
 
 
 def corpus_calls():
@@ -260,7 +270,7 @@ def corpus_calls():
     rng = random.Random(CORPUS_SEED)
     yield None, ["sweep"]
     yield None, ["comm-sweep"]
-    for doc, outcomes in CORPUS_SPECIALS + [_random_graph(rng) for _ in range(CORPUS_GRAPHS)]:
+    for doc, outcomes in CORPUS_SPECIALS + [_random_graph(rng) for _ in range(CORPUS_GRAPHS)] + CORPUS_APPENDED:
         flags = ["--m", str(rng.randint(1, 6)), "--prealloc-depth", str(rng.randint(0, 3)),
                  "--stride", str(rng.randint(1, 6)), "--seed", str(rng.randint(0, 3)), *outcomes]
         yield doc, ["validate", "graph.json"]

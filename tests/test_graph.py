@@ -202,6 +202,19 @@ class TestTaskGraph:
             TaskGraph(tasks, [("a", "b"), edge, ("b", "a")])
         assert str(info.value) == f"edge {edge!r} must be a (predecessor, successor) pair of task ids"
 
+    def test_conditional_needs_a_successor(self):
+        # A run that reaches a conditional forwards to one of its successors,
+        # so one with none could never be simulated; the least such id is named.
+        tasks = [control("c", ControlKind.CONDITIONAL), control("b", ControlKind.CONDITIONAL),
+                 control("m"), singular("a")]
+        for edges, stuck in (([], "b"), ([("b", "a")], "c"), ([("a", "b")], "b")):
+            with pytest.raises(GraphStructureError) as info:
+                TaskGraph(tasks, edges)
+            assert str(info.value) == f"conditional control task {stuck!r} has no successor"
+        # A branch or merge with no successor ends its path, as a task does.
+        g = TaskGraph(tasks, [("b", "a"), ("c", "a")])
+        assert g.edges == {("b", "a"), ("c", "a")}
+
     def test_edges_may_be_lists_or_tuples_from_any_iterable(self):
         g = TaskGraph([singular("a"), singular("b"), singular("c")], iter([["a", "b"], ("b", "c"), ("a", "b")]))
         assert g.edges == frozenset({("a", "b"), ("b", "c")})

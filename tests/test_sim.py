@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -694,7 +695,7 @@ class TestSingleCoreReference:
 class OracleInstance:
     """A core-executed task instance and its progress through its slots."""
 
-    def __init__(self, tid, k, task, vars_, n_reads, stride, skip, core, start):
+    def __init__(self, tid, k, task, vars_, n_reads, stride, core, start):
         self.tid = tid  # instance id
         self.key = (task.id, k)  # its place in the event heap and in a wait set
         self.task = task.id
@@ -702,7 +703,6 @@ class OracleInstance:
         self.vars = vars_  # access targets, round-robin
         self.n_reads = n_reads  # the targets before this one are reads
         self.n_access = self.n // stride if vars_ else 0
-        self.skip = skip if self.n_access else None  # see _skip_table
         self.core = core
         self.start = start  # slot
         self.stalls = 0
@@ -735,9 +735,6 @@ class PerInstanceSimulation:
         self.cfg = cfg
         self.stride = cfg.mem_access_stride
         self.contended = g._contended  # the only variables whose accesses can contend
-        # Access plans by which targets are contended: instances of one
-        # shape share one.  Kept per run, since ``contended`` is the graph's.
-        self.skips = {}
         chip = cfg.chip
         self.instr_energy = chip.area / sim_module._check_finite("m", cfg.m, positive=True)
         self.core_freq = sim_module._check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
@@ -841,12 +838,7 @@ class PerInstanceSimulation:
         if iid in self.started:
             raise RuntimeError(f"task instance {iid!r} started twice")
         self.started.add(iid)
-        mask = tuple(map(self.contended.__contains__, vars_))
-        try:
-            skip = self.skips[mask]
-        except KeyError:
-            skip = self.skips[mask] = sim_module._skip_table(mask)
-        inst = OracleInstance(iid, k, self.g._tasks[tid], vars_, n_reads, self.stride, skip, core_idx, slot)
+        inst = OracleInstance(iid, k, self.g._tasks[tid], vars_, n_reads, self.stride, core_idx, slot)
         self.total_instructions += inst.n
         if self.total_instructions > sys.float_info.max:  # refused before its accesses spin the loop
             sim_module._check_finite("total_instructions", self.total_instructions)
@@ -859,20 +851,16 @@ class PerInstanceSimulation:
     def _push_next(self, inst):
         """Queue the instance's next milestone: its next access, else completion.
 
-        Accesses to uncontended variables are granted here, in bulk: each
-        would be granted in its arrival slot with no stall and no draw from
-        the generator.
+        Accesses to uncontended variables are granted here, one at a time:
+        each would be granted in its arrival slot with no stall and no draw
+        from the generator.
         """
         stride, granted = self.stride, inst.granted
-        if inst.skip is not None:
-            size = len(inst.vars)
-            jump = min(inst.skip[granted % size], inst.n_access - granted)
-            if self.trace is not None:
-                for k in range(granted, granted + jump):
-                    slot = inst.start + (k + 1) * stride - 1 + inst.stalls
-                    self._event(slot, "access", inst.tid, "var=%s waited=0", inst.vars[k % size])
-            granted = inst.granted = granted + jump
-            self.mem_access_count += jump
+        while granted < inst.n_access and (var := inst.vars[granted % len(inst.vars)]) not in self.contended:
+            granted += 1
+            self.mem_access_count += 1
+            self._event(inst.start + granted * stride - 1 + inst.stalls, "access", inst.tid, "var=%s waited=0", var)
+        inst.granted = granted
         if granted < inst.n_access:
             slot = inst.start + (granted + 1) * stride - 1 + inst.stalls
             heapq.heappush(self.heap, (slot, sim_module._ACCESS, inst.key, inst))
@@ -1448,6 +1436,56 @@ class TestCohortCost:
             assert entries == ["load"] + ["read"] * 4 + ["reduce"]
 
 
+class TestCountedWork:
+    """Work counted, not timed: the line events a run makes in the package's
+    own frames, which are the same on every run of one Python version.  Line
+    counts differ across versions, so each gate is a ratio of two runs."""
+
+    PACKAGE = os.path.dirname(sim_module.__file__) + os.sep
+
+    @classmethod
+    def lines(cls, g, cfg):
+        """``run(g, cfg)``'s report and its line events in ``plural``'s frames."""
+        count, previous = 0, sys.gettrace()
+
+        def local(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            return local
+
+        def enter(frame, event, arg):
+            return local if frame.f_code.co_filename.startswith(cls.PACKAGE) else None
+
+        sys.settrace(enter)
+        try:
+            report = run(g, cfg)
+        finally:
+            sys.settrace(previous)
+        return report, count
+
+    @staticmethod
+    def writers(d, n, reads=()):
+        """d instances of n instructions that each write "acc", and read ``reads``, at m = 64 and stride 1."""
+        return TaskGraph([duplicable("w", d, n, reads, {"acc"})]), SimConfig(chip=CHIP, m=64, mem_access_stride=1, seed=1)
+
+    def test_lines_per_contended_grant_are_flat_in_d(self):
+        per_grant = []
+        for d in (20, 80):
+            report, lines = self.lines(*self.writers(d, 10))
+            assert report.mem_access_count == 10 * d and report.mem_conflict_stalls > 0
+            per_grant.append(lines / report.mem_access_count)
+        assert max(per_grant) / min(per_grant) < 1.2
+
+    def test_uncontended_accesses_cost_no_event(self):
+        # Reads of "c0[#]" to "c6[#]" make 8 times the accesses with the
+        # same 10 contended grants per instance; one event per access would
+        # cost about 6 times the lines.
+        base, base_lines = self.lines(*self.writers(80, 10))
+        wide, wide_lines = self.lines(*self.writers(80, 80, {f"c{k}[#]" for k in range(7)}))
+        assert wide.mem_access_count == 8 * base.mem_access_count
+        assert wide_lines <= 1.5 * base_lines
+
+
 class TestStreamedTrace:
     """A run hands its events to the sink in trace order as it leaves their
     slots; it holds no other copy of its trace, and the sink changes no report."""
@@ -1565,13 +1603,7 @@ class TestPrivateAccesses:
     def test_one_plan_per_private_positions(self):
         sim = sim_module._Simulation(self.PLANS, SimConfig(chip=CHIP, m=2), None)
         sim.execute()
-        # Targets are sorted reads, then sorted writes: ("x[k]", "out[k]", "s").
         # "solo" can contend nowhere, so it runs as a cohort and needs no plan.
-        assert sim.skips == {
-            (True, False, True): (0, 1, 0),
-            (False, False, True): (2, 1, 0),
-            (True,): None,
-        }
         assert sim.alone == {"work", "other"}
 
     @pytest.mark.parametrize("m", [1, 2, 5])
