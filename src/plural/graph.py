@@ -12,9 +12,9 @@ all read a variable, but a variable written by a task must not be touched by
 any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
 the simulator.  Two tasks are concurrent when neither precedes the other
-through the edge relation: each task holds the tasks ordered with it as one
-bitset: the names that may meet cost one big-int test per authored
-footprint entry, and a variable's violations O(touchers + violations).
+through the edge relation.  One counting pass over the authored footprint
+finds the names that may meet, and only their owners get a bitset of the
+tasks ordered with them: a variable's violations cost O(touchers + violations).
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -26,10 +26,11 @@ each other.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, islice, repeat, takewhile
+from operator import attrgetter, eq, methodcaller
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -115,9 +116,7 @@ class Task(_Checked, _TaskFields):
             raise ValidationError(f"task {id!r}: {field} must be a collection of strings, got {names!r}")
         if not (type(instruction_count) is int and instruction_count >= 0 or _is_count(instruction_count, 0)):
             raise ValidationError(
-                f"task {id!r}: instruction_count must be a nonnegative "
-                f"integer, got {instruction_count!r}"
-            )
+                f"task {id!r}: instruction_count must be a nonnegative integer, got {instruction_count!r}")
         if kind is _CONTROL:
             if control_kind is None:
                 raise ValidationError(f"task {id!r}: control tasks need a control_kind")
@@ -131,9 +130,7 @@ class Task(_Checked, _TaskFields):
             raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
         if kind is _DUPLICABLE and not _is_count(instances, 1):
             raise ValidationError(
-                f"task {id!r}: duplicable instance count must be a "
-                f"positive integer, got {instances!r}"
-            )
+                f"task {id!r}: duplicable instance count must be a positive integer, got {instances!r}")
         if kind is not _DUPLICABLE and (type(instances) is not int or instances != 1):
             raise ValidationError(f"task {id!r}: a {kind.value} task has one instance, got instances={instances!r}")
         # The entry point is an opaque code label; it defaults to the id.
@@ -142,13 +139,11 @@ class Task(_Checked, _TaskFields):
 
 
 class TaskGraph:
-    """An immutable precedence graph over tasks.
-
-    Edges are (predecessor id, successor id) tuples or lists of two strings
-    naming tasks in the graph, checked as given, never coerced.  A
-    conditional control task needs a successor to forward to.  Acyclicity
-    is checked by ``validate_dag``, not assumed at construction.
-    """
+    """An immutable precedence graph over tasks.  Edges are (predecessor id,
+    successor id) tuples or lists of two strings naming tasks in the graph,
+    checked as given, never coerced.  A conditional control task needs a
+    successor to forward to.  Acyclicity is checked by ``validate_dag``, not
+    assumed at construction."""
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[tuple[str, str]] = ()):
         task_map: dict[str, Task] = {}
@@ -157,20 +152,22 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edges = list(edges)  # checked, not coerced: every edge at once, and a walk only to name the first bad one
-        if {*map(type, edges)} - {tuple, list} or {*map(len, edges)} - {2} or not all(
-                issubclass(kind, str) for kind in {*map(type, chain(*edges))}):  # each distinct endpoint type once
+        try:  # each distinct endpoint is typed once, and then looked up
+            ends = {*chain(*edges)} if {*map(type, edges)} <= {tuple, list} and {*map(len, edges)} <= {2} else None
+        except TypeError:  # an endpoint that is not hashable
+            ends = None
+        if ends is None or not all(issubclass(kind, str) for kind in {*map(type, ends)}):
             bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or not all(
                 isinstance(tid, str) for tid in e))
             raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
         edge_set = frozenset(map(tuple, edges))
-        if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
+        if not task_map.keys() >= ends:
             pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
         if ControlKind.CONDITIONAL in map(attrgetter("control_kind"), task_map.values()):  # a pass in C
             stuck = {tid for tid, task in task_map.items() if task.control_kind is ControlKind.CONDITIONAL}
-            stuck.difference_update(pred for pred, _ in edge_set)
-            if stuck:
+            if stuck := stuck.difference(pred for pred, _ in edge_set):
                 raise GraphStructureError(f"conditional control task {min(stuck)!r} has no successor")
         self._tasks = task_map
         self._edges = edge_set
@@ -201,9 +198,8 @@ class TaskGraph:
 
     @cached_property
     def _contended(self) -> frozenset[str]:
-        # The variables some CREW violation names, which the simulator
-        # arbitrates.  A variable's search stops at its first concurrent
-        # pair, so no violation is listed: d writers of one name cost O(1).
+        # The variables some CREW violation names, which the simulator arbitrates.  A variable's
+        # search stops at its first concurrent pair: d writers of one name cost O(1).
         fp = self._footprint
         return frozenset(var for var, entries in fp.touchers.items() if next(_crew_pairs(fp, entries), None))
 
@@ -231,10 +227,7 @@ class CrewViolation(NamedTuple):
     kind: str  # WRITE_WRITE or READ_WRITE
 
     def __str__(self) -> str:
-        return (
-            f"{self.kind} conflict on {self.variable!r} between "
-            f"{self.task_a!r} and {self.task_b!r}"
-        )
+        return f"{self.kind} conflict on {self.variable!r} between {self.task_a!r} and {self.task_b!r}"
 
 
 def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
@@ -253,8 +246,7 @@ def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] 
     an explicit stack.  Returns (order, None) on a DAG, order being the reverse
     postorder, a topological order; else (None, the first back edge's cycle)."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succ, WHITE)
-    postorder: list[str] = []
+    color, postorder = dict.fromkeys(succ, WHITE), []
     for root in sorted(succ):
         if color[root] != WHITE:
             continue
@@ -278,22 +270,23 @@ def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] 
 
 
 def validate_dag(g: TaskGraph) -> list[str] | None:
-    """Return None if the graph is acyclic, else one witness cycle.
-
-    The witness is a task-id sequence along edges with the starting id
-    repeated at the end, e.g. ``["A", "B", "A"]``.
-    """
+    """Return None if the graph is acyclic, else one witness cycle: a task-id
+    sequence along edges with the starting id repeated at the end, e.g.
+    ``["A", "B", "A"]``."""
     return None if g._search[1] is None else list(g._search[1])  # a copy: the search is cached
 
 
-def _ordered_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
-    """Each task's bit, its place in the DAG's topological order, and the
-    tasks ordered with it (itself, its descendants and its ancestors) as an
-    int bitset of those bits, in O(V + E) unions: two tasks are concurrent
-    when neither's bit is in the other's set.  A cycle raises ``CycleError``."""
+def _ordered_bits(g: TaskGraph, tasks: Iterable[str]) -> tuple[dict[str, int], dict[str, int]]:
+    """A bit for each of ``tasks`` and their descendants, its place in their
+    topological order, and the ones ordered with it (itself, its descendants
+    and its ancestors) as an int bitset, in O(V + E) unions over them alone:
+    two of ``tasks`` are concurrent when neither's bit is in the other's set."""
     succ, (order, cycle) = g._successors, g._search
     if cycle is not None:
         raise CycleError(cycle)
+    below = set(tasks)  # a path between two of them runs through their descendants only
+    if len(below) < len(order):
+        order = [tid for tid in order if tid in below and not below.update(succ[tid])]  # reached: adds its successors
     index = {tid: i for i, tid in enumerate(order)}
     ordered: dict[str, int] = {}
     for tid in reversed(order):
@@ -309,13 +302,11 @@ def _ordered_bits(g: TaskGraph) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
-    """All unordered pairs of tasks with no precedence path in either direction.
-
-    Pairs are returned as id tuples in ascending order.  The graph must be a
-    DAG; instances of a duplicable task are mutually concurrent once the
-    graph has been expanded.
-    """
-    index, ordered = _ordered_bits(g)
+    """All unordered pairs of tasks with no precedence path in either
+    direction, as id tuples in ascending order.  The graph must be a DAG;
+    instances of a duplicable task are mutually concurrent once the graph
+    has been expanded."""
+    index, ordered = _ordered_bits(g, g._tasks)
     ids = sorted(g._tasks)
     return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not ordered[a] >> index[b] & 1}
 
@@ -327,67 +318,80 @@ class _Footprint(NamedTuple):
 
 
 # A run of digits and placeholders.  A substituted number keeps each run in
-# place, so names can meet only if their text outside the runs is the same.
-_RUNS = re.compile(r"[0-9#]+")
+# place, so names can meet only if their text outside the runs, their shape,
+# is the same.  Split by it, a name's texts are at even places, its runs at odd.
+_RUNS = re.compile(r"([0-9#]+)")
+_COUNTED = 64  # a footprint of this many names or more is counted before it is grouped
 _DUPLICABLE, _CONTROL = TaskKind.DUPLICABLE, TaskKind.CONTROL  # per-task reads: an enum's class attribute is slow
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
     """Index each concrete variable (after ``#`` substitution) of the names
     that ``_meeting_names`` keeps to the instances that touch it, next to the
-    authored graph's ordered-with bitsets.  A clean graph expands no
-    instance, whatever its d.
+    ordered-with bitsets of their owners.  A clean graph expands no instance,
+    whatever its d, and a task none of whose kept names is a pattern one.
 
     Two instances of one duplicable are always concurrent, and instances of
     different tasks are concurrent exactly when their authored tasks are, so
-    the bitsets of the authored graph decide every instance pair.
-
-    Raises ``GraphStructureError`` when an instance id collides with another
-    task's id and ``CycleError``, with ``validate_dag``'s witness, when the
-    graph has a cycle.
-    """
+    the bitsets of the authored graph decide every instance pair.  Raises
+    ``GraphStructureError`` when an instance id collides with another task's
+    id and ``CycleError``, with ``validate_dag``'s witness, on a cycle."""
     _check_instance_ids(g)
-    index, ordered = _ordered_bits(g)
+    found, index, ordered = _meeting_names(g)
     touchers: dict[str, list[tuple[tuple, bool]]] = {}
-    for tid, names in _meeting_names(g, index, ordered).items():
+    for tid, names in found.items():
         task = g._tasks[tid]
-        for k, iid in enumerate(_instance_ids(task)):
-            reads, writes = _instance_footprint(task, k, names)
+        keys = [(tid, k, iid) for k, iid in enumerate(_instance_ids(task))]
+        for group in zip(keys) if task.kind is _DUPLICABLE and "#" in "".join(names) else [keys]:
+            reads, writes = _instance_footprint(task, group[0][1], names)
             for var in reads | writes:
-                touchers.setdefault(var, []).append(((tid, k, iid), var in writes))
+                touchers.setdefault(var, []).extend(zip(group, repeat(var in writes)))
     return _Footprint(index, ordered, touchers)
 
 
-def _meeting_names(g: TaskGraph, index: dict[str, int], ordered: dict[str, int]) -> dict[str, set[str]]:
+def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], dict[str, int]]:
     """Per task, its names that may give a variable that a concurrent
     instance also touches, one of the two writing: maybe too many, never too
-    few.  A duplicable's ``#`` name is a pattern whose runs with ``#`` spell
-    any digits.  Each text is grouped once with the touchers of the names of
-    its shape that it may equal, sought only where they agree on the runs no
-    pattern of the shape spells freely ("s3[#]" never meets "s7[#]"), and a
-    toucher costs one big-int test against its ordered-with bitset."""
-    literals, patterns = {}, {}  # name -> [(task, writes?)]
-    for tid, task in g._tasks.items():
-        texts, writes = patterns if task.kind is _DUPLICABLE else literals, task.write_set
-        for name in task.read_set | writes:
-            texts.setdefault(name, []).append((tid, name in writes))
-    for name in [name for name in patterns if "#" not in name]:  # a duplicable's literals
-        literals.setdefault(name, []).extend(patterns.pop(name))
-    runs = {name: [None if "#" in run else run for run in _RUNS.findall(name)] for name in patterns}  # None: any digits
-    free: dict[str, set[int]] = {}  # shape -> the runs that some pattern of it spells freely
-    for name, name_runs in runs.items():
-        free.setdefault(_RUNS.sub("#", name), set()).update(i for i, run in enumerate(name_runs) if run is None)
+    few; and ``_ordered_bits`` of their owners.  A duplicable's ``#`` name is
+    a pattern whose runs with ``#`` spell any digits.  Only a name touched
+    twice, a pattern, a literal that starts as one does or one a duplicable
+    writes can meet: a counting pass finds them in a large footprint.  Each
+    is grouped with the touchers of the names of its shape that it may equal,
+    sought only where they agree on the runs no pattern spells freely ("s3[#]"
+    never meets "s7[#]"); a toucher costs one test of its ordered-with bits."""
+    tasks = g._tasks.values()
+    dups = [task for task in tasks if task.kind is _DUPLICABLE]
+    pieces = {name: _RUNS.split(name)
+              for name in {name for task in dups for name in chain(task.read_set, task.write_set) if "#" in name}}
+    free: dict[str, set[int]] = {}  # shape -> the runs that some pattern of it spells freely: with "#", any digits
+    for parts in pieces.values():
+        free.setdefault("#".join(parts[::2]), set()).update(i for i, run in enumerate(parts[1::2]) if "#" in run)
     heads = tuple({shape.partition("#")[0] for shape in free})
-    runs.update((name, _RUNS.findall(name)) for name in literals if name.startswith(heads) and "#" not in name)
-    buckets: dict[tuple[str | None, ...], list[str]] = {}  # patterns first, as runs holds them
-    for name, name_runs in runs.items():
-        if (loose := free.get(shape := _RUNS.sub("#", name))) is not None:
-            buckets.setdefault((shape, *(run for i, run in enumerate(name_runs) if i not in loose)), []).append(name)
+    names = sorted(chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks))))
+    candidates = None  # all names: a few cost less grouped whole than counted first
+    if len(names) >= _COUNTED:  # a name touched twice is in names twice
+        candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(
+            pieces, *(task.write_set for task in dups if task.instances > 1))
+        for head in heads:  # the names that start with a head are one run of the sorted names
+            candidates.update(takewhile(methodcaller("startswith", head), names[bisect_left(names, head) :]))
+    owners, literals, patterns = [], {}, {}  # name -> [(task, writes?)]
+    for tid, task in g._tasks.items():
+        if candidates is None or not (candidates.isdisjoint(task.read_set) and candidates.isdisjoint(task.write_set)):
+            owners.append(tid)
+            dup, writes = task.kind is _DUPLICABLE, task.write_set
+            for name in task.read_set | writes if candidates is None else (task.read_set | writes) & candidates:
+                (patterns if dup and "#" in name else literals).setdefault(name, []).append((tid, name in writes))
+    index, ordered = _ordered_bits(g, owners)
+    pieces.update((name, _RUNS.split(name)) for name in literals if name.startswith(heads) and "#" not in name)
+    buckets: dict[tuple[str, ...], list[str]] = {}  # patterns first, as pieces holds them
+    for name, parts in pieces.items():
+        if (loose := free.get(shape := "#".join(parts[::2]))) is not None:
+            buckets.setdefault((shape, *(run for i, run in enumerate(parts[1::2]) if i not in loose)), []).append(name)
     spelled, partners = {}, {}  # literal, pattern -> the touchers of the other names that it may equal
     for bucket in buckets.values():
         for i, a in enumerate(bucket):
             for b in bucket[i + 1 :] if "#" in a else ():  # two literals never meet here
-                if all(x == y or x is None or y is None for x, y in zip(runs[a], runs[b])):
+                if all(x == y or "#" in x or "#" in y for x, y in zip(pieces[a][1::2], pieces[b][1::2])):
                     partners.setdefault(a, []).extend(patterns[b] if "#" in b else literals[b])
                     (partners if "#" in b else spelled).setdefault(b, []).extend(patterns[a])
     found: dict[str, set[str]] = {}
@@ -396,14 +400,14 @@ def _meeting_names(g: TaskGraph, index: dict[str, int], ordered: dict[str, int])
             if len(entries) > 1 or name in crossing or (
                     entries[0][1] and texts is literals and g._tasks[entries[0][0]].instances > 1):
                 cross = crossing.get(name, ())
-                crossers = {tid for tid, _ in cross}
-                touch = sum(1 << index[tid] for tid in crossers.union(tid for tid, _ in entries))  # distinct bits
-                write = sum(1 << index[tid] for tid in {tid for tid, writes in chain(entries, cross) if writes})
+                crossers, touch, write = {tid for tid, _ in cross}, 0, 0
+                for tid, writes in chain(entries, cross):
+                    touch, write = touch | 1 << index[tid], write | writes << index[tid]
                 for a, a_writes in entries:  # another task, or another instance: of a written literal or a crossing
                     if (touch if a_writes else write) & ~ordered[a] or g._tasks[a].instances > 1 and (
                             a_writes and texts is literals or a in crossers):
                         found.setdefault(a, set()).add(name)
-    return found
+    return found, index, ordered
 
 
 def check_crew(g: TaskGraph) -> list[CrewViolation]:
@@ -419,16 +423,15 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     instance number) as the simulator orders them, with a pair's
     write-write variables before its read-write ones, each ascending.
 
-    The expanded graph is never built: reachability and footprints come
-    from the authored graph (see ``_build_footprint``), and only pairs that
-    share a variable written by at least one of them are tested.  Raises
-    what ``_build_footprint`` raises.
-    """
+    The expanded graph is never built: reachability and footprints come from
+    the authored graph (see ``_build_footprint``, whose errors it raises),
+    and only pairs that share a variable one of them writes are tested."""
     fp = g._footprint
     # (instance a, instance b, reads?, variable) with a < b: one sort gives the order.
     found = sorted((a, b, not writes, var) for var, entries in fp.touchers.items()
                    for a, b, writes in _crew_pairs(fp, entries))
-    return [CrewViolation(a[2], b[2], var, READ_WRITE if reads else WRITE_WRITE) for a, b, reads, var in found]
+    return [tuple.__new__(CrewViolation, (a[2], b[2], var, READ_WRITE if reads else WRITE_WRITE))
+            for a, b, reads, var in found]
 
 
 def _crew_pairs(fp: _Footprint, entries: list[tuple[tuple, bool]]) -> Iterator[tuple[tuple, tuple, bool]]:
@@ -452,9 +455,7 @@ def _crew_pairs(fp: _Footprint, entries: list[tuple[tuple, bool]]) -> Iterator[t
                     yield (w, t, t_writes) if w < t else (t, w, t_writes)
 
 
-def _instance_footprint(
-    task: Task, number: int | str, names: set[str] | None = None
-) -> tuple[frozenset[str], frozenset[str]]:
+def _instance_footprint(task: Task, number: int | str, names: set[str] | None = None) -> tuple[frozenset, frozenset]:
     """One instance's (reads, writes) of its ``names``, by default all: a duplicable's ``#`` becomes ``number``."""
     reads, writes = task.read_set, task.write_set
     if names is not None:
@@ -462,10 +463,8 @@ def _instance_footprint(
     if task.kind is not _DUPLICABLE:
         return reads, writes
     k = str(number)
-    return (
-        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in reads),
-        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in writes),
-    )
+    return frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in reads), frozenset(
+        v.replace(INSTANCE_PLACEHOLDER, k) for v in writes)
 
 
 def _instance_ids(task: Task, numbers: Iterable[int] | None = None) -> list[str]:
@@ -491,33 +490,16 @@ def _check_instance_ids(g: TaskGraph) -> None:
 
 
 def expand_duplicables(g: TaskGraph) -> TaskGraph:
-    """Replace each duplicable task by its d instance tasks.
-
-    Instances share the original entry point, are named by instance numbers
-    0..d-1, inherit the per-instance instruction count, substitute the instance
-    number into ``#`` placeholders in the shared-variable footprint, and each
-    inherit every incoming and outgoing edge of the original.  Expansion is
-    idempotent and preserves acyclicity.
-    """
+    """Replace each duplicable task by its d instance tasks, named by the
+    instance numbers 0..d-1.  Instances share the original entry point and
+    per-instance instruction count, substitute their number into ``#``
+    placeholders of the shared-variable footprint, and each inherit every
+    incoming and outgoing edge of the original.  Expansion is idempotent and
+    preserves acyclicity."""
     _check_instance_ids(g)
     ids = {tid: _instance_ids(task) for tid, task in g._tasks.items()}
-    new_tasks: list[Task] = []
-    for tid in sorted(g._tasks):
-        task = g._tasks[tid]
-        if task.kind is not TaskKind.DUPLICABLE:
-            new_tasks.append(task)
-            continue
-        for k, iid in enumerate(ids[tid]):
-            reads, writes = _instance_footprint(task, k)
-            new_tasks.append(
-                Task(
-                    id=iid,
-                    kind=TaskKind.SINGULAR,
-                    entry_point=task.entry_point,
-                    instruction_count=task.instruction_count,
-                    read_set=reads,
-                    write_set=writes,
-                )
-            )
+    new_tasks = [task if task.kind is not _DUPLICABLE else Task(
+        iid, TaskKind.SINGULAR, 1, None, task.entry_point, task.instruction_count, *_instance_footprint(task, k))
+        for tid, task in sorted(g._tasks.items()) for k, iid in enumerate(ids[tid])]
     edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}
     return TaskGraph(new_tasks, edges)

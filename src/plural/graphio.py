@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import count
+from itertools import chain, compress, count, repeat
+from operator import is_, is_not
 
 from .errors import GraphFormatError, GraphStructureError, PluralError
-from .graph import ControlKind, Task, TaskGraph, TaskKind
+from .graph import _CONTROL, _DUPLICABLE, ControlKind, Task, TaskGraph, TaskKind
 
 __all__ = ["loads", "load", "dumps", "dump"]
 
@@ -34,6 +35,7 @@ _TASK_KEYS = {"id", "kind", "d", "control_kind", "entry", "instructions", "reads
 # Each enum's members by value: a lookup here is cheaper than calling the enum.
 _KINDS = {kind.value: kind for kind in TaskKind}
 _CONTROL_KINDS = {kind.value: kind for kind in ControlKind}
+_COLUMNS = 16  # tasks from which a document's fields are checked a column at a time
 _NO_NAMES: list[str] = []  # an absent footprint, shared: Task copies names into frozensets and never changes it
 
 
@@ -51,9 +53,7 @@ def _member(members: dict, obj: dict, key: str, index: int):
     try:
         return members[obj[key]]
     except (KeyError, TypeError):  # TypeError: the value is a list or a dict
-        raise _format_error(
-            f"{_where(obj, index)}: {key} must be one of {list(members)!r}, got {obj[key]!r}"
-        ) from None
+        raise _format_error(f"{_where(obj, index)}: {key} must be one of {list(members)!r}, got {obj[key]!r}") from None
 
 
 def _parse_task(obj: object, index: int) -> Task:
@@ -80,6 +80,30 @@ def _parse_task(obj: object, index: int) -> Task:
     raise _format_error(f"{_where(obj, index)}: {error}")
 
 
+def _parse_tasks(objs: list) -> list[Task]:
+    """The tasks of ``objs``, each field checked as one column, or ``_parse_task``'s error for the first bad one."""
+    try:
+        if len(objs) >= _COLUMNS:  # fewer tasks cost less one by one
+            ids, kinds, ds, controls, entries, ns, reads, writes = zip(*[(
+                obj["id"], kind := _KINDS[obj["kind"]],
+                obj.get("d", 1) if kind is _DUPLICABLE else int("d" not in obj),  # 0, refused as a count, if present
+                _CONTROL_KINDS[obj["control_kind"]] if "control_kind" in obj else None, obj.get("entry"),
+                obj.get("instructions", 0), obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)) for obj in objs])
+            control = [*map(is_, kinds, repeat(_CONTROL))]
+            if (_TASK_KEYS.issuperset(chain.from_iterable(objs)) and {*map(type, ids)} <= {str} and all(ids)
+                    and {*map(type, ds + ns)} <= {int} and min(ds) >= 1 and min(ns) >= 0
+                    and [*map(is_not, controls, repeat(None))] == control
+                    and {*compress(zip(entries, ns, map(len, reads), map(len, writes)), control)} <= {(None, 0, 0, 0)}
+                    and {*map(type, entries)} <= {str, type(None)} and "" not in entries
+                    and {*map(type, reads + writes)} <= {list} and {*map(type, chain(*reads, *writes))} <= {str}):
+                entries = [tid if entry is None and not c else entry for tid, entry, c in zip(ids, entries, control)]
+                return [*map(tuple.__new__, repeat(Task), zip(ids, kinds, ds, controls, entries, ns,
+                                                              map(frozenset, reads), map(frozenset, writes)))]
+    except (KeyError, TypeError):
+        pass
+    return list(map(_parse_task, objs, count()))
+
+
 def loads(text: str) -> TaskGraph:
     """Parse a task-graph document from a JSON string."""
     try:
@@ -91,16 +115,14 @@ def loads(text: str) -> TaskGraph:
         raise GraphFormatError("task graph document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise _format_error("top level must be an object")
-    unknown = set(doc) - {"tasks", "edges"}
-    if unknown:
+    if unknown := set(doc) - {"tasks", "edges"}:
         raise _format_error(f"unknown top-level key(s) {sorted(unknown)!r}")
-    tasks_obj = doc.get("tasks", [])
-    edges_obj = doc.get("edges", [])
+    tasks_obj, edges_obj = doc.get("tasks", []), doc.get("edges", [])
     if not isinstance(tasks_obj, list):
         raise _format_error("'tasks' must be a list")
     if not isinstance(edges_obj, list):
         raise _format_error("'edges' must be a list")
-    tasks = list(map(_parse_task, tasks_obj, count()))
+    tasks = _parse_tasks(tasks_obj)
     try:  # TaskGraph checks every edge at once; the loader names a bad one before any other structure error
         return TaskGraph(tasks, edges_obj)
     except GraphStructureError:
@@ -126,19 +148,15 @@ def _task_to_obj(task: Task) -> dict:
     if task.kind is TaskKind.CONTROL:
         obj["control_kind"] = task.control_kind.value
     else:
-        obj["entry"] = task.entry_point
-        obj["instructions"] = task.instruction_count
-        obj["reads"] = sorted(task.read_set)
-        obj["writes"] = sorted(task.write_set)
+        obj.update(entry=task.entry_point, instructions=task.instruction_count,
+                   reads=sorted(task.read_set), writes=sorted(task.write_set))
     return obj
 
 
 def dumps(g: TaskGraph) -> str:
     """Serialize a task graph to the JSON document format (stable ordering)."""
-    doc = {
-        "tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
-        "edges": [list(edge) for edge in sorted(g.edges)],
-    }
+    doc = {"tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
+           "edges": [list(edge) for edge in sorted(g.edges)]}
     return json.dumps(doc, indent=2) + "\n"
 
 
