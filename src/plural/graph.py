@@ -152,16 +152,13 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edges = list(edges)  # checked, not coerced: every edge at once, and a walk only to name the first bad one
-        try:  # each distinct endpoint is typed once, and then looked up
-            ends = {*chain(*edges)} if {*map(type, edges)} <= {tuple, list} and {*map(len, edges)} <= {2} else None
-        except TypeError:  # an endpoint that is not hashable
-            ends = None
-        if ends is None or not all(issubclass(kind, str) for kind in {*map(type, ends)}):
+        ends = [*chain(*edges)] if {*map(type, edges)} <= {tuple, list} and {*map(len, edges)} <= {2} else [None]
+        if not all(issubclass(kind, str) for kind in {*map(type, ends)}):  # each distinct endpoint type once
             bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or not all(
                 isinstance(tid, str) for tid in e))
             raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
         edge_set = frozenset(map(tuple, edges))
-        if not task_map.keys() >= ends:
+        if not task_map.keys() >= {*ends}:
             pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
@@ -284,9 +281,9 @@ def _ordered_bits(g: TaskGraph, tasks: Iterable[str]) -> tuple[dict[str, int], d
     succ, (order, cycle) = g._successors, g._search
     if cycle is not None:
         raise CycleError(cycle)
-    below = set(tasks)  # a path between two of them runs through their descendants only
+    below = set(tasks)  # a path between two of them runs through their descendants only; reached, one adds its own
     if len(below) < len(order):
-        order = [tid for tid in order if tid in below and not below.update(succ[tid])]  # reached: adds its successors
+        order = [tid for tid in order if tid in below and not below.update(succ[tid])] if below else []
     index = {tid: i for i, tid in enumerate(order)}
     ordered: dict[str, int] = {}
     for tid in reversed(order):

@@ -1,6 +1,7 @@
 """Tests for task graphs, DAG validation, concurrency, and CREW checking."""
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -625,6 +626,22 @@ class TestPerTaskFootprint:
             with pytest.raises(GraphStructureError) as caught:
                 check_crew(g)
             assert str(caught.value) == f"duplicate task id {clash!r}"
+
+
+class TestCountedCandidates:
+    """A footprint of ``_COUNTED`` names or more is counted first: only the
+    names that may meet are grouped and only their owners get ordered-with
+    bits.  With every footprint counted, the pairwise check on the expanded
+    graph must still agree."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(crew_graphs(), meeting_graphs()))
+    @example(TaskGraph([duplicable("a", 2, writes={"v[#]"}), singular("b", reads={"v[0]"})]))
+    @example(TaskGraph([duplicable("a", 2, writes={"acc"}), singular("b", reads={"s1[1]"}), duplicable("c", 2, {"s#[1]"})]))
+    def test_same_result_as_pairwise_check(self, g):
+        with mock.patch.object(graph_module, "_COUNTED", 0):
+            assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
+            assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
 
 
 class TestExpandDuplicables:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from test_graph import meeting_graphs
 from test_sim import cohort_cases, contention_cases, mixed_footprint_cases, sim_cases
 
 from plural import ControlKind, GraphFormatError, GraphStructureError, Task, TaskGraph, TaskKind, cli
+from plural import graphio
 from plural.graphio import dump, dumps, load, loads
 
 DOC = """
@@ -227,3 +230,68 @@ def test_first_unknown_edge_endpoint_in_sorted_order(tmp_path):
     assert validate_file(tmp_path, doc) == (
         2, "error: edge ('a', 'yy') references unknown task id 'yy'\n"
     )
+
+
+# Fields set to values the loader must refuse, each with the task kinds it is
+# tried on; "d" and "control_kind" are refused where they are misplaced.
+BAD_FIELDS = [
+    ("id", 5), ("id", None), ("id", ["a"]), ("id", ""), ("kind", "parallel"), ("kind", ["singular"]),
+    ("instructions", True), ("instructions", -1), ("instructions", 2.0), ("d", True), ("d", 0), ("d", -3),
+    ("d", 4), ("d", None), ("control_kind", "merge"), ("control_kind", None), ("control_kind", "loop"),
+    ("entry", ""), ("entry", 5), ("reads", [1]), ("reads", "x"), ("reads", None), ("writes", ["o", None]),
+    ("writes", [["o"]]), ("writes", {"o": 1}), ("reads", ["x"]), ("instructions", 3), ("color", 1),
+]
+KIND_OF = {"singular": {"kind": "singular", "instructions": 7, "reads": ["r"], "writes": ["w"]},
+           "duplicable": {"kind": "duplicable", "d": 3, "instructions": 5, "writes": ["o[#]"]},
+           "control": {"kind": "control", "control_kind": "merge"}}
+
+
+@st.composite
+def malformed_task_lists(draw):
+    """A list of at least ``graphio._COLUMNS`` task objects, so that the loader
+    checks it by column, with one or two of them malformed, or none."""
+    n = draw(st.integers(graphio._COLUMNS, graphio._COLUMNS + 8))
+    objs = [{"id": f"t{k}", **KIND_OF[draw(st.sampled_from(sorted(KIND_OF)))]} for k in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        change = draw(st.sampled_from(["set", "set", "set", "drop", "replace"]))
+        if change == "replace" or not isinstance(objs[i], dict):
+            objs[i] = draw(st.sampled_from([5, "task", None, [objs[i]]]))
+        elif change == "set":
+            key, value = draw(st.sampled_from(BAD_FIELDS))
+            objs[i][key] = value
+        else:
+            objs[i].pop(draw(st.sampled_from(["id", "kind"])), None)
+    return objs
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type and the message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(malformed_task_lists())
+def test_column_check_agrees_with_row_check(objs):
+    # The loader checks a long task list by column and falls back to the
+    # row check only to name the first bad task: both give the same tasks,
+    # or the same error, and so does the whole document.
+    rows = outcome(lambda: list(map(graphio._parse_task, objs, count())))
+    assert outcome(lambda: graphio._parse_tasks(objs)) == rows
+    assert outcome(lambda: list(loads(json.dumps({"tasks": objs})))) == rows
+    if isinstance(rows, list):  # a valid list is built by column alone
+        with mock.patch.object(graphio, "_parse_task", side_effect=AssertionError("checked row by row")):
+            assert graphio._parse_tasks(objs) == rows
+
+
+def test_column_check_names_the_first_of_two_bad_tasks():
+    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(graphio._COLUMNS)]
+    objs[3]["instructions"] = -1
+    objs[9]["color"] = "red"
+    with pytest.raises(GraphFormatError) as caught:
+        graphio._parse_tasks(objs)
+    assert str(caught.value) == (
+        "task graph document: tasks[3] ('t3'): task 't3': instruction_count must be a nonnegative integer, got -1")

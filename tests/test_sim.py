@@ -1437,31 +1437,40 @@ class TestCohortCost:
 
 
 class TestCountedWork:
-    """Work counted, not timed: the line events a run makes in the package's
-    own frames, which are the same on every run of one Python version.  Line
-    counts differ across versions, so each gate is a ratio of two runs."""
+    """Work counted, not timed: the line events a call makes in the package's
+    own frames, which are the same on every call of one Python version.  Line
+    counts differ across versions, so each gate is a ratio of two calls."""
 
     PACKAGE = os.path.dirname(sim_module.__file__) + os.sep
 
     @classmethod
-    def lines(cls, g, cfg):
-        """``run(g, cfg)``'s report and its line events in ``plural``'s frames."""
-        count, previous = 0, sys.gettrace()
-
-        def local(frame, event, arg):
-            nonlocal count
-            count += event == "line"
-            return local
+    def counted(cls, call, *args):
+        """``call(*args)``'s result and its line events in ``plural``'s frames, per function name."""
+        lines, previous = Counter(), sys.gettrace()
 
         def enter(frame, event, arg):
-            return local if frame.f_code.co_filename.startswith(cls.PACKAGE) else None
+            if not frame.f_code.co_filename.startswith(cls.PACKAGE):
+                return None
+            name = frame.f_code.co_name
+
+            def local(frame, event, arg):
+                lines[name] += event == "line"
+                return local
+
+            return local
 
         sys.settrace(enter)
         try:
-            report = run(g, cfg)
+            result = call(*args)
         finally:
             sys.settrace(previous)
-        return report, count
+        return result, lines
+
+    @classmethod
+    def lines(cls, g, cfg):
+        """``run(g, cfg)``'s report and its line events in ``plural``'s frames."""
+        report, lines = cls.counted(run, g, cfg)
+        return report, lines.total()
 
     @staticmethod
     def writers(d, n, reads=()):
@@ -1484,6 +1493,34 @@ class TestCountedWork:
         wide, wide_lines = self.lines(*self.writers(80, 80, {f"c{k}[#]" for k in range(7)}))
         assert wide.mem_access_count == 8 * base.mem_access_count
         assert wide_lines <= 1.5 * base_lines
+
+    def test_crew_on_a_clean_chain_of_updaters_is_linear(self):
+        # N chained tasks that each read and write "acc" break no rule; each
+        # owns a name that may meet, so each gets ordered-with bits, in O(N).
+        lines = []
+        for n in (100, 400):
+            ids = [f"t{k:03d}" for k in range(n)]
+            g = TaskGraph([singular(tid, reads={"acc"}, writes={"acc"}) for tid in ids], zip(ids, ids[1:]))
+            violations, counts = self.counted(check_crew, g)
+            assert violations == [] and counts["_ordered_bits"] > n
+            lines.append(counts.total())
+        assert lines[1] <= 4 * 1.2 * lines[0]
+
+    def test_names_touched_once_cost_no_ordered_with_work(self):
+        # A fan whose tasks each read and write names of their own has no
+        # name that may meet: no task gets ordered-with bits, whatever N,
+        # and the lines per task are flat in N.
+        per_task, bits = [], set()
+        for n in (100, 400):
+            ids = [f"f{k:03d}" for k in range(n)]
+            g = TaskGraph([singular("load"), *(singular(tid, reads={f"a{tid}"}, writes={f"b{tid}"}) for tid in ids)],
+                          [("load", tid) for tid in ids])
+            violations, counts = self.counted(check_crew, g)
+            assert violations == [] and g._footprint.ordered == {}
+            bits.add(counts["_ordered_bits"])
+            per_task.append(counts.total() / n)
+        assert len(bits) == 1
+        assert max(per_task) / min(per_task) < 1.2
 
 
 class TestStreamedTrace:
