@@ -116,7 +116,9 @@ class Task(_Checked, _TaskFields):
             raise ValidationError(f"task {id!r}: {field} must be a collection of strings, got {names!r}")
         if not (type(instruction_count) is int and instruction_count >= 0 or _is_count(instruction_count, 0)):
             raise ValidationError(
-                f"task {id!r}: instruction_count must be a nonnegative integer, got {instruction_count!r}")
+                f"task {id!r}: instruction_count must be a nonnegative "
+                f"integer, got {instruction_count!r}"
+            )
         if kind is _CONTROL:
             if control_kind is None:
                 raise ValidationError(f"task {id!r}: control tasks need a control_kind")
@@ -130,7 +132,9 @@ class Task(_Checked, _TaskFields):
             raise ValidationError(f"task {id!r}: control_kind is only valid on control tasks")
         if kind is _DUPLICABLE and not _is_count(instances, 1):
             raise ValidationError(
-                f"task {id!r}: duplicable instance count must be a positive integer, got {instances!r}")
+                f"task {id!r}: duplicable instance count must be a "
+                f"positive integer, got {instances!r}"
+            )
         if kind is not _DUPLICABLE and (type(instances) is not int or instances != 1):
             raise ValidationError(f"task {id!r}: a {kind.value} task has one instance, got instances={instances!r}")
         # The entry point is an opaque code label; it defaults to the id.
@@ -139,11 +143,13 @@ class Task(_Checked, _TaskFields):
 
 
 class TaskGraph:
-    """An immutable precedence graph over tasks.  Edges are (predecessor id,
-    successor id) tuples or lists of two strings naming tasks in the graph,
-    checked as given, never coerced.  A conditional control task needs a
-    successor to forward to.  Acyclicity is checked by ``validate_dag``, not
-    assumed at construction."""
+    """An immutable precedence graph over tasks.
+
+    Edges are (predecessor id, successor id) tuples or lists of two strings
+    naming tasks in the graph, checked as given, never coerced.  A
+    conditional control task needs a successor to forward to.  Acyclicity
+    is checked by ``validate_dag``, not assumed at construction.
+    """
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[tuple[str, str]] = ()):
         task_map: dict[str, Task] = {}
@@ -164,7 +170,8 @@ class TaskGraph:
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
         if ControlKind.CONDITIONAL in map(attrgetter("control_kind"), task_map.values()):  # a pass in C
             stuck = {tid for tid, task in task_map.items() if task.control_kind is ControlKind.CONDITIONAL}
-            if stuck := stuck.difference(pred for pred, _ in edge_set):
+            stuck.difference_update(pred for pred, _ in edge_set)
+            if stuck:
                 raise GraphStructureError(f"conditional control task {min(stuck)!r} has no successor")
         self._tasks = task_map
         self._edges = edge_set
@@ -195,8 +202,9 @@ class TaskGraph:
 
     @cached_property
     def _contended(self) -> frozenset[str]:
-        # The variables some CREW violation names, which the simulator arbitrates.  A variable's
-        # search stops at its first concurrent pair: d writers of one name cost O(1).
+        # The variables some CREW violation names, which the simulator
+        # arbitrates.  A variable's search stops at its first concurrent
+        # pair, so no violation is listed: d writers of one name cost O(1).
         fp = self._footprint
         return frozenset(var for var, entries in fp.touchers.items() if next(_crew_pairs(fp, entries), None))
 
@@ -224,7 +232,10 @@ class CrewViolation(NamedTuple):
     kind: str  # WRITE_WRITE or READ_WRITE
 
     def __str__(self) -> str:
-        return f"{self.kind} conflict on {self.variable!r} between {self.task_a!r} and {self.task_b!r}"
+        return (
+            f"{self.kind} conflict on {self.variable!r} between "
+            f"{self.task_a!r} and {self.task_b!r}"
+        )
 
 
 def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
@@ -243,7 +254,8 @@ def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] 
     an explicit stack.  Returns (order, None) on a DAG, order being the reverse
     postorder, a topological order; else (None, the first back edge's cycle)."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color, postorder = dict.fromkeys(succ, WHITE), []
+    color = dict.fromkeys(succ, WHITE)
+    postorder: list[str] = []
     for root in sorted(succ):
         if color[root] != WHITE:
             continue
@@ -267,9 +279,11 @@ def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] 
 
 
 def validate_dag(g: TaskGraph) -> list[str] | None:
-    """Return None if the graph is acyclic, else one witness cycle: a task-id
-    sequence along edges with the starting id repeated at the end, e.g.
-    ``["A", "B", "A"]``."""
+    """Return None if the graph is acyclic, else one witness cycle.
+
+    The witness is a task-id sequence along edges with the starting id
+    repeated at the end, e.g. ``["A", "B", "A"]``.
+    """
     return None if g._search[1] is None else list(g._search[1])  # a copy: the search is cached
 
 
@@ -299,10 +313,12 @@ def _ordered_bits(g: TaskGraph, tasks: Iterable[str]) -> tuple[dict[str, int], d
 
 
 def concurrent_pairs(g: TaskGraph) -> set[tuple[str, str]]:
-    """All unordered pairs of tasks with no precedence path in either
-    direction, as id tuples in ascending order.  The graph must be a DAG;
-    instances of a duplicable task are mutually concurrent once the graph
-    has been expanded."""
+    """All unordered pairs of tasks with no precedence path in either direction.
+
+    Pairs are returned as id tuples in ascending order.  The graph must be a
+    DAG; instances of a duplicable task are mutually concurrent once the
+    graph has been expanded.
+    """
     index, ordered = _ordered_bits(g, g._tasks)
     ids = sorted(g._tasks)
     return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not ordered[a] >> index[b] & 1}
@@ -330,9 +346,12 @@ def _build_footprint(g: TaskGraph) -> _Footprint:
 
     Two instances of one duplicable are always concurrent, and instances of
     different tasks are concurrent exactly when their authored tasks are, so
-    the bitsets of the authored graph decide every instance pair.  Raises
-    ``GraphStructureError`` when an instance id collides with another task's
-    id and ``CycleError``, with ``validate_dag``'s witness, on a cycle."""
+    the bitsets of the authored graph decide every instance pair.
+
+    Raises ``GraphStructureError`` when an instance id collides with another
+    task's id and ``CycleError``, with ``validate_dag``'s witness, when the
+    graph has a cycle.
+    """
     _check_instance_ids(g)
     found, index, ordered = _meeting_names(g)
     touchers: dict[str, list[tuple[tuple, bool]]] = {}
@@ -420,9 +439,11 @@ def check_crew(g: TaskGraph) -> list[CrewViolation]:
     instance number) as the simulator orders them, with a pair's
     write-write variables before its read-write ones, each ascending.
 
-    The expanded graph is never built: reachability and footprints come from
-    the authored graph (see ``_build_footprint``, whose errors it raises),
-    and only pairs that share a variable one of them writes are tested."""
+    The expanded graph is never built: reachability and footprints come
+    from the authored graph (see ``_build_footprint``), and only pairs that
+    share a variable written by at least one of them are tested.  Raises
+    what ``_build_footprint`` raises.
+    """
     fp = g._footprint
     # (instance a, instance b, reads?, variable) with a < b: one sort gives the order.
     found = sorted((a, b, not writes, var) for var, entries in fp.touchers.items()
@@ -452,7 +473,9 @@ def _crew_pairs(fp: _Footprint, entries: list[tuple[tuple, bool]]) -> Iterator[t
                     yield (w, t, t_writes) if w < t else (t, w, t_writes)
 
 
-def _instance_footprint(task: Task, number: int | str, names: set[str] | None = None) -> tuple[frozenset, frozenset]:
+def _instance_footprint(
+    task: Task, number: int | str, names: set[str] | None = None
+) -> tuple[frozenset[str], frozenset[str]]:
     """One instance's (reads, writes) of its ``names``, by default all: a duplicable's ``#`` becomes ``number``."""
     reads, writes = task.read_set, task.write_set
     if names is not None:
@@ -460,8 +483,10 @@ def _instance_footprint(task: Task, number: int | str, names: set[str] | None = 
     if task.kind is not _DUPLICABLE:
         return reads, writes
     k = str(number)
-    return frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in reads), frozenset(
-        v.replace(INSTANCE_PLACEHOLDER, k) for v in writes)
+    return (
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in reads),
+        frozenset(v.replace(INSTANCE_PLACEHOLDER, k) for v in writes),
+    )
 
 
 def _instance_ids(task: Task, numbers: Iterable[int] | None = None) -> list[str]:
@@ -487,16 +512,33 @@ def _check_instance_ids(g: TaskGraph) -> None:
 
 
 def expand_duplicables(g: TaskGraph) -> TaskGraph:
-    """Replace each duplicable task by its d instance tasks, named by the
-    instance numbers 0..d-1.  Instances share the original entry point and
-    per-instance instruction count, substitute their number into ``#``
-    placeholders of the shared-variable footprint, and each inherit every
-    incoming and outgoing edge of the original.  Expansion is idempotent and
-    preserves acyclicity."""
+    """Replace each duplicable task by its d instance tasks.
+
+    Instances share the original entry point, are named by instance numbers
+    0..d-1, inherit the per-instance instruction count, substitute the instance
+    number into ``#`` placeholders in the shared-variable footprint, and each
+    inherit every incoming and outgoing edge of the original.  Expansion is
+    idempotent and preserves acyclicity.
+    """
     _check_instance_ids(g)
     ids = {tid: _instance_ids(task) for tid, task in g._tasks.items()}
-    new_tasks = [task if task.kind is not _DUPLICABLE else Task(
-        iid, TaskKind.SINGULAR, 1, None, task.entry_point, task.instruction_count, *_instance_footprint(task, k))
-        for tid, task in sorted(g._tasks.items()) for k, iid in enumerate(ids[tid])]
+    new_tasks: list[Task] = []
+    for tid in sorted(g._tasks):
+        task = g._tasks[tid]
+        if task.kind is not TaskKind.DUPLICABLE:
+            new_tasks.append(task)
+            continue
+        for k, iid in enumerate(ids[tid]):
+            reads, writes = _instance_footprint(task, k)
+            new_tasks.append(
+                Task(
+                    id=iid,
+                    kind=TaskKind.SINGULAR,
+                    entry_point=task.entry_point,
+                    instruction_count=task.instruction_count,
+                    read_set=reads,
+                    write_set=writes,
+                )
+            )
     edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}
     return TaskGraph(new_tasks, edges)

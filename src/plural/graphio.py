@@ -53,7 +53,9 @@ def _member(members: dict, obj: dict, key: str, index: int):
     try:
         return members[obj[key]]
     except (KeyError, TypeError):  # TypeError: the value is a list or a dict
-        raise _format_error(f"{_where(obj, index)}: {key} must be one of {list(members)!r}, got {obj[key]!r}") from None
+        raise _format_error(
+            f"{_where(obj, index)}: {key} must be one of {list(members)!r}, got {obj[key]!r}"
+        ) from None
 
 
 def _parse_task(obj: object, index: int) -> Task:
@@ -92,14 +94,15 @@ def _parse_tasks(objs: list) -> list[Task]:
             control = [*map(is_, kinds, repeat(_CONTROL))]
             if (_TASK_KEYS.issuperset(chain.from_iterable(objs)) and {*map(type, ids)} <= {str} and all(ids)
                     and {*map(type, ds + ns)} <= {int} and min(ds) >= 1 and min(ns) >= 0
-                    and [*map(is_not, controls, repeat(None))] == control
+                    and [*map(is_not, controls, repeat(None))] == control  # a control_kind on control tasks only
+                    # and on them no entry, instruction or name
                     and {*compress(zip(entries, ns, map(len, reads), map(len, writes)), control)} <= {(None, 0, 0, 0)}
                     and {*map(type, entries)} <= {str, type(None)} and "" not in entries
                     and {*map(type, reads + writes)} <= {list} and {*map(type, chain(*reads, *writes))} <= {str}):
                 entries = [tid if entry is None and not c else entry for tid, entry, c in zip(ids, entries, control)]
                 return [*map(tuple.__new__, repeat(Task), zip(ids, kinds, ds, controls, entries, ns,
                                                               map(frozenset, reads), map(frozenset, writes)))]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError):  # no id or kind, or a kind or control_kind that names no member
         pass
     return list(map(_parse_task, objs, count()))
 
@@ -115,9 +118,11 @@ def loads(text: str) -> TaskGraph:
         raise GraphFormatError("task graph document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise _format_error("top level must be an object")
-    if unknown := set(doc) - {"tasks", "edges"}:
+    unknown = set(doc) - {"tasks", "edges"}
+    if unknown:
         raise _format_error(f"unknown top-level key(s) {sorted(unknown)!r}")
-    tasks_obj, edges_obj = doc.get("tasks", []), doc.get("edges", [])
+    tasks_obj = doc.get("tasks", [])
+    edges_obj = doc.get("edges", [])
     if not isinstance(tasks_obj, list):
         raise _format_error("'tasks' must be a list")
     if not isinstance(edges_obj, list):
@@ -148,15 +153,19 @@ def _task_to_obj(task: Task) -> dict:
     if task.kind is TaskKind.CONTROL:
         obj["control_kind"] = task.control_kind.value
     else:
-        obj.update(entry=task.entry_point, instructions=task.instruction_count,
-                   reads=sorted(task.read_set), writes=sorted(task.write_set))
+        obj["entry"] = task.entry_point
+        obj["instructions"] = task.instruction_count
+        obj["reads"] = sorted(task.read_set)
+        obj["writes"] = sorted(task.write_set)
     return obj
 
 
 def dumps(g: TaskGraph) -> str:
     """Serialize a task graph to the JSON document format (stable ordering)."""
-    doc = {"tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
-           "edges": [list(edge) for edge in sorted(g.edges)]}
+    doc = {
+        "tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
+        "edges": [list(edge) for edge in sorted(g.edges)],
+    }
     return json.dumps(doc, indent=2) + "\n"
 
 
