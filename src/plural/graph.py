@@ -13,8 +13,9 @@ any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
 the simulator.  Two tasks are concurrent when neither precedes the other
 through the edge relation.  One counting pass over the authored footprint
-finds the names that may meet, and only their owners get a bitset of the
-tasks ordered with them: a variable's violations cost O(touchers + violations).
+finds the names that may meet, and only their owners, with their
+descendants, get a bitset of the tasks ordered with them: a variable's
+violations cost O(touchers + violations).
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
