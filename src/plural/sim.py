@@ -270,7 +270,7 @@ class _Simulation:
         # Cores are used lowest index first, so the cores never used are the
         # indices from len(self.busy) up to m - 1.
         self.busy: list[int] = []  # busy slots per used core
-        self.queues: dict[int, list[tuple[str, int]]] = {}  # (task, index) queued per core, from its first
+        self.queues: dict[int, list[tuple[str, int]]] = {}  # core -> (task, index) queued, made at its first
         self.idle: list[int] = []  # used cores that are idle, a min-heap
         self.room: list[int] = []  # used cores whose queue has room, a min-heap
         # Per run of tasks made ready together: (ready slot, next task, its next index, its
