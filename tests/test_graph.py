@@ -630,9 +630,9 @@ class TestPerTaskFootprint:
 
 class TestCountedCandidates:
     """A footprint of ``_COUNTED`` names or more is counted first: only the
-    names that may meet are grouped and only their owners get ordered-with
-    bits.  With every footprint counted, the pairwise check on the expanded
-    graph must still agree."""
+    names that may meet are grouped, and only their owners and those owners'
+    descendants get ordered-with bits.  With every footprint counted, the
+    pairwise check on the expanded graph must still agree."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.one_of(crew_graphs(), meeting_graphs()))

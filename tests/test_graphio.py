@@ -232,8 +232,9 @@ def test_first_unknown_edge_endpoint_in_sorted_order(tmp_path):
     )
 
 
-# Fields set to values the loader must refuse, each with the task kinds it is
-# tried on; "d" and "control_kind" are refused where they are misplaced.
+# Field values the loader refuses on every task kind or on some: "d" and
+# "control_kind" where they are misplaced, names and counts on a control task.
+# A few are valid on some kinds, so valid lists are drawn too.
 BAD_FIELDS = [
     ("id", 5), ("id", None), ("id", ["a"]), ("id", ""), ("kind", "parallel"), ("kind", ["singular"]),
     ("instructions", True), ("instructions", -1), ("instructions", 2.0), ("d", True), ("d", 0), ("d", -3),
@@ -269,7 +270,7 @@ def outcome(call):
     """What ``call()`` returns, or the type and message of what it raises."""
     try:
         return call()
-    except Exception as exc:  # noqa: BLE001 - the type and the message are compared
+    except Exception as exc:  # any type: the two checks must raise the same one
         return type(exc), str(exc)
 
 
