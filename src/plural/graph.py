@@ -93,6 +93,8 @@ class Task(_Checked, _TaskFields):
 
     __slots__ = ()
 
+    # graphio._parse_tasks checks a document's tasks by column with these
+    # same rules: a rule added here must be added there too.
     def __new__(cls, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
                 control_kind: ControlKind | None = None, entry_point: str | None = None,
                 instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
@@ -159,13 +161,13 @@ class TaskGraph:
                 raise GraphStructureError(f"duplicate task id {task.id!r}")
             task_map[task.id] = task
         edges = list(edges)  # checked, not coerced: every edge at once, and a walk only to name the first bad one
-        ends = [*chain(*edges)] if {*map(type, edges)} <= {tuple, list} and {*map(len, edges)} <= {2} else [None]
-        if not all(issubclass(kind, str) for kind in {*map(type, ends)}):  # each distinct endpoint type once
+        if {*map(type, edges)} - {tuple, list} or {*map(len, edges)} - {2} or not all(
+                issubclass(kind, str) for kind in {*map(type, chain(*edges))}):  # each distinct endpoint type once
             bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or not all(
                 isinstance(tid, str) for tid in e))
             raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
         edge_set = frozenset(map(tuple, edges))
-        if not task_map.keys() >= {*ends}:
+        if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
             pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
@@ -335,7 +337,6 @@ class _Footprint(NamedTuple):
 # place, so names can meet only if their text outside the runs, their shape,
 # is the same.  Split by it, a name's texts are at even places, its runs at odd.
 _RUNS = re.compile(r"([0-9#]+)")
-_COUNTED = 64  # a footprint of this many names or more is counted before it is grouped
 _DUPLICABLE, _CONTROL = TaskKind.DUPLICABLE, TaskKind.CONTROL  # per-task reads: an enum's class attribute is slow
 
 
@@ -372,10 +373,10 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
     few; and ``_ordered_bits`` of their owners.  A duplicable's ``#`` name is
     a pattern whose runs with ``#`` spell any digits.  Only a name touched
     twice, a pattern, a literal that starts as one does or one a duplicable
-    writes can meet: a counting pass finds them in a large footprint.  Each
-    is grouped with the touchers of the names of its shape that it may equal,
-    sought only where they agree on the runs no pattern spells freely ("s3[#]"
-    never meets "s7[#]"); a toucher costs one test of its ordered-with bits."""
+    writes can meet: one counting pass finds them.  Each is grouped with the
+    touchers of the names of its shape that it may equal, sought only where
+    they agree on the runs no pattern spells freely ("s3[#]" never meets
+    "s7[#]"); a toucher costs one test of its ordered-with bits."""
     tasks = g._tasks.values()
     dups = [task for task in tasks if task.kind is _DUPLICABLE]
     pieces = {name: _RUNS.split(name)
@@ -385,18 +386,16 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
         free.setdefault("#".join(parts[::2]), set()).update(i for i, run in enumerate(parts[1::2]) if "#" in run)
     heads = tuple({shape.partition("#")[0] for shape in free})
     names = sorted(chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks))))
-    candidates = None  # all names: a few cost less grouped whole than counted first
-    if len(names) >= _COUNTED:  # a name touched twice is in names twice
-        candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(
-            pieces, *(task.write_set for task in dups if task.instances > 1))
-        for head in heads:  # the names that start with a head are one run of the sorted names
-            candidates.update(takewhile(methodcaller("startswith", head), names[bisect_left(names, head) :]))
+    candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(  # touched twice: in names twice
+        pieces, *(task.write_set for task in dups if task.instances > 1))
+    for head in heads:  # the names that start with a head are one run of the sorted names
+        candidates.update(takewhile(methodcaller("startswith", head), islice(names, bisect_left(names, head), None)))
     owners, literals, patterns = [], {}, {}  # name -> [(task, writes?)]
     for tid, task in g._tasks.items():
-        if candidates is None or not (candidates.isdisjoint(task.read_set) and candidates.isdisjoint(task.write_set)):
+        if not (candidates.isdisjoint(task.read_set) and candidates.isdisjoint(task.write_set)):
             owners.append(tid)
             dup, writes = task.kind is _DUPLICABLE, task.write_set
-            for name in task.read_set | writes if candidates is None else (task.read_set | writes) & candidates:
+            for name in (task.read_set | writes) & candidates:
                 (patterns if dup and "#" in name else literals).setdefault(name, []).append((tid, name in writes))
     index, ordered = _ordered_bits(g, owners)
     pieces.update((name, _RUNS.split(name)) for name in literals if name.startswith(heads) and "#" not in name)

@@ -270,7 +270,7 @@ class _Simulation:
         # Cores are used lowest index first, so the cores never used are the
         # indices from len(self.busy) up to m - 1.
         self.busy: list[int] = []  # busy slots per used core
-        self.queues: dict[int, list[tuple[str, int]]] = {}  # core -> (task, index) queued, made at its first
+        self.queues: list[list[tuple[str, int]]] = []  # (task, index) queued per used core
         self.idle: list[int] = []  # used cores that are idle, a min-heap
         self.room: list[int] = []  # used cores whose queue has room, a min-heap
         # Per run of tasks made ready together: (ready slot, next task, its next index, its
@@ -420,7 +420,7 @@ class _Simulation:
         places, queues, tracing = iter(cores), self.queues, self.sink is not None
         for tid, ks in starts:
             for k, core in zip(ks, places):  # ks first, so no place is taken past its last index
-                queues.setdefault(core, []).append((tid, k))
+                queues[core].append((tid, k))
                 if tracing:
                     self._trace(slot, "queue", tid, (k,), [f"core={core}"])
 
@@ -455,6 +455,7 @@ class _Simulation:
         if len(cores) < self.n_ready and len(self.busy) < self.cfg.m:
             new = range(len(self.busy), min(len(self.busy) + self.n_ready - len(cores), self.cfg.m))
             self.busy += [0] * len(new)
+            self.queues += [[] for _ in new]
             self.room += new if self.depth else ()  # above every used core, so still a heap
             cores += new
         if cores:
@@ -463,7 +464,7 @@ class _Simulation:
         # with room, lowest first, takes its free places while instances are left.
         if self.ready and self.room:
             room = _pop_least(self.room, min(self.n_ready, len(self.room)))
-            free = [self.depth - len(self.queues.get(core, ())) for core in room]
+            free = [self.depth - len(self.queues[core]) for core in room]
             total = sum(free)
             places = room if total == len(room) else chain.from_iterable(map(repeat, room, free))  # core by core
             n = min(total, self.n_ready)
@@ -491,7 +492,7 @@ class _Simulation:
                     self._trace(slot, "complete", tid, ks, map("core={}".format, cores[end : end + len(ks)]))
                 end += len(ks)
         self.last_boundary = slot
-        queues = list(map(self.queues.get, cores, repeat(())))
+        queues = list(map(self.queues.__getitem__, cores))
         if any(queues):
             lengths = list(map(len, queues))
             for core in compress(cores, map(self.depth.__eq__, lengths)):  # a full queue has room again

@@ -249,9 +249,8 @@ KIND_OF = {"singular": {"kind": "singular", "instructions": 7, "reads": ["r"], "
 
 @st.composite
 def malformed_task_lists(draw):
-    """A list of at least ``graphio._COLUMNS`` task objects, so that the loader
-    checks it by column, with one or two of them malformed, or none."""
-    n = draw(st.integers(graphio._COLUMNS, graphio._COLUMNS + 8))
+    """A list of task objects with one or two of them malformed, or none."""
+    n = draw(st.integers(1, 24))
     objs = [{"id": f"t{k}", **KIND_OF[draw(st.sampled_from(sorted(KIND_OF)))]} for k in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
@@ -266,6 +265,38 @@ def malformed_task_lists(draw):
     return objs
 
 
+TEXTS = st.text("ab#0", max_size=3) | st.text(max_size=3)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | TEXTS
+JSON_VALUES = (JSON_SCALARS | st.dictionaries(TEXTS, JSON_SCALARS, max_size=3)
+               | st.lists(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2), max_size=3))
+# Values of each field's shape, and the fields each kind of task may hold.
+SHAPED = {"d": st.integers(1, 3), "instructions": st.integers(0, 3), "entry": st.none() | TEXTS,
+          "control_kind": st.sampled_from(sorted(graphio._CONTROL_KINDS)),
+          "reads": st.lists(TEXTS, max_size=3), "writes": st.lists(TEXTS, max_size=3)}
+FIELDS_OF = {"singular": ["entry", "instructions", "reads", "writes"],
+             "duplicable": ["d", "entry", "instructions", "reads", "writes"], "control": []}
+
+
+@st.composite
+def drawn_task_lists(draw):
+    """A few task objects whose fields are drawn from values of their shape,
+    and maybe one field of one task from any JSON value or any field's shape:
+    a rule of ``Task`` that ``BAD_FIELDS`` never breaks is met here, often
+    with the rest of the list valid."""
+    objs = []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(FIELDS_OF)))
+        obj = {"id": f"t{k}", "kind": kind, **draw(st.fixed_dictionaries({}, optional={
+            key: SHAPED[key] for key in FIELDS_OF[kind]}))}
+        if kind == "control":
+            obj["control_kind"] = draw(SHAPED["control_kind"])
+        objs.append(obj)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(SHAPED)))
+        draw(st.sampled_from(objs))[key] = draw(SHAPED[key] | JSON_VALUES)
+    return objs
+
+
 def outcome(call):
     """What ``call()`` returns, or the type and message of what it raises."""
     try:
@@ -274,22 +305,33 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(malformed_task_lists())
-def test_column_check_agrees_with_row_check(objs):
-    # The loader checks a long task list by column and falls back to the
-    # row check only to name the first bad task: both give the same tasks,
-    # or the same error, and so does the whole document.
+def assert_column_check_agrees(objs):
+    """The loader checks a task list by column and falls back to the row
+    check only to name the first bad task: both give the same tasks, or the
+    same error, and the whole document gives the graph of those tasks."""
     rows = outcome(lambda: list(map(graphio._parse_task, objs, count())))
     assert outcome(lambda: graphio._parse_tasks(objs)) == rows
-    assert outcome(lambda: list(loads(json.dumps({"tasks": objs})))) == rows
+    graph = outcome(lambda: list(TaskGraph(rows))) if isinstance(rows, list) else rows
+    assert outcome(lambda: list(loads(json.dumps({"tasks": objs})))) == graph
     if isinstance(rows, list):  # a valid list is built by column alone
         with mock.patch.object(graphio, "_parse_task", side_effect=AssertionError("checked row by row")):
             assert graphio._parse_tasks(objs) == rows
 
 
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(malformed_task_lists())
+def test_column_check_agrees_with_row_check(objs):
+    assert_column_check_agrees(objs)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(drawn_task_lists())
+def test_column_check_agrees_on_drawn_fields(objs):
+    assert_column_check_agrees(objs)
+
+
 def test_column_check_names_the_first_of_two_bad_tasks():
-    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(graphio._COLUMNS)]
+    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(16)]
     objs[3]["instructions"] = -1
     objs[9]["color"] = "red"
     with pytest.raises(GraphFormatError) as caught:

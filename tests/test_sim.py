@@ -1957,7 +1957,7 @@ class TestRoomHeapMatchesLinearScan:
         sim = sim_module._Simulation(g, SimConfig(chip=CHIP, m=16, prealloc_depth=2), None)
         sim._release(["w"], 0)
         sim._dispatch(0)
-        assert {core: len(queue) for core, queue in sim.queues.items()} == dict.fromkeys(range(16), 2)
+        assert [len(queue) for queue in sim.queues] == [2] * 16
         assert sim.n_ready == 10**30 - 16 * 3
         assert sim.room == []
 
