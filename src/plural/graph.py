@@ -338,6 +338,9 @@ class _Footprint(NamedTuple):
 # is the same.  Split by it, a name's texts are at even places, its runs at odd.
 _RUNS = re.compile(r"([0-9#]+)")
 _DUPLICABLE, _CONTROL = TaskKind.DUPLICABLE, TaskKind.CONTROL  # per-task reads: an enum's class attribute is slow
+# From this many tasks, checking a document's tasks by column (graphio) and
+# counting names before grouping them cost less than going task by task.
+_FEW = 16
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -373,10 +376,11 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
     few; and ``_ordered_bits`` of their owners.  A duplicable's ``#`` name is
     a pattern whose runs with ``#`` spell any digits.  Only a name touched
     twice, a pattern, a literal that starts as one does or one a duplicable
-    writes can meet: one counting pass finds them.  Each is grouped with the
-    touchers of the names of its shape that it may equal, sought only where
-    they agree on the runs no pattern spells freely ("s3[#]" never meets
-    "s7[#]"); a toucher costs one test of its ordered-with bits."""
+    writes can meet: from ``_FEW`` tasks, one counting pass finds them, and
+    in fewer every name is kept.  Each is grouped with the touchers of the
+    names of its shape that it may equal, sought only where they agree on the
+    runs no pattern spells freely ("s3[#]" never meets "s7[#]"); a toucher
+    costs one test of its ordered-with bits."""
     tasks = g._tasks.values()
     dups = [task for task in tasks if task.kind is _DUPLICABLE]
     pieces = {name: _RUNS.split(name)
@@ -385,11 +389,14 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
     for parts in pieces.values():
         free.setdefault("#".join(parts[::2]), set()).update(i for i, run in enumerate(parts[1::2]) if "#" in run)
     heads = tuple({shape.partition("#")[0] for shape in free})
-    names = sorted(chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks))))
-    candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(  # touched twice: in names twice
-        pieces, *(task.write_set for task in dups if task.instances > 1))
-    for head in heads:  # the names that start with a head are one run of the sorted names
-        candidates.update(takewhile(methodcaller("startswith", head), islice(names, bisect_left(names, head), None)))
+    names = [*chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks)))]
+    candidates = {*names}  # every name, in a graph of fewer than _FEW tasks
+    if len(tasks) >= _FEW:
+        names.sort()  # a name touched twice is in names twice
+        candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(
+            *(task.write_set for task in dups if task.instances > 1))
+        for head in heads:  # the names that start with a head, patterns too, are one run of the sorted names
+            candidates.update(takewhile(methodcaller("startswith", head), islice(names, bisect_left(names, head), None)))
     owners, literals, patterns = [], {}, {}  # name -> [(task, writes?)]
     for tid, task in g._tasks.items():
         if not (candidates.isdisjoint(task.read_set) and candidates.isdisjoint(task.write_set)):

@@ -27,7 +27,7 @@ from itertools import chain, compress, count, repeat
 from operator import is_, is_not
 
 from .errors import GraphFormatError, GraphStructureError, PluralError
-from .graph import _CONTROL, _DUPLICABLE, ControlKind, Task, TaskGraph, TaskKind
+from .graph import _CONTROL, _DUPLICABLE, _FEW, ControlKind, Task, TaskGraph, TaskKind
 
 __all__ = ["loads", "load", "dumps", "dump"]
 
@@ -84,23 +84,24 @@ def _parse_task(obj: object, index: int) -> Task:
 def _parse_tasks(objs: list) -> list[Task]:
     """The tasks of ``objs``, each field checked as one column, or ``_parse_task``'s error for the first bad one."""
     try:
-        ids, kinds, ds, controls, entries, ns, reads, writes = zip(*[(
-            obj["id"], kind := _KINDS[obj["kind"]],
-            obj.get("d", 1) if kind is _DUPLICABLE else int("d" not in obj),  # 0, refused as a count, if present
-            _CONTROL_KINDS[obj["control_kind"]] if "control_kind" in obj else None, obj.get("entry"),
-            obj.get("instructions", 0), obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)) for obj in objs])
-        control = [*map(is_, kinds, repeat(_CONTROL))]
-        if (_TASK_KEYS.issuperset(chain.from_iterable(objs)) and {*map(type, ids)} <= {str} and all(ids)
-                and {*map(type, ds + ns)} <= {int} and min(ds) >= 1 and min(ns) >= 0
-                and [*map(is_not, controls, repeat(None))] == control  # a control_kind on control tasks only
-                # and on them no entry, instruction or name
-                and {*compress(zip(entries, ns, map(len, reads), map(len, writes)), control)} <= {(None, 0, 0, 0)}
-                and {*map(type, entries)} <= {str, type(None)} and "" not in entries
-                and {*map(type, reads + writes)} <= {list} and {*map(type, chain(*reads, *writes))} <= {str}):
-            entries = [tid if entry is None and not c else entry for tid, entry, c in zip(ids, entries, control)]
-            return [*map(tuple.__new__, repeat(Task), zip(ids, kinds, ds, controls, entries, ns,
-                                                          map(frozenset, reads), map(frozenset, writes)))]
-    except (KeyError, TypeError, ValueError):  # no id or kind, a kind or control_kind naming no member, or no task
+        if len(objs) >= _FEW:  # fewer tasks cost less checked one by one
+            ids, kinds, ds, controls, entries, ns, reads, writes = zip(*[(
+                obj["id"], kind := _KINDS[obj["kind"]],
+                obj.get("d", 1) if kind is _DUPLICABLE else int("d" not in obj),  # 0, refused as a count, if present
+                _CONTROL_KINDS[obj["control_kind"]] if "control_kind" in obj else None, obj.get("entry"),
+                obj.get("instructions", 0), obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)) for obj in objs])
+            control = [*map(is_, kinds, repeat(_CONTROL))]
+            if (_TASK_KEYS.issuperset(chain.from_iterable(objs)) and {*map(type, ids)} <= {str} and all(ids)
+                    and {*map(type, ds + ns)} <= {int} and min(ds) >= 1 and min(ns) >= 0
+                    and [*map(is_not, controls, repeat(None))] == control  # a control_kind on control tasks only
+                    # and on them no entry, instruction or name
+                    and {*compress(zip(entries, ns, map(len, reads), map(len, writes)), control)} <= {(None, 0, 0, 0)}
+                    and {*map(type, entries)} <= {str, type(None)} and "" not in entries
+                    and {*map(type, reads + writes)} <= {list} and {*map(type, chain(*reads, *writes))} <= {str}):
+                entries = [tid if entry is None and not c else entry for tid, entry, c in zip(ids, entries, control)]
+                return [*map(tuple.__new__, repeat(Task), zip(ids, kinds, ds, controls, entries, ns,
+                                                              map(frozenset, reads), map(frozenset, writes)))]
+    except (KeyError, TypeError):  # no id or kind, or a kind or control_kind that names no member
         pass
     return list(map(_parse_task, objs, count()))
 

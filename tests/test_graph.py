@@ -1,6 +1,7 @@
 """Tests for task graphs, DAG validation, concurrency, and CREW checking."""
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -565,8 +566,6 @@ class TestPerTaskFootprint:
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(meeting_graphs())
     @example(writer_chain(2000))
-    # A literal that starts as a pattern's head, next to a duplicable's written literal.
-    @example(TaskGraph([duplicable("a", 2, writes={"acc"}), singular("b", reads={"s1[1]"}), duplicable("c", 2, {"s#[1]"})]))
     def test_same_result_as_pairwise_check(self, g):
         assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
         assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
@@ -627,6 +626,22 @@ class TestPerTaskFootprint:
             with pytest.raises(GraphStructureError) as caught:
                 check_crew(g)
             assert str(caught.value) == f"duplicate task id {clash!r}"
+
+
+class TestCountedCandidates:
+    """A graph of ``_FEW`` tasks or more has its names counted first: only
+    the names that may meet are grouped, and only their owners and those
+    owners' descendants get ordered-with bits.  With every graph counted, the
+    pairwise check on the expanded graph must still agree."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(crew_graphs(), meeting_graphs()))
+    @example(TaskGraph([duplicable("a", 2, writes={"v[#]"}), singular("b", reads={"v[0]"})]))
+    @example(TaskGraph([duplicable("a", 2, writes={"acc"}), singular("b", reads={"s1[1]"}), duplicable("c", 2, {"s#[1]"})]))
+    def test_same_result_as_pairwise_check(self, g):
+        with mock.patch.object(graph_module, "_FEW", 0):
+            assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
+            assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
 
 
 class TestExpandDuplicables:

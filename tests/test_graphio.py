@@ -3,7 +3,7 @@
 import contextlib
 import io
 import json
-from itertools import count
+from itertools import count, product
 from unittest import mock
 
 import pytest
@@ -249,8 +249,9 @@ KIND_OF = {"singular": {"kind": "singular", "instructions": 7, "reads": ["r"], "
 
 @st.composite
 def malformed_task_lists(draw):
-    """A list of task objects with one or two of them malformed, or none."""
-    n = draw(st.integers(1, 24))
+    """A list of at least ``graphio._FEW`` task objects, so that the loader
+    checks it by column, with one or two of them malformed, or none."""
+    n = draw(st.integers(graphio._FEW, graphio._FEW + 8))
     objs = [{"id": f"t{k}", **KIND_OF[draw(st.sampled_from(sorted(KIND_OF)))]} for k in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
@@ -269,32 +270,34 @@ TEXTS = st.text("ab#0", max_size=3) | st.text(max_size=3)
 JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | TEXTS
 JSON_VALUES = (JSON_SCALARS | st.dictionaries(TEXTS, JSON_SCALARS, max_size=3)
                | st.lists(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2), max_size=3))
-# Values of each field's shape, and the fields each kind of task may hold.
-SHAPED = {"d": st.integers(1, 3), "instructions": st.integers(0, 3), "entry": st.none() | TEXTS,
-          "control_kind": st.sampled_from(sorted(graphio._CONTROL_KINDS)),
-          "reads": st.lists(TEXTS, max_size=3), "writes": st.lists(TEXTS, max_size=3)}
+# Valid values of the fields each kind of task may hold, and for one field
+# of one task, values of that field's shape, valid or not.
+VALID = {"d": st.integers(1, 3), "entry": st.none() | TEXTS.filter(bool), "instructions": st.integers(0, 3),
+         "reads": st.lists(TEXTS, max_size=3), "writes": st.lists(TEXTS, max_size=3)}
 FIELDS_OF = {"singular": ["entry", "instructions", "reads", "writes"],
              "duplicable": ["d", "entry", "instructions", "reads", "writes"], "control": []}
+SHAPED = {"id": TEXTS, "d": st.integers(-1, 3), "instructions": st.integers(-1, 3), "entry": st.none() | TEXTS,
+          "control_kind": st.sampled_from(sorted(graphio._CONTROL_KINDS)),
+          "reads": st.lists(TEXTS | JSON_SCALARS, max_size=2), "writes": st.lists(TEXTS | JSON_SCALARS, max_size=2)}
 
 
 @st.composite
 def drawn_task_lists(draw):
-    """A few task objects whose fields are drawn from values of their shape,
-    and maybe one field of one task from any JSON value or any field's shape:
-    a rule of ``Task`` that ``BAD_FIELDS`` never breaks is met here, often
-    with the rest of the list valid."""
+    """A few valid task objects, each field drawn from valid values, and
+    maybe one field of one task drawn from values of its shape or from any
+    JSON value: a rule of ``Task`` that ``BAD_FIELDS`` never breaks is met
+    here with the rest of the list valid.  Valid tasks follow, up to
+    ``graphio._FEW``, so that the loader checks the list by column."""
     objs = []
     for k in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(sorted(FIELDS_OF)))
-        obj = {"id": f"t{k}", "kind": kind, **draw(st.fixed_dictionaries({}, optional={
-            key: SHAPED[key] for key in FIELDS_OF[kind]}))}
-        if kind == "control":
-            obj["control_kind"] = draw(SHAPED["control_kind"])
-        objs.append(obj)
+        objs.append({"id": f"t{k}", "kind": kind, **draw(st.fixed_dictionaries(
+            {"control_kind": SHAPED["control_kind"]} if kind == "control" else {},
+            optional={key: VALID[key] for key in FIELDS_OF[kind]}))})
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(SHAPED)))
         draw(st.sampled_from(objs))[key] = draw(SHAPED[key] | JSON_VALUES)
-    return objs
+    return objs + [{"id": f"f{k}", **KIND_OF["singular"]} for k in range(graphio._FEW - len(objs))]
 
 
 def outcome(call):
@@ -330,8 +333,16 @@ def test_column_check_agrees_on_drawn_fields(objs):
     assert_column_check_agrees(objs)
 
 
+def test_column_check_agrees_on_each_bad_field():
+    # Each entry of BAD_FIELDS on each kind of task, alone in a long list.
+    for kind, (key, value) in product(sorted(KIND_OF), BAD_FIELDS):
+        objs = [{"id": f"t{k}", **KIND_OF[kind]} for k in range(graphio._FEW)]
+        objs[3][key] = value
+        assert_column_check_agrees(objs)
+
+
 def test_column_check_names_the_first_of_two_bad_tasks():
-    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(16)]
+    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(graphio._FEW)]
     objs[3]["instructions"] = -1
     objs[9]["color"] = "red"
     with pytest.raises(GraphFormatError) as caught:
