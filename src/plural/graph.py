@@ -12,10 +12,10 @@ all read a variable, but a variable written by a task must not be touched by
 any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
 the simulator.  Two tasks are concurrent when neither precedes the other
-through the edge relation.  One counting pass over the authored footprint
-finds the names that may meet, and only their owners, with their
-descendants, get a bitset of the tasks ordered with them: a variable's
-violations cost O(touchers + violations).
+through the edge relation.  From ``_FEW`` tasks, one counting pass over the
+authored footprint finds the names that may meet, and only their owners,
+with their descendants, get a bitset of the tasks ordered with them: a
+variable's violations cost O(touchers + violations).
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -294,7 +294,8 @@ def _ordered_bits(g: TaskGraph, tasks: Iterable[str]) -> tuple[dict[str, int], d
     """A bit for each of ``tasks`` and their descendants, its place in their
     topological order, and the ones ordered with it (itself, its descendants
     and its ancestors) as an int bitset, in O(V + E) unions over them alone:
-    two of ``tasks`` are concurrent when neither's bit is in the other's set."""
+    two of ``tasks`` are concurrent when neither's bit is in the other's set.
+    A cycle raises ``CycleError``."""
     succ, (order, cycle) = g._successors, g._search
     if cycle is not None:
         raise CycleError(cycle)
