@@ -82,7 +82,7 @@ def _parse_task(obj: object, index: int) -> Task:
 
 
 def _parse_tasks(objs: list) -> list[Task]:
-    """The tasks of ``objs``, each field checked as one column, or ``_parse_task``'s error for the first bad one."""
+    """The tasks of ``objs``, each field checked as one column from ``_FEW`` tasks, or ``_parse_task``'s error."""
     try:
         if len(objs) >= _FEW:  # fewer tasks cost less checked one by one
             ids, kinds, ds, controls, entries, ns, reads, writes = zip(*[(
