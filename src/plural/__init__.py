@@ -16,7 +16,7 @@ so ``import plural`` loads none of these modules, and a name loads only its
 own module and what that module imports.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 _EXPORTS = {  # module -> the names it exports here, in the order of __all__
     "scaling": ("ChipSpec", "EnsembleMetrics", "ensemble_metrics", "sweep"),

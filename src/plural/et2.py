@@ -3,12 +3,13 @@
 The cost of a computation is modeled as theta = E * t**2, a quantity that
 stays constant while energy is traded for execution time (via voltage
 scaling, transistor sizing, and similar knobs).  This module provides the
-transforms along and between ET2 curves:
+transforms along and between ET2 curves; the first four are power laws of
+their argument f, energy * f**e and time * f**t, with the (e, t) given:
 
-* stretch_time:   slow down by a factor, energy drops by its square.
-* shrink_work:    run a fraction of the work, theta shrinks by the cube.
-* iso_time_energy / iso_energy_time: re-spend a work reduction while holding
-  time (steeper energy saving) or holding energy (shorter time).
+* stretch_time (-2, 1):  slow down by a factor, energy drops by its square.
+* shrink_work (1, 1):    run a fraction of the work, theta shrinks by the cube.
+* iso_time_energy (3, 0) / iso_energy_time (0, 1.5): re-spend a work reduction
+  while holding time (steeper energy saving) or holding energy (shorter time).
 * parallelize:    split the work over m cores, rederiving the ensemble
   energy and power of the scaling model.
 * constrain:      pick the point on a theta-curve fixed by one of energy,
@@ -94,9 +95,10 @@ def make_state(energy: float, time: float) -> Et2State:
     return Et2State(energy=energy, time=time, theta=_theta(energy, time))
 
 
-def _check_fraction(fraction: float) -> None:
+def _check_fraction(fraction: float) -> float:
     if not _is_real(fraction, 0, 1):
         raise DomainError(f"work fraction must lie in (0, 1], got {fraction!r}")
+    return fraction
 
 
 @contextmanager
@@ -111,6 +113,12 @@ def _blame(argument: str):
         yield
     except (ArithmeticError, DomainError):
         raise DomainError(f"{argument} takes the state out of float range") from None
+
+
+def _scaled(s: Et2State, f: float, e: float, t: float, argument: str) -> Et2State:
+    """The state energy * f**e, time * f**t, so theta * f**(e + 2t), blaming ``argument``; a negative power divides."""
+    with _blame(argument):
+        return Et2State(*(v / f**-p if p < 0 else v * f**p for v, p in zip(s, (e, t, e + 2 * t))))
 
 
 def stretch_time(s: Et2State, factor: float) -> Et2State:
@@ -128,8 +136,7 @@ def stretch_time(s: Et2State, factor: float) -> Et2State:
             "trade-off curve is normally ridden toward longer time",
             stacklevel=2,
         )
-    with _blame(f"stretch factor {factor!r}"):
-        return Et2State(energy=s.energy / factor**2, time=s.time * factor, theta=s.theta)
+    return _scaled(s, factor, -2, 1, f"stretch factor {factor!r}")
 
 
 def shrink_work(s: Et2State, fraction: float) -> Et2State:
@@ -138,35 +145,17 @@ def shrink_work(s: Et2State, fraction: float) -> Et2State:
     Time and energy shrink proportionally (so power is unchanged) and the
     computation lands on a new curve with theta scaled by fraction**3.
     """
-    _check_fraction(fraction)
-    with _blame(f"work fraction {fraction!r}"):
-        return Et2State(
-            energy=fraction * s.energy,
-            time=fraction * s.time,
-            theta=fraction**3 * s.theta,
-        )
+    return _scaled(s, _check_fraction(fraction), 1, 1, f"work fraction {fraction!r}")
 
 
 def iso_time_energy(s: Et2State, fraction: float) -> Et2State:
     """Shrink the work but spend the original time; energy falls by fraction**3."""
-    _check_fraction(fraction)
-    with _blame(f"work fraction {fraction!r}"):
-        return Et2State(
-            energy=fraction**3 * s.energy,
-            time=s.time,
-            theta=fraction**3 * s.theta,
-        )
+    return _scaled(s, _check_fraction(fraction), 3, 0, f"work fraction {fraction!r}")
 
 
 def iso_energy_time(s: Et2State, fraction: float) -> Et2State:
     """Shrink the work but spend the original energy; time falls by fraction**1.5."""
-    _check_fraction(fraction)
-    with _blame(f"work fraction {fraction!r}"):
-        return Et2State(
-            energy=s.energy,
-            time=fraction**1.5 * s.time,
-            theta=fraction**3 * s.theta,
-        )
+    return _scaled(s, _check_fraction(fraction), 0, 1.5, f"work fraction {fraction!r}")
 
 
 def parallelize(s: Et2State, m: int) -> Et2ParallelResult:
@@ -179,7 +168,7 @@ def parallelize(s: Et2State, m: int) -> Et2ParallelResult:
     """
     _check_core_count(m)
     with _blame(f"core count {m}"):
-        root_m = math.sqrt(m)
+        root_m = math.sqrt(m)  # not a _scaled power law: m**0.5 differs from it at some m
         per_core = Et2State(
             energy=s.energy / m**2,
             time=s.time / root_m,

@@ -538,15 +538,7 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
             continue
         for k, iid in enumerate(ids[tid]):
             reads, writes = _instance_footprint(task, k)
-            new_tasks.append(
-                Task(
-                    id=iid,
-                    kind=TaskKind.SINGULAR,
-                    entry_point=task.entry_point,
-                    instruction_count=task.instruction_count,
-                    read_set=reads,
-                    write_set=writes,
-                )
-            )
+            new_tasks.append(task._replace(id=iid, kind=TaskKind.SINGULAR, instances=1,
+                                           read_set=reads, write_set=writes))
     edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}
     return TaskGraph(new_tasks, edges)

@@ -44,10 +44,10 @@ Execution semantics:
   stall.  It streams to a sink, a slot's events as the run leaves the
   slot, sorted by time, then kind in the order a slot processes them
   (complete, control, ready, start, queue, access), then (task, index).
-* Energy ledger: an executed instruction costs A/m.  With communication
-  costs enabled, each scheduler message (one init and one completion per
-  core-executed instance) costs sqrt(A) and each memory access costs
-  sqrt(A) + log2(m).
+* Energy ledger: an executed instruction costs (A/m) * cpi, a core's power
+  (A/m) * f over a slot of cpi / f.  With communication costs enabled, each
+  scheduler message (one init and one completion per core-executed
+  instance) costs sqrt(A) and each memory access costs sqrt(A) + log2(m).
 
 The measured speedup is priced against one core of the full area, whose
 makespan is total instructions * cpi / A**alpha: a single core never
@@ -192,6 +192,8 @@ _TRACE_KINDS = ("complete", "control", "ready", "start", "queue", "access")
 _RANK = {kind: rank for rank, kind in enumerate(_TRACE_KINDS)}
 
 _KEY = attrgetter("key")
+_READING = attrgetter("reading")
+_MAX_TOTAL = int(sys.float_info.max)  # the largest instruction total a float holds
 
 
 def _pop_least(heap: list[int], k: int) -> list[int]:
@@ -250,9 +252,10 @@ class _Simulation:
         self.contended = g._contended  # the only variables whose accesses can contend
         self.alone = {key[0] for var in self.contended for key, _ in g._footprint.touchers[var]}  # tasks that touch one
         chip = cfg.chip
-        self.instr_energy = chip.area / _check_finite("m", cfg.m, positive=True)  # A/m, a core's area
-        self.core_freq = _check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
+        core_area = chip.area / _check_finite("m", cfg.m, positive=True)
+        self.core_freq = _check_finite("core_freq", core_area**chip.pollack_exponent, positive=True)
         self.slot_dt = chip.cpi / self.core_freq
+        self.instr_energy = core_area * chip.cpi
         self.msg_energy = comm._msg_energy(chip.area)  # the chip and m are checked
         self.access_energy = comm._access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed) if self.contended else None  # else the run never draws
@@ -265,7 +268,6 @@ class _Simulation:
             for succ in self.succs[pred]:
                 pred_left[succ] += g._tasks[pred].instances - 1
         self.started = dict.fromkeys(g._tasks, 0)
-        self.longest = max(map(attrgetter("instruction_count"), g._tasks.values()), default=0)
 
         # Cores are used lowest index first, so the cores never used are the
         # indices from len(self.busy) up to m - 1.
@@ -281,13 +283,10 @@ class _Simulation:
         # a completion, or a lone instance's next access.  An instance is in
         # one pending entry, so the key is unique and heapq never compares cohorts.
         self.heap: list[tuple[int, int, tuple[str, int], _Instance]] = []
-        # Instruction count -> a cohort started in slot cohorts_slot.
+        # Instruction count -> a cohort started in the current slot.
         self.cohorts: dict[int, _Instance] = {}
-        self.cohorts_slot = 0
-        # Contenders per variable, sorted by (task, index), and how many of
-        # them write; an emptied wait set is dropped.
+        # Contenders per variable, sorted by (task, index); an emptied wait set is dropped.
         self.waiting: defaultdict[str, list[_Instance]] = defaultdict(list)
-        self.writes: defaultdict[str, int] = defaultdict(int)
 
         self.total_instructions = 0
         self.last_boundary = 0
@@ -355,13 +354,7 @@ class _Simulation:
         """Start each (task, indices) of ``starts`` in turn on the next cores.
         A task that can contend runs each instance alone, else as a cohort,
         which joins a cohort of its instruction count started in this slot."""
-        if slot != self.cohorts_slot:  # a cohort holds the starts of one slot
-            self.cohorts, self.cohorts_slot = {}, slot
         tasks, started, cohorts, alone, contended = self.g._tasks, self.started, self.cohorts, self.alone, self.contended
-        if self.total_instructions + len(cores) * self.longest > sys.float_info.max:
-            counts = chain.from_iterable(repeat(tasks[tid].instruction_count, len(ks)) for tid, ks in starts)
-            for total in accumulate(counts, initial=self.total_instructions):  # each start's, in start order
-                _check_finite("total_instructions", total)
         tracing, end = self.sink is not None, 0
         for tid, ks in starts:
             task, begin, count = tasks[tid], end, len(ks)
@@ -370,8 +363,10 @@ class _Simulation:
             started[tid] += count
             if started[tid] > task.instances:
                 raise RuntimeError(f"task {tid!r} started more than its {task.instances} instances")
-            n = task.instruction_count
+            n, before = task.instruction_count, self.total_instructions
             self.total_instructions += count * n
+            if self.total_instructions > _MAX_TOTAL:  # refused at the first of this part's instances past it
+                _check_finite("total_instructions", before + ((_MAX_TOTAL - before) // n + 1) * n)
             if tracing:
                 self._trace(slot, "start", tid, ks, map("core={}".format, given))
             if tid in alone:
@@ -405,7 +400,7 @@ class _Simulation:
         while i < n:
             at, _, lo, place, run = heapq.heappop(ready)
             bound = ready[0][1] if ready and ready[0][0] == at else None  # the next run of this slot takes over there
-            while i < n and place < len(run) and (lo or bound is None or run[place] < bound):
+            while i < n and place < len(run) and (bound is None or run[place] < bound):
                 tid = run[place]
                 d = tasks[tid].instances
                 hi = min(lo + n - i, d)
@@ -522,15 +517,14 @@ class _Simulation:
         """
         for var in sorted(self.waiting):
             group = self.waiting[var]
-            k = self.rng.randrange(len(group)) if self.writes[var] and len(group) > 1 else 0
+            k = self.rng.randrange(len(group)) if len(group) > 1 and not all(map(_READING, group)) else 0
             if group[k].reading:  # with no write waiting, group[0] reads
                 granted = [inst for inst in group if inst.reading]
                 group[:] = [inst for inst in group if not inst.reading]
             else:
                 granted = [group.pop(k)]
-                self.writes[var] -= 1
             if not group:
-                del self.waiting[var], self.writes[var]
+                del self.waiting[var]
             for inst in granted:
                 stalls = slot - inst.since
                 inst.stalls += stalls
@@ -553,6 +547,8 @@ class _Simulation:
         # slot left: each is, in its slot or before it as a future access.
         while self.heap or self.waiting:
             slot = slot + 1 if self.waiting else self.heap[0][0]
+            if slot:  # a cohort holds the starts of one slot, and only slot 0 starts before the loop
+                self.cohorts.clear()
             if tracing:
                 self._flush(slot)
             while self.heap and self.heap[0][0] == slot:
@@ -566,9 +562,7 @@ class _Simulation:
                     inst.since = slot
                     target = inst.granted % len(inst.vars)
                     inst.reading = target < inst.n_reads
-                    var = inst.vars[target]
-                    insort(self.waiting[var], inst, key=_KEY)
-                    self.writes[var] += not inst.reading
+                    insort(self.waiting[inst.vars[target]], inst, key=_KEY)
             if self.waiting:
                 self._arbitrate(slot)
         if tracing:
@@ -672,7 +666,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
 
     The single-core reference values are reconstructed from the report: the
     reference executes the same instances, messages, and accesses, with
-    instruction energy A and access energy sqrt(A).  A ratio that leaves
+    instruction energy A * cpi and access energy sqrt(A).  A ratio that leaves
     float range raises ``DomainError`` naming it.
     """
     if report.m != cfg.m:
@@ -683,7 +677,7 @@ def compare_to_model(report: SimReport, cfg: SimConfig) -> ModelDeviation:
     model = ensemble_metrics(cfg.chip, cfg.m)
     area = cfg.chip.area
 
-    ref_compute = report.total_instructions * area
+    ref_compute = report.total_instructions * area * cfg.chip.cpi
     if cfg.comm_costs_enabled:
         messages = report.sched_msg_count + report.mem_access_count
         ref_total = ref_compute + messages * comm._msg_energy(area)

@@ -449,6 +449,24 @@ class TestEt2Command:
         assert doc["transform"] == transform
         assert doc["after"] == pytest.approx(after, rel=1e-12)
 
+    # sha256 of `plural et2 --e 8 --t 2 T` stdout, one call per transform,
+    # as version 0.11.0 printed them.
+    @pytest.mark.parametrize(
+        "transform, digest",
+        [
+            ("stretch:3", "2d1bc56cd6534a17401e7f347ebb33a43ef0475a0d8a010e55085ba64d7cc571"),
+            ("shrink:0.3", "f521208c81b258a8a024afbb22f20b2d01d07e2cfcc23abc8fb2adf69b88b673"),
+            ("iso-time:0.7", "dfaa443ba8efbfbc894aee8a6a5c92cf7994ac32eb71963b5f9d3ca523713243"),
+            ("iso-energy:0.3", "0c9628a6613b6d5beb6e55518678d893fabf771b52f9405f7a343400968236cd"),
+            ("parallel:3", "2e5be2a935e53c192a248bfae548ff41eda4807418aabfb5e5e213713606fb1d"),
+            ("constrain:P0=3", "9b1c4363225841d76259023eb60da3433e94b1a4e44610714dd80cc4c1516544"),
+        ],
+    )
+    def test_output_matches_pinned_digest(self, capsys, transform, digest):
+        code, out, err = run_cli(capsys, "et2", "--e", "8", "--t", "2", transform)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("bad", ["warp:2", "stretch", "constrain:Q0=4", "constrain:P0=", "parallel:x"])
     def test_unknown_transform_is_usage_error(self, capsys, bad):
         code, _, err = run_cli(capsys, "et2", "--e", "1", "--t", "1", bad)
@@ -561,9 +579,11 @@ class TestSimulate:
                 "empirical_speedup falls outside float range, got inf",
                 id="speedup",
             ),
+            # The run's energy, 64000 instructions at (A/m) * cpi each, is
+            # finite; the reference's, at A * cpi each, is not.
             pytest.param(
-                ["--area", "1e7", "--cpi", "1e-298", "--m", "4", "--check-model"],
-                "powerdown_measured falls outside float range, got inf",
+                ["--area", "1e7", "--cpi", "1e298", "--m", "64", "--check-model"],
+                "energydown_measured falls outside float range, got inf",
                 id="model-check",
             ),
             # An m too large for a float is refused before the run starts.

@@ -31,6 +31,7 @@ from plural import (
     ValidationError,
     check_crew,
     compare_to_model,
+    ensemble_metrics,
     expand_duplicables,
     run,
 )
@@ -736,9 +737,10 @@ class PerInstanceSimulation:
         self.stride = cfg.mem_access_stride
         self.contended = g._contended  # the only variables whose accesses can contend
         chip = cfg.chip
-        self.instr_energy = chip.area / sim_module._check_finite("m", cfg.m, positive=True)
-        self.core_freq = sim_module._check_finite("core_freq", self.instr_energy**chip.pollack_exponent, positive=True)
+        core_area = chip.area / sim_module._check_finite("m", cfg.m, positive=True)
+        self.core_freq = sim_module._check_finite("core_freq", core_area**chip.pollack_exponent, positive=True)
         self.slot_dt = chip.cpi / self.core_freq
+        self.instr_energy = core_area * chip.cpi
         self.msg_energy = comm.sched_msg_energy(chip.area)
         self.access_energy = comm.mem_access_energy(chip.area, cfg.m)
         self.rng = random.Random(cfg.seed)
@@ -1494,6 +1496,16 @@ class TestCountedWork:
         assert wide.mem_access_count == 8 * base.mem_access_count
         assert wide_lines <= 1.5 * base_lines
 
+    def test_stalls_add_no_lines(self):
+        # The same 800 grants of "acc": alone at m = 1, none stalls; at
+        # m = 64 the 80 writers stall tens of thousands of slots.
+        g, cfg = self.writers(80, 10)
+        alone, alone_lines = self.lines(g, cfg._replace(m=1))
+        crowded, crowded_lines = self.lines(g, cfg)
+        assert alone.mem_access_count == crowded.mem_access_count == 800
+        assert alone.mem_conflict_stalls == 0 and crowded.mem_conflict_stalls > 10 * crowded.mem_access_count
+        assert crowded_lines <= 1.2 * alone_lines
+
     def test_crew_on_a_clean_chain_of_updaters_is_linear(self):
         # N chained tasks that each read and write "acc" break no rule; each
         # owns a name that may meet, so each gets ordered-with bits, in O(N).
@@ -2143,6 +2155,18 @@ class TestLedger:
         assert report.sched_msg_count == 6
         assert report.sched_msg_energy_total == 2 * 3 * math.sqrt(1e6)
         assert report.mem_msg_energy_total == 3 * (math.sqrt(1e6) + math.log2(2))
+
+    @pytest.mark.parametrize("cpi", [1, 1.7, 2])
+    def test_energy_and_power_match_the_model_at_any_cpi(self, cpi):
+        # A fork of d = 4m instances with no footprint keeps every core busy
+        # to the end.  An instruction costs a core's power (A/m) * f over its
+        # slot, cpi / f, as in the closed form.
+        m, d, n = 4, 16, 100
+        chip = ChipSpec(area=1e6, work=d * n, cpi=cpi)
+        report = run(TaskGraph([duplicable("work", d, n)]), SimConfig(chip=chip, m=m))
+        row = ensemble_metrics(chip, m)
+        assert report.compute_energy == pytest.approx(row.energy, rel=1e-12, abs=0)
+        assert report.avg_power == pytest.approx(row.power, rel=1e-12, abs=0)
 
     def test_work_conservation(self):
         g = TaskGraph(
