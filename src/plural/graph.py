@@ -149,9 +149,10 @@ class TaskGraph:
     """An immutable precedence graph over tasks.
 
     Edges are (predecessor id, successor id) tuples or lists of two strings
-    naming tasks in the graph, checked as given, never coerced.  A
-    conditional control task needs a successor to forward to.  Acyclicity
-    is checked by ``validate_dag``, not assumed at construction.
+    naming tasks in the graph, checked as given, never coerced; a repeated
+    edge is one edge.  A conditional control task needs a successor to
+    forward to.  Acyclicity is checked by ``validate_dag``, not assumed at
+    construction.
     """
 
     def __init__(self, tasks: Iterable[Task], edges: Iterable[tuple[str, str]] = ()):
@@ -166,18 +167,23 @@ class TaskGraph:
             bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2 or not all(
                 isinstance(tid, str) for tid in e))
             raise GraphStructureError(f"edge {bad!r} must be a (predecessor, successor) pair of task ids")
-        edge_set = frozenset(map(tuple, edges))
-        if not task_map.keys() >= {*chain.from_iterable(edge_set)}:
-            pred, succ = min((p, s) for p, s in edge_set if p not in task_map or s not in task_map)
+        if not task_map.keys() >= {*chain.from_iterable(edges)}:
+            pred, succ = min((p, s) for p, s in edges if p not in task_map or s not in task_map)
             endpoint = pred if pred not in task_map else succ
             raise GraphStructureError(f"edge ({pred!r}, {succ!r}) references unknown task id {endpoint!r}")
+        # Each task's distinct successors, ascending: the one record of precedence.  Do not change it.
+        self._successors = successors = {tid: [] for tid in task_map}
+        for pred, succ in edges:
+            successors[pred].append(succ)
+        for tid, succs in successors.items():
+            if len(succs) > 1:
+                successors[tid] = sorted({*succs})
         if ControlKind.CONDITIONAL in map(attrgetter("control_kind"), task_map.values()):  # a pass in C
-            stuck = {tid for tid, task in task_map.items() if task.control_kind is ControlKind.CONDITIONAL}
-            stuck.difference_update(pred for pred, _ in edge_set)
+            stuck = [tid for tid, task in task_map.items()
+                     if task.control_kind is ControlKind.CONDITIONAL and not successors[tid]]
             if stuck:
                 raise GraphStructureError(f"conditional control task {min(stuck)!r} has no successor")
         self._tasks = task_map
-        self._edges = edge_set
 
     @property
     def tasks(self) -> Mapping[str, Task]:
@@ -185,12 +191,8 @@ class TaskGraph:
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return self._edges
-
-    @cached_property
-    def _successors(self) -> dict[str, list[str]]:
-        # Read by the search, the footprint index and the simulator.
-        return _successor_map(self)
+        # Built when read, for readers outside the algorithms: they all read the successor lists.
+        return frozenset((pred, succ) for pred, succs in self._successors.items() for succ in succs)
 
     @cached_property
     def _search(self) -> tuple[list[str] | None, list[str] | None]:
@@ -220,10 +222,10 @@ class TaskGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskGraph):
             return NotImplemented
-        return self._tasks == other._tasks and self._edges == other._edges
+        return self._tasks == other._tasks and self._successors == other._successors
 
     def __repr__(self) -> str:
-        return f"TaskGraph({len(self._tasks)} tasks, {len(self._edges)} edges)"
+        return f"TaskGraph({len(self._tasks)} tasks, {sum(map(len, self._successors.values()))} edges)"
 
 
 class CrewViolation(NamedTuple):
@@ -239,17 +241,6 @@ class CrewViolation(NamedTuple):
             f"{self.kind} conflict on {self.variable!r} between "
             f"{self.task_a!r} and {self.task_b!r}"
         )
-
-
-def _successor_map(g: TaskGraph) -> dict[str, list[str]]:
-    """Each task's successors, ascending.  Built once per graph: read it as
-    ``g._successors``, and do not change it."""
-    succ: dict[str, list[str]] = {tid: [] for tid in g._tasks}
-    for pred, s in g.edges:
-        succ[pred].append(s)
-    for lst in succ.values():
-        lst.sort()
-    return succ
 
 
 def _search(succ: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str] | None]:

@@ -253,8 +253,7 @@ class _Simulation:
         self.alone = {key[0] for var in self.contended for key, _ in g._footprint.touchers[var]}  # tasks that touch one
         chip = cfg.chip
         core_area = chip.area / _check_finite("m", cfg.m, positive=True)
-        self.core_freq = _check_finite("core_freq", core_area**chip.pollack_exponent, positive=True)
-        self.slot_dt = chip.cpi / self.core_freq
+        self.slot_dt = chip.cpi / _check_finite("core_freq", core_area**chip.pollack_exponent, positive=True)
         self.instr_energy = core_area * chip.cpi
         self.msg_energy = comm._msg_energy(chip.area)  # the chip and m are checked
         self.access_energy = comm._access_energy(chip.area, cfg.m)
@@ -613,7 +612,7 @@ def _check_outcomes(g: TaskGraph, cfg: SimConfig) -> None:
                 f"conditional outcome given for {tid!r}, which is not a "
                 "conditional control task"
             )
-        if (tid, chosen) not in g.edges:
+        if chosen not in g._successors[tid]:
             raise SimConfigError(
                 f"conditional outcome {tid!r} -> {chosen!r} is not an edge of the graph"
             )

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -900,19 +901,15 @@ class TestSimulate:
         # The CREW warnings and the run share one index, which expands no
         # instance footprint of this clean graph: only a traced run computes
         # each instance's footprint, once, to name its accesses.  The DAG
-        # check, the index and the run share one successor map and one
-        # depth-first search, and so do validate's DAG check and CREW check.
-        built, successor_maps, searches, footprints = [], [], [], Counter()
+        # check, the index and the run share one depth-first search, and so
+        # do validate's DAG check and CREW check.
+        built, searches, footprints = [], [], Counter()
         real_build, real_footprint = graph_module._build_footprint, graph_module._instance_footprint
-        real_successors, real_search = graph_module._successor_map, graph_module._search
+        real_search = graph_module._search
 
         def counting(g):
             built.append(len(g))
             return real_build(g)
-
-        def counting_successors(g):
-            successor_maps.append(len(g))
-            return real_successors(g)
 
         def counting_search(succ):
             searches.append(len(succ))
@@ -924,20 +921,17 @@ class TestSimulate:
 
         monkeypatch.setattr(graph_module, "_build_footprint", counting)
         monkeypatch.setattr(graph_module, "_instance_footprint", counting_footprint)
-        monkeypatch.setattr(graph_module, "_successor_map", counting_successors)
         monkeypatch.setattr(graph_module, "_search", counting_search)
         # A module that imports the function by name must use the counted one too.
         monkeypatch.setattr(sim, "_instance_footprint", counting_footprint, raising=False)
         path = write_graph(tmp_path, DEMO_GRAPH)
         for command in (("simulate", "--m", "4"), ("simulate", "--m", "4", "--events", os.devnull), ("validate",)):
             built.clear()
-            successor_maps.clear()
             searches.clear()
             footprints.clear()
             code, _, _ = run_cli(capsys, command[0], path, *command[1:])
             assert code == 0
             assert built == [1]
-            assert successor_maps == [1]
             assert searches == [1]
             traced = "--events" in command
             assert footprints == Counter(("work", k) for k in range(64 if traced else 0))
@@ -1050,6 +1044,12 @@ class TestValidate:
         assert code == 0
         assert out.startswith("ok: 1 tasks, 0 edges")
         assert err == ""
+
+    def test_repeated_edge_counts_once(self, capsys, tmp_path):
+        doc = {"tasks": [{"id": t, "kind": "singular", "instructions": 5} for t in "ab"],
+               "edges": [["a", "b"], ["a", "b"]]}
+        code, out, err = run_cli(capsys, "validate", write_graph(tmp_path, doc))
+        assert (code, out, err) == (0, "ok: 2 tasks, 1 edges, 0 CREW violation(s)\n", "")
 
     def test_crew_violations_listed(self, capsys, tmp_path):
         doc = {
@@ -1200,6 +1200,37 @@ def test_package_version_matches_pyproject():
     declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert declared is not None
     assert plural.__version__ == declared.group(1)
+
+
+def test_readme_names_the_package_version():
+    # The semantics sentence and the newest Version history entry.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    semantics = re.search(r"These are the semantics of version (\S+?)\.\s", text)
+    history = re.search(r"^## Version history\n\n- (\S+?):", text, re.MULTILINE)
+    assert semantics is not None and history is not None
+    assert semantics.group(1) == history.group(1) == plural.__version__
+
+
+def test_a_loaded_and_run_graph_holds_no_edge_set(monkeypatch):
+    # Each simulate workload of the benchmark: loading, the CREW check and a
+    # run read the successor lists, so no edge set is built until ``edges``
+    # is read.  The one frozenset held is the contended variable names.
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for workload in ("wide-short", "shared-read", "stage-chain"):
+        case = workloads.make_cases(workload, 1001, 1)[0]
+        g = graphio.loads(json.dumps(case.graph))
+        graph_module.check_crew(g)
+        argv = case.calls[0]
+        outcomes = dict([argv[argv.index("--outcome") + 1].split("=")]) if "--outcome" in argv else {}
+        sim.run(g, sim.SimConfig(scaling.ChipSpec(1e6, 1e6), case.expected.m, conditional_outcomes=outcomes))
+        assert {key for key, value in vars(g).items() if isinstance(value, frozenset)} <= {"_contended"}
+        assert g.edges == frozenset(map(tuple, case.graph["edges"]))
+        with pytest.raises(AttributeError):
+            g.edges = frozenset()
 
 
 

@@ -22,7 +22,7 @@ from plural import (
     expand_duplicables,
     validate_dag,
 )
-from plural.graph import READ_WRITE, WRITE_WRITE, _successor_map
+from plural.graph import READ_WRITE, WRITE_WRITE
 
 
 def singular(tid, reads=(), writes=(), n=10):
@@ -75,7 +75,7 @@ def pairwise_check_crew(g):
 def reachable_pairs(g):
     """(a, b) for every precedence path a -> ... -> b, by a search from each task."""
     pairs = set()
-    succ = _successor_map(g)
+    succ = g._successors
     for start in g.tasks:
         stack = list(succ[start])
         while stack:
@@ -236,12 +236,40 @@ class TestTaskGraph:
 
     def test_adjacency_helpers(self):
         g = TaskGraph([singular(t) for t in "abc"], [("a", "b"), ("a", "c")])
-        assert _successor_map(g) == {"a": ["b", "c"], "b": [], "c": []}
+        assert g._successors == {"a": ["b", "c"], "b": [], "c": []}
 
     def test_equality(self):
         make = lambda: TaskGraph([singular("a"), singular("b")], [("a", "b")])
         assert make() == make()
         assert make() != TaskGraph([singular("a"), singular("b")])
+
+    def test_edges_in_any_order_or_repeated_make_one_graph(self):
+        # The successor lists are the graph's one record of precedence:
+        # each task's distinct successors, ascending, whatever the order or
+        # repetition of the edges given; ``edges`` is built from them.
+        tasks = [singular(t) for t in "abc"]
+        g = TaskGraph(tasks, [("a", "c"), ("a", "b"), ("b", "c")])
+        for order, edges in ((tasks, [("b", "c"), ("a", "b"), ("a", "c")]),
+                             (tasks[::-1], [["a", "c"], ("a", "b"), ("a", "c"), ("b", "c"), ["a", "b"]])):
+            h = TaskGraph(order, edges)
+            assert h == g
+            assert h.edges == g.edges == frozenset({("a", "b"), ("a", "c"), ("b", "c")})
+            assert h._successors == g._successors == {"a": ["b", "c"], "b": ["c"], "c": []}
+            assert repr(h) == repr(g) == "TaskGraph(3 tasks, 3 edges)"
+        with pytest.raises(AttributeError):
+            g.edges = frozenset()
+        assert not any(isinstance(value, frozenset) for value in vars(g).values())  # no edge set held
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))), st.randoms(use_true_random=False))
+    def test_shuffled_and_repeated_edges_make_an_equal_graph(self, edges, rng):
+        tasks = [singular(t) for t in "abcd"]
+        g = TaskGraph(tasks, edges)
+        again = edges + rng.sample(edges, len(edges) // 2)
+        rng.shuffle(again)
+        h = TaskGraph(tasks, again)
+        assert h == g and h.edges == g.edges == frozenset(edges) and repr(h) == repr(g)
+        assert h._successors == g._successors == {t: sorted({s for p, s in edges if p == t}) for t in "abcd"}
 
 
 class TestValidateDag:
