@@ -12,25 +12,31 @@ Exit codes: 0 success, 1 usage error, 2 input or validation error,
 3 internal error.  Sweep defaults (area 1e6, work 1, m from 1 to 16384 in
 powers of two) emit the model's standard demonstration data with no flags.
 
-``main(argv)`` may be called any number of times in one process: the
-argument parser is built once, on the first call, and reused.  Each
-subcommand imports the modules it uses when it runs, so a call loads only
-what it needs: only ``simulate`` and ``validate`` load ``graph``.
-``check_crew`` is a name of this module all the same, imported from
-``graph`` the first time it is read (PEP 562), and ``simulate`` and
-``validate`` look it up here each time they call it, so a function put in
-its place is the one they call.
+Each subcommand's options are declared once, in ``_COMMANDS``.  ``main``
+parses an exact argv itself: a subcommand's name, then its options by their
+whole names with their values, and its positionals.  Any other argv (help,
+an abbreviation, ``--opt=value``, any usage error) goes to the argparse
+parser built from the same table, so help and errors are argparse's own
+bytes, and an exact argv never loads argparse.  ``main(argv)`` may be
+called any number of times in one process: the argparse parser is built
+once, when first needed, and reused.  Each subcommand imports the modules
+it uses when it runs, so a call loads only what it needs: only
+``simulate`` and ``validate`` load ``graph``.  ``check_crew`` is a name of
+this module all the same, imported from ``graph`` the first time it is
+read (PEP 562), and ``simulate`` and ``validate`` look it up here each time
+they call it, so a function put in its place is the one they call.
 """
 
-import argparse
 import functools
 import sys
 from itertools import compress
+from types import SimpleNamespace
 
 from .errors import DomainError, PluralError
 
 TYPE_CHECKING = False  # what type checkers read as typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
+    import argparse
     from typing import Iterator
 
     from . import et2, scaling
@@ -106,13 +112,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems via exception, not exit(2)."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def parse_core_counts(text: str) -> list[int]:
     """Parse an m-range flag.
 
@@ -155,12 +154,6 @@ def _chip_from_args(args, work: float = 1.0, static_power: bool = False) -> "sca
         pollack_exponent=args.alpha,
         static_power_enabled=static_power,
     )
-
-
-def _add_chip_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--area", type=float, default=1e6, help="total chip area A (default 1e6)")
-    parser.add_argument("--alpha", type=float, default=0.5, help="frequency-vs-area exponent (default 0.5)")
-    parser.add_argument("--cpi", type=float, default=1.0, help="cycles per instruction (default 1)")
 
 
 def cmd_sweep(args, out) -> int:
@@ -337,80 +330,128 @@ def cmd_validate(args, out) -> int:
         sys.stderr.write("cycle: " + " -> ".join(cycle) + "\n")
         return EXIT_INPUT
     violations = _warn_crew(g)
-    out.write(
-        f"ok: {len(g)} tasks, {len(g.edges)} edges, "
-        f"{len(violations)} CREW violation(s)\n"
-    )
+    edges = sum(map(len, g._successors.values()))  # each list is distinct successors: no edge set is built
+    out.write(f"ok: {len(g)} tasks, {edges} edges, {len(violations)} CREW violation(s)\n")
     return EXIT_OK
 
 
+_CHIP = {
+    "--area": dict(type=float, default=1e6, help="total chip area A (default 1e6)"),
+    "--alpha": dict(type=float, default=0.5, help="frequency-vs-area exponent (default 0.5)"),
+    "--cpi": dict(type=float, default=1.0, help="cycles per instruction (default 1)"),
+}
+_SWEEP = {
+    **_CHIP,
+    "--work": dict(type=float, default=1.0, help="workload size W in instructions (default 1)"),
+    "--static-power": dict(action="store_true", default=False,
+                           help="add area-proportional static power to the power figures"),
+    "--m": dict(type=str, default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2"),
+    "--plot-script": dict(type=str, help="also write a gnuplot stub to this path"),
+}
+_GRAPH = {"graph": "task-graph JSON file"}
+# Each subcommand, declared once for build_parser and _parse_exact: its help;
+# its function; its positionals, name: help; its options, flag:
+# add_argument's keywords (the dest is the flag's name, as argparse makes it;
+# a store_true flag names its default, and a value its type); and the flags
+# of which at most one may be given.
+_COMMANDS = {
+    "sweep": ("scaling-model sweep over core counts (CSV)", cmd_sweep, {}, _SWEEP, ()),
+    "comm-sweep": ("sweep with communication power breakdown (CSV)", cmd_sweep, {}, _SWEEP, ()),
+    "et2": ("apply an energy-time trade-off transform", cmd_et2, {
+        "transform": "stretch:A | shrink:B | iso-time:B | iso-energy:B | parallel:M | constrain:{E0|T0|P0}=V",
+    }, {
+        "--e": dict(type=float, required=True, help="energy of the starting point"),
+        "--t": dict(type=float, required=True, help="time of the starting point"),
+    }, ()),
+    "simulate": ("simulate a task-graph file", cmd_simulate, _GRAPH, {
+        **_CHIP,
+        "--m": dict(type=int, default=1, help="number of cores (default 1)"),
+        "--stride": dict(type=int, default=5, help="instructions per memory access (default 5)"),
+        "--prealloc-depth": dict(type=int, default=1, help="pre-allocation queue depth (default 1)"),
+        "--comm-costs": dict(action="store_true", default=False, help="charge scheduler/memory message energy"),
+        "--seed": dict(type=int, default=0, help="seed for conflict arbitration (default 0)"),
+        "--outcome": dict(action="append", type=str, default=[], metavar="TASK=SUCCESSOR",
+                          help="chosen successor of a conditional control task (repeatable)"),
+        "--events": dict(type=str, metavar="FILE", help="write the event trace to FILE, one JSON object per line"),
+        "--check-model": dict(action="store_true", default=False,
+                              help="append deviations from the closed-form model"),
+        "--csv": dict(action="store_true", default=False, help="emit the report as one CSV row"),
+    }, ("--check-model", "--csv")),  # a CSV row has no place for the model check
+    "validate": ("check a task-graph file (structure, DAG, CREW)", cmd_validate, _GRAPH, {}, ()),
+}
+
+
+def _parse_exact(argv: list[str]) -> "SimpleNamespace | None":
+    """The namespace argparse gives for an exact ``argv``, or None for argparse to parse it.
+
+    Exact: a subcommand's name, then its options by their whole names, each
+    followed by its value if it takes one, and its positionals; no value or
+    positional starts with "-", no required option is missing and no
+    exclusive pair is given.  So help and every usage error are argparse's.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, func, positionals, options, exclusive = spec
+    args = {flag[2:].replace("-", "_"): [] if kwargs.get("action") == "append" else kwargs.get("default")
+            for flag, kwargs in options.items()}
+    given, found, tokens = set(), [], iter(argv[1:])
+    for token in tokens:
+        kwargs = options.get(token)
+        if kwargs is None:
+            if token.startswith("-"):
+                return None
+            found.append(token)
+            continue
+        given.add(token)
+        dest, action = token[2:].replace("-", "_"), kwargs.get("action")
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs["type"](value)
+        except ValueError:
+            return None
+        args[dest] = [*args[dest], value] if action == "append" else value
+    if len(found) != len(positionals) or len(given.intersection(exclusive)) > 1 or any(
+            kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args, **dict(zip(positionals, found)))
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The ``plural`` parser, built once and shared: ``parse_args`` fills a fresh
-    namespace per call, and ``--outcome`` copies its default list to append."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The ``plural`` parser, built from ``_COMMANDS`` once and shared:
+    ``parse_args`` fills a fresh namespace per call, and ``--outcome``
+    copies its default list to append."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """ArgumentParser that reports usage problems via exception, not exit(2)."""
+
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="plural", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("sweep", "scaling-model sweep over core counts (CSV)"),
-        ("comm-sweep", "sweep with communication power breakdown (CSV)"),
-    ):
+    for name, (help_text, func, positionals, options, exclusive) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_chip_flags(p)
-        p.add_argument("--work", type=float, default=1.0, help="workload size W in instructions (default 1)")
-        p.add_argument("--static-power", action="store_true",
-                       help="add area-proportional static power to the power figures")
-        p.add_argument(
-            "--m", default="1:16384:x2", help="core counts: N, N,N,..., or start:stop:x2"
-        )
-        p.add_argument("--plot-script", help="also write a gnuplot stub to this path")
-        p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("et2", help="apply an energy-time trade-off transform")
-    p.add_argument("--e", type=float, required=True, help="energy of the starting point")
-    p.add_argument("--t", type=float, required=True, help="time of the starting point")
-    p.add_argument(
-        "transform",
-        help="stretch:A | shrink:B | iso-time:B | iso-energy:B | parallel:M | "
-        "constrain:{E0|T0|P0}=V",
-    )
-    p.set_defaults(func=cmd_et2)
-
-    p = sub.add_parser("simulate", help="simulate a task-graph file")
-    p.add_argument("graph", help="task-graph JSON file")
-    _add_chip_flags(p)
-    p.add_argument("--m", type=int, default=1, help="number of cores (default 1)")
-    p.add_argument("--stride", type=int, default=5, help="instructions per memory access (default 5)")
-    p.add_argument("--prealloc-depth", type=int, default=1, help="pre-allocation queue depth (default 1)")
-    p.add_argument("--comm-costs", action="store_true", help="charge scheduler/memory message energy")
-    p.add_argument("--seed", type=int, default=0, help="seed for conflict arbitration (default 0)")
-    p.add_argument(
-        "--outcome",
-        action="append",
-        default=[],
-        metavar="TASK=SUCCESSOR",
-        help="chosen successor of a conditional control task (repeatable)",
-    )
-    p.add_argument("--events", metavar="FILE", help="write the event trace to FILE, one JSON object per line")
-    report = p.add_mutually_exclusive_group()  # a CSV row has no place for the model check
-    report.add_argument("--check-model", action="store_true", help="append deviations from the closed-form model")
-    report.add_argument("--csv", action="store_true", help="emit the report as one CSV row")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("validate", help="check a task-graph file (structure, DAG, CREW)")
-    p.add_argument("graph", help="task-graph JSON file")
-    p.set_defaults(func=cmd_validate)
-
-    parser.commands = sub.choices
+        for positional, text in positionals.items():
+            p.add_argument(positional, help=text)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for flag, kwargs in options.items():
+            (group if flag in exclusive else p).add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        sub = parser.commands.get(argv[0]) if argv else None  # the top-level parser would hand it the rest
-        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else parser.parse_args(argv)
+        args = _parse_exact(argv) or build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

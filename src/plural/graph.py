@@ -531,5 +531,5 @@ def expand_duplicables(g: TaskGraph) -> TaskGraph:
             reads, writes = _instance_footprint(task, k)
             new_tasks.append(task._replace(id=iid, kind=TaskKind.SINGULAR, instances=1,
                                            read_set=reads, write_set=writes))
-    edges = {(p, s) for pred, succ in g.edges for p in ids[pred] for s in ids[succ]}
+    edges = {(p, s) for pred, succs in g._successors.items() for succ in succs for p in ids[pred] for s in ids[succ]}
     return TaskGraph(new_tasks, edges)

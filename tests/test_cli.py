@@ -1129,6 +1129,33 @@ class TestValidate:
         assert "'a'" in err and "instruction_count" in err
 
 
+def call_main_or_help(argv):
+    """``call_main``, where help's ``SystemExit`` gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each subcommand's help, and one usage error of each kind argparse reports.
+# No graph file is read: each argv fails, or prints help, as it is parsed.
+HELP_AND_USAGE_ARGVS = [
+    ["-h"], ["sweep", "-h"], ["comm-sweep", "-h"], ["et2", "-h"], ["simulate", "-h"], ["validate", "-h"],
+    [], ["frobnicate"], ["simulate"], ["sweep", "--bogus"], ["simulate", "graph.json", "--m", "x"],
+    ["simulate", "graph.json", "--csv", "--check-model"], ["et2", "--e", "8", "stretch:2"], ["sweep", "--m"],
+]
+# sha256 of the exit code, stdout and stderr of each argv above, at COLUMNS=80:
+# one for each way argparse spells an invalid choice's list, quoted (Python
+# 3.10 to 3.13.0) or not (later 3.13 releases, 3.13.13 among them).
+HELP_AND_USAGE_DIGESTS = {
+    "1c87b24ec0f5cf589314c6bfbde87e3529d32af1523edd44ec81cd37740f9f18",
+    "92e58699e8aa7e2a536efd1801059af4019fc5fd856cea074849bd96d0c2a26a",
+}
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -1137,6 +1164,14 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_help_and_usage_errors_match_pinned_digest(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        results = [call_main_or_help(list(argv)) for argv in HELP_AND_USAGE_ARGVS]
+        assert [code for code, _, _ in results] == [0] * 6 + [1] * 8
+        assert all(out and not err for _, out, err in results[:6])
+        assert all(err.startswith("error: ") and not out for _, out, err in results[6:])
+        assert hashlib.sha256(repr(results).encode()).hexdigest() in HELP_AND_USAGE_DIGESTS
 
 
 class TestParserBuiltOnce:
@@ -1211,15 +1246,21 @@ def test_readme_names_the_package_version():
     assert semantics.group(1) == history.group(1) == plural.__version__
 
 
-def test_a_loaded_and_run_graph_holds_no_edge_set(monkeypatch):
-    # Each simulate workload of the benchmark: loading, the CREW check and a
-    # run read the successor lists, so no edge set is built until ``edges``
-    # is read.  The one frozenset held is the contended variable names.
+def benchmark_workloads(monkeypatch):
+    """``benchmarks/workloads.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_a_loaded_and_run_graph_holds_no_edge_set(monkeypatch):
+    # Each simulate workload of the benchmark: loading, the CREW check and a
+    # run read the successor lists, so no edge set is built until ``edges``
+    # is read.  The one frozenset held is the contended variable names.
+    workloads = benchmark_workloads(monkeypatch)
     for workload in ("wide-short", "shared-read", "stage-chain"):
         case = workloads.make_cases(workload, 1001, 1)[0]
         g = graphio.loads(json.dumps(case.graph))
@@ -1356,28 +1397,67 @@ class TestArgvFuzz:
         self.check_exit_code(tmp_path_factory, content, where, [command])
 
 
+# Tokens that may follow a subcommand's name: its options, and what argparse
+# reads otherwise: other options, abbreviations, --opt=value, --, help,
+# unknown flags, and negative, empty and malformed values.
+OWN_OPTIONS = {
+    "sweep": ["--area", "--alpha", "--cpi", "--work", "--static-power", "--m", "--plot-script"],
+    "et2": ["--e", "--t"],
+    "simulate": ["--area", "--alpha", "--cpi", "--m", "--stride", "--prealloc-depth", "--comm-costs", "--seed",
+                 "--outcome", "--events", "--check-model", "--csv"],
+}
+OWN_OPTIONS["comm-sweep"] = OWN_OPTIONS["sweep"]
+OWN_POSITIONALS = {"et2": ["stretch:2"], "simulate": ["graph.json"], "validate": ["graph.json"]}
+OPTIONS = sorted({flag for flags in OWN_OPTIONS.values() for flag in flags})
+FLAGS = {"--static-power", "--comm-costs", "--check-model", "--csv"}  # the options that take no value
+VALUES = ["4", "0", "-1", "-2.5", "", "1.5", "x", "nan", "1e400", "1:64:x4", "a=b", "-", " 7 ", "1_0", "9" * 5000]
+ODD = ["--", "-h", "--help", "-hx", "--h", "--comm", "--check", "--pre", "--s", "--m=4", "--csv=1", "--bogus", "-x"]
+ANY_PIECE = st.one_of(
+    st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)),
+    st.tuples(st.sampled_from(OPTIONS + ODD + VALUES)),
+    st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)).map(lambda pair: ("=".join(pair),)),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's name, or not quite one; then its own options, most with
+    a value if they take one, and now and then any other piece, with
+    SIMULATE_FLAGS for ``simulate``; and its positionals or others, each at
+    any place."""
+    command = draw(st.sampled_from([*OWN_OPTIONS, "validate"] * 3 + ["Simulate", "-h", ""]))
+    own = st.sampled_from(OWN_OPTIONS.get(command, OPTIONS))
+    good = st.tuples(own, st.sampled_from(VALUES[:2])).map(lambda pair: pair[:1] if pair[0] in FLAGS else pair)
+    other = st.one_of(st.tuples(own, st.sampled_from(VALUES)), ANY_PIECE)
+    pieces = [draw(good if draw(st.integers(0, 9)) else other) for _ in range(draw(st.integers(0, 5)))]
+    if command == "simulate":
+        pieces.append(tuple(draw(SIMULATE_FLAGS)))
+    own_positionals = OWN_POSITIONALS.get(command, [])
+    for positional in draw(st.sampled_from([own_positionals] * 4 + [[], ["x"], ["-x"], [*own_positionals, "x"]])):
+        pieces.insert(draw(st.integers(0, len(pieces))), (positional,))
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+def argparse_namespace(argv):
+    """``vars`` of the namespace argparse parses ``argv`` into, or None where it prints help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(list(argv)))
+        except (cli._UsageError, SystemExit):
+            return None
+
+
 class TestDispatch:
-    """``main`` parses an argv that starts with a subcommand's name with that
-    subcommand's own parser: each argv must end in the same exit code,
-    stdout and stderr as through the top-level parser."""
+    """``main`` parses an exact argv itself and hands any other to argparse:
+    each argv must end in the same exit code, stdout and stderr as when
+    argparse parses them all."""
 
     @staticmethod
-    def call_main_or_help(argv):
-        """``call_main``, where help's ``SystemExit`` gives the code."""
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        return code, out.getvalue(), err.getvalue()
-
-    @classmethod
-    def check_same_as_top_level(cls, argv):
-        direct = cls.call_main_or_help(list(argv))
+    def check_same_as_argparse(argv):
+        exact = call_main_or_help(list(argv))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli.build_parser(), "commands", {})  # no subcommand is dispatched directly
-            assert cls.call_main_or_help(list(argv)) == direct
+            patch.setattr(cli, "_parse_exact", lambda argv: None)  # every argv goes to argparse
+            assert call_main_or_help(list(argv)) == exact
 
     @pytest.mark.parametrize(
         "argv",
@@ -1394,14 +1474,14 @@ class TestDispatch:
     )
     def test_hand_corpus(self, tmp_path, argv):
         path = write_graph(tmp_path, CONDITIONAL_GRAPH)
-        self.check_same_as_top_level([arg.replace("{graph}", path) for arg in argv])
+        self.check_same_as_argparse([arg.replace("{graph}", path) for arg in argv])
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(VALID_DOC, st.sampled_from(["simulate", "validate", "sweep", "comm-sweep", "et2"]), SIMULATE_FLAGS)
     def test_generated_flags(self, tmp_path_factory, doc, command, flags):
         path = tmp_path_factory.mktemp("dispatch") / "graph.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        self.check_same_as_top_level([command, str(path), *flags])
+        self.check_same_as_argparse([command, str(path), *flags])
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(MALFORMED_BYTES, st.sampled_from(["file", "missing", "directory"]), st.sampled_from(["simulate", "validate"]))
@@ -1411,16 +1491,36 @@ class TestDispatch:
             path.write_bytes(content)
         elif where == "directory":
             path.mkdir()
-        self.check_same_as_top_level([command, str(path)])
+        self.check_same_as_argparse([command, str(path)])
 
-    def test_subcommand_never_runs_top_level_parser(self, monkeypatch, tmp_path):
-        parser, calls = cli.build_parser(), []
-        parse_args = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda *args: calls.append(args) or parse_args(*args))
-        path = write_graph(tmp_path, DEMO_GRAPH)
-        argvs = [["simulate", path, "--m", "4"], ["simulate", path, "--bogus"], ["validate", path],
-                 ["sweep", "--m", "1,2"], ["comm-sweep", "--m", "1"], ["et2", "--e", "8", "--t", "2", "stretch:2"]]
-        assert [call_main(argv)[0] for argv in argvs] == [0, 1, 0, 0, 0, 0]
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(argvs())
+    @example(["simulate", "graph.json", "--outcome", "a=b", "--m", "4", "--outcome", "c=d", "--csv", "--csv"])
+    @example(["et2", "stretch:2", "--t", "2", "--e", " 7 ", "--e", "1_0"])
+    @example(["sweep", "--m", "", "--plot-script", "", "--static-power", "--work", "nan"])
+    def test_exact_parser_declines_or_agrees_with_argparse(self, argv):
+        exact = cli._parse_exact(argv)
+        if exact is not None:  # compared as text, since nan equals no nan; sorted, since order may differ
+            assert repr(sorted(vars(exact).items())) == repr(sorted(argparse_namespace(argv).items()))
+
+    def test_valid_argv_never_build_the_parser(self, monkeypatch, tmp_path):
+        calls, build_parser = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        path = write_graph(tmp_path, CONDITIONAL_GRAPH)
+        argvs = [["simulate", path, "--m", "4", "--outcome", "pick=left", "--csv"], ["validate", path],
+                 ["simulate", path, "--m", "2", "--comm-costs", "--check-model", "--seed", "7", "--outcome", "pick=right"],
+                 ["sweep", "--m", "1,2"], ["comm-sweep", "--static-power"], ["et2", "--e", "8", "--t", "2", "stretch:2"]]
+        assert [call_main(argv)[0] for argv in argvs] == [0] * 6
         assert calls == []
-        assert call_main(["frobnicate"])[0] == 1
-        assert len(calls) == 1
+        assert call_main(["simulate", path, "--bogus"])[0] == call_main(["frobnicate"])[0] == 1
+        assert len(calls) == 2
+
+    def test_benchmark_calls_are_exact(self, monkeypatch):
+        workloads = benchmark_workloads(monkeypatch)
+        for workload in ("wide-short", "shared-read", "stage-chain", "model-sweep"):
+            for argv in workloads.make_cases(workload, 1001, 1)[0].calls:
+                assert cli._parse_exact(argv) is not None, argv
+
+    def test_outcome_list_is_fresh_per_call(self):
+        first, second = (cli._parse_exact(["simulate", "graph.json"]) for _ in range(2))
+        assert first.outcome == second.outcome == [] and first.outcome is not second.outcome

@@ -1,5 +1,6 @@
 """A ``plural`` process loads what its call needs: ``import plural`` loads no
-module, ``plural.cli`` only what dispatch needs, and each subcommand its own.
+module, ``plural.cli`` only what dispatch needs (argparse only for help and
+usage errors), and each subcommand its own.
 Each case runs in a fresh interpreter, whose ``sys.modules`` no other test
 has filled."""
 
@@ -45,11 +46,32 @@ def test_import_plural_loads_none_of_its_modules():
     assert {name for name in loaded_after("import plural") if name.startswith("plural.")} == set()
 
 
-def test_importing_the_cli_loads_only_argparse_of_the_standard_library():
+def test_importing_the_cli_loads_only_functools_of_the_standard_library():
     # Without site (-S), no startup hook has loaded a module before: the
-    # CLI adds to what argparse loads only its own package's three modules.
-    added = loaded_after("import plural, plural.cli", "-S") - loaded_after("import argparse", "-S")
+    # CLI adds to what functools loads only its own package's three modules.
+    added = loaded_after("import plural, plural.cli", "-S") - loaded_after("import functools", "-S")
     assert added == {"plural", "plural.errors", "plural.cli"}
+
+
+def test_exact_argv_load_no_argparse(tmp_path):
+    # Only help and usage errors need argparse, and with it gettext and
+    # shutil (for the terminal width).
+    graph = tmp_path / "graph.json"
+    graph.write_text(GRAPH)
+    for code in ("import plural.cli", after_main(["sweep"]), after_main(["simulate", str(graph), "--m", "4"])):
+        assert loaded_after(code, "-S") & {"argparse", "gettext", "shutil"} == set()
+
+
+def test_help_loads_argparse():
+    code = ("import contextlib, io, plural.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    try:\n"
+            "        plural.cli.main(['-h'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0 and out.getvalue().startswith('usage: plural '), out.getvalue()\n"
+            "    else:\n"
+            "        raise AssertionError('help did not exit')")
+    assert "argparse" in loaded_after(code, "-S")
 
 
 def test_a_sweep_loads_no_simulator():
