@@ -12,10 +12,10 @@ all read a variable, but a variable written by a task must not be touched by
 any task concurrent with it.  ``check_crew`` reports every violation of that
 rule, and only a variable that some violation names is ever arbitrated by
 the simulator.  Two tasks are concurrent when neither precedes the other
-through the edge relation.  From ``_FEW`` tasks, one counting pass over the
-authored footprint finds the names that may meet, and only their owners,
-with their descendants, get a bitset of the tasks ordered with them: a
-variable's violations cost O(touchers + violations).
+through the edge relation.  One sort of the authored footprint's names finds
+the names that may meet, and only their owners, with their descendants, get
+a bitset of the tasks ordered with them: a variable's violations cost
+O(touchers + violations).
 
 Duplicable tasks expand into one instance task per index.  A shared-variable
 name may embed ``#`` as an instance-number placeholder ("v[#]" becomes
@@ -27,11 +27,11 @@ each other.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, islice, repeat, takewhile
-from operator import attrgetter, eq, methodcaller
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -93,8 +93,6 @@ class Task(_Checked, _TaskFields):
 
     __slots__ = ()
 
-    # graphio._parse_tasks checks a document's tasks by column with these
-    # same rules: a rule added here must be added there too.
     def __new__(cls, id: str, kind: TaskKind = TaskKind.SINGULAR, instances: int = 1,
                 control_kind: ControlKind | None = None, entry_point: str | None = None,
                 instruction_count: int = 0, read_set: Iterable[str] = frozenset(),
@@ -330,9 +328,6 @@ class _Footprint(NamedTuple):
 # is the same.  Split by it, a name's texts are at even places, its runs at odd.
 _RUNS = re.compile(r"([0-9#]+)")
 _DUPLICABLE, _CONTROL = TaskKind.DUPLICABLE, TaskKind.CONTROL  # per-task reads: an enum's class attribute is slow
-# From this many tasks, checking a document's tasks by column (graphio) and
-# counting names before grouping them cost less than going task by task.
-_FEW = 16
 
 
 def _build_footprint(g: TaskGraph) -> _Footprint:
@@ -368,8 +363,9 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
     few; and ``_ordered_bits`` of their owners.  A duplicable's ``#`` name is
     a pattern whose runs with ``#`` spell any digits.  Only a name touched
     twice, a pattern, a literal that starts as one does or one a duplicable
-    writes can meet: from ``_FEW`` tasks, one counting pass finds them, and
-    in fewer every name is kept.  Each is grouped with the touchers of the
+    writes can meet.  One sort of every name finds them, in any graph: a name
+    touched twice is two equal neighbours, and the names that start with a
+    pattern's head are one run.  Each is grouped with the touchers of the
     names of its shape that it may equal, sought only where they agree on the
     runs no pattern spells freely ("s3[#]" never meets "s7[#]"); a toucher
     costs one test of its ordered-with bits."""
@@ -380,15 +376,13 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
     free: dict[str, set[int]] = {}  # shape -> the runs that some pattern of it spells freely: with "#", any digits
     for parts in pieces.values():
         free.setdefault("#".join(parts[::2]), set()).update(i for i, run in enumerate(parts[1::2]) if "#" in run)
+    names = sorted(chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks))))
+    candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(  # touched twice
+        *(task.write_set for task in dups if task.instances > 1))
     heads = tuple({shape.partition("#")[0] for shape in free})
-    names = [*chain.from_iterable(chain.from_iterable(map(attrgetter("read_set", "write_set"), tasks)))]
-    candidates = {*names}  # every name, in a graph of fewer than _FEW tasks
-    if len(tasks) >= _FEW:
-        names.sort()  # a name touched twice is in names twice
-        candidates = {*compress(names, map(eq, names, islice(names, 1, None)))}.union(
-            *(task.write_set for task in dups if task.instances > 1))
-        for head in heads:  # the names that start with a head, patterns too, are one run of the sorted names
-            candidates.update(takewhile(methodcaller("startswith", head), islice(names, bisect_left(names, head), None)))
+    for head in heads:  # the names that start with a head are one run of the sorted names
+        start = bisect_left(names, head)
+        candidates.update(islice(names, start, bisect_right(names, head, start, key=itemgetter(slice(len(head))))))
     owners, literals, patterns = [], {}, {}  # name -> [(task, writes?)]
     for tid, task in g._tasks.items():
         if not (candidates.isdisjoint(task.read_set) and candidates.isdisjoint(task.write_set)):
@@ -415,12 +409,12 @@ def _meeting_names(g: TaskGraph) -> tuple[dict[str, set[str]], dict[str, int], d
             if len(entries) > 1 or name in crossing or (
                     entries[0][1] and texts is literals and g._tasks[entries[0][0]].instances > 1):
                 cross = crossing.get(name, ())
-                crossers, touch, write = {tid for tid, _ in cross}, 0, 0
+                crossers, touch, write = {tid for tid, _ in cross} if cross else (), 0, 0
                 for tid, writes in chain(entries, cross):
                     touch, write = touch | 1 << index[tid], write | writes << index[tid]
                 for a, a_writes in entries:  # another task, or another instance: of a written literal or a crossing
-                    if (touch if a_writes else write) & ~ordered[a] or g._tasks[a].instances > 1 and (
-                            a_writes and texts is literals or a in crossers):
+                    if (touch if a_writes else write) & ~ordered[a] or (
+                            a_writes and texts is literals or a in crossers) and g._tasks[a].instances > 1:
                         found.setdefault(a, set()).add(name)
     return found, index, ordered
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain, compress, count, repeat
-from operator import is_, is_not
+from itertools import count
 
 from .errors import GraphFormatError, GraphStructureError, PluralError
-from .graph import _CONTROL, _DUPLICABLE, _FEW, ControlKind, Task, TaskGraph, TaskKind
+from .graph import ControlKind, Task, TaskGraph, TaskKind
 
 __all__ = ["loads", "load", "dumps", "dump"]
 
@@ -70,40 +69,15 @@ def _parse_task(obj: object, index: int) -> Task:
     control_kind = _member(_CONTROL_KINDS, obj, "control_kind", index) if "control_kind" in obj else None
     reads, writes = obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)
     try:  # Task checks the names, once, and the rest, and makes frozensets of the names
-        if isinstance(reads, list) and isinstance(writes, list):
-            return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"),
-                        obj.get("instructions", 0), reads, writes)
+        if isinstance(reads, list) and isinstance(writes, list):  # Task(...), less the cost of calling a class
+            return Task.__new__(Task, obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"),
+                                obj.get("instructions", 0), reads, writes)
     except (PluralError, TypeError) as exc:  # TypeError: a name that is a list or an object
         error = exc
     for key, value in (("reads", reads), ("writes", writes)):  # a bad list is named before Task's error
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise _format_error(f"{_where(obj, index)}: {key} must be a list of strings, got {value!r}")
     raise _format_error(f"{_where(obj, index)}: {error}")
-
-
-def _parse_tasks(objs: list) -> list[Task]:
-    """The tasks of ``objs``, each field checked as one column from ``_FEW`` tasks, or ``_parse_task``'s error."""
-    try:
-        if len(objs) >= _FEW:  # fewer tasks cost less checked one by one
-            ids, kinds, ds, controls, entries, ns, reads, writes = zip(*[(
-                obj["id"], kind := _KINDS[obj["kind"]],
-                obj.get("d", 1) if kind is _DUPLICABLE else int("d" not in obj),  # 0, refused as a count, if present
-                _CONTROL_KINDS[obj["control_kind"]] if "control_kind" in obj else None, obj.get("entry"),
-                obj.get("instructions", 0), obj.get("reads", _NO_NAMES), obj.get("writes", _NO_NAMES)) for obj in objs])
-            control = [*map(is_, kinds, repeat(_CONTROL))]
-            if (_TASK_KEYS.issuperset(chain.from_iterable(objs)) and {*map(type, ids)} <= {str} and all(ids)
-                    and {*map(type, ds + ns)} <= {int} and min(ds) >= 1 and min(ns) >= 0
-                    and [*map(is_not, controls, repeat(None))] == control  # a control_kind on control tasks only
-                    # and on them no entry, instruction or name
-                    and {*compress(zip(entries, ns, map(len, reads), map(len, writes)), control)} <= {(None, 0, 0, 0)}
-                    and {*map(type, entries)} <= {str, type(None)} and "" not in entries
-                    and {*map(type, reads + writes)} <= {list} and {*map(type, chain(*reads, *writes))} <= {str}):
-                entries = [tid if entry is None and not c else entry for tid, entry, c in zip(ids, entries, control)]
-                return [*map(tuple.__new__, repeat(Task), zip(ids, kinds, ds, controls, entries, ns,
-                                                              map(frozenset, reads), map(frozenset, writes)))]
-    except (KeyError, TypeError):  # no id or kind, or a kind or control_kind that names no member
-        pass
-    return list(map(_parse_task, objs, count()))
 
 
 def loads(text: str) -> TaskGraph:
@@ -126,7 +100,7 @@ def loads(text: str) -> TaskGraph:
         raise _format_error("'tasks' must be a list")
     if not isinstance(edges_obj, list):
         raise _format_error("'edges' must be a list")
-    tasks = _parse_tasks(tasks_obj)
+    tasks = list(map(_parse_task, tasks_obj, count()))
     try:  # TaskGraph checks every edge at once; the loader names a bad one before any other structure error
         return TaskGraph(tasks, edges_obj)
     except GraphStructureError:
@@ -163,7 +137,7 @@ def dumps(g: TaskGraph) -> str:
     """Serialize a task graph to the JSON document format (stable ordering)."""
     doc = {
         "tasks": [_task_to_obj(g._tasks[tid]) for tid in sorted(g._tasks)],
-        "edges": [list(edge) for edge in sorted(g.edges)],
+        "edges": [[pred, succ] for pred in sorted(g._successors) for succ in g._successors[pred]],
     }
     return json.dumps(doc, indent=2) + "\n"
 

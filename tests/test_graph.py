@@ -1,7 +1,6 @@
 """Tests for task graphs, DAG validation, concurrency, and CREW checking."""
 
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -657,19 +656,17 @@ class TestPerTaskFootprint:
 
 
 class TestCountedCandidates:
-    """A graph of ``_FEW`` tasks or more has its names counted first: only
-    the names that may meet are grouped, and only their owners and those
-    owners' descendants get ordered-with bits.  With every graph counted, the
-    pairwise check on the expanded graph must still agree."""
+    """Every graph has its names counted first: only the names that may meet
+    are grouped, and only their owners and those owners' descendants get
+    ordered-with bits.  The pairwise check on the expanded graph must agree."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.one_of(crew_graphs(), meeting_graphs()))
     @example(TaskGraph([duplicable("a", 2, writes={"v[#]"}), singular("b", reads={"v[0]"})]))
     @example(TaskGraph([duplicable("a", 2, writes={"acc"}), singular("b", reads={"s1[1]"}), duplicable("c", 2, {"s#[1]"})]))
     def test_same_result_as_pairwise_check(self, g):
-        with mock.patch.object(graph_module, "_FEW", 0):
-            assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
-            assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
+        assert crew_outcome(check_crew, g) == crew_outcome(pairwise_check_crew, g)
+        assert crew_outcome(contended, g) == crew_outcome(crew_variables(pairwise_check_crew), g)
 
 
 class TestExpandDuplicables:

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 from itertools import count, product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,8 @@ from hypothesis import strategies as st
 from test_graph import meeting_graphs
 from test_sim import cohort_cases, contention_cases, mixed_footprint_cases, sim_cases
 
-from plural import ControlKind, GraphFormatError, GraphStructureError, Task, TaskGraph, TaskKind, cli
+from plural import (ControlKind, GraphFormatError, GraphStructureError, PluralError, Task, TaskGraph, TaskKind,
+                    ValidationError, cli)
 from plural import graphio
 from plural.graphio import dump, dumps, load, loads
 
@@ -247,11 +247,15 @@ KIND_OF = {"singular": {"kind": "singular", "instructions": 7, "reads": ["r"], "
            "control": {"kind": "control", "control_kind": "merge"}}
 
 
+# Task-list sizes on both sides of 16, the size from which the loader once
+# checked a list by column and below which it checked task by task.
+SIZES = [1, 4, 15, 16, 24]
+
+
 @st.composite
 def malformed_task_lists(draw):
-    """A list of at least ``graphio._FEW`` task objects, so that the loader
-    checks it by column, with one or two of them malformed, or none."""
-    n = draw(st.integers(graphio._FEW, graphio._FEW + 8))
+    """A list of task objects with one or two of them malformed, or none."""
+    n = draw(st.sampled_from(SIZES))
     objs = [{"id": f"t{k}", **KIND_OF[draw(st.sampled_from(sorted(KIND_OF)))]} for k in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
@@ -282,22 +286,25 @@ SHAPED = {"id": TEXTS, "d": st.integers(-1, 3), "instructions": st.integers(-1, 
 
 
 @st.composite
+def drawn_tasks(draw):
+    """A valid task object, each field drawn from valid values."""
+    kind = draw(st.sampled_from(sorted(FIELDS_OF)))
+    return {"kind": kind, **draw(st.fixed_dictionaries(
+        {"control_kind": SHAPED["control_kind"]} if kind == "control" else {},
+        optional={key: VALID[key] for key in FIELDS_OF[kind]}))}
+
+
+@st.composite
 def drawn_task_lists(draw):
-    """A few valid task objects, each field drawn from valid values, and
-    maybe one field of one task drawn from values of its shape or from any
-    JSON value: a rule of ``Task`` that ``BAD_FIELDS`` never breaks is met
-    here with the rest of the list valid.  Valid tasks follow, up to
-    ``graphio._FEW``, so that the loader checks the list by column."""
-    objs = []
-    for k in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(sorted(FIELDS_OF)))
-        objs.append({"id": f"t{k}", "kind": kind, **draw(st.fixed_dictionaries(
-            {"control_kind": SHAPED["control_kind"]} if kind == "control" else {},
-            optional={key: VALID[key] for key in FIELDS_OF[kind]}))})
+    """A few valid task objects, and maybe one field of one task drawn from
+    values of its shape or from any JSON value: a rule of ``Task`` that
+    ``BAD_FIELDS`` never breaks is met here with the rest of the list valid.
+    Valid tasks follow, up to a size drawn from ``SIZES``."""
+    objs = [{"id": f"t{k}", **draw(drawn_tasks())} for k in range(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(SHAPED)))
         draw(st.sampled_from(objs))[key] = draw(SHAPED[key] | JSON_VALUES)
-    return objs + [{"id": f"f{k}", **KIND_OF["singular"]} for k in range(graphio._FEW - len(objs))]
+    return objs + [{"id": f"f{k}", **KIND_OF["singular"]} for k in range(draw(st.sampled_from(SIZES)) - len(objs))]
 
 
 def outcome(call):
@@ -308,17 +315,49 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def row_parse_task(obj, index):
+    """The reference check of one task object: the document's own rules in
+    order, then ``Task(...)``, each error named with the task's place."""
+    def error(message):
+        return GraphFormatError(f"task graph document: {message}")
+
+    def member(members, key):
+        try:
+            return members[obj[key]]
+        except (KeyError, TypeError):  # TypeError: the value is a list or a dict
+            raise error(f"{where}: {key} must be one of {list(members)!r}, got {obj[key]!r}") from None
+
+    if not isinstance(obj, dict):
+        raise error(f"tasks[{index}] must be an object, got {obj!r}")
+    keys = {"id", "kind", "d", "control_kind", "entry", "instructions", "reads", "writes"}
+    if not keys.issuperset(obj):
+        raise error(f"tasks[{index}] has unknown key(s) {sorted(obj.keys() - keys)!r}")
+    if "id" not in obj or "kind" not in obj:
+        raise error(f"tasks[{index}] needs both 'id' and 'kind'")
+    where = f"tasks[{index}] ({obj['id']!r})"
+    kind = member(graphio._KINDS, "kind")
+    if "d" in obj and kind is not TaskKind.DUPLICABLE:
+        raise error(f"{where}: 'd' is only valid on duplicable tasks")
+    control_kind = member(graphio._CONTROL_KINDS, "control_kind") if "control_kind" in obj else None
+    for key in ("reads", "writes"):
+        names = obj.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise error(f"{where}: {key} must be a list of strings, got {names!r}")
+    try:
+        return Task(obj["id"], kind, obj.get("d", 1), control_kind, obj.get("entry"), obj.get("instructions", 0),
+                    obj.get("reads", []), obj.get("writes", []))
+    except PluralError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
 def assert_column_check_agrees(objs):
-    """The loader checks a task list by column and falls back to the row
-    check only to name the first bad task: both give the same tasks, or the
-    same error, and the whole document gives the graph of those tasks."""
-    rows = outcome(lambda: list(map(graphio._parse_task, objs, count())))
-    assert outcome(lambda: graphio._parse_tasks(objs)) == rows
+    """The loader gives the tasks of a task list, or the error of its first
+    bad task, as the reference check of each task in turn does, and the
+    whole document gives the graph of those tasks, at any list size."""
+    rows = outcome(lambda: list(map(row_parse_task, objs, count())))
+    assert outcome(lambda: list(map(graphio._parse_task, objs, count()))) == rows
     graph = outcome(lambda: list(TaskGraph(rows))) if isinstance(rows, list) else rows
     assert outcome(lambda: list(loads(json.dumps({"tasks": objs})))) == graph
-    if isinstance(rows, list):  # a valid list is built by column alone
-        with mock.patch.object(graphio, "_parse_task", side_effect=AssertionError("checked row by row")):
-            assert graphio._parse_tasks(objs) == rows
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -336,16 +375,57 @@ def test_column_check_agrees_on_drawn_fields(objs):
 def test_column_check_agrees_on_each_bad_field():
     # Each entry of BAD_FIELDS on each kind of task, alone in a long list.
     for kind, (key, value) in product(sorted(KIND_OF), BAD_FIELDS):
-        objs = [{"id": f"t{k}", **KIND_OF[kind]} for k in range(graphio._FEW)]
+        objs = [{"id": f"t{k}", **KIND_OF[kind]} for k in range(20)]
         objs[3][key] = value
         assert_column_check_agrees(objs)
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_OF))
+@pytest.mark.parametrize("key, value", BAD_FIELDS, ids=lambda field: repr(field))
+def test_first_task_is_judged_alike_at_every_size(kind, key, value):
+    # One changed task first, then valid ones: the list's size never changes
+    # the error, nor the first task when there is none.
+    first = {"id": "t0", **KIND_OF[kind], key: value}
+    alone = outcome(lambda: list(loads(json.dumps({"tasks": [first]}))))
+    for n in (15, 16, 40):
+        objs = [first, *({"id": f"t{k}", **KIND_OF["singular"]} for k in range(1, n))]
+        loaded = outcome(lambda: list(loads(json.dumps({"tasks": objs}))))
+        assert (loaded if isinstance(alone, tuple) else loaded[:1]) == alone
+
+
+# Values of Task's arguments that keep a task object valid as a document
+# holds it: any JSON value where Task alone judges the field, member names
+# for control_kind and lists of strings for the footprints.
+ARGUMENTS = {"id": JSON_VALUES, "d": JSON_VALUES, "entry": JSON_VALUES, "instructions": JSON_VALUES,
+             "control_kind": SHAPED["control_kind"], "reads": VALID["reads"], "writes": VALID["writes"]}
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(drawn_tasks(), st.data())
+def test_task_and_one_task_document_refuse_alike(obj, data):
+    # Task(...) and loads of a one-task document refuse the same task
+    # objects with the same inner message, or both give the same task and
+    # then the same graph of it.
+    keys = [key for key in sorted(ARGUMENTS) if key != "d" or obj["kind"] == "duplicable"]
+    obj = {"id": "t0", **obj, **data.draw(st.just({}) | st.sampled_from(keys).flatmap(
+        lambda key: st.fixed_dictionaries({key: ARGUMENTS[key]})))}
+    control = obj.get("control_kind")
+    built = outcome(lambda: Task(obj["id"], graphio._KINDS[obj["kind"]], obj.get("d", 1),
+                                 None if control is None else graphio._CONTROL_KINDS[control], obj.get("entry"),
+                                 obj.get("instructions", 0), obj.get("reads", []), obj.get("writes", [])))
+    loaded = outcome(lambda: list(loads(json.dumps({"tasks": [obj]}))))
+    if isinstance(built, Task):
+        assert loaded == outcome(lambda: list(TaskGraph([built])))
+    else:
+        assert built[0] is ValidationError
+        assert loaded == (GraphFormatError, f"task graph document: tasks[0] ({obj['id']!r}): {built[1]}")
+
+
 def test_column_check_names_the_first_of_two_bad_tasks():
-    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(graphio._FEW)]
+    objs = [{"id": f"t{k}", **KIND_OF["singular"]} for k in range(20)]
     objs[3]["instructions"] = -1
     objs[9]["color"] = "red"
     with pytest.raises(GraphFormatError) as caught:
-        graphio._parse_tasks(objs)
+        loads(json.dumps({"tasks": objs}))
     assert str(caught.value) == (
         "task graph document: tasks[3] ('t3'): task 't3': instruction_count must be a nonnegative integer, got -1")
